@@ -326,6 +326,9 @@ def main(argv=None):
     except (ConfigError, FormatError, ShapeError, IndexRangeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,14 +4,33 @@ Neighbor searches order candidates by (squared distance, index): ties go to
 the smaller index, rows come back in ascending distance, and a point is
 never its own neighbor. Both the brute-force and the kd-tree path follow
 that rule exactly, so they agree on every input.
+
+The kd-tree paths use the tree only to bound distances. Each bound is
+inflated by a relative 1e-9, every candidate inside it is collected, and the
+final choice recomputes squared distances with the brute-force arithmetic,
+so rounding inside the tree can never change a result.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateTriangleError, IndexRangeError, ShapeError
+
+# Relative inflation of a kd-tree distance bound: far above the tree's own
+# rounding error, so a ball query with it misses no candidate.
+_RADIUS_SLACK = 1.0 + 1e-9
+# Below this size no squared distance in the kd-tree and no product in the
+# point-triangle arithmetic (fourth powers of coordinate differences) can
+# overflow. Larger or non-finite coordinates take a plain loop instead.
+_TREE_LIMIT = 1e50
+
+
+def _tree_safe(*arrays):
+    return all(bool(np.all(np.abs(x) < _TREE_LIMIT)) for x in arrays)
 
 
 class PointCloud:
@@ -175,7 +194,7 @@ def knn_accelerated(cloud, k):
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
     tree = cKDTree(pts)
     dists, _ = tree.query(pts, k=k + 1)  # self is among the k+1 closest
-    radii = dists[:, -1] * (1.0 + 1e-9)
+    radii = dists[:, -1] * _RADIUS_SLACK
     candidates = tree.query_ball_point(pts, radii)
     out = np.empty((n, k), dtype=np.int64)
     for i, cand in enumerate(candidates):
@@ -184,6 +203,47 @@ def knn_accelerated(cloud, k):
         ranked = _rank_candidates(pts[cand] - pts[i], cand)
         out[i] = ranked[:k]
     return IndexMatrix(out)
+
+
+def _ball_pairs(tree, points, radii):
+    """(row, candidate) index pairs of a ball query, grouped by row in order."""
+    lists = tree.query_ball_point(points, radii, return_sorted=False)
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
+    return np.repeat(np.arange(len(lists)), counts), cand, counts
+
+
+def nearest_neighbors(src, dst):
+    """Nearest row of dst for each row of src: (squared distances, indices).
+
+    Bit for bit what the dense src x dst squared-distance matrix gives with
+    `min` and `argmin` along dst: squared distances are `(diff * diff)`
+    summed over the three coordinates, and ties go to the smaller index.
+    """
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if dst.shape[0] == 0:
+        raise ValueError("cannot search an empty point set")
+    if not _tree_safe(src, dst):
+        d2, idx = np.empty(src.shape[0]), np.empty(src.shape[0], dtype=np.int64)
+        for i, p in enumerate(src):  # the dense matrix, one row at a time
+            diff = p - dst
+            row = (diff * diff).sum(axis=1)
+            d2[i], idx[i] = row.min(), row.argmin()
+        return d2, idx
+    tree = cKDTree(dst)
+    dist, idx = tree.query(src, k=2)  # a lone dst point comes back with an inf runner-up
+    nearest = idx[:, 0]
+    # Where the runner-up is farther by more than the slack the tree's winner
+    # is the strict minimum; elsewhere rank every candidate within the slack.
+    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * _RADIUS_SLACK)
+    if tied.size:
+        rows, cand, counts = _ball_pairs(tree, src[tied], dist[tied, 0] * _RADIUS_SLACK)
+        diff = src[tied[rows]] - dst[cand]
+        d2 = (diff * diff).sum(axis=1)
+        nearest[tied] = cand[np.lexsort((cand, d2, rows))[np.cumsum(counts) - counts]]
+    diff = src - dst[nearest]
+    return (diff * diff).sum(axis=1), nearest
 
 
 def knn_features(features, k):
@@ -222,14 +282,17 @@ def expand_index(idx):
 
 def _dot3(rows, v):
     # explicit component sums keep the arithmetic identical for any batch size
-    return rows[:, 0] * v[0] + rows[:, 1] * v[1] + rows[:, 2] * v[2]
+    return rows[:, 0] * v[:, 0] + rows[:, 1] * v[:, 1] + rows[:, 2] * v[:, 2]
 
 
 def _closest_on_triangle(points, a, b, c):
-    """Closest point on closed triangle abc for each row of points[P, 3].
+    """Closest point on closed triangle (a[i], b[i], c[i]) for each row points[i].
 
-    Region tests follow the classic barycentric case analysis (vertex, edge,
-    interior), checked in a fixed order so results are deterministic.
+    All four arguments have shape (P, 3); one triangle is passed as broadcast
+    rows. Every step is elementwise, so a (point, triangle) pair gets the same
+    bits whatever else is in the batch. Region tests follow the classic
+    barycentric case analysis (vertex, edge, interior), checked in a fixed
+    order so results are deterministic.
     """
     ab = b - a
     ac = c - a
@@ -256,21 +319,29 @@ def _closest_on_triangle(points, a, b, c):
         # Overwrite in reverse priority so the first matching region wins.
         m = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
         w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        closest[m] = b + (c - b) * w[m, None]
+        closest[m] = b[m] + (c[m] - b[m]) * w[m, None]
 
         m = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
         w = d2 / (d2 - d6)
-        closest[m] = a + ac * w[m, None]
+        closest[m] = a[m] + ac[m] * w[m, None]
 
-        closest[(d6 >= 0) & (d5 <= d6)] = c
+        m = (d6 >= 0) & (d5 <= d6)
+        closest[m] = c[m]
 
         m = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
         v = d1 / (d1 - d3)
-        closest[m] = a + ab * v[m, None]
+        closest[m] = a[m] + ab[m] * v[m, None]
 
-        closest[(d3 >= 0) & (d4 <= d3)] = b
-        closest[(d1 <= 0) & (d2 <= 0)] = a
+        m = (d3 >= 0) & (d4 <= d3)
+        closest[m] = b[m]
+        m = (d1 <= 0) & (d2 <= 0)
+        closest[m] = a[m]
     return closest
+
+
+def _squared_distances(points, a, b, c):
+    delta = points - _closest_on_triangle(points, a, b, c)
+    return (delta * delta).sum(axis=1)
 
 
 def _check_triangle(tri):
@@ -285,13 +356,28 @@ def _check_triangle(tri):
     return tri
 
 
+def _check_triangles(tris):
+    """_check_triangle on each of tris[F, 3, 3], raising on the first bad face.
+
+    A vectorised screen with a 10x margin (and any span that may have
+    underflowed) picks the faces that could fail; _check_triangle then
+    decides each of them, so the decision and message are its own.
+    """
+    ab = tris[:, 1] - tris[:, 0]
+    ac = tris[:, 2] - tris[:, 0]
+    cross = np.cross(ab, ac)
+    cross2 = (cross * cross).sum(axis=1)
+    span = (ab * ab).sum(axis=1) * (ac * ac).sum(axis=1)
+    for f in np.flatnonzero((cross2 <= 1e-27 * span) | (span <= 1e-250)):
+        _check_triangle(tris[f])
+
+
 def squared_distances_to_triangle(points, tri):
     """Squared distance from each of points[P, 3] to the closed triangle."""
     tri = _check_triangle(tri)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    closest = _closest_on_triangle(pts, tri[0], tri[1], tri[2])
-    delta = pts - closest
-    return (delta * delta).sum(axis=1)
+    a, b, c = (np.broadcast_to(v, pts.shape) for v in tri)
+    return _squared_distances(pts, a, b, c)
 
 
 def point_triangle_distance(p, tri):
@@ -300,13 +386,52 @@ def point_triangle_distance(p, tri):
     return float(np.sqrt(d2[0]))
 
 
+# Points per candidate-face query, and (point, face) pairs per distance
+# batch: together they bound the temporary arrays of squared_distances_to_mesh.
+_QUERY_ROWS = 256
+_PAIR_BATCH = 1 << 15
+
+
 def squared_distances_to_mesh(points, mesh):
-    """Per-point squared distance to the nearest face of the mesh."""
+    """Per-point squared distance to the nearest face of the mesh.
+
+    Bit for bit the minimum of squared_distances_to_triangle over all faces,
+    but each point visits only the faces that could hold that minimum. The
+    face with the nearest centroid gives an upper bound u on the distance; a
+    kd-tree over centroids, searched out to u plus the largest centroid-to-
+    vertex radius, yields the candidates, and a face whose bounding box lies
+    farther than u is dropped. u is widened by a relative 1e-9 plus 1e-9 of
+    the coordinate scale, far above the rounding of the distance arithmetic.
+    """
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    best = np.full(pts.shape[0], np.inf)
-    for f in range(mesh.face_count):
-        d2 = squared_distances_to_triangle(pts, mesh.triangle(f))
-        np.minimum(best, d2, out=best)
+    tris = mesh.vertices[mesh.faces]
+    _check_triangles(tris)
+    if not _tree_safe(pts, tris):
+        best = np.full(pts.shape[0], np.inf)
+        for tri in tris:
+            np.minimum(best, squared_distances_to_triangle(pts, tri), out=best)
+        return best
+    a, b, c = (np.ascontiguousarray(tris[:, i]) for i in range(3))
+    centroids = tris.mean(axis=1)
+    spread = tris - centroids[:, None, :]
+    radius = float(np.sqrt((spread * spread).sum(axis=2).max()))
+    box_lo, box_hi = tris.min(axis=1), tris.max(axis=1)
+    face_tree = cKDTree(centroids)
+    _, first = face_tree.query(pts, k=1)
+    best = _squared_distances(pts, a[first], b[first], c[first])
+    scale = max(float(np.abs(pts).max(initial=0.0)), float(np.abs(tris).max()))
+    reach = np.sqrt(best) * _RADIUS_SLACK + 1e-9 * scale
+    for start in range(0, pts.shape[0], _QUERY_ROWS):
+        block = slice(start, start + _QUERY_ROWS)
+        rows, faces, _ = _ball_pairs(face_tree, pts[block], reach[block] + radius)
+        rows += start
+        p = pts[rows]
+        gap = np.maximum(np.maximum(box_lo[faces] - p, p - box_hi[faces]), 0.0)
+        keep = (gap * gap).sum(axis=1) <= reach[rows] * reach[rows]
+        rows, faces = rows[keep], faces[keep]
+        for at in range(0, rows.size, _PAIR_BATCH):
+            r, f = rows[at : at + _PAIR_BATCH], faces[at : at + _PAIR_BATCH]
+            np.minimum.at(best, r, _squared_distances(pts[r], a[f], b[f], c[f]))
     return best

@@ -1,9 +1,12 @@
 """Differentiable chamfer loss against a fixed target cloud.
 
 The forward value is computed by the same code path as metrics.chamfer, so
-loss curves and evaluation reports agree exactly. The backward rule is the
-analytic gradient of the squared-distance formulation, with the nearest
-neighbor assignments treated as locally constant.
+loss curves and evaluation reports agree exactly. That path is an exact
+kd-tree search: nearest distances and assignments equal those of the dense
+P x Q squared-distance matrix, ties going to the smaller index, so losses
+and gradients do not depend on how the neighbors were found. The backward
+rule is the analytic gradient of the squared-distance formulation, with the
+nearest neighbor assignments treated as locally constant.
 """
 
 from __future__ import annotations

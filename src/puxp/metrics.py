@@ -5,6 +5,16 @@ Conventions (stored values are raw; table formatting may scale by 1e3):
   - hausdorff: unsquared distances, max of the two directed maxes.
   - point_to_face: directed only, mean distance from predictions to the
     ground-truth mesh surface.
+
+Nearest neighbors come from an exact kd-tree search
+(geometry.nearest_neighbors). The tree only bounds each distance; the
+squared distances of all candidates within the bound are recomputed as
+`(diff * diff)` summed over x, y, z, and ties go to the smaller index. So
+values, means, maxes and assignments equal those of a dense P x Q matrix
+with `min`/`argmin`, bit for bit, in O(P + Q) memory. Point-to-face visits
+only the faces that could hold a point's minimum
+(geometry.squared_distances_to_mesh), with the same per-face arithmetic as
+a loop over every face.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import PointCloud, squared_distances_to_mesh
+from .geometry import PointCloud, nearest_neighbors, squared_distances_to_mesh
 
 
 @dataclasses.dataclass
@@ -43,17 +53,11 @@ def _as_points(cloud):
     return pts
 
 
-def pairwise_squared_distances(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=-1)
-
-
 def chamfer_parts(pred_pts, gt_pts):
     """Chamfer value plus the nearest-neighbor assignments in both directions."""
-    d2 = pairwise_squared_distances(pred_pts, gt_pts)
-    nearest_gt = d2.argmin(axis=1)
-    nearest_pred = d2.argmin(axis=0)
-    value = float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
+    fwd, nearest_gt = nearest_neighbors(pred_pts, gt_pts)
+    bwd, nearest_pred = nearest_neighbors(gt_pts, pred_pts)
+    value = float(fwd.mean() + bwd.mean())
     return value, nearest_gt, nearest_pred
 
 
@@ -65,8 +69,10 @@ def chamfer(pred, gt):
 
 def hausdorff(pred, gt):
     """Symmetric Hausdorff distance (unsquared)."""
-    d2 = pairwise_squared_distances(_as_points(pred), _as_points(gt))
-    worst = max(float(d2.min(axis=1).max()), float(d2.min(axis=0).max()))
+    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
+    fwd, _ = nearest_neighbors(pred_pts, gt_pts)
+    bwd, _ = nearest_neighbors(gt_pts, pred_pts)
+    worst = max(float(fwd.max()), float(bwd.max()))
     return float(np.sqrt(worst))
 
 

@@ -8,6 +8,7 @@ surfaces with fine triangulations; the box mesh is exact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -81,7 +82,9 @@ def surface_sample(shape, n, rng):
     return pts
 
 
+@functools.lru_cache(maxsize=None)
 def _icosphere(subdivisions):
+    """Unit icosphere (vertices, faces), built once per level; both are read-only."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -115,7 +118,10 @@ def _icosphere(subdivisions):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return np.array(verts), np.array(faces, dtype=np.int64)
+    verts, faces = np.array(verts), np.array(faces, dtype=np.int64)
+    verts.flags.writeable = False
+    faces.flags.writeable = False
+    return verts, faces
 
 
 def _grid_faces(nu, nv, wrap_v):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from puxp import metrics
 from puxp.cli import main
 from puxp.dataio import read_csv_rows, read_xyz, write_xyz
 from puxp.geometry import PointCloud
@@ -122,6 +123,16 @@ class TestEvalCommand:
         assert len(rows) == 1
         assert float(rows[0]["cd"]) > 0
         assert rows[0]["p2f"] != ""
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.50 GiB")
+
+        monkeypatch.setattr(metrics, "report", exhausted)
+        a = tmp_path / "a.xyz"
+        write_cloud(a, 24)
+        assert run(["eval", "--pred", a, "--gt", a]) == 2
+        assert "error: out of memory: Unable to allocate 1.50 GiB" in capsys.readouterr().err
 
 
 class TestCompareCommand:

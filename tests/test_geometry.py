@@ -14,7 +14,9 @@ from puxp.geometry import (
     knn_features,
     point_triangle_distance,
     squared_distances_to_mesh,
+    squared_distances_to_triangle,
 )
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, surface_mesh, surface_sample
 
 
 def rotation_matrix(axis, angle):
@@ -108,7 +110,7 @@ class TestKnnAccelerated:
     def test_matches_bruteforce_on_random_clouds(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 120))
-        k = int(rng.choice([1, 4, 8, min(16, n - 1)]))
+        k = int(rng.choice([1, 4, min(8, n - 1), min(16, n - 1)]))
         pts = rng.normal(size=(n, 3))
         if seed % 3 == 0:
             pts = np.round(pts, 1)  # provoke ties
@@ -281,3 +283,78 @@ class TestMeshDistance:
             [min(point_triangle_distance(p, mesh.triangle(f)) for f in range(3)) for p in pts]
         )
         assert np.array_equal(fast, slow)
+
+
+def per_face_loop(pts, mesh):
+    """The unpruned reference: every face, one point_triangle_distance at a time."""
+    return np.array(
+        [min(point_triangle_distance(p, mesh.triangle(f)) for f in range(mesh.face_count)) for p in pts]
+    )
+
+
+def per_face_batches(pts, mesh):
+    """The unpruned reference for large meshes: every face against all points."""
+    best = np.full(len(pts), np.inf)
+    for f in range(mesh.face_count):
+        np.minimum(best, squared_distances_to_triangle(pts, mesh.triangle(f)), out=best)
+    return best
+
+
+class TestPrunedMeshDistance:
+    def test_random_meshes_match_per_face_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(15):
+            verts = rng.normal(size=(int(rng.integers(3, 25)), 3))
+            faces = [rng.choice(len(verts), 3, replace=False) for _ in range(int(rng.integers(1, 20)))]
+            mesh = TriangleMesh(verts, faces)
+            pts = rng.normal(scale=1.5, size=(30, 3))
+            assert np.array_equal(np.sqrt(squared_distances_to_mesh(pts, mesh)), per_face_loop(pts, mesh))
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_shape_meshes_match_per_face_loop(self, kind):
+        rng = np.random.default_rng(15)
+        shape = SyntheticShape(kind)
+        mesh = surface_mesh(shape)
+        near = surface_sample(shape, 300, rng) + rng.normal(scale=0.03, size=(300, 3))
+        far = rng.normal(scale=20.0, size=(40, 3)) + [50.0, -30.0, 10.0]
+        for pts in (near, far):
+            assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+        few = near[:4]
+        assert np.array_equal(np.sqrt(squared_distances_to_mesh(few, mesh)), per_face_loop(few, mesh))
+
+    def test_scaled_and_offset_mesh(self):
+        rng = np.random.default_rng(16)
+        shape = SyntheticShape("torus")
+        base = surface_mesh(shape)
+        mesh = TriangleMesh(base.vertices * 1e3 + 1e6, base.faces)
+        pts = surface_sample(shape, 200, rng) * 1e3 + 1e6 + rng.normal(scale=5.0, size=(200, 3))
+        assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+
+    def test_zero_area_face_raises_for_first_bad_face(self):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0], [3, 0, 0], [0, 0, 5]]
+        mesh = TriangleMesh(verts, [[0, 1, 2], [0, 1, 3], [0, 2, 5], [1, 3, 4]])
+        with pytest.raises(DegenerateTriangleError) as caught:
+            squared_distances_to_mesh([[0.2, 0.2, 1.0]], mesh)
+        assert str(caught.value) == "triangle has (near-)zero area: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]"
+
+    @pytest.mark.parametrize("height, degenerate", [(4e-15, True), (1e-14, False)])
+    def test_sliver_near_the_area_threshold(self, height, degenerate):
+        # cross2 / span = h^2 / (0.25 + h^2): the threshold 1e-28 sits at h = 5e-15
+        tri = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, height, 0.0]]
+        mesh = TriangleMesh(tri + [[0.0, 0.0, 1.0]], [[0, 1, 3], [0, 1, 2]])
+        pts = [[0.5, 0.5, 0.5]]
+        if degenerate:
+            with pytest.raises(DegenerateTriangleError):
+                point_triangle_distance(pts[0], tri)
+            with pytest.raises(DegenerateTriangleError):
+                squared_distances_to_mesh(pts, mesh)
+        else:
+            assert np.array_equal(np.sqrt(squared_distances_to_mesh(pts, mesh)), per_face_loop(pts, mesh))
+
+    def test_non_finite_points_match_per_face_loop(self):
+        mesh = surface_mesh(SyntheticShape("box_surface"))
+        pts = np.array([[0.1, 0.2, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = squared_distances_to_mesh(pts, mesh)
+            assert np.array_equal(got, per_face_batches(pts, mesh), equal_nan=True)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)

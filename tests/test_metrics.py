@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp.geometry import PointCloud, TriangleMesh, point_triangle_distance
-from puxp.metrics import MetricReport, chamfer, hausdorff, point_to_face, report
+from puxp.metrics import MetricReport, chamfer, chamfer_parts, hausdorff, point_to_face, report
+from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
 
 
 def brute_chamfer(a, b):
@@ -13,6 +16,15 @@ def brute_chamfer(a, b):
     fwd = np.array([min(((p - q) ** 2).sum() for q in b) for p in a]).mean()
     bwd = np.array([min(((q - p) ** 2).sum() for p in a) for q in b]).mean()
     return fwd + bwd
+
+
+def dense_parts(a, b):
+    """The dense P x Q reference: chamfer value, both argmins, Hausdorff value."""
+    diff = a[:, None, :] - b[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    fwd, bwd = d2.min(axis=1), d2.min(axis=0)
+    value = float(fwd.mean() + bwd.mean())
+    return value, d2.argmin(axis=1), d2.argmin(axis=0), float(np.sqrt(max(fwd.max(), bwd.max())))
 
 
 def brute_hausdorff(a, b):
@@ -53,6 +65,64 @@ class TestChamfer:
         assert chamfer(a, b) == 0.0
         c = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         assert chamfer(a, c) > 0.0
+
+
+class TestKdTreeMatchesDenseOracle:
+    """The kd-tree search gives the dense matrix's values and argmins, bit for bit."""
+
+    @staticmethod
+    def clouds(variant, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(int(rng.integers(1, 150)), 3))
+        b = rng.normal(size=(int(rng.integers(1, 150)), 3))
+        if variant == "rounded":  # many exact distance ties
+            a, b = np.round(a, 1), np.round(b, 1)
+        elif variant == "duplicates":  # repeated points within and across clouds
+            b = np.vstack([b, a[:3], b[:2], a[:1]])
+            a = np.vstack([a, a[:1], b[:1]])
+        elif variant == "scaled_offset":
+            a, b = a * 1e3 + 1e6, b * 1e3 + 1e6
+        return a, b
+
+    @pytest.mark.parametrize("variant", ["random", "rounded", "duplicates", "scaled_offset"])
+    def test_chamfer_parts_and_hausdorff(self, variant):
+        for seed in range(25):
+            a, b = self.clouds(variant, seed)
+            value, nearest_gt, nearest_pred, hd = dense_parts(a, b)
+            got_value, got_gt, got_pred = chamfer_parts(a, b)
+            assert got_value == value
+            assert np.array_equal(got_gt, nearest_gt)
+            assert np.array_equal(got_pred, nearest_pred)
+            assert hausdorff(a, b) == hd
+
+    def test_grid_ties_go_to_smallest_index(self):
+        g = np.arange(3, dtype=np.float64)
+        grid = np.array([[x, y, z] for x in g for y in g for z in g])
+        probes = grid[:-1] + 0.5  # each probe is equidistant from up to 8 grid points
+        value, nearest_gt, nearest_pred, _ = dense_parts(probes, grid)
+        got = chamfer_parts(probes, grid)
+        assert got[0] == value
+        assert np.array_equal(got[1], nearest_gt)
+        assert np.array_equal(got[2], nearest_pred)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]], [[-1e200, 0.0, 0.0], [0.0, 1e-3, 0.0]]),
+            ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], [[0.0, 1.0, 0.0]]),
+            ([[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ],
+        ids=["overflow", "nan", "inf"],
+    )
+    def test_inputs_beyond_the_kd_tree_match_dense(self, a, b):
+        a, b = np.array(a), np.array(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, q in ((a, b), (b, a)):
+                value, nearest_gt, nearest_pred, hd = dense_parts(p, q)
+                got = chamfer_parts(p, q)
+                assert np.array_equal([got[0], hausdorff(p, q)], [value, hd], equal_nan=True)
+                assert np.array_equal(got[1], nearest_gt)
+                assert np.array_equal(got[2], nearest_pred)
 
 
 class TestHausdorff:
@@ -139,6 +209,22 @@ class TestReport:
         assert r.label == "toy"
         assert r.p2f is None
         assert (r.pred_count, r.gt_count) == (8, 16)
+
+    def test_8k_clouds_with_mesh_in_bounded_memory(self):
+        # a dense P x Q x 3 difference array here would take 1.5 GiB
+        shape = SyntheticShape("sphere")
+        rng = np.random.default_rng(3)
+        pred = surface_sample(shape, 8192, rng)
+        gt = surface_sample(shape, 8192, rng)
+        mesh = surface_mesh(shape)
+        tracemalloc.start()
+        try:
+            row = report("big", pred, gt, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert row.p2f is not None and row.cd > 0.0
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

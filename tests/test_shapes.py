@@ -3,7 +3,7 @@ import pytest
 
 from puxp.errors import ConfigError
 from puxp.geometry import squared_distances_to_mesh
-from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, _icosphere, sample_pair, surface_mesh, surface_sample
 
 
 class TestSamplers:
@@ -49,6 +49,22 @@ class TestSamplers:
             SyntheticShape("sphere", {"radius": -1.0})
         with pytest.raises(ConfigError):
             SyntheticShape("doughnut")
+
+
+class TestIcosphereCache:
+    def test_cached_mesh_equals_a_fresh_build(self):
+        fresh_verts, fresh_faces = _icosphere.__wrapped__(3)
+        mesh = surface_mesh(SyntheticShape("sphere"))
+        assert np.array_equal(mesh.vertices, fresh_verts)
+        assert np.array_equal(mesh.faces, fresh_faces)
+        assert _icosphere(3) is _icosphere(3)
+
+    def test_cached_arrays_are_read_only(self):
+        verts, faces = _icosphere(3)
+        with pytest.raises(ValueError):
+            verts[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            faces[0, 0] = 1
 
 
 class TestSamplePair:
