@@ -4,7 +4,7 @@ The package is organized by stage:
   autodiff  - Tensor/Tape/Parameter core with the op set the models need
   optim     - Adam with bias correction
   geometry  - clouds, meshes, exact KNN graphs, index expansion
-  nn        - shared MLPs, EdgeConv, latent-code duplication, regression
+  nn        - shared MLPs, EdgeConv, latent-code duplication
   units     - the seven feature-expansion units behind one contract
   metrics   - chamfer / Hausdorff / point-to-face evaluation
   losses    - differentiable chamfer loss

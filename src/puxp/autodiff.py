@@ -93,9 +93,6 @@ class ParameterStore:
     def __len__(self):
         return len(self._params)
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __getitem__(self, name):
         return self._params[name]
 
@@ -162,9 +159,6 @@ def accumulate_grad(t, g):
     t.grad += g
 
 
-_accum = accumulate_grad
-
-
 # ---------------------------------------------------------------------------
 # ops
 
@@ -180,9 +174,9 @@ def matmul(a, b):
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            accumulate_grad(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            accumulate_grad(b, a.data.T @ g)
 
     return record_op(out, (a, b), backward)
 
@@ -196,7 +190,7 @@ def relu(x):
         if g is None:
             return
         if x.requires_grad:
-            _accum(x, g * (x.data > 0.0))
+            accumulate_grad(x, g * (x.data > 0.0))
 
     return record_op(out, (x,), backward)
 
@@ -212,9 +206,9 @@ def add(a, b):
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, g)
+            accumulate_grad(a, g)
         if b.requires_grad:
-            _accum(b, g)
+            accumulate_grad(b, g)
 
     return record_op(out, (a, b), backward)
 
@@ -230,9 +224,9 @@ def sub(a, b):
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, g)
+            accumulate_grad(a, g)
         if b.requires_grad:
-            _accum(b, -g)
+            accumulate_grad(b, -g)
 
     return record_op(out, (a, b), backward)
 
@@ -248,9 +242,9 @@ def add_bias(x, bias):
         if g is None:
             return
         if x.requires_grad:
-            _accum(x, g)
+            accumulate_grad(x, g)
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
+            accumulate_grad(bias, g.sum(axis=0))
 
     return record_op(out, (x, bias), backward)
 
@@ -265,7 +259,7 @@ def scale(x, factor):
         if g is None:
             return
         if x.requires_grad:
-            _accum(x, g * factor)
+            accumulate_grad(x, g * factor)
 
     return record_op(out, (x,), backward)
 
@@ -279,7 +273,7 @@ def sum_all(x):
         if g is None:
             return
         if x.requires_grad:
-            _accum(x, np.full_like(x.data, g[0]))
+            accumulate_grad(x, np.full_like(x.data, g[0]))
 
     return record_op(out, (x,), backward)
 
@@ -296,9 +290,9 @@ def concat_last(a, b):
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, g[..., :split])
+            accumulate_grad(a, g[..., :split])
         if b.requires_grad:
-            _accum(b, g[..., split:])
+            accumulate_grad(b, g[..., split:])
 
     return record_op(out, (a, b), backward)
 
@@ -328,7 +322,7 @@ def gather_rows(x, idx):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, entries.reshape(-1), g.reshape(-1, x.shape[1]))
-            _accum(x, gx)
+            accumulate_grad(x, gx)
 
     return record_op(out, (x,), backward)
 
@@ -352,7 +346,7 @@ def max_over_k(x):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.put_along_axis(gx, winners[:, None, :], g[:, None, :], axis=1)
-            _accum(x, gx)
+            accumulate_grad(x, gx)
 
     return record_op(out, (x,), backward)
 
@@ -371,7 +365,7 @@ def reshape(x, shape):
         if g is None:
             return
         if x.requires_grad:
-            _accum(x, g.reshape(x.shape))
+            accumulate_grad(x, g.reshape(x.shape))
 
     return record_op(out, (x,), backward)
 

@@ -9,6 +9,7 @@ doing any work, so a run is reproducible from its log alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -24,9 +25,9 @@ from .errors import (
     IndexRangeError,
     ShapeError,
 )
-from .pipeline import BackboneSpec, TrainConfig
+from .pipeline import BackboneSpec, TrainConfig, spec_from_fields, spec_to_fields
 from .shapes import SHAPE_KINDS
-from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS
+from .units import GRAPH_KINDS, INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
 
 def _print_config(pairs):
@@ -35,36 +36,7 @@ def _print_config(pairs):
         print(f"  {key}={pairs[key]}")
 
 
-def _flatten_train_config(cfg, extra=None):
-    pairs = {
-        "unit.kind": cfg.unit.kind,
-        "unit.ratio": cfg.unit.ratio,
-        "unit.channels": cfg.unit.channels,
-        "unit.index_mode": cfg.unit.index_mode,
-        "unit.regression_mode": cfg.unit.regression_mode,
-        "backbone.kind": cfg.backbone.kind,
-        "backbone.depth": cfg.backbone.depth,
-        "backbone.width": cfg.backbone.width,
-        "train.k": cfg.k,
-        "train.steps": cfg.steps,
-        "train.lr": cfg.lr,
-        "train.beta1": cfg.beta1,
-        "train.beta2": cfg.beta2,
-        "train.eps": cfg.eps,
-        "train.batch_size": cfg.batch_size,
-        "train.seed": cfg.seed,
-        "data.shapes": ",".join(cfg.shapes),
-        "data.points": cfg.points,
-        "data.seed": cfg.data_seed,
-    }
-    if extra:
-        pairs.update(extra)
-    return pairs
-
-
 def _unit_spec(args):
-    from .units import ExpansionSpec, GRAPH_KINDS
-
     return ExpansionSpec(
         kind=args.unit,
         ratio=args.ratio,
@@ -89,7 +61,7 @@ def cmd_train(args):
         data_seed=args.data_seed,
     )
     loss_csv = args.loss_csv or args.out + ".loss.csv"
-    _print_config(_flatten_train_config(cfg, {"out": args.out, "loss_csv": loss_csv}))
+    _print_config({**spec_to_fields(cfg, "train"), "out": args.out, "loss_csv": loss_csv})
     result = pipeline.train(cfg)
     dataio.save_checkpoint(args.out, pipeline.model_to_checkpoint(result.model))
     dataio.write_loss_csv(loss_csv, result.losses)
@@ -139,60 +111,55 @@ def _parse_kv_file(path):
     return pairs
 
 
+# The keys a compare file sets beyond the shared TrainConfig ones, with their
+# defaults; None marks a required key.
+COMPARE_KEYS = {
+    "compare.units": None,
+    "compare.index_modes": "expand",
+    "compare.regression_modes": "default",
+    "train.ratio": "4",
+    "train.seeds": "1,2,3",
+    "out": "comparison.csv",
+}
+
+
 def _compare_configs(pairs):
-    def get(key, default=None):
-        if key in pairs:
-            return pairs[key]
-        if default is None:
-            raise ConfigError(f"compare config is missing {key!r}")
-        return default
+    if "train.seed" in pairs:
+        raise ConfigError("compare config sets train.seed; list the seeds in train.seeds instead")
+    own = {**COMPARE_KEYS, **{k: v for k, v in pairs.items() if k in COMPARE_KEYS}}
+    ratio = int(own["train.ratio"])
+    # compare.* picks the units; the placeholder only carries the ratio
+    shared = spec_from_fields(TrainConfig, pairs, "train", unit=ExpansionSpec("branch", ratio, 1))
+    known = set(COMPARE_KEYS) | {
+        key for key in spec_to_fields(shared, "train") if not key.startswith("unit.")
+    }
+    known.discard("train.seed")
+    unknown = sorted(set(pairs) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown compare config key(s) {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(sorted(known))}"
+        )
+    if own["compare.units"] is None:
+        raise ConfigError("compare config is missing 'compare.units'")
 
-    width = int(get("backbone.width", "32"))
-    backbone = BackboneSpec(
-        kind=get("backbone.kind", "edgeconv_stack"),
-        depth=int(get("backbone.depth", "2")),
-        width=width,
-    )
-    common = dict(
-        backbone=backbone,
-        k=int(get("train.k", "16")),
-        steps=int(get("train.steps", "2000")),
-        lr=float(get("train.lr", "0.001")),
-        batch_size=int(get("train.batch_size", "1")),
-        shapes=tuple(get("data.shapes", ",".join(SHAPE_KINDS)).split(",")),
-        points=int(get("data.points", "256")),
-        data_seed=int(get("data.seed", "100")),
-    )
-    ratio = int(get("train.ratio", "4"))
-    units = [u.strip() for u in get("compare.units").split(",") if u.strip()]
-    index_modes = [m.strip() for m in get("compare.index_modes", "expand").split(",") if m.strip()]
-    regression_modes = [
-        m.strip() for m in get("compare.regression_modes", "default").split(",") if m.strip()
-    ]
-    seeds = tuple(int(s) for s in get("train.seeds", "1,2,3").split(","))
-
-    from .units import ExpansionSpec, GRAPH_KINDS
+    def items(key):
+        return [item.strip() for item in own[key].split(",") if item.strip()]
 
     configs = []
     seen = set()
-    for kind in units:
-        if kind not in UNIT_KINDS:
-            raise ConfigError(f"unknown unit kind {kind!r}; choose from {UNIT_KINDS}")
-        for imode in index_modes:
+    for kind in items("compare.units"):
+        for imode in items("compare.index_modes"):
             if imode not in INDEX_MODES:
                 raise ConfigError(f"unknown index mode {imode!r}; choose from {INDEX_MODES}")
             # the high-power index type only exists for the progressive graph unit
             effective_imode = imode if kind == "proedgeshuffle" else "expand"
-            for rmode in regression_modes:
-                if rmode != "default" and rmode not in REGRESSION_MODES:
-                    raise ConfigError(
-                        f"unknown regression mode {rmode!r}; choose from {REGRESSION_MODES}"
-                    )
+            for rmode in items("compare.regression_modes"):
                 spec = ExpansionSpec(
                     kind=kind,
                     ratio=ratio,
-                    channels=width,
-                    k=common["k"] if kind in GRAPH_KINDS else None,
+                    channels=shared.backbone.width,
+                    k=shared.k if kind in GRAPH_KINDS else None,
                     index_mode=effective_imode,
                     regression_mode=None if rmode == "default" else rmode,
                 )
@@ -200,15 +167,20 @@ def _compare_configs(pairs):
                 if key in seen:
                     continue
                 seen.add(key)
-                configs.append(TrainConfig(unit=spec, **common))
-    return configs, seeds, get("out", "comparison.csv")
+                configs.append(dataclasses.replace(shared, unit=spec))
+    if not configs:
+        raise ConfigError("compare config selects no unit")
+    seeds = tuple(int(s) for s in own["train.seeds"].split(","))
+    return configs, seeds, own["out"]
 
 
 def cmd_compare(args):
     pairs = _parse_kv_file(args.config)
     configs, seeds, out = _compare_configs(pairs)
     out = args.out or out
-    resolved = _flatten_train_config(configs[0], {"out": out, "train.seeds": ",".join(map(str, seeds))})
+    resolved = spec_to_fields(configs[0], "train")
+    del resolved["train.seed"]  # each unit trains once per seed in train.seeds
+    resolved.update({"out": out, "train.seeds": ",".join(map(str, seeds))})
     resolved["compare.rows"] = ";".join(
         f"{c.unit.kind}/{c.unit.index_mode}/{c.unit.regression_mode}" for c in configs
     )

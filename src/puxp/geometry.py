@@ -55,15 +55,6 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    def transformed(self, rotation=None, translation=None):
-        """Rigidly transformed copy (rotation applied first)."""
-        pts = self.points
-        if rotation is not None:
-            pts = pts @ np.asarray(rotation, dtype=np.float64).T
-        if translation is not None:
-            pts = pts + np.asarray(translation, dtype=np.float64)
-        return PointCloud(pts)
-
     def __repr__(self):
         return f"PointCloud({self.count} points)"
 
@@ -165,18 +156,9 @@ def _rank_candidates(deltas, cand):
 
 
 def knn_bruteforce(cloud, k):
-    """Exact KNN by full pairwise distances; the oracle for the fast path."""
-    pts = _as_coords(cloud)
-    n = pts.shape[0]
-    k = int(k)
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((cols, d2), axis=-1)
-    return IndexMatrix(order[:, :k])
+    """Exact KNN by full pairwise distances (knn_features on the coordinates);
+    the oracle for the fast path."""
+    return knn_features(cloud, k)
 
 
 def knn_accelerated(cloud, k):
@@ -247,7 +229,8 @@ def nearest_neighbors(src, dst):
 
 
 def knn_features(features, k):
-    """Exact KNN in C-dimensional feature space, same tie rule as above."""
+    """Exact KNN by full pairwise distances over M x C rows, same tie rule as
+    above. The one dense KNN kernel: knn_bruteforce calls it too."""
     feats = _as_coords(features)
     if feats.ndim != 2:
         raise ShapeError(f"features must have shape (M, C), got {feats.shape}")

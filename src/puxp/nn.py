@@ -1,4 +1,4 @@
-"""Shared-parameter MLPs, EdgeConv, and the coordinate regression head.
+"""Shared-parameter MLPs, EdgeConv, and latent-code duplication.
 
 Every block applies the same trainable weights to every point row, so the
 row count is free at inference time and permuting input rows permutes the
@@ -11,8 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import GradientError, ShapeError
-from .geometry import PointCloud
+from .errors import ShapeError
 
 
 def glorot_uniform(rng, fan_in, fan_out, shape=None):
@@ -106,14 +105,3 @@ def duplicate_with_code(x):
     codes = np.tile([[1.0], [-1.0]], (n, 1))
     return ad.concat_last(doubled, Tensor(codes))
 
-
-def regress_coords(head, x):
-    """Map rN x C features to an rN-point cloud through a shared head."""
-    coords = head(x)
-    if coords.shape[1] != 3:
-        raise ShapeError(f"regression head must emit 3 channels, got {coords.shape[1]}")
-    finite = np.isfinite(coords.data).all(axis=1)
-    if not finite.all():
-        row = int(np.nonzero(~finite)[0][0])
-        raise GradientError(f"non-finite coordinates at output row {row}")
-    return PointCloud(coords.data.copy())

@@ -13,6 +13,9 @@ bytes, the loss curve, and every report.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
+import typing
 
 import numpy as np
 
@@ -34,6 +37,62 @@ from .units import (
 )
 
 BACKBONE_KINDS = ("mlp_stack", "edgeconv_stack")
+
+
+# ---------------------------------------------------------------------------
+# spec <-> key=value codec: checkpoint headers, resolved-config prints, compare
+# files and budget keys all read and write specs through these two functions.
+
+
+@functools.cache  # resolving the annotations is most of a checkpoint load's spec cost
+def _spec_fields(cls, prefix):
+    """(name, key, type) per field; a nested spec's key is its own prefix."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        own = f.name if dataclasses.is_dataclass(hints[f.name]) else f"{prefix}.{f.name}"
+        out.append((f.name, f.metadata.get("key", own), hints[f.name]))
+    return tuple(out)
+
+
+def spec_to_fields(obj, prefix):
+    """Flat {key: text} of a spec: None as "none", tuples joined with ","."""
+    out = {}
+    for name, key, hint in _spec_fields(type(obj), prefix):
+        value = getattr(obj, name)
+        if dataclasses.is_dataclass(hint):
+            out.update(spec_to_fields(value, key))
+        elif value is None:
+            out[key] = "none"
+        elif isinstance(value, tuple):
+            out[key] = ",".join(str(v) for v in value)
+        else:
+            out[key] = str(value)
+    return out
+
+
+def _parse(hint, text):
+    if isinstance(hint, types.UnionType):  # X | None
+        if text == "none":
+            return None
+        (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
+    if hint is tuple:
+        return tuple(item.strip() for item in text.split(",") if item.strip())
+    return hint(text)
+
+
+def spec_from_fields(cls, fields, prefix, **given):
+    """Inverse of spec_to_fields. Keyword arguments win over fields, and a key
+    absent from fields keeps the dataclass default."""
+    kwargs = dict(given)
+    for name, key, hint in _spec_fields(cls, prefix):
+        if name in given:
+            continue
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = spec_from_fields(hint, fields, key)
+        elif key in fields:
+            kwargs[name] = _parse(hint, fields[key])
+    return cls(**kwargs)
 
 
 @dataclasses.dataclass
@@ -148,12 +207,16 @@ class TrainConfig:
     eps: float = 1e-8
     batch_size: int = 1
     seed: int = 1
-    shapes: tuple = SHAPE_KINDS
-    points: int = 256
-    data_seed: int = 100
+    shapes: tuple = dataclasses.field(default=SHAPE_KINDS, metadata={"key": "data.shapes"})
+    points: int = dataclasses.field(default=256, metadata={"key": "data.points"})
+    data_seed: int = dataclasses.field(default=100, metadata={"key": "data.seed"})
 
     def __post_init__(self):
         self.k = int(self.k)
+        # floats as floats, so budget keys compare lr=1 and lr=1.0 as equal
+        self.lr, self.beta1, self.beta2, self.eps = (
+            float(v) for v in (self.lr, self.beta1, self.beta2, self.eps)
+        )
         self.steps = int(self.steps)
         self.points = int(self.points)
         self.batch_size = int(self.batch_size)
@@ -174,21 +237,13 @@ class TrainConfig:
                 raise ConfigError(f"unknown shape {s!r}; choose from {SHAPE_KINDS}")
 
     def budget_key(self):
-        """Everything that must match for a fair unit comparison."""
-        return (
-            dataclasses.astuple(self.backbone),
-            self.k,
-            self.steps,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            self.batch_size,
-            self.unit.ratio,
-            self.shapes,
-            self.points,
-            self.data_seed,
-        )
+        """Everything that must match for a fair unit comparison: every field
+        but the seed and the unit's own choices, of which only the ratio counts."""
+        return {
+            key: value
+            for key, value in spec_to_fields(self, "train").items()
+            if key == "unit.ratio" or not (key == "train.seed" or key.startswith("unit."))
+        }
 
 
 @dataclasses.dataclass
@@ -286,18 +341,9 @@ def model_to_checkpoint(model):
     """Checkpoint payload: spec fields plus float32 parameters in store order."""
     from .dataio import Checkpoint
 
-    spec = model.unit_spec
     fields = {
-        "unit.kind": spec.kind,
-        "unit.ratio": str(spec.ratio),
-        "unit.channels": str(spec.channels),
-        "unit.k": "none" if spec.k is None else str(spec.k),
-        "unit.index_mode": spec.index_mode,
-        "unit.regression_mode": spec.regression_mode,
-        "unit.edge_hidden": ",".join(str(h) for h in spec.edge_hidden),
-        "backbone.kind": model.backbone_spec.kind,
-        "backbone.depth": str(model.backbone_spec.depth),
-        "backbone.width": str(model.backbone_spec.width),
+        **spec_to_fields(model.unit_spec, "unit"),
+        **spec_to_fields(model.backbone_spec, "backbone"),
         "model.k": str(model.k),
     }
     params = [(p.name, p.data.astype("<f4")) for p in model.store]
@@ -308,28 +354,14 @@ def model_from_checkpoint(ckpt):
     """Rebuild a model from a checkpoint, validating spec/parameter agreement."""
     from .errors import FormatError
 
-    fields = ckpt.fields
     required = ("unit.kind", "unit.ratio", "unit.channels", "backbone.kind", "model.k")
     for key in required:
-        if key not in fields:
+        if key not in ckpt.fields:
             raise FormatError(f"checkpoint is missing spec field {key!r}")
+    fields = {"backbone.width": ckpt.fields["unit.channels"], **ckpt.fields}
     try:
-        unit_spec = ExpansionSpec(
-            kind=fields["unit.kind"],
-            ratio=int(fields["unit.ratio"]),
-            channels=int(fields["unit.channels"]),
-            k=None if fields.get("unit.k", "none") == "none" else int(fields["unit.k"]),
-            index_mode=fields.get("unit.index_mode", "expand"),
-            regression_mode=fields.get("unit.regression_mode") or None,
-            edge_hidden=tuple(
-                int(h) for h in fields.get("unit.edge_hidden", "").split(",") if h
-            ),
-        )
-        backbone_spec = BackboneSpec(
-            kind=fields["backbone.kind"],
-            depth=int(fields.get("backbone.depth", 2)),
-            width=int(fields.get("backbone.width", unit_spec.channels)),
-        )
+        unit_spec = spec_from_fields(ExpansionSpec, fields, "unit")
+        backbone_spec = spec_from_fields(BackboneSpec, fields, "backbone")
         model = UpsamplingModel(unit_spec, backbone_spec, int(fields["model.k"]), np.random.default_rng(0))
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"checkpoint spec block is invalid: {exc}") from exc

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, GradientError, ShapeError
+from .errors import ConfigError, ShapeError
 from .geometry import IndexMatrix, PointCloud, expand_index, knn_features
 from .nn import EdgeConvLayer, SharedMLP, duplicate_with_code
 
@@ -70,6 +68,9 @@ class ExpansionSpec:
             if self.k is None:
                 raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
             self.k = int(self.k)
+        self.edge_hidden = tuple(int(h) for h in self.edge_hidden)
+        if any(h < 1 for h in self.edge_hidden):
+            raise ConfigError(f"edge_hidden widths must be positive, got {self.edge_hidden}")
         if self.index_mode not in INDEX_MODES:
             raise ConfigError(f"unknown index mode {self.index_mode!r}; choose from {INDEX_MODES}")
         if self.regression_mode is None:
@@ -325,15 +326,3 @@ class RegressionStage:
         coords = self.head(features)
         return self.post(coords, index)
 
-
-def finalize_regression(stage, result, ctx, spec):
-    """Regress expanded features to a PointCloud, deriving the graph if needed."""
-    index = None
-    if stage.mode != "direct":
-        index = expanded_graph(ctx.base_index, spec.ratio, result.index)
-    coords = stage.forward(result.features, index)
-    finite = np.isfinite(coords.data).all(axis=1)
-    if not finite.all():
-        row = int(np.nonzero(~finite)[0][0])
-        raise GradientError(f"non-finite coordinates at output row {row}")
-    return PointCloud(coords.data.copy())

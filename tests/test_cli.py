@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from puxp import metrics
-from puxp.cli import main
+from puxp.cli import _compare_configs, _parse_kv_file, main
 from puxp.dataio import read_csv_rows, read_xyz, write_xyz
 from puxp.geometry import PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
@@ -151,6 +151,40 @@ class TestCompareCommand:
         text = out.read_text()
         assert "# chamfer: squared" in text  # conventions block
         assert "full-scale PU1K benchmark" in text  # documentation footer, not asserted values
+
+    SMALL_COMPARE = (
+        "backbone.width=8\ntrain.steps=2\ntrain.k=6\ntrain.seeds=1\n"
+        "data.shapes=sphere\ndata.points=32\ncompare.units=branch,nodeshuffle\n"
+    )
+
+    def test_misspelled_key_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE + "train.step=10\n")
+        assert run(["compare", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown compare config key(s) train.step;")
+        assert not (tmp_path / "comparison.csv").exists()
+
+    def test_optimizer_keys_reach_every_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(
+            self.SMALL_COMPARE + f"train.beta1=0.5\ntrain.beta2=0.99\ntrain.eps=1e-06\nout={out}\n"
+        )
+        configs, _, _ = _compare_configs(_parse_kv_file(cfg))
+        assert [(c.beta1, c.beta2, c.eps) for c in configs] == [(0.5, 0.99, 1e-6)] * 2
+        assert run(["compare", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("train.beta1=0.5", "train.beta2=0.99", "train.eps=1e-06", "unit.k=none",
+                     "unit.edge_hidden="):
+            assert f"  {line}" in lines
+        assert not any(line.startswith("  train.seed=") for line in lines)
+
+    def test_train_seed_points_to_seeds(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE + "train.seed=3\n")
+        assert run(["compare", "--config", cfg]) == 2
+        assert "train.seeds" in capsys.readouterr().err
 
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

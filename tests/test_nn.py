@@ -4,9 +4,9 @@ import pytest
 from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import check_gradient
-from puxp.errors import GradientError, ShapeError
+from puxp.errors import ShapeError
 from puxp.geometry import IndexMatrix
-from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform, regress_coords
+from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform
 
 
 def make_mlp(widths, rng=None, **kw):
@@ -170,26 +170,3 @@ class TestDuplicateWithCode:
             tape.backward(ad.sum_all(duplicate_with_code(x)))
         assert np.array_equal(x.grad, 2 * np.ones((3, 2)))
 
-
-class TestRegressCoords:
-    def test_identity_like_head_returns_features(self):
-        store = ParameterStore()
-        head = SharedMLP(store, "h", [3, 3], np.random.default_rng(0))
-        store["h.w0"].tensor.data[:] = np.eye(3)
-        feats = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]])
-        cloud = regress_coords(head, Tensor(feats))
-        assert np.array_equal(cloud.points, feats)
-
-    def test_non_finite_output_names_row(self):
-        store = ParameterStore()
-        head = SharedMLP(store, "h", [3, 3], np.random.default_rng(0))
-        store["h.w0"].tensor.data[:] = np.eye(3)
-        feats = np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]])
-        with np.errstate(invalid="ignore"), pytest.raises(GradientError, match="row 1"):
-            regress_coords(head, Tensor(feats))
-
-    def test_head_must_emit_three_channels(self):
-        store = ParameterStore()
-        head = SharedMLP(store, "h", [3, 2], np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            regress_coords(head, Tensor(np.zeros((2, 3))))

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from puxp.errors import ConfigError, DivergenceError
+from puxp.autodiff import Tensor
+from puxp.dataio import Checkpoint
+from puxp.errors import ConfigError, DivergenceError, GradientError
 from puxp.pipeline import (
     Backbone,
     BackboneSpec,
@@ -15,6 +17,8 @@ from puxp.pipeline import (
     make_dataset,
     model_from_checkpoint,
     model_to_checkpoint,
+    spec_from_fields,
+    spec_to_fields,
     train,
 )
 from puxp.units import ExpansionSpec
@@ -72,6 +76,29 @@ class TestModelForward:
         model = build_model(small_config())
         with pytest.raises(ConfigError, match="k=6"):
             model.upsample(PointCloud(np.random.default_rng(0).normal(size=(5, 3))))
+
+
+    def test_upsample_returns_the_regressed_coordinates(self):
+        cfg = small_config()
+        cloud = make_dataset(cfg)[0].cloud
+        model = build_model(cfg)
+        assert np.array_equal(model.upsample(cloud).points, model.forward_tensor(cloud).data)
+
+    def test_non_finite_output_names_row(self, monkeypatch):
+        cfg = small_config(kind="branch")
+        model = build_model(cfg)
+        coords = np.zeros((4 * cfg.points, 3))
+        coords[1, 0], coords[5, 2] = np.inf, np.nan
+        monkeypatch.setattr(model, "forward_tensor", lambda cloud: Tensor(coords))
+        with pytest.raises(GradientError, match="output row 1$"):
+            model.upsample(make_dataset(cfg)[0].cloud)
+
+    def test_inf_head_bias_names_the_row(self):
+        cfg = small_config(kind="branch")
+        model = build_model(cfg)
+        model.store["regress.head.b0"].tensor.data[:] = np.inf
+        with pytest.raises(GradientError, match="non-finite coordinates at output row 0$"):
+            model.upsample(make_dataset(cfg)[0].cloud)
 
 
 class TestTrain:
@@ -175,6 +202,140 @@ class TestCheckpointRoundTrip:
         a = result.model.upsample(ds[0].cloud).points
         b = loaded.upsample(ds[0].cloud).points
         assert np.allclose(a, b, atol=1e-5)
+
+
+class TestSpecCodec:
+    def non_default_config(self):
+        unit = ExpansionSpec(
+            kind="nodeshuffle",
+            ratio=2,
+            channels=8,
+            k=5,
+            index_mode="feature_knn",
+            regression_mode="edgeconv_after",
+            edge_hidden=(8, 16),
+        )
+        return TrainConfig(
+            unit=unit,
+            backbone=BackboneSpec("mlp_stack", 3, 8),
+            k=5,
+            steps=7,
+            lr=0.02,
+            beta1=0.5,
+            beta2=0.95,
+            eps=1e-6,
+            batch_size=2,
+            seed=4,
+            shapes=("torus", "sphere"),
+            points=40,
+            data_seed=9,
+        )
+
+    def test_every_field_round_trips(self):
+        cfg = self.non_default_config()
+        for spec in (cfg, cfg.unit, cfg.backbone):  # no field may pass by keeping its default
+            for field in dataclasses.fields(spec):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(spec, field.name) != field.default, field.name
+                elif field.default_factory is not dataclasses.MISSING:
+                    assert getattr(spec, field.name) != field.default_factory(), field.name
+        assert spec_from_fields(TrainConfig, spec_to_fields(cfg, "train"), "train") == cfg
+        assert spec_from_fields(ExpansionSpec, spec_to_fields(cfg.unit, "unit"), "unit") == cfg.unit
+        backbone = spec_to_fields(cfg.backbone, "backbone")
+        assert spec_from_fields(BackboneSpec, backbone, "backbone") == cfg.backbone
+
+    def test_keys_and_text(self):
+        fields = spec_to_fields(self.non_default_config(), "train")
+        assert fields["unit.edge_hidden"] == "8,16"
+        assert fields["data.shapes"] == "torus,sphere"
+        assert fields["data.seed"] == "9"
+        assert fields["train.eps"] == "1e-06"
+        assert spec_to_fields(ExpansionSpec("branch", 2, 8), "unit")["unit.k"] == "none"
+
+    def test_budget_key_ignores_seed_and_unit_choices_only(self):
+        cfg = self.non_default_config()
+        same = dataclasses.replace(
+            cfg, seed=1, unit=ExpansionSpec("branch", 2, 8, regression_mode="direct")
+        )
+        assert same.budget_key() == cfg.budget_key()
+        changes = (dict(beta1=0.9), dict(unit=ExpansionSpec("branch", 4, 8)), dict(data_seed=1))
+        for change in changes:
+            assert dataclasses.replace(cfg, **change).budget_key() != cfg.budget_key()
+
+    @pytest.mark.parametrize(
+        "header, spec, backbone, k",
+        [
+            (
+                "unit.kind=proedgeshuffle unit.ratio=4 unit.channels=32 unit.k=16 "
+                "unit.index_mode=expand unit.regression_mode=edgeconv_before unit.edge_hidden= "
+                "backbone.kind=edgeconv_stack backbone.depth=2 backbone.width=32 model.k=16",
+                ExpansionSpec("proedgeshuffle", 4, 32, k=16),
+                BackboneSpec(),
+                16,
+            ),
+            (
+                "unit.kind=branch unit.ratio=3 unit.channels=8 unit.k=none unit.index_mode=expand "
+                "unit.regression_mode=direct unit.edge_hidden= backbone.kind=mlp_stack "
+                "backbone.depth=3 backbone.width=8 model.k=6",
+                ExpansionSpec("branch", 3, 8),
+                BackboneSpec("mlp_stack", 3, 8),
+                6,
+            ),
+            (
+                "unit.kind=nodeshuffle unit.ratio=2 unit.channels=8 unit.k=6 "
+                "unit.index_mode=feature_knn unit.regression_mode=edgeconv_after "
+                "unit.edge_hidden=8,16 backbone.kind=edgeconv_stack backbone.depth=1 "
+                "backbone.width=8 model.k=6",
+                ExpansionSpec(
+                    "nodeshuffle", 2, 8, k=6, index_mode="feature_knn",
+                    regression_mode="edgeconv_after", edge_hidden=(8, 16),
+                ),
+                BackboneSpec("edgeconv_stack", 1, 8),
+                6,
+            ),
+        ],
+    )
+    def test_checkpoint_header_is_unchanged(self, header, spec, backbone, k):
+        """The headers are those the hand-written writer emitted, key order included."""
+        fields = dict(item.split("=", 1) for item in header.split())
+        model = UpsamplingModel(spec, backbone, k, np.random.default_rng(0))
+        ckpt = model_to_checkpoint(model)
+        assert list(ckpt.fields.items()) == list(fields.items())
+        loaded = model_from_checkpoint(Checkpoint(fields, ckpt.params))
+        assert (loaded.unit_spec, loaded.backbone_spec, loaded.k) == (spec, backbone, k)
+
+    def test_header_without_optional_keys_keeps_defaults(self):
+        spec, backbone = ExpansionSpec("branch", 2, 8), BackboneSpec("mlp_stack", 2, 8)
+        model = UpsamplingModel(spec, backbone, 6, np.random.default_rng(0))
+        params = model_to_checkpoint(model).params
+        fields = {
+            "unit.kind": "branch", "unit.ratio": "2", "unit.channels": "8",
+            "backbone.kind": "mlp_stack", "model.k": "6",
+        }
+        loaded = model_from_checkpoint(Checkpoint(fields, params))
+        assert (loaded.unit_spec, loaded.backbone_spec) == (spec, backbone)
+
+
+class TestEdgeHidden:
+    @pytest.mark.parametrize("kind", ["nodeshuffle", "proedgeshuffle"])
+    def test_hidden_layer_trains_and_round_trips(self, kind, tmp_path):
+        from puxp.dataio import load_checkpoint, save_checkpoint
+
+        unit = ExpansionSpec(kind=kind, ratio=4, channels=8, k=6, edge_hidden=(8,))
+        cfg = TrainConfig(unit=unit, backbone=BackboneSpec(width=8), steps=1, **SMALL)
+        initial = build_model(cfg).store
+        result = train(cfg)
+        store = result.model.store
+        hidden = [n for n in store.names() if n.startswith("unit.conv") and n.endswith(".h.w1")]
+        assert len(hidden) == (1 if kind == "nodeshuffle" else 2)
+        for name in hidden:
+            assert store[name.replace(".w1", ".w0")].data.shape == (16, 8)
+            assert store[name].data.shape[0] == 8
+            assert not np.array_equal(store[name].data, initial[name].data)
+        assert np.isfinite(result.losses[0])
+        path = tmp_path / "model.puxp"
+        save_checkpoint(path, model_to_checkpoint(result.model))
+        assert model_from_checkpoint(load_checkpoint(path)).unit_spec == unit
 
 
 class TestCompareUnits:

@@ -6,6 +6,7 @@ from puxp.autodiff import ParameterStore, Tensor
 from puxp.checks import check_gradient
 from puxp.errors import ConfigError
 from puxp.geometry import IndexMatrix, PointCloud, expand_index, knn_bruteforce
+from puxp.pipeline import BackboneSpec, UpsamplingModel
 from puxp.units import (
     GRAPH_KINDS,
     UNIT_KINDS,
@@ -14,7 +15,6 @@ from puxp.units import (
     RegressionStage,
     build_unit,
     expanded_graph,
-    finalize_regression,
 )
 
 
@@ -53,6 +53,12 @@ class TestExpansionSpec:
     def test_graph_kinds_need_k(self):
         with pytest.raises(ConfigError, match="neighbor count"):
             ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4)
+
+    def test_edge_hidden_coerced_to_positive_ints(self):
+        spec = ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4, k=3, edge_hidden=["8", 16])
+        assert spec.edge_hidden == (8, 16)
+        with pytest.raises(ConfigError, match="edge_hidden"):
+            ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4, k=3, edge_hidden=(8, 0))
 
     def test_regression_mode_defaults(self):
         assert ExpansionSpec(kind="branch", ratio=2, channels=4).regression_mode == "direct"
@@ -228,10 +234,15 @@ class TestRegressionStage:
         stage = RegressionStage(store, spec, rng, unit.out_channels)
         return ctx, spec, unit, stage
 
+    def model(self, kind="proedgeshuffle", mode=None, ratio=2, c=4, k=3):
+        """A whole model, whose upsample is the one way to finish a regression."""
+        spec = ExpansionSpec(kind=kind, ratio=ratio, channels=c, k=k, regression_mode=mode)
+        return UpsamplingModel(spec, BackboneSpec(width=c), k, np.random.default_rng(1))
+
     @pytest.mark.parametrize("mode", ["direct", "edgeconv_after", "edgeconv_before"])
     def test_all_modes_output_rn_points(self, mode):
-        ctx, spec, unit, stage = self.make(mode=mode)
-        cloud = finalize_regression(stage, unit.expand(ctx), ctx, spec)
+        ctx, _ = make_context(n=6)
+        cloud = self.model(mode=mode).upsample(ctx.cloud)
         assert cloud.count == 12
 
     def test_direct_mode_never_reads_the_index(self):
@@ -253,10 +264,10 @@ class TestRegressionStage:
         assert probe.reads == 0
 
     def test_missing_graph_for_edgeconv_modes(self):
-        ctx, spec, unit, stage = self.make(kind="branch", mode="edgeconv_before", ratio=3)
-        result = unit.expand(ctx)
+        ctx, _ = make_context(n=6)
+        model = self.model(kind="branch", mode="edgeconv_before", ratio=3)
         with pytest.raises(ConfigError, match="not a power of 2"):
-            finalize_regression(stage, result, ctx, spec)
+            model.upsample(ctx.cloud)
 
     def test_edgeconv_before_identical_features_collapse(self):
         ctx, spec, unit, stage = self.make(mode="edgeconv_before")
