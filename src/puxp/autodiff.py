@@ -145,6 +145,11 @@ class Tape:
             rule()
 
 
+def tape_active():
+    """True while any Tape is recording, whatever the operands require."""
+    return bool(_TAPES)
+
+
 def record_op(out, inputs, backward):
     """Mark `out` differentiable and push its rule if a tape is listening."""
     if _TAPES and any(t.requires_grad for t in inputs):

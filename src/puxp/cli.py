@@ -99,6 +99,7 @@ def cmd_eval(args):
 
 def _parse_kv_file(path):
     pairs = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             text = line.strip()
@@ -106,8 +107,13 @@ def _parse_kv_file(path):
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} is set again (first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            pairs[key] = value
     return pairs
 
 

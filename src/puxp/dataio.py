@@ -47,9 +47,10 @@ def read_xyz(path):
 
 
 def write_xyz(path, cloud):
+    # one %-format over all rows; for finite floats "%.9g" is "{:.9g}"
+    text = ("%.9g %.9g %.9g\n" * cloud.count) % tuple(cloud.points.ravel().tolist())
     with open(path, "w", encoding="utf-8") as f:
-        for x, y, z in cloud.points:
-            f.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ the smaller index, rows come back in ascending distance, and a point is
 never its own neighbor. Both the brute-force and the kd-tree path follow
 that rule exactly, so they agree on every input.
 
-The kd-tree paths use the tree only to bound distances. Each bound is
-inflated by a relative 1e-9, every candidate inside it is collected, and the
-final choice recomputes squared distances with the brute-force arithmetic,
-so rounding inside the tree can never change a result.
+The kd-tree paths use the tree only to pick candidates, and the final choice
+recomputes squared distances with the brute-force arithmetic, so rounding
+inside the tree can never change a result. A query asks for one hit more
+than it needs; where that spare hit is farther than the last needed one by
+more than a relative 1e-9, the needed hits are the right candidate set.
+Only the rows where the two tie within 1e-9 collect every point inside the
+inflated bound with a batched ball query.
 """
 
 from __future__ import annotations
@@ -149,12 +152,6 @@ def _as_coords(obj):
     return np.asarray(data, dtype=np.float64)
 
 
-def _rank_candidates(deltas, cand):
-    """Order candidate indices by (squared distance, index), ascending."""
-    d2 = (deltas * deltas).sum(axis=-1)
-    return cand[np.lexsort((cand, d2))]
-
-
 def knn_bruteforce(cloud, k):
     """Exact KNN by full pairwise distances (knn_features on the coordinates);
     the oracle for the fast path."""
@@ -164,10 +161,14 @@ def knn_bruteforce(cloud, k):
 def knn_accelerated(cloud, k):
     """Exact KNN through a kd-tree; agrees with knn_bruteforce on every input.
 
-    A first kd-tree pass bounds the k-th neighbor distance per point; a ball
-    query with that (slightly inflated) radius collects every candidate that
-    could beat it, and the final ranking recomputes squared distances with
-    the same arithmetic as the brute-force path, so ties resolve identically.
+    One tree query returns the k+2 nearest hits of every point, self among
+    them. Where the (k+2)-th hit is farther than the (k+1)-th by more than
+    the slack, the first k+1 hits are exactly the k+1 closest points (self
+    included; with n = k+1 the missing last hit is infinitely far). Those
+    rows drop self and re-rank their k candidates by recomputed squared
+    distance and index, all in one sort. Rows tied within the slack collect
+    every point inside the slightly inflated (k+1)-th distance with one
+    batched ball query and rank those the same way.
     """
     pts = _as_coords(cloud)
     n = pts.shape[0]
@@ -175,15 +176,26 @@ def knn_accelerated(cloud, k):
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
     tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=k + 1)  # self is among the k+1 closest
-    radii = dists[:, -1] * _RADIUS_SLACK
-    candidates = tree.query_ball_point(pts, radii)
+    dists, hits = tree.query(pts, k=k + 2)
     out = np.empty((n, k), dtype=np.int64)
-    for i, cand in enumerate(candidates):
-        cand = np.asarray(cand, dtype=np.int64)
-        cand = cand[cand != i]
-        ranked = _rank_candidates(pts[cand] - pts[i], cand)
-        out[i] = ranked[:k]
+    tie = dists[:, k + 1] <= dists[:, k] * _RADIUS_SLACK
+    exact, tied = np.flatnonzero(~tie), np.flatnonzero(tie)
+    if exact.size:
+        cand = hits[exact, : k + 1]
+        diff = pts[cand] - pts[exact][:, None, :]
+        d2 = (diff * diff).sum(axis=-1)
+        d2[cand == exact[:, None]] = -1.0  # self sorts first, then is dropped
+        order = np.lexsort((cand, d2), axis=-1)
+        out[exact] = np.take_along_axis(cand, order[:, 1:], axis=1)
+    if tied.size:
+        rows, cand, counts = _ball_pairs(tree, pts[tied], dists[tied, k] * _RADIUS_SLACK)
+        other = cand != tied[rows]
+        rows, cand = rows[other], cand[other]
+        diff = pts[cand] - pts[tied[rows]]
+        d2 = (diff * diff).sum(axis=-1)
+        starts = np.cumsum(counts - 1) - (counts - 1)
+        ranked = cand[np.lexsort((cand, d2, rows))]
+        out[tied] = ranked[starts[:, None] + np.arange(k)]
     return IndexMatrix(out)
 
 

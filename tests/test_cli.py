@@ -186,6 +186,14 @@ class TestCompareCommand:
         assert run(["compare", "--config", cfg]) == 2
         assert "train.seeds" in capsys.readouterr().err
 
+    def test_repeated_key_exits_2_and_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE + "train.steps=20\n")
+        assert run(["compare", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:8: key 'train.steps' is set again (first set on line 2)")
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("this is not key value\n")

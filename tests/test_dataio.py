@@ -38,6 +38,15 @@ class TestXyz:
         back = read_xyz(p)
         assert np.allclose(back.points, cloud.points, atol=1e-9)
 
+    def test_bytes_equal_the_per_row_format(self, tmp_path):
+        rng = np.random.default_rng(1)
+        special = [[-0.0, 5e-324, 1e-300], [123456789.123, -1.5e-7, 0.0], [1e300, -2.5, 1 / 3]]
+        for points in (np.array(special), np.vstack([special, rng.normal(size=(50, 3)) * 1e3])):
+            p = tmp_path / "a.xyz"
+            write_xyz(p, PointCloud(points))
+            expected = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in points)
+            assert p.read_bytes() == expected.encode("utf-8")
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "a.xyz"
         p.write_text("a b c\n")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puxp import geometry
 from puxp.errors import DegenerateTriangleError, IndexRangeError, ShapeError
 from puxp.geometry import (
     IndexMatrix,
@@ -133,6 +134,51 @@ class TestKnnAccelerated:
         cloud = PointCloud(pts)
         for k in (1, 4, 8):
             assert np.array_equal(knn_accelerated(cloud, k).entries, knn_bruteforce(cloud, k).entries)
+
+
+class TestKnnAcceleratedTies:
+    """Inputs whose k-th and (k+1)-th distances tie, so rows take the ball query."""
+
+    def assert_matches_bruteforce(self, pts, ks):
+        cloud = PointCloud(pts)
+        oracle = knn_bruteforce(cloud, max(ks)).entries  # rows ascend, so k columns answer k
+        for k in ks:
+            assert np.array_equal(knn_accelerated(cloud, k).entries, oracle[:, :k]), k
+
+    def test_more_than_k_plus_1_coincident_copies(self):
+        rng = np.random.default_rng(8)
+        pts = np.vstack([np.tile([[0.25, -0.5, 1.0]], (30, 1)), rng.normal(size=(40, 3))])
+        self.assert_matches_bruteforce(rng.permutation(pts), (1, 8, 16, 29, 35))
+
+    def test_n_equals_k_plus_1(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 5, 17):
+            self.assert_matches_bruteforce(rng.normal(size=(n, 3)), (n - 1,))
+        self.assert_matches_bruteforce(np.round(rng.normal(size=(9, 3))), (8,))
+        self.assert_matches_bruteforce(np.zeros((4, 3)), (3,))
+
+    def test_rounded_cloud_keeps_its_duplicates(self):
+        pts = np.round(np.random.default_rng(10).normal(size=(2000, 3)), 1)
+        assert np.unique(pts, axis=0).shape[0] < pts.shape[0]
+        self.assert_matches_bruteforce(pts, (1, 4, 16))
+
+    def test_tie_at_the_k_boundary_goes_to_the_smaller_index(self, monkeypatch):
+        # the origin's six unit-axis neighbours tie; the 3rd and 4th straddle k=3
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        far = 5.0 * np.array([[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0], [0.0, -2.0, 1.0]])
+        pts = np.vstack([far[:1], axes[[4, 0, 5, 1, 3, 2]], [[0.0, 0.0, 0.0]], far[1:]])
+        queried = []
+        original = geometry._ball_pairs
+
+        def spy(tree, rows, radii):
+            queried.extend(rows)
+            return original(tree, rows, radii)
+
+        monkeypatch.setattr(geometry, "_ball_pairs", spy)
+        idx = knn_accelerated(PointCloud(pts), 3)
+        assert any(not p.any() for p in queried)  # the origin's row took the ball query
+        assert idx.entries[7].tolist() == [1, 2, 3]
+        self.assert_matches_bruteforce(pts, (1, 2, 3, 5, 6, 7))
 
 
 class TestKnnFeatures:

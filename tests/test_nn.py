@@ -6,7 +6,13 @@ from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import check_gradient
 from puxp.errors import ShapeError
 from puxp.geometry import IndexMatrix
-from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform
+from puxp.nn import (
+    EDGECONV_BLOCK_ROWS,
+    EdgeConvLayer,
+    SharedMLP,
+    duplicate_with_code,
+    glorot_uniform,
+)
 
 
 def make_mlp(widths, rng=None, **kw):
@@ -139,6 +145,62 @@ class TestEdgeConv:
         x = rng.normal(size=(5, 2))
         idx = IndexMatrix([[1, 2], [0, 3], [4, 1], [2, 0], [3, 2]])
         result = check_gradient("edgeconv", lambda t: ad.sum_all(conv(t, idx)), x)
+        assert result.ok, result.detail
+
+
+def random_graph(rng, m, k):
+    """A valid IndexMatrix: k distinct neighbours per row, never the row itself."""
+    rows = [rng.choice(m - 1, size=k, replace=False) for _ in range(m)]
+    entries = np.array(rows)
+    return IndexMatrix(entries + (entries >= np.arange(m)[:, None]))
+
+
+class TestEdgeConvBlocks:
+    B = EDGECONV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("hidden", [(), (5,)])
+    def test_untaped_output_equals_taped_whole_array_bytes(self, m, hidden):
+        rng = np.random.default_rng(m)
+        conv = EdgeConvLayer(ParameterStore(), "c", 3, 6, rng, hidden=hidden)
+        x = rng.normal(size=(m, 3))
+        idx = random_graph(rng, m, 4)
+        with Tape():
+            whole = conv(Tensor(x), idx)
+        assert whole.requires_grad  # the weights put the taped call on the tape
+        untaped = conv(Tensor(x), idx)
+        assert untaped.data.tobytes() == whole.data.tobytes()
+
+    def test_untaped_call_gathers_at_most_one_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = 2 * self.B + 3
+        conv = EdgeConvLayer(ParameterStore(), "c", 3, 6, rng)
+        x, idx = Tensor(rng.normal(size=(m, 3))), random_graph(rng, m, 4)
+        gathered = []
+        original = ad.gather_rows
+
+        def spy(src, index):
+            gathered.append(len(index))
+            return original(src, index)
+
+        monkeypatch.setattr(ad, "gather_rows", spy)
+        conv(x, idx)
+        assert max(gathered) == self.B and sum(gathered) == 2 * m
+        gathered.clear()
+        with Tape():
+            conv(x, idx)
+        assert gathered == [m, m]
+
+    def test_gradient_matches_finite_differences_beyond_one_block(self):
+        # The tape runs the whole array; the finite differences run untaped,
+        # so through the blocks. With K=1 and no output ReLU the layer is
+        # linear: no max or ReLU kink over 515 rows can spoil a difference.
+        rng = np.random.default_rng(22)
+        m = self.B + 3
+        conv = EdgeConvLayer(ParameterStore(), "c", 2, 3, rng, activate_output=False)
+        x = rng.normal(size=(m, 2))
+        idx = random_graph(rng, m, 1)
+        result = check_gradient("edgeconv/blocks", lambda t: ad.sum_all(conv(t, idx)), x)
         assert result.ok, result.detail
 
 

@@ -1,10 +1,12 @@
 import dataclasses
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from puxp.autodiff import Tensor
-from puxp.dataio import Checkpoint
+from puxp.autodiff import Tape, Tensor
+from puxp.dataio import Checkpoint, load_checkpoint
 from puxp.errors import ConfigError, DivergenceError, GradientError
 from puxp.pipeline import (
     Backbone,
@@ -21,7 +23,10 @@ from puxp.pipeline import (
     spec_to_fields,
     train,
 )
-from puxp.units import ExpansionSpec
+from puxp.geometry import PointCloud
+from puxp.nn import EDGECONV_BLOCK_ROWS
+from puxp.shapes import SyntheticShape, sample_pair, surface_sample
+from puxp.units import REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
 SMALL = dict(k=6, points=32, shapes=("sphere",), data_seed=100)
 
@@ -71,8 +76,6 @@ class TestModelForward:
         assert sum(counts.values()) == model.store.value_count()
 
     def test_small_cloud_rejected_for_k(self):
-        from puxp.geometry import PointCloud
-
         model = build_model(small_config())
         with pytest.raises(ConfigError, match="k=6"):
             model.upsample(PointCloud(np.random.default_rng(0).normal(size=(5, 3))))
@@ -99,6 +102,52 @@ class TestModelForward:
         model.store["regress.head.b0"].tensor.data[:] = np.inf
         with pytest.raises(GradientError, match="non-finite coordinates at output row 0$"):
             model.upsample(make_dataset(cfg)[0].cloud)
+
+
+class TestBlockedInference:
+    """upsample runs EdgeConv in row blocks; a taped forward runs whole arrays."""
+
+    N = 700  # above one block already in the backbone; r*N = 2800 rows after expansion
+
+    @pytest.mark.parametrize("backbone_kind", ["mlp_stack", "edgeconv_stack"])
+    @pytest.mark.parametrize("mode", REGRESSION_MODES)
+    @pytest.mark.parametrize("kind", UNIT_KINDS)
+    def test_upsample_equals_taped_forward_bytes(self, kind, mode, backbone_kind):
+        assert EDGECONV_BLOCK_ROWS < self.N
+        unit = ExpansionSpec(kind=kind, ratio=4, channels=6, k=5, regression_mode=mode)
+        model = UpsamplingModel(unit, BackboneSpec(backbone_kind, 2, 6), 5, np.random.default_rng(4))
+        cloud = PointCloud(surface_sample(SyntheticShape("torus"), self.N, np.random.default_rng(5)))
+        with Tape():
+            taped = model.forward_tensor(cloud)
+        assert taped.requires_grad
+        assert model.upsample(cloud).points.tobytes() == taped.data.tobytes()
+
+    def test_train_step_beyond_one_block_reaches_every_parameter(self):
+        cfg = small_config(steps=1, points=EDGECONV_BLOCK_ROWS + 20)
+        model = train(cfg).model
+        missing = [p.name for p in model.store if p.grad is None or not np.any(p.grad)]
+        assert not missing
+        assert any(p.name.startswith("backbone.conv0.") for p in model.store)
+
+
+class TestBoundedMemory:
+    CHECKPOINT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "proedgeshuffle-r4.puxp"
+
+    def peak_bytes(self, model, points):
+        cloud, _, _ = sample_pair(SyntheticShape("torus"), points, 4, 3)
+        tracemalloc.start()
+        try:
+            model.upsample(cloud)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_upsample_peak_memory_is_bounded(self):
+        model = model_from_checkpoint(load_checkpoint(self.CHECKPOINT))
+        small = self.peak_bytes(model, 1024)
+        large = self.peak_bytes(model, 4096)  # 16,384 output rows
+        assert large < 64 * 2**20, large
+        assert large < 2 * small, (large, small)
 
 
 class TestTrain:
