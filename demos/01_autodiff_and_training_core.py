@@ -36,8 +36,13 @@ feats = Tensor([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
 idx = np.array([[2], [0], [1]])
 print("gather_rows with", idx.ravel().tolist(), "->", ad.gather_rows(feats, idx).data[:, 0].tolist())
 
-stack = Tensor([[[1.0, 5.0], [3.0, 2.0]]])
-print("max_over_k of [[1,5],[3,2]] ->", ad.max_over_k(stack).data.tolist())
+# EdgeConv is one op: out[i] = relu(max_k [x_i, x_j - x_i] . w + b). With the
+# centre and edge weights both 1 the edge feature is x_j, so each row picks
+# the largest value among its neighbours.
+pts = Tensor([[0.0], [1.0], [3.0]])
+nbrs = np.array([[1, 2], [0, 2], [0, 1]])
+out = ad.edge_conv(pts, nbrs, Tensor([[1.0], [1.0]]), Tensor([0.0]), activate=True)
+print("edge_conv of", pts.data.ravel().tolist(), "over neighbours", nbrs.tolist(), "->", out.data.ravel().tolist())
 
 # --- Adam on a quadratic bowl ----------------------------------------------
 store = ParameterStore()

@@ -145,11 +145,6 @@ class Tape:
             rule()
 
 
-def tape_active():
-    """True while any Tape is recording, whatever the operands require."""
-    return bool(_TAPES)
-
-
 def record_op(out, inputs, backward):
     """Mark `out` differentiable and push its rule if a tape is listening."""
     if _TAPES and any(t.requires_grad for t in inputs):
@@ -214,24 +209,6 @@ def add(a, b):
             accumulate_grad(a, g)
         if b.requires_grad:
             accumulate_grad(b, g)
-
-    return record_op(out, (a, b), backward)
-
-
-def sub(a, b):
-    """Elementwise difference of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data - b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            accumulate_grad(a, g)
-        if b.requires_grad:
-            accumulate_grad(b, -g)
 
     return record_op(out, (a, b), backward)
 
@@ -302,6 +279,20 @@ def concat_last(a, b):
     return record_op(out, (a, b), backward)
 
 
+def _index_matrix(op, x, idx):
+    """idx (an array or IndexMatrix) as an integer (M, K) array of rows of x[N,C]."""
+    entries = np.asarray(getattr(idx, "entries", idx))
+    if x.ndim != 2:
+        raise ShapeError(f"{op}: need a rank-2 source, got shape {x.shape}")
+    if entries.ndim != 2 or not np.issubdtype(entries.dtype, np.integer):
+        raise ShapeError(f"{op}: index must be an integer matrix")
+    n = x.shape[0]
+    if entries.size and (entries.min() < 0 or entries.max() >= n):
+        bad = entries.min() if entries.min() < 0 else entries.max()
+        raise IndexRangeError(f"{op}: index {bad} out of range for {n} rows")
+    return entries
+
+
 def gather_rows(x, idx):
     """Gather rows of x[N,C] into out[M,K,C] with out[m,k] = x[idx[m,k]].
 
@@ -309,15 +300,7 @@ def gather_rows(x, idx):
     attribute is accepted directly). The backward rule scatter-adds, so rows
     referenced several times accumulate every contribution.
     """
-    entries = np.asarray(getattr(idx, "entries", idx))
-    if x.ndim != 2:
-        raise ShapeError(f"gather_rows: need a rank-2 source, got shape {x.shape}")
-    if entries.ndim != 2 or not np.issubdtype(entries.dtype, np.integer):
-        raise ShapeError("gather_rows: index must be an integer matrix")
-    n = x.shape[0]
-    if entries.size and (entries.min() < 0 or entries.max() >= n):
-        bad = entries.min() if entries.min() < 0 else entries.max()
-        raise IndexRangeError(f"gather_rows: index {bad} out of range for {n} rows")
+    entries = _index_matrix("gather_rows", x, idx)
     out = Tensor(x.data[entries])
 
     def backward():
@@ -332,28 +315,65 @@ def gather_rows(x, idx):
     return record_op(out, (x,), backward)
 
 
-def max_over_k(x):
-    """Elementwise max over the middle axis of x[N,K,C].
+def edge_conv(x, idx, w, b, activate):
+    """EdgeConv out[i] = act(max_k [x[i], x[j_k] - x[i]] . w + b), max first.
 
-    Gradient routes to the first maximal entry along K when there are ties.
+    x is [M,C], idx the (M, K) neighbour table, w [2C, D], b [D] and act ReLU
+    if `activate`, else the identity. With w = [w1; w2], [x_i, x_j - x_i] . w
+    = x_i . (w1 - w2) + x_j . w2, and ReLU is monotone, so out[i] =
+    act(x[i] . (w1 - w2) + b + max_k x[j_k] . w2). The forward runs in row
+    blocks, one neighbour column at a time, and never holds an M x K x D
+    tensor. Under a tape it keeps the first k attaining each output's max;
+    the gradient flows to that neighbour only.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"max_over_k: need a rank-3 tensor, got shape {x.shape}")
-    if x.shape[1] < 1:
-        raise ShapeError("max_over_k: K must be at least 1")
-    winners = np.argmax(x.data, axis=1)  # first occurrence on ties
-    out = Tensor(np.take_along_axis(x.data, winners[:, None, :], axis=1)[:, 0, :])
+    entries = _index_matrix("edge_conv", x, idx)
+    m, c = x.shape
+    if entries.shape[0] != m or entries.shape[1] < 1:
+        raise ShapeError(f"edge_conv: index of shape {entries.shape} for {m} rows")
+    if w.ndim != 2 or w.shape[0] != 2 * c or b.shape != (w.shape[1],):
+        raise ShapeError(f"edge_conv: weights {w.shape} and bias {b.shape} for {c} input channels")
+    k, d = entries.shape[1], w.shape[1]
+    w2 = w.data[c:]
+    centre = w.data[:c] - w2
+    taped = bool(_TAPES) and any(t.requires_grad for t in (x, w, b))
+    winner = np.zeros((m, d), dtype=np.intp) if taped else None
+    out = np.empty((m, d))
+    block = 512  # rows; a block's gathers and products stay in cache
+    for start in range(0, m, block):
+        rows = slice(start, min(start + block, m))
+        best = x.data[entries[rows, 0]] @ w2
+        for j in range(1, k):
+            edge = x.data[entries[rows, j]] @ w2
+            if taped:
+                winner[rows][edge > best] = j  # strict: ties keep the first k
+            np.maximum(best, edge, out=best)
+        out[rows] = x.data[rows] @ centre + b.data + best
+    if activate:
+        np.maximum(out, 0.0, out=out)
+    out = Tensor(out)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, winners[:, None, :], g[:, None, :], axis=1)
+        if activate:
+            g = g * (out.data > 0.0)
+        gx = g @ centre.T if x.requires_grad else None
+        gw1 = x.data.T @ g
+        gw2 = -gw1
+        for j in range(k):
+            gj = np.where(winner == j, g, 0.0)
+            gw2 += x.data[entries[:, j]].T @ gj
+            if gx is not None:
+                np.add.at(gx, entries[:, j], gj @ w2.T)
+        if gx is not None:
             accumulate_grad(x, gx)
+        if w.requires_grad:
+            accumulate_grad(w, np.concatenate([gw1, gw2]))
+        if b.requires_grad:
+            accumulate_grad(b, g.sum(axis=0))
 
-    return record_op(out, (x,), backward)
+    return record_op(out, (x, w, b), backward)
 
 
 def reshape(x, shape):

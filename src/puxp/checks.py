@@ -96,7 +96,6 @@ def _op_cases(seed):
         b = rng.normal(size=(3, 4))
         w = rng.normal(size=(4, 1))
         yield "add", lambda t: ad.sum_all(ad.matmul(ad.add(t, Tensor(b)), Tensor(w))), a
-        yield "sub", lambda t: ad.sum_all(ad.matmul(ad.sub(t, Tensor(b)), Tensor(w))), a
         yield "scale", lambda t: ad.sum_all(ad.scale(t, -1.7)), a
         bias = rng.normal(size=4)
         yield "add_bias/x", lambda t: ad.sum_all(ad.add_bias(t, Tensor(bias))), a
@@ -109,7 +108,7 @@ def _op_cases(seed):
         yield "concat_last/left", lambda t: ad.sum_all(ad.matmul(ad.concat_last(t, Tensor(b)), Tensor(w))), a
         yield "concat_last/right", lambda t: ad.sum_all(ad.matmul(ad.concat_last(Tensor(a), t), Tensor(w))), b
 
-    def case_gather_max():
+    def case_gather():
         x = rng.normal(size=(5, 3))
         idx = np.array([[1, 2], [0, 3], [4, 0], [2, 1], [0, 1]])
         w = rng.normal(size=(3, 2))
@@ -121,11 +120,17 @@ def _op_cases(seed):
 
         yield "gather_rows", gather_loss, x
 
-        def max_loss(t):
-            g = ad.gather_rows(t, idx)
-            return ad.sum_all(ad.max_over_k(g))
+    def case_edge_conv():
+        idx = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
+        args = {"x": rng.normal(size=(6, 3)), "w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+        v = Tensor(rng.normal(size=(4, 1)))  # uneven upstream gradient per channel
+        for activate, tag in ((True, "relu"), (False, "linear")):
+            for name in args:
+                def loss(t, name=name, activate=activate):
+                    xt, wt, bt = (t if n == name else Tensor(a) for n, a in args.items())
+                    return ad.sum_all(ad.matmul(ad.edge_conv(xt, idx, wt, bt, activate), v))
 
-        yield "max_over_k", max_loss, x
+                yield f"edge_conv/{tag}/{name}", loss, args[name]
 
     def case_shapes():
         x = rng.normal(size=(3, 4))
@@ -145,9 +150,10 @@ def _op_cases(seed):
         case_relu,
         case_elementwise,
         case_concat,
-        case_gather_max,
+        case_gather,
         case_shapes,
         case_chamfer,
+        case_edge_conv,
     ):
         yield from group()
 

@@ -184,7 +184,9 @@ def cmd_compare(args):
     pairs = _parse_kv_file(args.config)
     configs, seeds, out = _compare_configs(pairs)
     out = args.out or out
-    resolved = spec_to_fields(configs[0], "train")
+    # a unit.* key that differs between rows is left out; compare.rows names each row's unit
+    rows = [spec_to_fields(c, "train") for c in configs]
+    resolved = {key: value for key, value in rows[0].items() if all(r[key] == value for r in rows)}
     del resolved["train.seed"]  # each unit trains once per seed in train.seeds
     resolved.update({"out": out, "train.seeds": ",".join(map(str, seeds))})
     resolved["compare.rows"] = ";".join(

@@ -168,13 +168,16 @@ def knn_accelerated(cloud, k):
     rows drop self and re-rank their k candidates by recomputed squared
     distance and index, all in one sort. Rows tied within the slack collect
     every point inside the slightly inflated (k+1)-th distance with one
-    batched ball query and rank those the same way.
+    batched ball query and rank those the same way. Coordinates of 1e50 or
+    more take the dense kernel instead.
     """
     pts = _as_coords(cloud)
     n = pts.shape[0]
     k = int(k)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
+    if not _tree_safe(pts):  # the tree's distances could overflow
+        return knn_features(pts, k)
     tree = cKDTree(pts)
     dists, hits = tree.query(pts, k=k + 2)
     out = np.empty((n, k), dtype=np.int64)
@@ -250,6 +253,8 @@ def knn_features(features, k):
     k = int(k)
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
+    if not _tree_safe(feats):  # a power-of-two scale is exact and keeps every square finite
+        feats = np.ldexp(feats, -np.frexp(np.abs(feats).max())[1])
     diff = feats[:, None, :] - feats[None, :, :]
     d2 = (diff * diff).sum(axis=-1)
     np.fill_diagonal(d2, np.inf)

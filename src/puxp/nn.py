@@ -61,60 +61,21 @@ class SharedMLP:
         return h
 
 
-# Rows per EdgeConv block when no tape records. The M x K x 2C edge tensors
-# of a block stay in cache; rows 256-1024 ran equally fast.
-EDGECONV_BLOCK_ROWS = 512
-
-
 class EdgeConvLayer:
-    """Graph convolution out[i] = max_k mlp(concat(x[i], x[j_k] - x[i])).
+    """Graph convolution out[i] = max_k act([x[i], x[j_k] - x[i]] . W + b).
 
     The neighbor set j_k comes from a fixed IndexMatrix; entries within a
-    row are interchangeable because the max reduction is symmetric.
-
-    Every output row depends only on its own neighbours, so with no tape
-    active and more than EDGECONV_BLOCK_ROWS rows the layer runs block by
-    block into one preallocated output: memory is O(block * K * C) instead
-    of O(M * K * C), and the bytes equal the whole-array result. While a tape
-    records (even when x itself needs no gradient, as the coordinates fed to
-    the first backbone layer do) it runs all rows at once, so the backward
-    rules reach the weights through the same ops and records as always.
+    row are interchangeable because the max reduction is symmetric. The
+    whole layer is one `autodiff.edge_conv` call, with or without a tape.
     """
 
-    def __init__(self, store, name, c_in, c_out, rng, hidden=(), activate_output=True):
-        self.name = name
-        self.c_in = int(c_in)
-        self.c_out = int(c_out)
-        widths = [2 * self.c_in, *hidden, self.c_out]
-        self.mlp = SharedMLP(store, f"{name}.h", widths, rng, activate_output=activate_output)
+    def __init__(self, store, name, c_in, c_out, rng, activate_output=True):
+        self.activate_output = activate_output
+        self.w = store.add(f"{name}.h.w0", glorot_uniform(rng, 2 * int(c_in), int(c_out)))
+        self.b = store.add(f"{name}.h.b0", np.zeros(int(c_out)))
 
     def __call__(self, x, idx):
-        if x.ndim != 2 or x.shape[1] != self.c_in:
-            raise ShapeError(f"{self.name}: expected (M, {self.c_in}) input, got {x.shape}")
-        m = x.shape[0]
-        entries = idx.entries
-        if entries.shape[0] != m:
-            raise ShapeError(
-                f"{self.name}: index matrix has {entries.shape[0]} rows for {m} points"
-            )
-        if ad.tape_active() or m <= EDGECONV_BLOCK_ROWS:
-            return self._rows(x, entries, 0, m)
-        out = np.empty((m, self.c_out))
-        for start in range(0, m, EDGECONV_BLOCK_ROWS):
-            stop = min(start + EDGECONV_BLOCK_ROWS, m)
-            out[start:stop] = self._rows(x, entries, start, stop).data
-        return Tensor(out)
-
-    def _rows(self, x, entries, start, stop):
-        """Output rows start..stop-1, computed from all of x."""
-        b, k = stop - start, entries.shape[1]
-        neighbors = ad.gather_rows(x, entries[start:stop])  # b x K x C
-        self_rows = np.broadcast_to(np.arange(start, stop)[:, None], (b, k))
-        center = ad.gather_rows(x, self_rows)  # b x K x C
-        edge = ad.concat_last(center, ad.sub(neighbors, center))  # b x K x 2C
-        flat = ad.reshape(edge, (b * k, 2 * self.c_in))
-        h = self.mlp(flat)
-        return ad.max_over_k(ad.reshape(h, (b, k, self.c_out)))
+        return ad.edge_conv(x, idx, self.w.tensor, self.b.tensor, self.activate_output)
 
 
 def duplicate_with_code(x):

@@ -365,6 +365,11 @@ def model_from_checkpoint(ckpt):
         model = UpsamplingModel(unit_spec, backbone_spec, int(fields["model.k"]), np.random.default_rng(0))
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"checkpoint spec block is invalid: {exc}") from exc
+    # an empty value is a feature left off; any other value this version cannot honour
+    known = {*spec_to_fields(unit_spec, "unit"), *spec_to_fields(backbone_spec, "backbone"), "model.k"}
+    unknown = [f"{key}={value}" for key, value in ckpt.fields.items() if value and key not in known]
+    if unknown:
+        raise FormatError(f"checkpoint sets field(s) this version does not know: {', '.join(unknown)}")
     stored = dict(ckpt.params)
     expected = model.store.names()
     if set(stored) != set(expected):

@@ -49,7 +49,6 @@ class ExpansionSpec:
     k: int | None = None
     index_mode: str = "expand"
     regression_mode: str | None = None
-    edge_hidden: tuple = ()
 
     def __post_init__(self):
         if self.kind not in UNIT_KINDS:
@@ -68,9 +67,6 @@ class ExpansionSpec:
             if self.k is None:
                 raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
             self.k = int(self.k)
-        self.edge_hidden = tuple(int(h) for h in self.edge_hidden)
-        if any(h < 1 for h in self.edge_hidden):
-            raise ConfigError(f"edge_hidden widths must be positive, got {self.edge_hidden}")
         if self.index_mode not in INDEX_MODES:
             raise ConfigError(f"unknown index mode {self.index_mode!r}; choose from {INDEX_MODES}")
         if self.regression_mode is None:
@@ -222,9 +218,7 @@ class NodeShuffleUnit(_UnitBase):
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
-        self.conv = EdgeConvLayer(
-            store, "unit.conv", c, spec.ratio * c, rng, hidden=spec.edge_hidden
-        )
+        self.conv = EdgeConvLayer(store, "unit.conv", c, spec.ratio * c, rng)
 
     def expand(self, ctx):
         base = self._require_graph(ctx)
@@ -245,10 +239,7 @@ class ProEdgeShuffleUnit(_UnitBase):
         super().__init__(spec)
         c = spec.channels
         rounds = self.spec.ratio.bit_length() - 1
-        self.convs = [
-            EdgeConvLayer(store, f"unit.conv{i}", c, 2 * c, rng, hidden=spec.edge_hidden)
-            for i in range(rounds)
-        ]
+        self.convs = [EdgeConvLayer(store, f"unit.conv{i}", c, 2 * c, rng) for i in range(rounds)]
 
     def expand(self, ctx):
         feats = ctx.features

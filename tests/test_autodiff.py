@@ -6,6 +6,8 @@ from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import check_gradient, finite_difference_gradient, run_op_gradient_checks
 from puxp.errors import IndexRangeError, ShapeError
 
+from edgeconv_reference import composed_edge_conv
+
 
 def grad_of(build_loss, x):
     xt = Tensor(x, requires_grad=True)
@@ -124,25 +126,67 @@ class TestGatherRows:
         assert x.grad.sum() == pytest.approx(out.data.size)
 
 
-class TestMaxOverK:
-    def test_forward(self):
-        out = ad.max_over_k(Tensor([[[1.0, 5.0], [3.0, 2.0]]]))
-        assert np.array_equal(out.data, [[3.0, 5.0]])
+class TestEdgeConv:
+    def weights(self, rng, c, d):
+        return Tensor(rng.normal(size=(2 * c, d))), Tensor(rng.normal(size=d))
 
-    def test_k_equals_1_is_identity(self):
-        x = np.arange(6, dtype=np.float64).reshape(3, 1, 2)
-        out = ad.max_over_k(Tensor(x))
-        assert np.array_equal(out.data, x[:, 0, :])
+    @pytest.mark.parametrize("activate", [True, False])
+    @pytest.mark.parametrize("m", [7, 1100])  # one block, three blocks
+    def test_matches_composed_reference(self, m, activate):
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(m, 4))
+        x[1::3] = x[0::3][: len(x[1::3])]  # duplicated rows: exact ties in the max
+        idx = rng.integers(0, m, size=(m, 5))
+        w, b = self.weights(rng, 4, 6)
+        got = ad.edge_conv(Tensor(x), idx, w, b, activate).data
+        want = composed_edge_conv(Tensor(x), idx, w, b, activate).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_tie_gradient_goes_to_first_entry(self):
-        x = Tensor(np.array([[[2.0], [2.0]]]), requires_grad=True)
+    def test_tie_gradient_goes_to_first_neighbour(self):
+        # out[i] = -x[i] + max_k x[j_k]; row 0's neighbours 1 and 2 tie at 2
+        x = Tensor([[0.0], [2.0], [2.0]], requires_grad=True)
+        w = Tensor([[0.0], [1.0]], requires_grad=True)
+        idx = np.array([[1, 2], [0, 0], [0, 0]])
         with Tape() as tape:
-            tape.backward(ad.sum_all(ad.max_over_k(x)))
-        assert np.array_equal(x.grad, [[[1.0], [0.0]]])
+            out = ad.edge_conv(x, idx, w, Tensor([0.0]), activate=False)
+            tape.backward(ad.sum_all(out))
+        assert np.array_equal(out.data, [[2.0], [-2.0], [-2.0]])
+        assert np.array_equal(x.grad, [[1.0], [0.0], [-1.0]])  # row 1 won, not row 2
+        # d/dw1 = sum x_i = 4; d/dw2 = -sum x_i + winners (2 + 0 + 0) = -2
+        assert np.array_equal(w.grad, [[4.0], [-2.0]])
 
-    def test_rejects_empty_k(self):
+    def test_relu_blocks_gradient_of_negative_outputs(self):
+        x = Tensor([[1.0], [-1.0]], requires_grad=True)
+        w = Tensor([[1.0], [0.0]])  # out[i] = relu(x[i])
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.edge_conv(x, np.array([[1], [0]]), w, Tensor([0.0]), True)))
+        assert np.array_equal(x.grad, [[1.0], [0.0]])
+
+    def test_untaped_output_needs_no_grad(self):
+        rng = np.random.default_rng(0)
+        w, b = self.weights(rng, 2, 3)
+        w.requires_grad = True
+        out = ad.edge_conv(Tensor(rng.normal(size=(4, 2))), np.array([[1], [2], [3], [0]]), w, b, True)
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize(
+        "x_shape, idx, w_shape, b_size",
+        [
+            ((3, 2), np.zeros((3, 0), dtype=np.int64), (4, 5), 5),  # K = 0
+            ((3, 2), np.zeros((2, 1), dtype=np.int64), (4, 5), 5),  # rows differ
+            ((3, 2), np.zeros((3, 1), dtype=np.int64), (2, 5), 5),  # w not 2C rows
+            ((3, 2), np.zeros((3, 1), dtype=np.int64), (4, 5), 4),  # bias width
+            ((3, 2), np.zeros((3, 1)), (4, 5), 5),  # float index
+        ],
+    )
+    def test_rejects_bad_shapes(self, x_shape, idx, w_shape, b_size):
         with pytest.raises(ShapeError):
-            ad.max_over_k(Tensor(np.zeros((2, 0, 3))))
+            ad.edge_conv(Tensor(np.zeros(x_shape)), idx, Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_size)), True)
+
+    def test_out_of_range_names_value(self):
+        with pytest.raises(IndexRangeError, match="9"):
+            ad.edge_conv(Tensor(np.zeros((2, 1))), np.array([[1], [9]]), Tensor(np.zeros((2, 1))),
+                         Tensor(np.zeros(1)), True)
 
 
 class TestShuffleExpand:

@@ -3,7 +3,7 @@ import pytest
 
 from puxp import metrics
 from puxp.cli import _compare_configs, _parse_kv_file, main
-from puxp.dataio import read_csv_rows, read_xyz, write_xyz
+from puxp.dataio import Checkpoint, load_checkpoint, read_csv_rows, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
 
@@ -96,6 +96,18 @@ class TestUpsampleCommand:
         inp.write_text("# nothing here\n")
         assert run(["upsample", "--model", checkpoint, "--input", inp, "--out", tmp_path / "o"]) == 2
 
+    def test_hidden_edgeconv_checkpoint_exits_2(self, tmp_path, checkpoint, capsys):
+        ckpt = load_checkpoint(checkpoint)
+        old = tmp_path / "hidden.puxp"  # as written with unit.edge_hidden=8
+        params = [*ckpt.params, ("unit.conv.h.w1", np.zeros((8, 32), dtype="<f4"))]
+        save_checkpoint(old, Checkpoint({**ckpt.fields, "unit.edge_hidden": "8"}, params))
+        inp = tmp_path / "in.xyz"
+        write_cloud(inp, 16)
+        capsys.readouterr()
+        assert run(["upsample", "--model", old, "--input", inp, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint sets field(s) this version does not know")
+        assert not (tmp_path / "o").exists()
+
     def test_foreign_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.puxp"
         bad.write_bytes(b"WRONG" + b"\x00" * 32)
@@ -175,10 +187,12 @@ class TestCompareCommand:
         assert [(c.beta1, c.beta2, c.eps) for c in configs] == [(0.5, 0.99, 1e-6)] * 2
         assert run(["compare", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
-        for line in ("train.beta1=0.5", "train.beta2=0.99", "train.eps=1e-06", "unit.k=none",
-                     "unit.edge_hidden="):
+        for line in ("train.beta1=0.5", "train.beta2=0.99", "train.eps=1e-06", "unit.ratio=4",
+                     "compare.rows=branch/expand/direct;nodeshuffle/expand/direct"):
             assert f"  {line}" in lines
-        assert not any(line.startswith("  train.seed=") for line in lines)
+        # branch and nodeshuffle differ in unit.kind and unit.k: not one shared value
+        for key in ("train.seed=", "unit.kind=", "unit.k="):
+            assert not any(line.startswith(f"  {key}") for line in lines), key
 
     def test_train_seed_points_to_seeds(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -181,6 +181,22 @@ class TestKnnAcceleratedTies:
         self.assert_matches_bruteforce(pts, (1, 2, 3, 5, 6, 7))
 
 
+class TestKnnHugeCoordinates:
+    """Squared distances of coordinates beyond 1e154 overflow; both kernels must still answer."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_accelerated_equals_bruteforce(self, scale):
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(50, 3)) * scale)
+        for k in (1, 8):
+            assert np.array_equal(knn_accelerated(cloud, k).entries, knn_bruteforce(cloud, k).entries)
+
+    @pytest.mark.parametrize("exponent", [530, 1000])
+    def test_power_of_two_scale_keeps_the_unit_scale_answer(self, exponent):
+        pts = np.random.default_rng(1).normal(size=(50, 3))
+        expected = knn_bruteforce(PointCloud(pts), 8).entries
+        assert np.array_equal(knn_bruteforce(PointCloud(pts * 2.0**exponent), 8).entries, expected)
+
+
 class TestKnnFeatures:
     def test_matches_euclidean_knn_on_coordinates(self):
         rng = np.random.default_rng(5)

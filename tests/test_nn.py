@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,7 @@ from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import check_gradient
 from puxp.errors import ShapeError
 from puxp.geometry import IndexMatrix
-from puxp.nn import (
-    EDGECONV_BLOCK_ROWS,
-    EdgeConvLayer,
-    SharedMLP,
-    duplicate_with_code,
-    glorot_uniform,
-)
+from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform
 
 
 def make_mlp(widths, rng=None, **kw):
@@ -156,45 +152,47 @@ def random_graph(rng, m, k):
 
 
 class TestEdgeConvBlocks:
-    B = EDGECONV_BLOCK_ROWS
+    B = 512  # rows per block of the edge_conv forward
 
     @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 3])
-    @pytest.mark.parametrize("hidden", [(), (5,)])
-    def test_untaped_output_equals_taped_whole_array_bytes(self, m, hidden):
+    def test_untaped_output_equals_taped_bytes(self, m):
         rng = np.random.default_rng(m)
-        conv = EdgeConvLayer(ParameterStore(), "c", 3, 6, rng, hidden=hidden)
+        conv = EdgeConvLayer(ParameterStore(), "c", 3, 6, rng)
         x = rng.normal(size=(m, 3))
         idx = random_graph(rng, m, 4)
         with Tape():
-            whole = conv(Tensor(x), idx)
-        assert whole.requires_grad  # the weights put the taped call on the tape
+            taped = conv(Tensor(x), idx)
+        assert taped.requires_grad  # the weights put the taped call on the tape
         untaped = conv(Tensor(x), idx)
-        assert untaped.data.tobytes() == whole.data.tobytes()
+        assert untaped.data.tobytes() == taped.data.tobytes()
 
-    def test_untaped_call_gathers_at_most_one_block(self, monkeypatch):
+    @staticmethod
+    def peak_beyond_output(conv, x, idx, tape):
+        tracemalloc.start()
+        try:
+            if tape:
+                with Tape():
+                    out = conv(x, idx)
+            else:
+                out = conv(x, idx)
+            return tracemalloc.get_traced_memory()[1] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_untaped_call_holds_at_most_one_block_beyond_its_output(self):
+        c, d = 8, 16
+        block_bytes = self.B * (c + d) * 8  # one block of gathered rows and products
         rng = np.random.default_rng(3)
-        m = 2 * self.B + 3
-        conv = EdgeConvLayer(ParameterStore(), "c", 3, 6, rng)
-        x, idx = Tensor(rng.normal(size=(m, 3))), random_graph(rng, m, 4)
-        gathered = []
-        original = ad.gather_rows
-
-        def spy(src, index):
-            gathered.append(len(index))
-            return original(src, index)
-
-        monkeypatch.setattr(ad, "gather_rows", spy)
-        conv(x, idx)
-        assert max(gathered) == self.B and sum(gathered) == 2 * m
-        gathered.clear()
-        with Tape():
-            conv(x, idx)
-        assert gathered == [m, m]
+        conv = EdgeConvLayer(ParameterStore(), "c", c, d, rng)
+        for m in (2 * self.B + 3, 8 * self.B):
+            x, idx = Tensor(rng.normal(size=(m, c))), random_graph(rng, m, 6)
+            assert self.peak_beyond_output(conv, x, idx, tape=False) < 8 * block_bytes, m
+            # a taped call also keeps the winning neighbour of every output value
+            assert self.peak_beyond_output(conv, x, idx, tape=True) >= m * d * 8, m
 
     def test_gradient_matches_finite_differences_beyond_one_block(self):
-        # The tape runs the whole array; the finite differences run untaped,
-        # so through the blocks. With K=1 and no output ReLU the layer is
-        # linear: no max or ReLU kink over 515 rows can spoil a difference.
+        # With K=1 and no output ReLU the layer is linear: no max or ReLU
+        # kink over 515 rows can spoil a central difference.
         rng = np.random.default_rng(22)
         m = self.B + 3
         conv = EdgeConvLayer(ParameterStore(), "c", 2, 3, rng, activate_output=False)

@@ -54,12 +54,6 @@ class TestExpansionSpec:
         with pytest.raises(ConfigError, match="neighbor count"):
             ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4)
 
-    def test_edge_hidden_coerced_to_positive_ints(self):
-        spec = ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4, k=3, edge_hidden=["8", 16])
-        assert spec.edge_hidden == (8, 16)
-        with pytest.raises(ConfigError, match="edge_hidden"):
-            ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4, k=3, edge_hidden=(8, 0))
-
     def test_regression_mode_defaults(self):
         assert ExpansionSpec(kind="branch", ratio=2, channels=4).regression_mode == "direct"
         pro = ExpansionSpec(kind="proedgeshuffle", ratio=2, channels=4, k=4)
