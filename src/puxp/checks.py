@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tape, Tensor
-from .geometry import PointCloud, expand_index, knn_accelerated, knn_bruteforce
+from .geometry import PointCloud, expand_index, knn_accelerated, knn_bruteforce, knn_features
 
 GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-7
@@ -228,6 +228,8 @@ def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
             payload=first_bad,
         )
     )
+    results.append(_feature_oracle_agreement(np.random.default_rng(seed + 1), k_choices))
+    elapsed = time.perf_counter() - start
     results.append(CheckResult("knn-suite-runtime", elapsed < 30.0, f"{elapsed:.2f}s"))
 
     # outlier and grid shapes exercise pruning and tie-heavy rows
@@ -249,6 +251,35 @@ def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
         )
     )
     return results
+
+
+def _feature_oracle_agreement(rng, k_choices):
+    """knn_features must equal the dense oracle on C=32 features that span
+    several of its row blocks, built to stress each step of its bound."""
+    variants = ("duplicated-rows", "rounded-ties", "offset-1e3", "k=M-1") * 3
+    mismatches, first_bad = 0, None
+    for variant in variants:
+        m = int(rng.integers(130, 300))
+        feats = rng.normal(size=(m, 32))
+        k = int(rng.choice(k_choices))
+        if variant == "duplicated-rows":
+            feats[m // 2 :] = feats[: m - m // 2]
+        elif variant == "rounded-ties":
+            feats = np.round(0.3 * feats, 1)  # few values per column: exact distance ties
+        elif variant == "offset-1e3":
+            feats += 1e3  # norms ~3e7 against distances ~64: the Gram form cancels ~6 digits
+        else:
+            k = m - 1
+        if not np.array_equal(knn_features(feats, k).entries, knn_bruteforce(feats, k).entries):
+            mismatches += 1
+            if first_bad is None:
+                first_bad = {"features": feats, "k": k, "variant": variant}
+    return CheckResult(
+        "knn/feature-oracle-agreement",
+        mismatches == 0,
+        f"{mismatches} mismatching feature matrices out of {len(variants)}",
+        payload=first_bad,
+    )
 
 
 def run_index_expansion_checks(graphs=100, seed=5):

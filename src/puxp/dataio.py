@@ -24,7 +24,24 @@ CHECKPOINT_MAGIC = b"PUXP1"
 
 
 def read_xyz(path):
-    """One point per line, three whitespace-separated floats; '#' comments."""
+    """One point per line, three whitespace-separated floats; '#' comments.
+
+    One vectorised parse reads a well-formed file. A file it rejects is read
+    again one line at a time, which names the first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [text for text in map(str.strip, f.read().split("\n")) if text and not text.startswith("#")]
+    if lines:
+        try:
+            points = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return _read_xyz_lines(path)
+        if points.shape[1] == 3 and np.isfinite(points).all():
+            return PointCloud(points)
+    return _read_xyz_lines(path)
+
+
+def _read_xyz_lines(path):
     points = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):

@@ -10,7 +10,7 @@ class IndexRangeError(IndexError):
 
 
 class GradientError(ArithmeticError):
-    """A non-finite gradient or network output."""
+    """A non-finite gradient, network output or KNN input."""
 
 
 class DivergenceError(ArithmeticError):

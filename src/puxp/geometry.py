@@ -2,16 +2,29 @@
 
 Neighbor searches order candidates by (squared distance, index): ties go to
 the smaller index, rows come back in ascending distance, and a point is
-never its own neighbor. Both the brute-force and the kd-tree path follow
-that rule exactly, so they agree on every input.
+never its own neighbor. Squared distances are always `(diff * diff)` summed
+over the columns, and every search follows that rule exactly, so all of
+them agree on every input.
 
-The kd-tree paths use the tree only to pick candidates, and the final choice
-recomputes squared distances with the brute-force arithmetic, so rounding
-inside the tree can never change a result. A query asks for one hit more
-than it needs; where that spare hit is farther than the last needed one by
-more than a relative 1e-9, the needed hits are the right candidate set.
-Only the rows where the two tie within 1e-9 collect every point inside the
-inflated bound with a batched ball query.
+There is one dense kernel, knn_bruteforce: the M x M x C difference tensor,
+kept as the oracle for the tests and `puxp knncheck`. The fast kernels only
+pick candidates and then rank them with the oracle's arithmetic, so rounding
+in the candidate pass can never change a result:
+
+- knn_accelerated (3D clouds) queries a kd-tree for one hit more than it
+  needs; where that spare hit is farther than the last needed one by more
+  than a relative 1e-9, the needed hits are the right candidate set. Only
+  the rows where the two tie within 1e-9 collect every point inside the
+  inflated bound with a batched ball query.
+- knn_features (M x C features) works in blocks of rows. One matmul per
+  block gives Gram distances |a|^2 + |b|^2 - 2 a.b, and every column within
+  a proven error bound of the k-th smallest one is re-ranked exactly.
+  Memory is O(block x M) however many rows tie, against O(M^2 C) for the
+  dense kernel.
+
+All three reject non-finite rows, naming the row. They scale a matrix whose
+largest |x| lies outside [1e-50, 1e50) by a power of two first, so that no
+square overflows or underflows at the scale of the data.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ import itertools
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateTriangleError, IndexRangeError, ShapeError
+from .errors import DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
 
 # Relative inflation of a kd-tree distance bound: far above the tree's own
 # rounding error, so a ball query with it misses no candidate.
@@ -30,6 +43,9 @@ _RADIUS_SLACK = 1.0 + 1e-9
 # point-triangle arithmetic (fourth powers of coordinate differences) can
 # overflow. Larger or non-finite coordinates take a plain loop instead.
 _TREE_LIMIT = 1e50
+# Candidate pairs per distance batch of knn_features and
+# squared_distances_to_mesh: it bounds their temporary arrays.
+_PAIR_BATCH = 1 << 15
 
 
 def _tree_safe(*arrays):
@@ -152,10 +168,57 @@ def _as_coords(obj):
     return np.asarray(data, dtype=np.float64)
 
 
+def _knn_input(data, k):
+    """(M, C) float64 rows and k for a KNN search, checked and scaled.
+
+    A matrix whose largest |x| is 1e50 or more, or below 1e-50 but not 0, is
+    multiplied by the power of two that brings that value into [0.5, 1).
+    Scaling up is exact, and scaling down is exact unless a value falls
+    below the smallest normal float. No square or product of the search can
+    then overflow, and only values ~1e150 times smaller than the largest can
+    underflow. Any other matrix comes back unchanged.
+    """
+    x = _as_coords(data)
+    if x.ndim != 2:
+        raise ShapeError(f"features must have shape (M, C), got {x.shape}")
+    m = x.shape[0]
+    k = int(k)
+    if not 1 <= k < m:
+        raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise GradientError(f"row {int(np.argmin(finite))} of the KNN input is not finite")
+    top = float(np.abs(x).max())
+    if not 1.0 / _TREE_LIMIT <= top < _TREE_LIMIT and top > 0.0:
+        x = np.ldexp(x, -np.frexp(top)[1])
+    return x, k
+
+
+def _rank_pairs(rows, cand, d2, counts, k):
+    """The first k candidates of each row by (squared distance, index).
+
+    (rows[i], cand[i]) is a candidate pair at squared distance d2[i]; rows
+    are numbered 0 .. len(counts) - 1 and row r has counts[r] >= k pairs.
+    """
+    ranked = cand[np.lexsort((cand, d2, rows))]
+    starts = np.cumsum(counts) - counts
+    return ranked[starts[:, None] + np.arange(k)]
+
+
 def knn_bruteforce(cloud, k):
-    """Exact KNN by full pairwise distances (knn_features on the coordinates);
-    the oracle for the fast path."""
-    return knn_features(cloud, k)
+    """Exact KNN from the dense M x M x C difference tensor.
+
+    The oracle for knn_accelerated and knn_features: only the tests and
+    `puxp knncheck` call it, since it needs O(M^2 C) memory.
+    """
+    x, k = _knn_input(cloud, k)
+    m = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    cols = np.broadcast_to(np.arange(m), (m, m))
+    order = np.lexsort((cols, d2), axis=-1)
+    return IndexMatrix(order[:, :k])
 
 
 def knn_accelerated(cloud, k):
@@ -168,16 +231,10 @@ def knn_accelerated(cloud, k):
     rows drop self and re-rank their k candidates by recomputed squared
     distance and index, all in one sort. Rows tied within the slack collect
     every point inside the slightly inflated (k+1)-th distance with one
-    batched ball query and rank those the same way. Coordinates of 1e50 or
-    more take the dense kernel instead.
+    batched ball query and rank those the same way.
     """
-    pts = _as_coords(cloud)
+    pts, k = _knn_input(cloud, k)
     n = pts.shape[0]
-    k = int(k)
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    if not _tree_safe(pts):  # the tree's distances could overflow
-        return knn_features(pts, k)
     tree = cKDTree(pts)
     dists, hits = tree.query(pts, k=k + 2)
     out = np.empty((n, k), dtype=np.int64)
@@ -195,10 +252,7 @@ def knn_accelerated(cloud, k):
         other = cand != tied[rows]
         rows, cand = rows[other], cand[other]
         diff = pts[cand] - pts[tied[rows]]
-        d2 = (diff * diff).sum(axis=-1)
-        starts = np.cumsum(counts - 1) - (counts - 1)
-        ranked = cand[np.lexsort((cand, d2, rows))]
-        out[tied] = ranked[starts[:, None] + np.arange(k)]
+        out[tied] = _rank_pairs(rows, cand, (diff * diff).sum(axis=-1), counts - 1, k)
     return IndexMatrix(out)
 
 
@@ -237,30 +291,68 @@ def nearest_neighbors(src, dst):
     if tied.size:
         rows, cand, counts = _ball_pairs(tree, src[tied], dist[tied, 0] * _RADIUS_SLACK)
         diff = src[tied[rows]] - dst[cand]
-        d2 = (diff * diff).sum(axis=1)
-        nearest[tied] = cand[np.lexsort((cand, d2, rows))[np.cumsum(counts) - counts]]
+        nearest[tied] = _rank_pairs(rows, cand, (diff * diff).sum(axis=1), counts, 1)[:, 0]
     diff = src - dst[nearest]
     return (diff * diff).sum(axis=1), nearest
 
 
+# Rows per Gram block of knn_features: its memory is a few blocks of M floats.
+_GRAM_ROWS = 64
+
+
 def knn_features(features, k):
-    """Exact KNN by full pairwise distances over M x C rows, same tie rule as
-    above. The one dense KNN kernel: knn_bruteforce calls it too."""
-    feats = _as_coords(features)
-    if feats.ndim != 2:
-        raise ShapeError(f"features must have shape (M, C), got {feats.shape}")
-    m = feats.shape[0]
-    k = int(k)
-    if not 1 <= k < m:
-        raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
-    if not _tree_safe(feats):  # a power-of-two scale is exact and keeps every square finite
-        feats = np.ldexp(feats, -np.frexp(np.abs(feats).max())[1])
-    diff = feats[:, None, :] - feats[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    cols = np.broadcast_to(np.arange(m), (m, m))
-    order = np.lexsort((cols, d2), axis=-1)
-    return IndexMatrix(order[:, :k])
+    """Exact KNN over M x C rows in blocks of rows: bit for bit knn_bruteforce.
+
+    Candidate pass. For a block of rows a_i, one matmul gives the Gram
+    distances G_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j to every row a_j. Let D_ij
+    be the squared distance as the re-rank computes it, (diff * diff).sum(),
+    and d = |a_i - a_j|^2 the exact one. With u = 2^-53, S = |a_i|^2 + |a_j|^2
+    and g_n = n u / (1 - n u), the standard rounding-error bounds give
+      |D - d| <= g_(C+2) d <= 2 g_(C+2) S
+        (a rounded difference and square per column, then C non-negative
+        terms summed in any order; d <= 2 S);
+      |G - d| <= (g_(C+1) + g_C + 2u (1 + g_(C+1))) S
+        (the two norms and their sum; twice the dot product, summed in any
+        BLAS order, with sum|a b| <= S/2; the final subtraction).
+    So |G - D| <= g_(4C+8) S. The kernel takes e_i = (4C + 16) u (|a_i|^2 +
+    max_j |a_j|^2) from the computed norms, which bounds |G_ij - D_ij| for
+    every j. The 8 u S to spare covers the rounding of the norms, of e_i and
+    of t_i + 2 e_i below. It also covers underflow: after the input scaling
+    the largest |x| is 0 or at least 1e-50, so 8 u S > 1e-116 whenever S is
+    not 0, far above C subnormal steps of 5e-324.
+
+    Let t_i be the k-th smallest G_ij over j != i. Those k columns have
+    D <= t_i + e_i, so the k-th smallest D is at most t_i + e_i, and every
+    column of the answer has G <= t_i + 2 e_i.
+
+    Re-rank. Every column with G <= t_i + 2 e_i is a candidate; their D are
+    recomputed exactly as knn_bruteforce computes them, in batches of
+    _PAIR_BATCH pairs, then ranked by (D, index) with self left out. Rows
+    that tie everywhere, such as identical features, make every column a
+    candidate: that costs time, but memory stays a few arrays the size of
+    one Gram block.
+    """
+    x, k = _knn_input(features, k)
+    m, c = x.shape
+    sq = (x * x).sum(axis=1)
+    bound = (4 * c + 16) * 2.0**-53 * (sq + sq.max())
+    out = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, _GRAM_ROWS):
+        block = slice(start, start + _GRAM_ROWS)
+        part = x[block]
+        local = np.arange(part.shape[0])
+        gram = sq[block, None] + sq
+        gram -= 2.0 * (part @ x.T)
+        gram[local, local + start] = np.inf  # never its own neighbor
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+        rows, cand = np.nonzero(gram <= (kth + 2.0 * bound[block])[:, None])
+        d2 = np.empty(rows.size)
+        for at in range(0, rows.size, _PAIR_BATCH):
+            pairs = slice(at, at + _PAIR_BATCH)
+            diff = x[rows[pairs] + start] - x[cand[pairs]]
+            d2[pairs] = (diff * diff).sum(axis=-1)
+        out[block] = _rank_pairs(rows, cand, d2, np.bincount(rows, minlength=local.size), k)
+    return IndexMatrix(out)
 
 
 def expand_index(idx):
@@ -386,10 +478,8 @@ def point_triangle_distance(p, tri):
     return float(np.sqrt(d2[0]))
 
 
-# Points per candidate-face query, and (point, face) pairs per distance
-# batch: together they bound the temporary arrays of squared_distances_to_mesh.
+# Points per candidate-face query of squared_distances_to_mesh.
 _QUERY_ROWS = 256
-_PAIR_BATCH = 1 << 15
 
 
 def squared_distances_to_mesh(points, mesh):

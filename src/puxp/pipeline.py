@@ -294,7 +294,10 @@ def train(config, dataset=None):
             for _ in range(config.batch_size):
                 patch, idx = prepared[cursor % len(prepared)]
                 cursor += 1
-                pred = model.forward_tensor(patch.cloud, idx)
+                try:
+                    pred = model.forward_tensor(patch.cloud, idx)
+                except GradientError as exc:  # non-finite features met a feature-space KNN
+                    raise DivergenceError(step, f"non-finite features at step {step}: {exc}") from exc
                 loss = chamfer_loss(pred, patch.gt)
                 total = loss if total is None else ad.add(total, loss)
             if config.batch_size > 1:

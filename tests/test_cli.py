@@ -76,6 +76,13 @@ class TestTrainCommand:
             code = run(TRAIN_FLAGS + ["--lr", "1e200", "--out", tmp_path / "x.puxp"])
         assert code == 3
 
+    def test_feature_knn_divergence_exits_3(self, tmp_path, capsys):
+        flags = ["train", "--unit", "proedgeshuffle", "--ratio", "4", "--k", "16", "--index-mode", "feature_knn"]
+        with np.errstate(all="ignore"):
+            code = run(flags + ["--lr", "1e200", "--steps", "5", "--out", tmp_path / "x.puxp"])
+        assert code == 3
+        assert "numerical failure: non-finite features at step 1" in capsys.readouterr().err
+
 
 class TestUpsampleCommand:
     @pytest.fixture()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from puxp import dataio
 from puxp.dataio import (
     Checkpoint,
     load_checkpoint,
@@ -64,6 +65,42 @@ class TestXyz:
         p.write_text("0 0 inf\n")
         with pytest.raises(FormatError, match="non-finite"):
             read_xyz(p)
+
+    def test_vectorised_parse_equals_the_line_loop_bitwise(self, tmp_path, monkeypatch):
+        text = (
+            "# header\r\n"
+            "-0 1e-320 +1.5\r\n"
+            "\t2.5\t-0.0 \t 3\n"
+            "   # indented comment\n"
+            "\n"
+            "1e308 -4.9e-324 .5\n"
+            "0.1 0.2 0.30000000000000004"
+        )
+        p = tmp_path / "a.xyz"
+        p.write_bytes(text.encode("utf-8"))
+        slow = dataio._read_xyz_lines(p).points
+        monkeypatch.setattr(dataio, "_read_xyz_lines", None)  # the fast parse must not need it
+        fast = read_xyz(p).points
+        assert fast.tobytes() == slow.tobytes()
+        assert np.signbit(fast[0, 0]) and fast[0, 1] == 1e-320 and fast[1].tolist() == [2.5, -0.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nan 0 0", "non-finite coordinate"),
+            ("0 -inf 0", "non-finite coordinate"),
+            ("1 2", "expected 3 coordinates, got 2"),
+            ("1 2 3 4", "expected 3 coordinates, got 4"),
+            ("1 2 3 # note", "expected 3 coordinates, got 5"),
+            ("1 2 x", "not a number: '1 2 x'"),
+        ],
+    )
+    def test_bad_line_message_and_number_unchanged(self, tmp_path, line, message):
+        p = tmp_path / "a.xyz"
+        p.write_text("# header\n0 0 0\n\n" + line + "\n1 1 1\n")
+        with pytest.raises(FormatError) as caught:
+            read_xyz(p)
+        assert str(caught.value) == f"{p}:4: {message}"
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "a.xyz"

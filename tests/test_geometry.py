@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp import geometry
-from puxp.errors import DegenerateTriangleError, IndexRangeError, ShapeError
+from puxp.errors import DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
 from puxp.geometry import (
     IndexMatrix,
     PointCloud,
@@ -197,7 +199,118 @@ class TestKnnHugeCoordinates:
         assert np.array_equal(knn_bruteforce(PointCloud(pts * 2.0**exponent), 8).entries, expected)
 
 
+class TestKnnTinyCoordinates:
+    """Squared distances of coordinates below 1e-154 underflow; every kernel must still answer."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 2.0**-1000])
+    def test_every_kernel_keeps_the_unit_scale_answer(self, scale):
+        pts = np.random.default_rng(0).normal(size=(50, 3))  # generic: no near ties
+        for k in (1, 8):
+            expected = knn_bruteforce(PointCloud(pts), k).entries
+            for kernel in (knn_bruteforce, knn_accelerated, knn_features):
+                assert np.array_equal(kernel(PointCloud(pts * scale), k).entries, expected), kernel
+
+    @pytest.mark.parametrize("scale", [1e-49, 1.0, 1e49])
+    def test_normal_range_is_not_rescaled(self, scale):
+        feats = np.random.default_rng(1).normal(size=(20, 4)) * scale
+        assert np.array_equal(geometry._knn_input(feats, 3)[0], feats)
+
+    @pytest.mark.parametrize("scale", [1e-51, 2.0**-1074, 1e51, 1e300])
+    def test_outside_it_a_power_of_two_brings_the_largest_value_into_half_to_one(self, scale):
+        feats = np.random.default_rng(1).normal(size=(20, 4)) * scale
+        scaled = geometry._knn_input(feats, 3)[0]
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+        shift = np.frexp(np.abs(scaled).max())[1] - np.frexp(np.abs(feats).max())[1]
+        assert np.array_equal(np.ldexp(scaled, -shift), feats)  # one exact power of two
+
+
+def feature_oracle_case(variant, m=200, c=32, seed=0):
+    """(features, k) for one stress variant: knncheck's four and a harsher offset."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(m, c))
+    k = 16
+    if variant == "duplicated-rows":
+        feats[m // 2 :] = feats[: m - m // 2]
+    elif variant == "rounded-ties":
+        feats = np.round(0.3 * feats, 1)
+    elif variant == "offset-1e3":
+        feats += 1e3
+    elif variant == "offset-1e6-spread-1e-3":
+        feats = 1e6 + 1e-3 * feats  # Gram rounding dwarfs every distance
+    elif variant == "k=M-1":
+        k = m - 1
+    return feats, k
+
+
+def assert_equals_dense_oracle(feats, k):
+    assert np.array_equal(knn_features(feats, k).entries, knn_bruteforce(feats, k).entries)
+
+
 class TestKnnFeatures:
+    @pytest.mark.parametrize(
+        "variant", ["duplicated-rows", "rounded-ties", "offset-1e3", "offset-1e6-spread-1e-3", "k=M-1"]
+    )
+    def test_equals_dense_oracle_on_stress_cases(self, variant):
+        for seed in range(3):
+            assert_equals_dense_oracle(*feature_oracle_case(variant, seed=seed))
+
+    def test_rounded_features_tie_at_the_kth_distance(self):
+        # the stress case is only worth its name if ties straddle the k-th column
+        feats, k = feature_oracle_case("rounded-ties")
+        diff = feats[:, None, :] - feats[None, :, :]
+        d2 = np.sort((diff * diff).sum(axis=-1) + np.diag(np.full(len(feats), np.inf)), axis=1)
+        assert np.sum(d2[:, k - 1] == d2[:, k]) >= 10
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1, 65])
+    def test_equals_dense_oracle_around_the_block_size(self, delta):
+        m = geometry._GRAM_ROWS + delta
+        feats = np.round(np.random.default_rng(m).normal(size=(m, 8)), 1)
+        for k in (1, 5, m - 1):
+            assert_equals_dense_oracle(feats, k)
+
+    def test_identical_rows_take_the_smallest_other_indices(self):
+        m = 2 * geometry._GRAM_ROWS + 3
+        feats = np.tile(np.random.default_rng(2).normal(size=(1, 32)), (m, 1))
+        idx = knn_features(feats, 5).entries
+        assert all(row.tolist() == [j for j in range(6) if j != i][:5] for i, row in enumerate(idx))
+        assert_equals_dense_oracle(feats, 5)
+
+    @given(st.integers(2, 160), st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_oracle_property(self, m, c, seed, quantise):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(m, c))
+        if quantise == 1:
+            feats = np.round(feats, 1)
+        elif quantise == 2:
+            feats = feats[rng.integers(0, max(1, m // 3), size=m)]  # many duplicated rows
+        k = int(rng.integers(1, m))
+        assert_equals_dense_oracle(feats, k)
+
+    @pytest.mark.parametrize("m, identical, limit_mb", [(4096, False, 24), (2048, True, 48)])
+    def test_memory_stays_far_below_the_dense_tensor(self, m, identical, limit_mb):
+        # the dense kernel holds an m x m x 32 float64 tensor: 4.3 GB at 4096, 1.1 GB at 2048.
+        # Identical rows make every column a candidate of every row.
+        feats = np.random.default_rng(3).normal(size=(m, 32))
+        if identical:
+            feats[:] = feats[0]
+        tracemalloc.start()
+        try:
+            idx = knn_features(feats, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert idx.entries.shape == (m, 16)
+        assert peak < limit_mb * 2**20, peak
+
+    def test_non_finite_row_is_named(self):
+        feats = np.random.default_rng(4).normal(size=(10, 3))
+        feats[7, 1] = np.nan
+        feats[9, 0] = np.inf
+        for kernel in (knn_features, knn_bruteforce, knn_accelerated):
+            with pytest.raises(GradientError, match="row 7 "):
+                kernel(feats, 2)
+
     def test_matches_euclidean_knn_on_coordinates(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(25, 3))

@@ -196,6 +196,16 @@ class TestTrain:
                 train(cfg, make_dataset(cfg))
         assert exc.value.step == 1
 
+    def test_feature_knn_divergence_reports_step(self):
+        # the same overflow reaches knn_features as NaN features before any loss exists
+        cfg = small_config(steps=10, lr=1e200)
+        cfg = dataclasses.replace(cfg, unit=dataclasses.replace(cfg.unit, index_mode="feature_knn"))
+        with pytest.raises(DivergenceError, match="non-finite features at step 1") as exc:
+            with np.errstate(all="ignore"):
+                train(cfg, make_dataset(cfg))
+        assert exc.value.step == 1
+        assert isinstance(exc.value.__cause__, GradientError)
+
     def test_overfit_single_patch_improves(self):
         cfg = small_config(kind="nodeshuffle", steps=60, lr=0.01)
         result = train(cfg, make_dataset(cfg))
