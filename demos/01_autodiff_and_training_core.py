@@ -32,10 +32,6 @@ x = Tensor([[1.0, 2.0, 3.0, 4.0]])
 print("\nshuffle_expand turns channel groups into rows:")
 print(x.data, "->", ad.shuffle_expand(x, 2).data.tolist())
 
-feats = Tensor([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-idx = np.array([[2], [0], [1]])
-print("gather_rows with", idx.ravel().tolist(), "->", ad.gather_rows(feats, idx).data[:, 0].tolist())
-
 # EdgeConv is one op: out[i] = relu(max_k [x_i, x_j - x_i] . w + b). With the
 # centre and edge weights both 1 the edge feature is x_j, so each row picks
 # the largest value among its neighbours.

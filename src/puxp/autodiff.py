@@ -1,10 +1,11 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Rank is capped at 3 (M x K x C is the largest shape the models need) and
-there is no implicit broadcasting: every op states an exact shape contract
-and raises ShapeError when operands disagree. Ops record a backward rule on
-the innermost active Tape; replaying the rules in reverse execution order
-fills `.grad` on every requires_grad tensor the loss depends on.
+Rank is capped at 2 (M x C point features; no op builds anything larger)
+and there is no implicit broadcasting: every op states an exact shape
+contract and raises ShapeError when operands disagree. Ops record a
+backward rule on the innermost active Tape; replaying the rules in reverse
+execution order fills `.grad` on every requires_grad tensor the loss
+depends on.
 
 All forward computation is plain numpy on contiguous float64 buffers, so a
 fixed input always produces a bitwise-identical output.
@@ -18,7 +19,7 @@ from .errors import IndexRangeError, ShapeError
 
 
 class Tensor:
-    """A dense float64 array (rank 1..3) that can participate in a Tape."""
+    """A dense float64 array (rank 1 or 2) that can participate in a Tape."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -26,8 +27,8 @@ class Tensor:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if arr.ndim > 3:
-            raise ShapeError(f"tensor rank must be 1..3, got shape {arr.shape}")
+        if arr.ndim > 2:
+            raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -44,9 +45,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -261,58 +259,22 @@ def sum_all(x):
 
 
 def concat_last(a, b):
-    """Concatenate along the last axis; leading dimensions must match."""
-    if a.ndim != b.ndim or a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat_last: leading dims of {a.shape} and {b.shape} differ")
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1))
-    split = a.shape[-1]
+    """Concatenate a[M,C] and b[M,D] into [M, C+D]."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"concat_last: shapes {a.shape} and {b.shape} do not align")
+    out = Tensor(np.concatenate([a.data, b.data], axis=1))
+    split = a.shape[1]
 
     def backward():
         g = out.grad
         if g is None:
             return
         if a.requires_grad:
-            accumulate_grad(a, g[..., :split])
+            accumulate_grad(a, g[:, :split])
         if b.requires_grad:
-            accumulate_grad(b, g[..., split:])
+            accumulate_grad(b, g[:, split:])
 
     return record_op(out, (a, b), backward)
-
-
-def _index_matrix(op, x, idx):
-    """idx (an array or IndexMatrix) as an integer (M, K) array of rows of x[N,C]."""
-    entries = np.asarray(getattr(idx, "entries", idx))
-    if x.ndim != 2:
-        raise ShapeError(f"{op}: need a rank-2 source, got shape {x.shape}")
-    if entries.ndim != 2 or not np.issubdtype(entries.dtype, np.integer):
-        raise ShapeError(f"{op}: index must be an integer matrix")
-    n = x.shape[0]
-    if entries.size and (entries.min() < 0 or entries.max() >= n):
-        bad = entries.min() if entries.min() < 0 else entries.max()
-        raise IndexRangeError(f"{op}: index {bad} out of range for {n} rows")
-    return entries
-
-
-def gather_rows(x, idx):
-    """Gather rows of x[N,C] into out[M,K,C] with out[m,k] = x[idx[m,k]].
-
-    `idx` is an integer array of shape (M, K) (an IndexMatrix's `entries`
-    attribute is accepted directly). The backward rule scatter-adds, so rows
-    referenced several times accumulate every contribution.
-    """
-    entries = _index_matrix("gather_rows", x, idx)
-    out = Tensor(x.data[entries])
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, entries.reshape(-1), g.reshape(-1, x.shape[1]))
-            accumulate_grad(x, gx)
-
-    return record_op(out, (x,), backward)
 
 
 def edge_conv(x, idx, w, b, activate):
@@ -326,10 +288,17 @@ def edge_conv(x, idx, w, b, activate):
     tensor. Under a tape it keeps the first k attaining each output's max;
     the gradient flows to that neighbour only.
     """
-    entries = _index_matrix("edge_conv", x, idx)
+    entries = np.asarray(getattr(idx, "entries", idx))
+    if x.ndim != 2:
+        raise ShapeError(f"edge_conv: need a rank-2 source, got shape {x.shape}")
     m, c = x.shape
+    if entries.ndim != 2 or not np.issubdtype(entries.dtype, np.integer):
+        raise ShapeError("edge_conv: index must be an integer matrix")
     if entries.shape[0] != m or entries.shape[1] < 1:
         raise ShapeError(f"edge_conv: index of shape {entries.shape} for {m} rows")
+    if entries.size and (entries.min() < 0 or entries.max() >= m):
+        bad = entries.min() if entries.min() < 0 else entries.max()
+        raise IndexRangeError(f"edge_conv: index {bad} out of range for {m} rows")
     if w.ndim != 2 or w.shape[0] != 2 * c or b.shape != (w.shape[1],):
         raise ShapeError(f"edge_conv: weights {w.shape} and bias {b.shape} for {c} input channels")
     k, d = entries.shape[1], w.shape[1]
@@ -377,10 +346,10 @@ def edge_conv(x, idx, w, b, activate):
 
 
 def reshape(x, shape):
-    """Row-major reshape preserving element count (rank of target <= 3)."""
+    """Row-major reshape preserving element count (target rank 1 or 2)."""
     shape = tuple(int(s) for s in shape)
-    if len(shape) > 3 or len(shape) < 1:
-        raise ShapeError(f"reshape: target rank must be 1..3, got {shape}")
+    if len(shape) not in (1, 2):
+        raise ShapeError(f"reshape: target rank must be 1 or 2, got {shape}")
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape))
@@ -399,8 +368,7 @@ def shuffle_expand(x, ratio):
     """Reshape x[N, r*C] to [r*N, C] so channel groups become new rows.
 
     Output row r*i + s holds channels [s*C, (s+1)*C) of input row i: the r
-    children of a point are contiguous. The map is a bijection on elements;
-    shuffle_merge inverts it.
+    children of a point are contiguous. The map is a bijection on elements.
     """
     ratio = int(ratio)
     if x.ndim != 2:
@@ -412,13 +380,3 @@ def shuffle_expand(x, ratio):
         raise ShapeError(f"shuffle_expand: channel count {rc} not divisible by ratio {ratio}")
     return reshape(x, (n * ratio, rc // ratio))
 
-
-def shuffle_merge(x, ratio):
-    """Inverse of shuffle_expand: view x[r*N, C] as [N, r*C]."""
-    ratio = int(ratio)
-    if x.ndim != 2:
-        raise ShapeError(f"shuffle_merge: need a rank-2 tensor, got shape {x.shape}")
-    n, c = x.shape
-    if ratio < 1 or n % ratio != 0:
-        raise ShapeError(f"shuffle_merge: row count {n} not divisible by ratio {ratio}")
-    return reshape(x, (n // ratio, c * ratio))

@@ -14,10 +14,10 @@ from .autodiff import Tensor
 from .errors import ShapeError
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape=None):
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng, fan_in, fan_out):
+    """Uniform (fan_in, fan_out) init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class SharedMLP:
@@ -27,7 +27,7 @@ class SharedMLP:
     the stack feeds further feature processing rather than coordinates.
     """
 
-    def __init__(self, store, name, widths, rng, activate_output=False, bias=True):
+    def __init__(self, store, name, widths, rng, activate_output=False):
         if len(widths) < 2:
             raise ValueError(f"{name}: need at least input and output widths, got {widths}")
         self.name = name
@@ -36,16 +36,12 @@ class SharedMLP:
         self.layers = []
         for i, (c_in, c_out) in enumerate(zip(self.widths[:-1], self.widths[1:])):
             w = store.add(f"{name}.w{i}", glorot_uniform(rng, c_in, c_out))
-            b = store.add(f"{name}.b{i}", np.zeros(c_out)) if bias else None
+            b = store.add(f"{name}.b{i}", np.zeros(c_out))
             self.layers.append((w, b))
 
     @property
     def in_width(self):
         return self.widths[0]
-
-    @property
-    def out_width(self):
-        return self.widths[-1]
 
     def __call__(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_width:
@@ -53,9 +49,7 @@ class SharedMLP:
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = ad.matmul(h, w.tensor)
-            if b is not None:
-                h = ad.add_bias(h, b.tensor)
+            h = ad.add_bias(ad.matmul(h, w.tensor), b.tensor)
             if i < last or self.activate_output:
                 h = ad.relu(h)
         return h
@@ -82,10 +76,9 @@ def duplicate_with_code(x):
     """Copy each row twice and append a +1/-1 latent code column.
 
     Output rows 2i and 2i+1 are x[i] with code +1 and -1 respectively, so the
-    two children of a point stay contiguous, matching the shuffle layout.
+    two children of a point stay contiguous: the copy is [x, x] shuffled.
     """
-    n, c = x.shape
-    doubled = ad.reshape(ad.gather_rows(x, np.repeat(np.arange(n), 2)[:, None]), (2 * n, c))
-    codes = np.tile([[1.0], [-1.0]], (n, 1))
+    doubled = ad.shuffle_expand(ad.concat_last(x, x), 2)
+    codes = np.tile([[1.0], [-1.0]], (x.shape[0], 1))
     return ad.concat_last(doubled, Tensor(codes))
 

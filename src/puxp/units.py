@@ -75,6 +75,11 @@ class ExpansionSpec:
             raise ConfigError(
                 f"unknown regression mode {self.regression_mode!r}; choose from {REGRESSION_MODES}"
             )
+        if self.regression_mode != "direct" and not _is_power_of_two(self.ratio):
+            raise ConfigError(
+                f"regression mode {self.regression_mode!r} cannot derive an expanded graph "
+                f"for ratio {self.ratio} (not a power of 2)"
+            )
 
 
 @dataclasses.dataclass
@@ -119,14 +124,11 @@ class BranchUnit(_UnitBase):
 
     kind = "branch"
 
-    def __init__(self, store, spec, rng, width1=None, width2=None):
+    def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
-        w1 = c if width1 is None else int(width1)
-        w2 = c if width2 is None else int(width2)
-        self.out_channels = w2
         self.branches = [
-            SharedMLP(store, f"unit.branch{i}", [c, w1, w2], rng, activate_output=True)
+            SharedMLP(store, f"unit.branch{i}", [c, c, c], rng, activate_output=True)
             for i in range(spec.ratio)
         ]
 
@@ -275,14 +277,13 @@ def expanded_graph(base_index, ratio, provided=None):
     """Neighbor table over the r*N expanded rows.
 
     Units that track their own graph hand it over; anything else gets the
-    base graph doubled log2(r) times, which requires a power-of-two ratio.
+    base graph doubled log2(r) times. ExpansionSpec only lets a regression
+    mode that reads this graph go with a power-of-two ratio.
     """
     if provided is not None:
         return provided
     if base_index is None:
         raise ConfigError("no base index matrix to derive the expanded graph from")
-    if not _is_power_of_two(ratio):
-        raise ConfigError(f"cannot derive an expanded graph for ratio {ratio} (not a power of 2)")
     idx = base_index
     for _ in range(int(ratio).bit_length() - 1):
         idx = expand_index(idx)

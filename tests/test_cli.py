@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puxp import metrics
+from puxp import metrics, pipeline
 from puxp.cli import _compare_configs, _parse_kv_file, main
 from puxp.dataio import Checkpoint, load_checkpoint, read_csv_rows, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import PointCloud
@@ -214,6 +214,21 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:8: key 'train.steps' is set again (first set on line 2)")
         assert not (tmp_path / "comparison.csv").exists()
+
+    def test_impossible_regression_mode_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(
+            "backbone.width=8\ntrain.steps=2\ntrain.k=6\ntrain.ratio=3\ntrain.seeds=1,2\n"
+            "data.shapes=sphere\ndata.points=32\ncompare.units=branch\n"
+            f"compare.regression_modes=direct,edgeconv_before\nout={out}\n"
+        )
+        assert run(["compare", "--config", cfg]) == 2
+        assert "not a power of 2" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
 
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -230,3 +230,18 @@ class TestDuplicateWithCode:
             tape.backward(ad.sum_all(duplicate_with_code(x)))
         assert np.array_equal(x.grad, 2 * np.ones((3, 2)))
 
+
+    def test_matches_repeat_reference_bit_for_bit(self):
+        # loss = p . out . v gives every output row its own upstream gradient,
+        # so the two children's contributions are summed in a visible order
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        p, v = rng.normal(size=(1, 14)), rng.normal(size=(4, 1))
+        with Tape() as tape:
+            out = duplicate_with_code(x)
+            tape.backward(ad.sum_all(ad.matmul(ad.matmul(Tensor(p), out), Tensor(v))))
+        codes = np.tile([[1.0], [-1.0]], (7, 1))
+        assert np.array_equal(out.data, np.hstack([np.repeat(x.data, 2, axis=0), codes]))
+        want = np.zeros((7, 3))
+        np.add.at(want, np.repeat(np.arange(7), 2), (p.T @ v.T)[:, :3])
+        assert np.array_equal(x.grad, want)
