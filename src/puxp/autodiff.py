@@ -286,7 +286,10 @@ def edge_conv(x, idx, w, b, activate):
     act(x[i] . (w1 - w2) + b + max_k x[j_k] . w2). The forward runs in row
     blocks, one neighbour column at a time, and never holds an M x K x D
     tensor. Under a tape it keeps the first k attaining each output's max;
-    the gradient flows to that neighbour only.
+    the gradient flows to that neighbour only. As each output value has one
+    winner, the backward needs no per-neighbour loop: one bincount scatters
+    the gradient onto the winning rows (s), then four matmuls give
+    gx = g . (w1 - w2)^T + s . w2^T, gw1 = x^T g and gw2 = x^T s - gw1.
     """
     entries = np.asarray(getattr(idx, "entries", idx))
     if x.ndim != 2:
@@ -327,18 +330,15 @@ def edge_conv(x, idx, w, b, activate):
             return
         if activate:
             g = g * (out.data > 0.0)
-        gx = g @ centre.T if x.requires_grad else None
-        gw1 = x.data.T @ g
-        gw2 = -gw1
-        for j in range(k):
-            gj = np.where(winner == j, g, 0.0)
-            gw2 += x.data[entries[:, j]].T @ gj
-            if gx is not None:
-                np.add.at(gx, entries[:, j], gj @ w2.T)
-        if gx is not None:
-            accumulate_grad(x, gx)
+        # s[r, e] sums g[i, e] over the outputs whose winning neighbour is row r
+        src = np.take_along_axis(entries, winner, axis=1)
+        s = np.bincount((src * d + np.arange(d)).ravel(), weights=g.ravel(), minlength=m * d)
+        s = s.reshape(m, d)
+        if x.requires_grad:
+            accumulate_grad(x, g @ centre.T + s @ w2.T)
         if w.requires_grad:
-            accumulate_grad(w, np.concatenate([gw1, gw2]))
+            gw1 = x.data.T @ g
+            accumulate_grad(w, np.concatenate([gw1, x.data.T @ s - gw1]))
         if b.requires_grad:
             accumulate_grad(b, g.sum(axis=0))
 

@@ -33,7 +33,9 @@ def chamfer_loss(pred, gt):
         if g is None or not pred.requires_grad:
             return
         grad = 2.0 * (pred.data - gt_pts[nearest_gt]) / p
-        np.add.at(grad, nearest_pred, 2.0 * (pred.data[nearest_pred] - gt_pts) / q)
+        pulled = 2.0 * (pred.data[nearest_pred] - gt_pts) / q
+        for axis in range(3):
+            grad[:, axis] += np.bincount(nearest_pred, weights=pulled[:, axis], minlength=p)
         accumulate_grad(pred, g[0] * grad)
 
     return record_op(out, (pred,), backward)

@@ -156,7 +156,7 @@ class UpsamplingModel:
         self.store = ParameterStore()
         self.backbone = Backbone(self.store, backbone_spec, rng)
         self.unit = build_unit(self.store, unit_spec, rng)
-        self.regression = RegressionStage(self.store, unit_spec, rng, self.unit.out_channels)
+        self.regression = RegressionStage(self.store, unit_spec, rng)
 
     @property
     def ratio(self):

@@ -111,7 +111,6 @@ class _UnitBase:
 
     def __init__(self, spec):
         self.spec = spec
-        self.out_channels = spec.channels
 
     def _require_graph(self, ctx):
         if ctx.base_index is None:
@@ -298,13 +297,14 @@ class RegressionStage:
     edgeconv_after: head first, then EdgeConv 3 -> 3 on the coordinates.
     """
 
-    def __init__(self, store, spec, rng, c_in):
+    def __init__(self, store, spec, rng):
+        c = spec.channels
         self.mode = spec.regression_mode
         self.pre = None
         self.post = None
         if self.mode == "edgeconv_before":
-            self.pre = EdgeConvLayer(store, "regress.pre", c_in, c_in, rng)
-        self.head = SharedMLP(store, "regress.head", [c_in, 3], rng, activate_output=False)
+            self.pre = EdgeConvLayer(store, "regress.pre", c, c, rng)
+        self.head = SharedMLP(store, "regress.head", [c, 3], rng, activate_output=False)
         if self.mode == "edgeconv_after":
             self.post = EdgeConvLayer(store, "regress.post", 3, 3, rng, activate_output=False)
 

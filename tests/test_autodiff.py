@@ -1,6 +1,7 @@
 import ast
 import inspect
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import _op_cases, check_gradient, finite_difference_gradient, run_op_gradient_checks
 from puxp.errors import IndexRangeError, ShapeError
 
-from edgeconv_reference import composed_edge_conv
+from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads
 
 
 def grad_of(build_loss, x):
@@ -124,6 +125,44 @@ class TestEdgeConv:
         got = ad.edge_conv(Tensor(x), idx, w, b, activate).data
         want = composed_edge_conv(Tensor(x), idx, w, b, activate).data
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("activate", [True, False])
+    @pytest.mark.parametrize("m", [7, 1100])  # one block, three blocks
+    def test_backward_matches_per_neighbour_reference(self, m, activate):
+        rng = np.random.default_rng(m + 1)
+        x = rng.normal(size=(m, 4))
+        x[1::3] = x[0::3][: len(x[1::3])]  # duplicated rows: exact ties in the max
+        idx = rng.integers(0, m, size=(m, 5))
+        w, b = self.weights(rng, 4, 6)
+        g = rng.normal(size=(m, 6)) * rng.uniform(0.1, 10.0, size=6)  # uneven per channel
+        xt = Tensor(x, requires_grad=True)
+        w.requires_grad = b.requires_grad = True
+        with Tape() as tape:
+            out = ad.edge_conv(xt, idx, w, b, activate)
+            # sum(g * out) as a 1 x 1 product, so the gradient reaching out is g exactly
+            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+        reference = per_neighbour_edge_conv_grads(xt, idx, w, b, activate, g)
+        for got, want in zip((xt.grad, w.grad, b.grad), reference):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @staticmethod
+    def backward_peak(k, m=4096, c=8, d=16):
+        rng = np.random.default_rng(k)
+        x = Tensor(rng.normal(size=(m, c)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2 * c, d)), requires_grad=True)
+        b = Tensor(rng.normal(size=d), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.sum_all(ad.edge_conv(x, rng.integers(0, m, size=(m, k)), w, b, True))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_backward_peak_memory_does_not_grow_with_k(self):
+        # no per-neighbour or M x K x D temporary in the backward
+        assert self.backward_peak(32) <= 1.25 * self.backward_peak(4)
 
     def test_tie_gradient_goes_to_first_neighbour(self):
         # out[i] = -x[i] + max_k x[j_k]; row 0's neighbours 1 and 2 tie at 2

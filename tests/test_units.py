@@ -71,7 +71,7 @@ class TestUniversalShapeLaw:
         ctx, _ = make_context(n=6, c=4, k=3)
         unit, _, _ = build(kind, ratio=ratio)
         out = unit.expand(ctx)
-        assert out.features.shape == (ratio * 6, unit.out_channels)
+        assert out.features.shape == (ratio * 6, unit.spec.channels)
 
     @pytest.mark.parametrize("kind", ["branch", "single_mlp", "multilayer_mlp"])
     def test_ratio_3_supported_for_non_progressive(self, kind):
@@ -225,7 +225,7 @@ class TestRegressionStage:
         store = ParameterStore()
         rng = np.random.default_rng(seed + 1)
         unit = build_unit(store, spec, rng)
-        stage = RegressionStage(store, spec, rng, unit.out_channels)
+        stage = RegressionStage(store, spec, rng)
         return ctx, spec, unit, stage
 
     def model(self, kind="proedgeshuffle", mode=None, ratio=2, c=4, k=3):
