@@ -34,12 +34,14 @@ print(f"\nkd-tree vs brute force on {cloud.count} tie-heavy points:",
 base = IndexMatrix([[1], [2], [0]])
 big = expand_index(base)
 print("\nbase graph rows:", base.entries.ravel().tolist())
-print("expanded graph  :", big.entries.ravel().tolist())
+print("expanded graph  :", big.entries.ravel().tolist(), f"(ratio {big.ratio})")
 print("rows 2i and 2i+1 both point at 2*j for every old neighbor j,")
 print("so no KNN recomputation is needed after a x2 feature expansion.")
 
 twice = expand_index(big)
-print("expanding twice maps entry j to 4j:", twice.entries[0::4].ravel().tolist())
+print("expanding twice maps entry j to 4j:", twice.entries[0::4].ravel().tolist(), f"(ratio {twice.ratio})")
+print("the expanded graph keeps the base table and a ratio, no copy:", np.shares_memory(twice.parent, base.parent))
+print("so EdgeConv takes one neighbor max per base row and shares it with its children.")
 
 # --- feature-space KNN (the ablation path) ----------------------------------
 feats = rng.normal(size=(6, 2))

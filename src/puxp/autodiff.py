@@ -283,43 +283,57 @@ def edge_conv(x, idx, w, b, activate):
     x is [M,C], idx the (M, K) neighbour table, w [2C, D], b [D] and act ReLU
     if `activate`, else the identity. With w = [w1; w2], [x_i, x_j - x_i] . w
     = x_i . (w1 - w2) + x_j . w2, and ReLU is monotone, so out[i] =
-    act(x[i] . (w1 - w2) + b + max_k x[j_k] . w2). The forward runs in row
-    blocks, one neighbour column at a time, and never holds an M x K x D
-    tensor. Under a tape it keeps the first k attaining each output's max;
-    the gradient flows to that neighbour only. As each output value has one
-    winner, the backward needs no per-neighbour loop: one bincount scatters
-    the gradient onto the winning rows (s), then four matmuls give
-    gx = g . (w1 - w2)^T + s . w2^T, gw1 = x^T g and gw2 = x^T s - gw1.
+    act(x[i] . (w1 - w2) + b + max_k x[j_k] . w2).
+
+    idx is an IndexMatrix or a raw integer table (ratio 1). An expanded
+    table of ratio r lists r * parent[i] on each child row r*i + s, so the r
+    children of a point share one neighbour max: best[i] = max_k x[r p_k] .
+    w2 over the parent row p = parent[i]. The forward runs in blocks of
+    parent rows, one neighbour column at a time, and never holds an
+    M x K x D tensor. Under a tape it keeps, per parent row, the first k
+    attaining each max; the gradient flows to that neighbour only. As each
+    value of best has one winner, the backward needs no per-neighbour loop:
+    the children's gradients are summed per parent row, one bincount
+    scatters them onto the winning rows (s), then four matmuls give
+    gx = g . (w1 - w2)^T (+ s . w2^T on rows r*j), gw1 = x^T g and
+    gw2 = x[::r]^T s - gw1.
     """
-    entries = np.asarray(getattr(idx, "entries", idx))
+    parent = np.asarray(getattr(idx, "parent", idx))
+    r = int(getattr(idx, "ratio", 1))
     if x.ndim != 2:
         raise ShapeError(f"edge_conv: need a rank-2 source, got shape {x.shape}")
     m, c = x.shape
-    if entries.ndim != 2 or not np.issubdtype(entries.dtype, np.integer):
+    if parent.ndim != 2 or not np.issubdtype(parent.dtype, np.integer):
         raise ShapeError("edge_conv: index must be an integer matrix")
-    if entries.shape[0] != m or entries.shape[1] < 1:
-        raise ShapeError(f"edge_conv: index of shape {entries.shape} for {m} rows")
-    if entries.size and (entries.min() < 0 or entries.max() >= m):
-        bad = entries.min() if entries.min() < 0 else entries.max()
-        raise IndexRangeError(f"edge_conv: index {bad} out of range for {m} rows")
+    n = parent.shape[0]
+    if n * r != m or parent.shape[1] < 1:
+        raise ShapeError(f"edge_conv: index of shape {(n * r, parent.shape[1])} for {m} rows")
+    if parent.size and (parent.min() < 0 or parent.max() >= n):
+        bad = int(parent.min() if parent.min() < 0 else parent.max())
+        where = f" (parent entry {bad}, ratio {r})" if r > 1 else ""
+        raise IndexRangeError(f"edge_conv: index {bad * r} out of range for {m} rows{where}")
     if w.ndim != 2 or w.shape[0] != 2 * c or b.shape != (w.shape[1],):
         raise ShapeError(f"edge_conv: weights {w.shape} and bias {b.shape} for {c} input channels")
-    k, d = entries.shape[1], w.shape[1]
+    k, d = parent.shape[1], w.shape[1]
     w2 = w.data[c:]
     centre = w.data[:c] - w2
+    heads = x.data[::r]  # row r*j, the point every child row lists for neighbour j
     taped = bool(_TAPES) and any(t.requires_grad for t in (x, w, b))
-    winner = np.zeros((m, d), dtype=np.intp) if taped else None
+    winner = np.zeros((n, d), dtype=np.intp) if taped else None
     out = np.empty((m, d))
-    block = 512  # rows; a block's gathers and products stay in cache
-    for start in range(0, m, block):
-        rows = slice(start, min(start + block, m))
-        best = x.data[entries[rows, 0]] @ w2
+    block = 512  # parent rows; a block's gathers and products stay in cache
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        best = heads[parent[rows, 0]] @ w2
         for j in range(1, k):
-            edge = x.data[entries[rows, j]] @ w2
+            edge = heads[parent[rows, j]] @ w2
             if taped:
                 winner[rows][edge > best] = j  # strict: ties keep the first k
             np.maximum(best, edge, out=best)
-        out[rows] = x.data[rows] @ centre + b.data + best
+        children = slice(rows.start * r, rows.stop * r)
+        out[children] = x.data[children] @ centre + b.data
+        shared = out[children].reshape(-1, r, d)  # a view: child s of parent row i
+        shared += best[:, None, :]
     if activate:
         np.maximum(out, 0.0, out=out)
     out = Tensor(out)
@@ -330,15 +344,23 @@ def edge_conv(x, idx, w, b, activate):
             return
         if activate:
             g = g * (out.data > 0.0)
-        # s[r, e] sums g[i, e] over the outputs whose winning neighbour is row r
-        src = np.take_along_axis(entries, winner, axis=1)
-        s = np.bincount((src * d + np.arange(d)).ravel(), weights=g.ravel(), minlength=m * d)
-        s = s.reshape(m, d)
+        # s[j, e] sums g[i, e] over the outputs whose parent row's winning
+        # neighbour is point j (row r*j). The bin numbers are built in place
+        # and both scatter inputs freed at once, so the per-parent sum of
+        # the children adds no array to the backward's peak, even at r = 1.
+        slot = np.take_along_axis(parent, winner, axis=1)
+        slot *= d
+        slot += np.arange(d)
+        weights = g.reshape(n, r, d).sum(axis=1)
+        s = np.bincount(slot.ravel(), weights=weights.ravel(), minlength=n * d).reshape(n, d)
+        del slot, weights
         if x.requires_grad:
-            accumulate_grad(x, g @ centre.T + s @ w2.T)
+            gx = g @ centre.T
+            gx[::r] += s @ w2.T
+            accumulate_grad(x, gx)
         if w.requires_grad:
             gw1 = x.data.T @ g
-            accumulate_grad(w, np.concatenate([gw1, x.data.T @ s - gw1]))
+            accumulate_grad(w, np.concatenate([gw1, heads.T @ s - gw1]))
         if b.requires_grad:
             accumulate_grad(b, g.sum(axis=0))
 

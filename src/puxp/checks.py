@@ -109,16 +109,20 @@ def _op_cases(seed):
         yield "concat_last/right", lambda t: ad.sum_all(ad.matmul(ad.concat_last(Tensor(a), t), Tensor(w))), b
 
     def case_edge_conv():
-        idx = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
-        args = {"x": rng.normal(size=(6, 3)), "w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
-        v = Tensor(rng.normal(size=(4, 1)))  # uneven upstream gradient per channel
-        for activate, tag in ((True, "relu"), (False, "linear")):
-            for name in args:
-                def loss(t, name=name, activate=activate):
-                    xt, wt, bt = (t if n == name else Tensor(a) for n, a in args.items())
-                    return ad.sum_all(ad.matmul(ad.edge_conv(xt, idx, wt, bt, activate), v))
+        base = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
+        # the graph itself, then doubled twice: the 4 children of a point
+        # share one neighbour max, and their gradients meet on its winner
+        for graph, idx, m in (("", base, 6), ("expanded/", expand_index(expand_index(base)), 24)):
+            args = {"x": rng.normal(size=(m, 3)), "w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+            v = Tensor(rng.normal(size=(4, 1)))  # uneven upstream gradient per channel
+            p = Tensor(rng.uniform(0.5, 2.0, size=(1, m)))  # and per row, so children differ
+            for activate, tag in ((True, "relu"), (False, "linear")):
+                for name in args:
+                    def loss(t, name=name, activate=activate, idx=idx, args=args, v=v, p=p):
+                        xt, wt, bt = (t if n == name else Tensor(a) for n, a in args.items())
+                        return ad.sum_all(ad.matmul(p, ad.matmul(ad.edge_conv(xt, idx, wt, bt, activate), v)))
 
-                yield f"edge_conv/{tag}/{name}", loss, args[name]
+                    yield f"edge_conv/{graph}{tag}/{name}", loss, args[name]
 
     def case_shapes():
         x = rng.normal(size=(3, 4))

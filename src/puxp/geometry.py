@@ -124,9 +124,14 @@ class IndexMatrix:
 
     Every entry is in range, no row lists its own index, and entries within
     a row are distinct.
+
+    The table is kept as a validated parent table [N, K] and a ratio r, with
+    M = r N. Row r*i + s (s < r) lists r * parent[i]: every KNN result has
+    r = 1, and expand_index doubles r without touching the parent. `entries`
+    gives the M x K table; at r > 1 it is built only when asked for.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("parent", "ratio")
 
     def __init__(self, entries):
         idx = np.ascontiguousarray(entries, dtype=np.int64)
@@ -143,18 +148,25 @@ class IndexMatrix:
         if idx.shape[1] > 1 and np.any(srt[:, 1:] == srt[:, :-1]):
             row = int(np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains duplicate neighbor indices")
-        self.entries = idx
+        self.parent = idx
+        self.ratio = 1
+
+    @property
+    def entries(self):
+        if self.ratio == 1:
+            return self.parent
+        return np.repeat(self.parent * self.ratio, self.ratio, axis=0)
 
     @property
     def rows(self):
-        return self.entries.shape[0]
+        return self.parent.shape[0] * self.ratio
 
     @property
     def k(self):
-        return self.entries.shape[1]
+        return self.parent.shape[1]
 
     def __repr__(self):
-        return f"IndexMatrix({self.rows} rows, k={self.k})"
+        return f"IndexMatrix({self.rows} rows, k={self.k}, ratio={self.ratio})"
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +374,18 @@ def expand_index(idx):
     sit at rows 2i and 2i+1, and the child representing old neighbor j sits
     at row 2j. Both children therefore copy row i with every entry doubled,
     which keeps the original graph locality without recomputing KNN.
+
+    The result shares the parent table and doubles the ratio: O(1) work, no
+    copy and no re-validation. It is valid by construction. Row r*i + s
+    lists r * parent[i]; those entries are in range (below r N), distinct
+    (j -> r j is injective) and never the row itself (r j = r i + s needs
+    j = i, and the parent never lists i).
     """
     if not isinstance(idx, IndexMatrix):
         idx = IndexMatrix(idx)
-    return IndexMatrix(np.repeat(idx.entries * 2, 2, axis=0))
+    out = object.__new__(IndexMatrix)
+    out.parent, out.ratio = idx.parent, 2 * idx.ratio
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,21 @@ it to small inputs.
 per_neighbour_edge_conv_grads is the backward one neighbour column at a time:
 mask the gradient to the outputs that column won, then gather, multiply and
 scatter-add it for that column alone.
+
+random_graph draws the valid neighbour tables the tests feed them.
 """
 
 import numpy as np
 
 from puxp.autodiff import Tensor
+from puxp.geometry import IndexMatrix
+
+
+def random_graph(rng, m, k):
+    """A valid IndexMatrix: k distinct neighbours per row, never the row itself."""
+    rows = [rng.choice(m - 1, size=k, replace=False) for _ in range(m)]
+    entries = np.array(rows)
+    return IndexMatrix(entries + (entries >= np.arange(m)[:, None]))
 
 
 def composed_edge_conv(x, idx, w, b, activate):

@@ -10,8 +10,9 @@ from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import _op_cases, check_gradient, finite_difference_gradient, run_op_gradient_checks
 from puxp.errors import IndexRangeError, ShapeError
+from puxp.geometry import IndexMatrix, expand_index
 
-from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads
+from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads, random_graph
 
 
 def grad_of(build_loss, x):
@@ -145,6 +146,46 @@ class TestEdgeConv:
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("activate", [True, False])
+    @pytest.mark.parametrize("n", [7, 600])  # 600 parent rows cross a 512-row block
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_ratio_table_matches_its_materialised_entries(self, r, n, activate):
+        rng = np.random.default_rng(100 * r + n)
+        idx = random_graph(rng, n, 5)
+        while idx.ratio < r:
+            idx = expand_index(idx)
+        x = rng.normal(size=(n * r, 4))
+        heads = x[::r]  # the rows every child lists: duplicate some for exact ties in the max
+        heads[1::3] = heads[0::3][: len(heads[1::3])]
+        w, b = self.weights(rng, 4, 6)
+        w.requires_grad = b.requires_grad = True
+        g = rng.normal(size=(n * r, 6)) * rng.uniform(0.1, 10.0, size=6)  # uneven per channel
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ad.edge_conv(xt, idx, w, b, activate)
+            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+        entries = idx.entries
+        assert out.data.tobytes() == ad.edge_conv(Tensor(x), entries, w, b, activate).data.tobytes()
+        reference = per_neighbour_edge_conv_grads(xt, entries, w, b, activate, g)
+        for got, want in zip((xt.grad, w.grad, b.grad), reference):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_ratio_table_tie_gradient_goes_to_first_neighbour(self):
+        # out[i] = -x[i] + max_k x[2 p_k]; parent row 0 lists points 1 and 2,
+        # whose rows 2 and 4 tie at 2; rows 0 and 1 are parent row 0's children
+        x = Tensor([[0.0], [1.0], [2.0], [3.0], [2.0], [5.0]], requires_grad=True)
+        w = Tensor([[0.0], [1.0]], requires_grad=True)
+        idx = expand_index(IndexMatrix([[1, 2], [0, 2], [0, 1]]))
+        with Tape() as tape:
+            out = ad.edge_conv(x, idx, w, Tensor([0.0]), activate=False)
+            tape.backward(ad.sum_all(out))
+        assert np.array_equal(out.data, [[2.0], [1.0], [0.0], [-1.0], [0.0], [-3.0]])
+        # row 2 wins for parent rows 0 (the tie) and 2, row 4 for parent row 1:
+        # two children each, on top of the -1 every row gets from its centre term
+        assert np.array_equal(x.grad, [[-1.0], [-1.0], [3.0], [-1.0], [1.0], [-1.0]])
+        # d/dw1 = sum x_i = 13; d/dw2 = -13 + six winners of 2
+        assert np.array_equal(w.grad, [[13.0], [-1.0]])
+
     @staticmethod
     def backward_peak(k, m=4096, c=8, d=16):
         rng = np.random.default_rng(k)
@@ -209,6 +250,12 @@ class TestEdgeConv:
         with pytest.raises(IndexRangeError, match="9"):
             ad.edge_conv(Tensor(np.zeros((2, 1))), np.array([[1], [9]]), Tensor(np.zeros((2, 1))),
                          Tensor(np.zeros(1)), True)
+
+    def test_out_of_range_parent_entry_names_value(self):
+        idx = expand_index(expand_index(IndexMatrix([[1], [0]])))  # ratio 4, 8 rows
+        idx.parent[1, 0] = 9  # listed as 4 * 9 = 36 on rows 4-7
+        with pytest.raises(IndexRangeError, match="index 36 .*parent entry 9"):
+            ad.edge_conv(Tensor(np.zeros((8, 1))), idx, Tensor(np.zeros((2, 1))), Tensor(np.zeros(1)), True)
 
 
 class TestShuffleExpand:

@@ -370,6 +370,34 @@ class TestExpandIndex:
         assert big.entries.max() < 30
         assert np.all(big.entries % 2 == 0)
 
+    def test_result_shares_the_parent_table(self):
+        idx = knn_bruteforce(PointCloud(np.random.default_rng(5).normal(size=(12, 3))), 3)
+        big = expand_index(expand_index(idx))
+        assert big.ratio == 4 and idx.ratio == 1
+        assert np.shares_memory(big.parent, idx.parent)
+
+    def test_doubling_a_large_table_allocates_nothing_of_its_size(self):
+        m, k = 65536, 16
+        idx = IndexMatrix((np.arange(m)[:, None] + np.arange(1, k + 1)) % m)
+        tracemalloc.start()
+        try:
+            big = expand_index(expand_index(idx))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big.rows == 4 * m and big.k == k
+        assert peak < 1024
+
+    @pytest.mark.parametrize("doublings", [1, 2, 3])
+    def test_entries_follow_the_repeat_rule_bit_for_bit(self, doublings):
+        idx = knn_bruteforce(PointCloud(np.random.default_rng(doublings).normal(size=(20, 3))), 5)
+        big, want = idx, idx.entries
+        for _ in range(doublings):
+            big, want = expand_index(big), np.repeat(want * 2, 2, axis=0)
+        assert big.entries.dtype == want.dtype and big.entries.tobytes() == want.tobytes()
+        assert big.rows == want.shape[0] and big.k == want.shape[1]
+        assert IndexMatrix(big.entries).entries.tobytes() == want.tobytes()
+
 
 class TestPointTriangleDistance:
     TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])

@@ -7,8 +7,10 @@ from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import check_gradient
 from puxp.errors import ShapeError
-from puxp.geometry import IndexMatrix
+from puxp.geometry import IndexMatrix, expand_index
 from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform
+
+from edgeconv_reference import random_graph
 
 
 def make_mlp(widths, rng=None, **kw):
@@ -144,13 +146,6 @@ class TestEdgeConv:
         assert result.ok, result.detail
 
 
-def random_graph(rng, m, k):
-    """A valid IndexMatrix: k distinct neighbours per row, never the row itself."""
-    rows = [rng.choice(m - 1, size=k, replace=False) for _ in range(m)]
-    entries = np.array(rows)
-    return IndexMatrix(entries + (entries >= np.arange(m)[:, None]))
-
-
 class TestEdgeConvBlocks:
     B = 512  # rows per block of the edge_conv forward
 
@@ -189,6 +184,20 @@ class TestEdgeConvBlocks:
             assert self.peak_beyond_output(conv, x, idx, tape=False) < 8 * block_bytes, m
             # a taped call also keeps the winning neighbour of every output value
             assert self.peak_beyond_output(conv, x, idx, tape=True) >= m * d * 8, m
+
+    def test_ratio_table_holds_fixed_blocks_and_winners_per_parent_row(self):
+        c, d, r = 8, 16, 4
+        out_block = r * self.B * d * 8  # the output rows of one block of parent rows
+        rng = np.random.default_rng(4)
+        conv = EdgeConvLayer(ParameterStore(), "c", c, d, rng)
+        for m in (2 * r * self.B + 12, 8 * r * self.B):
+            n = m // r
+            x, idx = Tensor(rng.normal(size=(m, c))), expand_index(expand_index(random_graph(rng, n, 6)))
+            untaped = self.peak_beyond_output(conv, x, idx, tape=False)
+            assert untaped < 4 * out_block, m
+            # a taped call adds the winners of its n parent rows, not of all m rows
+            extra = self.peak_beyond_output(conv, x, idx, tape=True) - untaped
+            assert 0.9 * n * d * 8 < extra < 2 * n * d * 8, m
 
     def test_gradient_matches_finite_differences_beyond_one_block(self):
         # With K=1 and no output ReLU the layer is linear: no max or ReLU
