@@ -288,10 +288,14 @@ def edge_conv(x, idx, w, b, activate):
     idx is an IndexMatrix or a raw integer table (ratio 1). An expanded
     table of ratio r lists r * parent[i] on each child row r*i + s, so the r
     children of a point share one neighbour max: best[i] = max_k x[r p_k] .
-    w2 over the parent row p = parent[i]. The forward runs in blocks of
-    parent rows, one neighbour column at a time, and never holds an
-    M x K x D tensor. Under a tape it keeps, per parent row, the first k
-    attaining each max; the gradient flows to that neighbour only. As each
+    w2 over the parent row p = parent[i]. As x_j . w2 depends on j alone,
+    the forward makes one product proj = x[::r] . w2 per call and keeps it
+    (n x D) beside the output. It then runs in blocks of parent rows, one
+    neighbour column at a time: a row gather of proj into a reused block
+    buffer and a running max. It never holds an M x K x D tensor, and each
+    block's centre term x[i] . (w1 - w2) + b is written straight into the
+    output. Under a tape it keeps, per parent row, the first k attaining
+    each max; the gradient flows to that neighbour only. As each
     value of best has one winner, the backward needs no per-neighbour loop:
     the children's gradients are summed per parent row, one bincount
     scatters them onto the winning rows (s), then four matmuls give
@@ -318,20 +322,26 @@ def edge_conv(x, idx, w, b, activate):
     w2 = w.data[c:]
     centre = w.data[:c] - w2
     heads = x.data[::r]  # row r*j, the point every child row lists for neighbour j
+    proj = heads @ w2  # x_j . w2 depends on j alone: one product, then row gathers
     taped = bool(_TAPES) and any(t.requires_grad for t in (x, w, b))
     winner = np.zeros((n, d), dtype=np.intp) if taped else None
     out = np.empty((m, d))
-    block = 512  # parent rows; a block's gathers and products stay in cache
+    block = 512  # parent rows; a block's gathers stay in cache
+    best_rows, edge_rows = np.empty((2, min(block, n), d))  # reused by every block
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
-        best = heads[parent[rows, 0]] @ w2
+        best, edge = best_rows[: rows.stop - start], edge_rows[: rows.stop - start]
+        # The entries are range-checked above, so "clip" never clips; unlike
+        # the default "raise", it gathers into the block buffer with no copy.
+        np.take(proj, parent[rows, 0], axis=0, out=best, mode="clip")
         for j in range(1, k):
-            edge = heads[parent[rows, j]] @ w2
+            np.take(proj, parent[rows, j], axis=0, out=edge, mode="clip")
             if taped:
                 winner[rows][edge > best] = j  # strict: ties keep the first k
             np.maximum(best, edge, out=best)
         children = slice(rows.start * r, rows.stop * r)
-        out[children] = x.data[children] @ centre + b.data
+        np.matmul(x.data[children], centre, out=out[children])
+        out[children] += b.data
         shared = out[children].reshape(-1, r, d)  # a view: child s of parent row i
         shared += best[:, None, :]
     if activate:

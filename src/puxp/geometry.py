@@ -241,9 +241,10 @@ def knn_accelerated(cloud, k):
     the slack, the first k+1 hits are exactly the k+1 closest points (self
     included; with n = k+1 the missing last hit is infinitely far). Those
     rows drop self and re-rank their k candidates by recomputed squared
-    distance and index, all in one sort. Rows tied within the slack collect
-    every point inside the slightly inflated (k+1)-th distance with one
-    batched ball query and rank those the same way.
+    distance and index: a stable sort by distance over the candidates in
+    index order. Rows tied within the slack collect every point inside the
+    slightly inflated (k+1)-th distance with one batched ball query and
+    rank those the same way.
     """
     pts, k = _knn_input(cloud, k)
     n = pts.shape[0]
@@ -253,11 +254,12 @@ def knn_accelerated(cloud, k):
     tie = dists[:, k + 1] <= dists[:, k] * _RADIUS_SLACK
     exact, tied = np.flatnonzero(~tie), np.flatnonzero(tie)
     if exact.size:
-        cand = hits[exact, : k + 1]
+        cand = np.sort(hits[exact, : k + 1], axis=1)
         diff = pts[cand] - pts[exact][:, None, :]
         d2 = (diff * diff).sum(axis=-1)
         d2[cand == exact[:, None]] = -1.0  # self sorts first, then is dropped
-        order = np.lexsort((cand, d2), axis=-1)
+        # a stable sort by distance over index-sorted candidates: (d2, index) order
+        order = np.argsort(d2, axis=1, kind="stable")
         out[exact] = np.take_along_axis(cand, order[:, 1:], axis=1)
     if tied.size:
         rows, cand, counts = _ball_pairs(tree, pts[tied], dists[tied, k] * _RADIUS_SLACK)

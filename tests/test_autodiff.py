@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
@@ -169,6 +171,84 @@ class TestEdgeConv:
         reference = per_neighbour_edge_conv_grads(xt, entries, w, b, activate, g)
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 600),
+        doublings=st.integers(0, 2),
+        k=st.integers(1, 8),
+        c=st.integers(1, 8),
+        d=st.integers(1, 8),
+        activate=st.booleans(),
+    )
+    def test_property_matches_composed_reference(self, seed, n, doublings, k, c, d, activate):
+        rng = np.random.default_rng(seed)
+        idx = random_graph(rng, n, min(k, n - 1))
+        for _ in range(doublings):  # ratio 1, 2 or 4
+            idx = expand_index(idx)
+        x = rng.normal(size=(idx.rows, c))
+        heads = x[:: idx.ratio]  # the rows every child lists: duplicates give exact ties in the max
+        heads[1::3] = heads[0::3][: len(heads[1::3])]
+        w, b = self.weights(rng, c, d)
+        untaped = ad.edge_conv(Tensor(x), idx, w, b, activate).data
+        want = composed_edge_conv(Tensor(x), idx, w, b, activate).data
+        assert np.max(np.abs(untaped - want)) <= 1e-12 * np.max(np.abs(want))
+        with Tape():
+            taped = ad.edge_conv(Tensor(x, requires_grad=True), idx, w, b, activate)
+        assert taped.requires_grad
+        assert taped.data.tobytes() == untaped.tobytes()
+
+    @pytest.mark.parametrize("tape", [False, True])
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_nan_row_reaches_every_row_that_reads_it(self, r, tape):
+        # np.maximum, not np.fmax: a diverged feature must reach the loss
+        rng = np.random.default_rng(30 + r)
+        idx = random_graph(rng, 40, 5)
+        while idx.ratio < r:
+            idx = expand_index(idx)
+        x = rng.normal(size=(idx.rows, 3))
+        p = 7
+        x[r * p, 1] = np.nan  # the row every child of a parent row listing p reads
+        w, b = self.weights(rng, 3, 4)
+        xt = Tensor(x, requires_grad=tape)
+        if tape:
+            with Tape():
+                out = ad.edge_conv(xt, idx, w, b, True).data
+        else:
+            out = ad.edge_conv(xt, idx, w, b, True).data
+        readers = np.flatnonzero((idx.entries == r * p).any(axis=1))
+        assert readers.size
+        expected = np.zeros(idx.rows, dtype=bool)
+        expected[readers] = True
+        expected[r * p] = True  # its own output, through the centre term
+        assert np.array_equal(~np.isfinite(out).all(axis=1), expected)
+        assert np.isnan(out[expected]).all()
+
+    def test_index_dtype_and_layout_give_the_same_bytes(self):
+        rng = np.random.default_rng(44)
+        m, k = 600, 5  # crosses a 512-row block
+        idx = random_graph(rng, m, k)
+        x = rng.normal(size=(m, 4))
+        x[1::3] = x[0::3][: len(x[1::3])]  # exact ties in the max
+        wide = np.zeros((m, 2 * k), dtype=np.int64)
+        wide[:, 1::2] = idx.entries
+        tables = {"IndexMatrix int64": idx, "int32": idx.entries.astype(np.int32), "column slice": wide[:, 1::2]}
+        assert not tables["column slice"].flags.c_contiguous
+        w0, b0 = self.weights(rng, 4, 6)
+        g = rng.normal(size=(m, 6))
+        results = {}
+        for name, table in tables.items():
+            xt = Tensor(x, requires_grad=True)
+            w = Tensor(w0.data, requires_grad=True)
+            b = Tensor(b0.data, requires_grad=True)
+            with Tape() as tape:
+                out = ad.edge_conv(xt, table, w, b, True)
+                tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+            results[name] = [a.tobytes() for a in (out.data, xt.grad, w.grad, b.grad)]
+        first = results.pop("IndexMatrix int64")
+        for name, got in results.items():
+            assert got == first, name
 
     def test_ratio_table_tie_gradient_goes_to_first_neighbour(self):
         # out[i] = -x[i] + max_k x[2 p_k]; parent row 0 lists points 1 and 2,
