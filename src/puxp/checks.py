@@ -14,7 +14,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tape, Tensor
-from .geometry import PointCloud, expand_index, knn_accelerated, knn_bruteforce, knn_features
+from .geometry import (
+    PointCloud,
+    expand_index,
+    knn_accelerated,
+    knn_bruteforce,
+    knn_features,
+    nearest_neighbors,
+)
 
 GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-7
@@ -245,7 +252,41 @@ def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
             np.array_equal(knn_accelerated(cloud, 8).entries, knn_bruteforce(cloud, 8).entries),
         )
     )
+    results.append(_nearest_oracle_agreement(np.random.default_rng(seed + 2)))
     return results
+
+
+def _nearest_oracle_agreement(rng):
+    """nearest_neighbors (cross-set, k = 1) must give the dense src x dst
+    matrix's `min` and `argmin`, bit for bit, in both directions."""
+    variants = ("random", "duplicated-target", "grid-0.5") * 10
+    mismatches, first_bad = 0, None
+    for variant in variants:
+        src = rng.normal(size=(int(rng.integers(1, 300)), 3))
+        dst = rng.normal(size=(int(rng.integers(1, 300)), 3))
+        if variant == "duplicated-target":
+            dst = dst[rng.integers(0, max(1, dst.shape[0] // 8), size=dst.shape[0])]  # few rows, many copies
+        elif variant == "grid-0.5":
+            src, dst = np.round(src * 2.0) / 2.0, np.round(dst * 2.0) / 2.0  # exact distance ties
+        diff = src[:, None, :] - dst[None, :, :]
+        dense = (diff * diff).sum(axis=-1)
+        d2, idx = nearest_neighbors(src, dst)
+        back_d2, back_idx = nearest_neighbors(dst, src)
+        if not (
+            np.array_equal(d2, dense.min(axis=1))
+            and np.array_equal(idx, dense.argmin(axis=1))
+            and np.array_equal(back_d2, dense.min(axis=0))
+            and np.array_equal(back_idx, dense.argmin(axis=0))
+        ):
+            mismatches += 1
+            if first_bad is None:
+                first_bad = {"src": src, "dst": dst, "variant": variant}
+    return CheckResult(
+        "nearest/oracle-agreement",
+        mismatches == 0,
+        f"{mismatches} mismatching cloud pairs out of {len(variants)}",
+        payload=first_bad,
+    )
 
 
 def _feature_oracle_agreement(rng, k_choices):

@@ -4,18 +4,23 @@ Neighbor searches order candidates by (squared distance, index): ties go to
 the smaller index, rows come back in ascending distance, and a point is
 never its own neighbor. Squared distances are always `(diff * diff)` summed
 over the columns, and every search follows that rule exactly, so all of
-them agree on every input.
+them agree on every input. The 3-D kernels (knn_accelerated,
+nearest_neighbors and the point-triangle distances) work on coordinate
+columns: dx*dx + dy*dy + dz*dz from gathers of contiguous x, y and z
+arrays, added left to right. NumPy sums a length-3 axis in that order, so
+the bits are those of the row form, which knn_bruteforce and the tests'
+oracles keep as independent witnesses.
 
 There is one dense kernel, knn_bruteforce: the M x M x C difference tensor,
 kept as the oracle for the tests and `puxp knncheck`. The fast kernels only
 pick candidates and then rank them with the oracle's arithmetic, so rounding
 in the candidate pass can never change a result:
 
-- knn_accelerated (3D clouds) queries a kd-tree for one hit more than it
-  needs; where that spare hit is farther than the last needed one by more
-  than a relative 1e-9, the needed hits are the right candidate set. Only
-  the rows where the two tie within 1e-9 collect every point inside the
-  inflated bound with a batched ball query.
+- knn_accelerated (M x 3 clouds only) queries a kd-tree for one hit more
+  than it needs; where that spare hit is farther than the last needed one
+  by more than a relative 1e-9, the needed hits are the right candidate
+  set. Only the rows where the two tie within 1e-9 collect every point
+  inside the inflated bound with a batched ball query.
 - knn_features (M x C features) works in blocks of rows. One matmul per
   block gives Gram distances |a|^2 + |b|^2 - 2 a.b, and every column within
   a proven error bound of the k-th smallest one is re-ranked exactly.
@@ -180,6 +185,33 @@ def _as_coords(obj):
     return np.asarray(data, dtype=np.float64)
 
 
+def _columns(rows):
+    """The x, y and z columns of (N, 3) rows as one (3, N) array.
+
+    Each column is contiguous. Rows are gathered from it with
+    `np.take(cols, index, axis=1)`, several times faster than fancy indexing
+    along axis 1.
+    """
+    return np.ascontiguousarray(rows.T)
+
+
+def _sum_squares(columns):
+    """x*x + y*y + z*z for the three arrays columns[0..2], added left to right.
+
+    NumPy sums a length-3 axis in that order, so on the columns of a
+    difference this is bit for bit `(diff * diff).sum(axis=-1)` on its rows,
+    without an array-of-rows gather or a reduction over a short axis. The
+    arrays are squared in place: pass a fresh one.
+    """
+    x, y, z = columns
+    x *= x
+    y *= y
+    z *= z
+    x += y
+    x += z
+    return x
+
+
 def _knn_input(data, k):
     """(M, C) float64 rows and k for a KNN search, checked and scaled.
 
@@ -247,16 +279,18 @@ def knn_accelerated(cloud, k):
     rank those the same way.
     """
     pts, k = _knn_input(cloud, k)
+    if pts.shape[1] != 3:
+        raise ShapeError(f"knn_accelerated needs (M, 3) points, got {pts.shape}")
     n = pts.shape[0]
     tree = cKDTree(pts)
     dists, hits = tree.query(pts, k=k + 2)
     out = np.empty((n, k), dtype=np.int64)
     tie = dists[:, k + 1] <= dists[:, k] * _RADIUS_SLACK
     exact, tied = np.flatnonzero(~tie), np.flatnonzero(tie)
+    cols = _columns(pts)
     if exact.size:
         cand = np.sort(hits[exact, : k + 1], axis=1)
-        diff = pts[cand] - pts[exact][:, None, :]
-        d2 = (diff * diff).sum(axis=-1)
+        d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(cols, exact, axis=1)[:, :, None])
         d2[cand == exact[:, None]] = -1.0  # self sorts first, then is dropped
         # a stable sort by distance over index-sorted candidates: (d2, index) order
         order = np.argsort(d2, axis=1, kind="stable")
@@ -265,8 +299,8 @@ def knn_accelerated(cloud, k):
         rows, cand, counts = _ball_pairs(tree, pts[tied], dists[tied, k] * _RADIUS_SLACK)
         other = cand != tied[rows]
         rows, cand = rows[other], cand[other]
-        diff = pts[cand] - pts[tied[rows]]
-        out[tied] = _rank_pairs(rows, cand, (diff * diff).sum(axis=-1), counts - 1, k)
+        d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(cols, tied[rows], axis=1))
+        out[tied] = _rank_pairs(rows, cand, d2, counts - 1, k)
     return IndexMatrix(out)
 
 
@@ -284,6 +318,9 @@ def nearest_neighbors(src, dst):
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index.
+    Copies of a dst row are equally far from every point, so the tie path
+    searches only the first copy of each: its memory follows the number of
+    distinct rows in reach, not the number of copies.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -296,18 +333,19 @@ def nearest_neighbors(src, dst):
             row = (diff * diff).sum(axis=1)
             d2[i], idx[i] = row.min(), row.argmin()
         return d2, idx
-    tree = cKDTree(dst)
-    dist, idx = tree.query(src, k=2)  # a lone dst point comes back with an inf runner-up
+    dist, idx = cKDTree(dst).query(src, k=2)  # a lone dst point comes back with an inf runner-up
     nearest = idx[:, 0]
+    src_cols, dst_cols = _columns(src), _columns(dst)
     # Where the runner-up is farther by more than the slack the tree's winner
     # is the strict minimum; elsewhere rank every candidate within the slack.
     tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * _RADIUS_SLACK)
     if tied.size:
-        rows, cand, counts = _ball_pairs(tree, src[tied], dist[tied, 0] * _RADIUS_SLACK)
-        diff = src[tied[rows]] - dst[cand]
-        nearest[tied] = _rank_pairs(rows, cand, (diff * diff).sum(axis=1), counts, 1)[:, 0]
-    diff = src - dst[nearest]
-    return (diff * diff).sum(axis=1), nearest
+        _, first = np.unique(dst, axis=0, return_index=True)  # smallest index of each copy group
+        rows, cand, counts = _ball_pairs(cKDTree(dst[first]), src[tied], dist[tied, 0] * _RADIUS_SLACK)
+        cand = first[cand]
+        d2 = _sum_squares(np.take(src_cols, tied[rows], axis=1) - np.take(dst_cols, cand, axis=1))
+        nearest[tied] = _rank_pairs(rows, cand, d2, counts, 1)[:, 0]
+    return _sum_squares(src_cols - np.take(dst_cols, nearest, axis=1)), nearest
 
 
 # Rows per Gram block of knn_features: its memory is a few blocks of M floats.
@@ -394,29 +432,39 @@ def expand_index(idx):
 # point-to-triangle distance
 
 
-def _dot3(rows, v):
+def _dot3(u, v):
     # explicit component sums keep the arithmetic identical for any batch size
-    return rows[:, 0] * v[:, 0] + rows[:, 1] * v[:, 1] + rows[:, 2] * v[:, 2]
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _closest_on_triangle(points, a, b, c):
-    """Closest point on closed triangle (a[i], b[i], c[i]) for each row points[i].
+def _face_columns(tris):
+    """The columns the triangle arithmetic reads, for tris[F, 3, 3].
 
-    All four arguments have shape (P, 3); one triangle is passed as broadcast
-    rows. Every step is elementwise, so a (point, triangle) pair gets the same
-    bits whatever else is in the batch. Region tests follow the classic
-    barycentric case analysis (vertex, edge, interior), checked in a fixed
-    order so results are deterministic.
+    One (18, F) array: x, y and z of the vertices a, b and c, then of the
+    edges ab = b - a, ac = c - a and bc = c - b. Edges are computed once per
+    face, with the same bits as per (point, face) pair.
     """
-    ab = b - a
-    ac = c - a
-    ap = points - a
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return _columns(np.hstack([a, b, c, b - a, c - a, c - b]))
+
+
+def _squared_distances(p, face):
+    """Squared distance from each point p[:, i] to the closed triangle face[:, i].
+
+    p is (3, P) columns and face is (18, P) columns of _face_columns, or
+    (18, 1) for one triangle. Every step is elementwise, so a (point,
+    triangle) pair gets the same bits whatever else is in the batch. Region
+    tests follow the classic barycentric case analysis (vertex, edge,
+    interior), checked in a fixed order so results are deterministic.
+    """
+    a, b, c, ab, ac, bc = face[0:3], face[3:6], face[6:9], face[9:12], face[12:15], face[15:18]
+    ap = p - a
     d1 = _dot3(ap, ab)
     d2 = _dot3(ap, ac)
-    bp = points - b
+    bp = p - b
     d3 = _dot3(bp, ab)
     d4 = _dot3(bp, ac)
-    cp = points - c
+    cp = p - c
     d5 = _dot3(cp, ab)
     d6 = _dot3(cp, ac)
 
@@ -428,34 +476,29 @@ def _closest_on_triangle(points, a, b, c):
         denom = va + vb + vc
         v_in = vb / denom
         w_in = vc / denom
-        closest = a + ab * v_in[:, None] + ac * w_in[:, None]
+        closest = a + ab * v_in + ac * w_in
 
         # Overwrite in reverse priority so the first matching region wins.
         m = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
         w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        closest[m] = b[m] + (c[m] - b[m]) * w[m, None]
+        np.copyto(closest, b + bc * w, where=m)
 
         m = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
         w = d2 / (d2 - d6)
-        closest[m] = a[m] + ac[m] * w[m, None]
+        np.copyto(closest, a + ac * w, where=m)
 
         m = (d6 >= 0) & (d5 <= d6)
-        closest[m] = c[m]
+        np.copyto(closest, c, where=m)
 
         m = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
         v = d1 / (d1 - d3)
-        closest[m] = a[m] + ab[m] * v[m, None]
+        np.copyto(closest, a + ab * v, where=m)
 
         m = (d3 >= 0) & (d4 <= d3)
-        closest[m] = b[m]
+        np.copyto(closest, b, where=m)
         m = (d1 <= 0) & (d2 <= 0)
-        closest[m] = a[m]
-    return closest
-
-
-def _squared_distances(points, a, b, c):
-    delta = points - _closest_on_triangle(points, a, b, c)
-    return (delta * delta).sum(axis=1)
+        np.copyto(closest, a, where=m)
+    return _sum_squares(p - closest)
 
 
 def _check_triangle(tri):
@@ -490,8 +533,7 @@ def squared_distances_to_triangle(points, tri):
     """Squared distance from each of points[P, 3] to the closed triangle."""
     tri = _check_triangle(tri)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    a, b, c = (np.broadcast_to(v, pts.shape) for v in tri)
-    return _squared_distances(pts, a, b, c)
+    return _squared_distances(_columns(pts), _face_columns(tri[None]))
 
 
 def point_triangle_distance(p, tri):
@@ -525,25 +567,26 @@ def squared_distances_to_mesh(points, mesh):
         for tri in tris:
             np.minimum(best, squared_distances_to_triangle(pts, tri), out=best)
         return best
-    a, b, c = (np.ascontiguousarray(tris[:, i]) for i in range(3))
+    faces = _face_columns(tris)
+    cols = _columns(pts)
     centroids = tris.mean(axis=1)
     spread = tris - centroids[:, None, :]
     radius = float(np.sqrt((spread * spread).sum(axis=2).max()))
-    box_lo, box_hi = tris.min(axis=1), tris.max(axis=1)
+    boxes = _columns(np.hstack([tris.min(axis=1), tris.max(axis=1)]))  # lo then hi x, y, z
     face_tree = cKDTree(centroids)
     _, first = face_tree.query(pts, k=1)
-    best = _squared_distances(pts, a[first], b[first], c[first])
+    best = _squared_distances(cols, np.take(faces, first, axis=1))
     scale = max(float(np.abs(pts).max(initial=0.0)), float(np.abs(tris).max()))
     reach = np.sqrt(best) * _RADIUS_SLACK + 1e-9 * scale
     for start in range(0, pts.shape[0], _QUERY_ROWS):
         block = slice(start, start + _QUERY_ROWS)
-        rows, faces, _ = _ball_pairs(face_tree, pts[block], reach[block] + radius)
+        rows, cand, _ = _ball_pairs(face_tree, pts[block], reach[block] + radius)
         rows += start
-        p = pts[rows]
-        gap = np.maximum(np.maximum(box_lo[faces] - p, p - box_hi[faces]), 0.0)
-        keep = (gap * gap).sum(axis=1) <= reach[rows] * reach[rows]
-        rows, faces = rows[keep], faces[keep]
+        p, box = np.take(cols, rows, axis=1), np.take(boxes, cand, axis=1)
+        keep = _sum_squares(np.maximum(np.maximum(box[:3] - p, p - box[3:]), 0.0)) <= reach[rows] ** 2
+        rows, cand, p = rows[keep], cand[keep], np.compress(keep, p, axis=1)
         for at in range(0, rows.size, _PAIR_BATCH):
-            r, f = rows[at : at + _PAIR_BATCH], faces[at : at + _PAIR_BATCH]
-            np.minimum.at(best, r, _squared_distances(pts[r], a[f], b[f], c[f]))
+            pairs = slice(at, at + _PAIR_BATCH)
+            face = np.take(faces, cand[pairs], axis=1)
+            np.minimum.at(best, rows[pairs], _squared_distances(p[:, pairs], face))
     return best

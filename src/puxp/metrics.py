@@ -6,15 +6,11 @@ Conventions (stored values are raw; table formatting may scale by 1e3):
   - point_to_face: directed only, mean distance from predictions to the
     ground-truth mesh surface.
 
-Nearest neighbors come from an exact kd-tree search
-(geometry.nearest_neighbors). The tree only bounds each distance; the
-squared distances of all candidates within the bound are recomputed as
-`(diff * diff)` summed over x, y, z, and ties go to the smaller index. So
-values, means, maxes and assignments equal those of a dense P x Q matrix
-with `min`/`argmin`, bit for bit, in O(P + Q) memory. Point-to-face visits
-only the faces that could hold a point's minimum
-(geometry.squared_distances_to_mesh), with the same per-face arithmetic as
-a loop over every face.
+Nearest neighbors come from geometry.nearest_neighbors: one exact kd-tree
+search per direction, which `report` shares between CD and HD. Values and
+assignments equal a dense P x Q `min`/`argmin` bit for bit, in O(P + Q)
+memory. Point-to-face (geometry.squared_distances_to_mesh) visits only the
+faces that could hold a point's minimum, and equals a loop over every face.
 """
 
 from __future__ import annotations
@@ -53,27 +49,29 @@ def _as_points(cloud):
     return pts
 
 
-def chamfer_parts(pred_pts, gt_pts):
-    """Chamfer value plus the nearest-neighbor assignments in both directions."""
+def _summaries(pred, gt):
+    """CD, HD and both assignments from one nearest-neighbour search per direction."""
+    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
     fwd, nearest_gt = nearest_neighbors(pred_pts, gt_pts)
     bwd, nearest_pred = nearest_neighbors(gt_pts, pred_pts)
-    value = float(fwd.mean() + bwd.mean())
-    return value, nearest_gt, nearest_pred
+    hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))
+    return float(fwd.mean() + bwd.mean()), hd, nearest_gt, nearest_pred
+
+
+def chamfer_parts(pred, gt):
+    """Chamfer value plus the nearest-neighbor assignments in both directions."""
+    cd, _, nearest_gt, nearest_pred = _summaries(pred, gt)
+    return cd, nearest_gt, nearest_pred
 
 
 def chamfer(pred, gt):
     """Symmetric squared chamfer distance between two clouds."""
-    value, _, _ = chamfer_parts(_as_points(pred), _as_points(gt))
-    return value
+    return _summaries(pred, gt)[0]
 
 
 def hausdorff(pred, gt):
     """Symmetric Hausdorff distance (unsquared)."""
-    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
-    fwd, _ = nearest_neighbors(pred_pts, gt_pts)
-    bwd, _ = nearest_neighbors(gt_pts, pred_pts)
-    worst = max(float(fwd.max()), float(bwd.max()))
-    return float(np.sqrt(worst))
+    return _summaries(pred, gt)[1]
 
 
 def point_to_face(pred, mesh):
@@ -85,12 +83,13 @@ def point_to_face(pred, mesh):
 
 
 def report(label, pred, gt, mesh=None):
-    pred_pts = _as_points(pred)
-    gt_pts = _as_points(gt)
+    """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
+    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
+    cd, hd, _, _ = _summaries(pred_pts, gt_pts)
     return MetricReport(
         label=label,
-        cd=chamfer(pred_pts, gt_pts),
-        hd=hausdorff(pred_pts, gt_pts),
+        cd=cd,
+        hd=hd,
         p2f=None if mesh is None else point_to_face(pred_pts, mesh),
         pred_count=pred_pts.shape[0],
         gt_count=gt_pts.shape[0],

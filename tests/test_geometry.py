@@ -15,6 +15,7 @@ from puxp.geometry import (
     knn_accelerated,
     knn_bruteforce,
     knn_features,
+    nearest_neighbors,
     point_triangle_distance,
     squared_distances_to_mesh,
     squared_distances_to_triangle,
@@ -136,6 +137,10 @@ class TestKnnAccelerated:
         cloud = PointCloud(pts)
         for k in (1, 4, 8):
             assert np.array_equal(knn_accelerated(cloud, k).entries, knn_bruteforce(cloud, k).entries)
+
+    def test_rejects_rows_that_are_not_3d(self):
+        with pytest.raises(ShapeError):
+            knn_accelerated(np.random.default_rng(2).normal(size=(20, 4)), 3)
 
 
 class TestKnnAcceleratedTies:
@@ -334,6 +339,75 @@ class TestKnnFeatures:
                 key=lambda j: (((feats[j] - feats[i]) ** 2).sum(), j),
             )
             assert idx.entries[i].tolist() == ranked[:2]
+
+
+class TestColumnSquaredDistances:
+    """The 3-D kernels square differences of coordinate columns, not rows.
+
+    They compute dx*dx + dy*dy + dz*dz, added left to right. NumPy sums a
+    length-3 axis in that same order, ((d0 * d0) + (d1 * d1)) + (d2 * d2), so
+    the column form must give `(diff * diff).sum(axis=-1)` of the rows bit for
+    bit, at every scale, in the subnormal range and for signed zeros.
+    """
+
+    @staticmethod
+    def assert_columns_match_rows(a, b):
+        rows = a - b
+        want = (rows * rows).sum(axis=-1)
+        got = geometry._sum_squares(geometry._columns(a) - geometry._columns(b))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e5, 1e150])
+    def test_rows_at_every_scale(self, scale):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 4000, 3)) * scale
+        self.assert_columns_match_rows(a, b)
+
+    def test_subnormal_differences(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(2000, 3)) * 1e-308
+        b = a + rng.integers(-3, 4, size=a.shape) * 5e-324  # a few subnormal steps apart
+        self.assert_columns_match_rows(a, b)
+        self.assert_columns_match_rows(a * 1e-15, np.zeros_like(a))
+
+    def test_signed_zeros(self):
+        signs = np.array(list(np.ndindex(2, 2, 2)), dtype=np.float64)
+        zeros = np.where(signs == 1.0, -0.0, 0.0)
+        a = np.repeat(zeros, 8, axis=0)
+        b = np.tile(zeros, (8, 1))
+        self.assert_columns_match_rows(a, b)
+        self.assert_columns_match_rows(a, b + [[1.0, -0.0, 2.0]])
+
+    def test_rows_mixing_magnitudes_across_coordinates(self):
+        rng = np.random.default_rng(2)
+        mags = 10.0 ** rng.integers(-300, 150, size=(5000, 3))
+        a = rng.normal(size=(5000, 3)) * mags
+        b = a + rng.normal(size=(5000, 3)) * mags[:, ::-1]
+        self.assert_columns_match_rows(a, b)
+
+
+class TestNearestNeighborsTies:
+    """Targets with repeated rows: every query ties with every copy.
+
+    Agreement with the dense oracle on such inputs is in
+    test_metrics.py::TestKdTreeMatchesDenseOracle.
+    """
+
+    def test_identical_targets_in_bounded_memory(self):
+        rng = np.random.default_rng(3)
+        gt = rng.normal(size=(4096, 3))
+        pred = np.repeat(rng.normal(size=(1, 3)), 4096, axis=0)
+        tracemalloc.start()
+        try:
+            d2, idx = nearest_neighbors(gt, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every pair tied at once held ~290 MB at half these sizes
+        assert peak < 4 * 2**20, peak
+        assert np.array_equal(idx, np.zeros(4096, dtype=np.int64))
+        diff = gt - pred[0]
+        assert np.array_equal(d2, (diff * diff).sum(axis=1))
 
 
 class TestExpandIndex:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puxp import metrics
 from puxp.geometry import PointCloud, TriangleMesh, point_triangle_distance
 from puxp.metrics import MetricReport, chamfer, chamfer_parts, hausdorff, point_to_face, report
-from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
 
 
 def brute_chamfer(a, b):
@@ -82,9 +83,17 @@ class TestKdTreeMatchesDenseOracle:
             a = np.vstack([a, a[:1], b[:1]])
         elif variant == "scaled_offset":
             a, b = a * 1e3 + 1e6, b * 1e3 + 1e6
+        elif variant == "collapsed":  # a diverged model's output: one point repeated
+            b[:] = b[0]
+        elif variant == "half_duplicated":
+            b[len(b) // 2 :] = b[: len(b) - len(b) // 2]
+        elif variant == "grid":  # a 0.5 grid: exact distance ties and repeated points
+            a, b = np.round(a * 2.0) / 2.0, np.round(b * 2.0) / 2.0
         return a, b
 
-    @pytest.mark.parametrize("variant", ["random", "rounded", "duplicates", "scaled_offset"])
+    @pytest.mark.parametrize(
+        "variant", ["random", "rounded", "duplicates", "scaled_offset", "collapsed", "half_duplicated", "grid"]
+    )
     def test_chamfer_parts_and_hausdorff(self, variant):
         for seed in range(25):
             a, b = self.clouds(variant, seed)
@@ -225,6 +234,28 @@ class TestReport:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert row.p2f is not None and row.cd > 0.0
+
+    def test_one_search_per_direction_gives_chamfer_and_hausdorff(self, monkeypatch):
+        cases = []
+        for seed, kind in enumerate(SHAPE_KINDS):
+            cloud, gt, mesh = sample_pair(SyntheticShape(kind), 64, 4, seed)
+            cases.append((kind, cloud.points, gt.points, mesh))
+        rng = np.random.default_rng(9)
+        rounded = np.round(rng.normal(size=(300, 3)), 1), np.round(rng.normal(size=(200, 3)), 1)
+        cases.append(("rounded", *rounded, None))  # many exact distance ties
+        search, calls = metrics.nearest_neighbors, []
+
+        def counted(src, dst):
+            calls.append(len(src))
+            return search(src, dst)
+
+        monkeypatch.setattr(metrics, "nearest_neighbors", counted)
+        for name, pred, gt, mesh in cases:
+            calls.clear()
+            row = report(name, pred, gt, mesh)
+            assert calls == [len(pred), len(gt)], name
+            value, _, _, dense_hd = dense_parts(pred, gt)
+            assert (row.cd, row.hd) == (chamfer(pred, gt), hausdorff(pred, gt)) == (value, dense_hd), name
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
