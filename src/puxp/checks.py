@@ -231,6 +231,7 @@ def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
         )
     )
     results.append(_feature_oracle_agreement(np.random.default_rng(seed + 1), k_choices))
+    results.append(_duplicate_oracle_agreement(np.random.default_rng(seed + 3)))
     elapsed = time.perf_counter() - start
     results.append(CheckResult("knn-suite-runtime", elapsed < 30.0, f"{elapsed:.2f}s"))
 
@@ -254,6 +255,32 @@ def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
     )
     results.append(_nearest_oracle_agreement(np.random.default_rng(seed + 2)))
     return results
+
+
+def _duplicate_oracle_agreement(rng, clouds=20):
+    """knn_accelerated must equal the dense oracle on clouds of repeated rows:
+    a few points with many copies each, and copies of a 0.5 grid, with k both
+    inside and beyond a group of copies."""
+    mismatches, first_bad = 0, None
+    for trial in range(clouds):
+        if trial % 2 == 0:
+            rows = rng.normal(size=(int(rng.integers(2, 9)), 3))
+            copies = int(rng.integers(20, 60))
+        else:
+            rows = np.unique(np.round(rng.normal(size=(60, 3)) * 2.0) / 2.0, axis=0)
+            copies = int(rng.integers(2, 6))
+        pts = rows[rng.permutation(np.arange(len(rows) * copies) % len(rows))]
+        for k in (max(1, copies // 2), min(2 * copies, len(pts) - 1)):
+            if not np.array_equal(knn_accelerated(pts, k).entries, knn_bruteforce(pts, k).entries):
+                mismatches += 1
+                if first_bad is None:
+                    first_bad = {"points": pts, "k": k, "trial": trial}
+    return CheckResult(
+        "knn/duplicate-oracle-agreement",
+        mismatches == 0,
+        f"{mismatches} mismatching (cloud, k) pairs out of {2 * clouds}",
+        payload=first_bad,
+    )
 
 
 def _nearest_oracle_agreement(rng):

@@ -177,6 +177,9 @@ def _compare_configs(pairs):
     if not configs:
         raise ConfigError("compare config selects no unit")
     seeds = tuple(int(s) for s in own["train.seeds"].split(","))
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ConfigError(f"train.seeds lists seed {seed} more than once")
     return configs, seeds, own["out"]
 
 

@@ -3,33 +3,34 @@
 Neighbor searches order candidates by (squared distance, index): ties go to
 the smaller index, rows come back in ascending distance, and a point is
 never its own neighbor. Squared distances are always `(diff * diff)` summed
-over the columns, and every search follows that rule exactly, so all of
-them agree on every input. The 3-D kernels (knn_accelerated,
-nearest_neighbors and the point-triangle distances) work on coordinate
-columns: dx*dx + dy*dy + dz*dz from gathers of contiguous x, y and z
-arrays, added left to right. NumPy sums a length-3 axis in that order, so
-the bits are those of the row form, which knn_bruteforce and the tests'
-oracles keep as independent witnesses.
+over the columns, so all searches agree on every input. The 3-D kernels
+work on coordinate columns: dx*dx + dy*dy + dz*dz from gathers of
+contiguous x, y and z arrays, added left to right. NumPy sums a length-3
+axis in that order, so the bits are those of the row form, which
+knn_bruteforce and the tests' oracles keep as independent witnesses.
 
 There is one dense kernel, knn_bruteforce: the M x M x C difference tensor,
 kept as the oracle for the tests and `puxp knncheck`. The fast kernels only
 pick candidates and then rank them with the oracle's arithmetic, so rounding
 in the candidate pass can never change a result:
 
-- knn_accelerated (M x 3 clouds only) queries a kd-tree for one hit more
-  than it needs; where that spare hit is farther than the last needed one
-  by more than a relative 1e-9, the needed hits are the right candidate
-  set. Only the rows where the two tie within 1e-9 collect every point
-  inside the inflated bound with a batched ball query.
+- One kd-tree search serves self and cross queries: knn_accelerated (the
+  k + 1 nearest rows of an M x 3 cloud, less the point itself) and
+  nearest_neighbors (k = 1 across two sets). It queries one hit more than
+  it needs; where that spare hit is farther than the last needed one by
+  more than a relative 1e-9, the needed hits are the right candidate set.
+  Rows tied within 1e-9 ball-query a tree of the distinct rows and rank the
+  first min(copies, n) copies of each, so their memory follows the
+  distinct rows in reach, not the number of copies.
 - knn_features (M x C features) works in blocks of rows. One matmul per
   block gives Gram distances |a|^2 + |b|^2 - 2 a.b, and every column within
   a proven error bound of the k-th smallest one is re-ranked exactly.
   Memory is O(block x M) however many rows tie, against O(M^2 C) for the
   dense kernel.
 
-All three reject non-finite rows, naming the row. They scale a matrix whose
-largest |x| lies outside [1e-50, 1e50) by a power of two first, so that no
-square overflows or underflows at the scale of the data.
+The three KNN kernels reject non-finite rows, naming the row. They scale a
+matrix whose largest |x| lies outside [1e-50, 1e50) by a power of two
+first, so that no square overflows or underflows at the scale of the data.
 """
 
 from __future__ import annotations
@@ -238,15 +239,17 @@ def _knn_input(data, k):
     return x, k
 
 
-def _rank_pairs(rows, cand, d2, counts, k):
+def _rank_pairs(rows, cand, d2, k):
     """The first k candidates of each row by (squared distance, index).
 
     (rows[i], cand[i]) is a candidate pair at squared distance d2[i]; rows
-    are numbered 0 .. len(counts) - 1 and row r has counts[r] >= k pairs.
+    are numbered 0 .. R - 1 and each has at least k pairs. Returns the
+    ranked (squared distances, indices), both R x k.
     """
-    ranked = cand[np.lexsort((cand, d2, rows))]
-    starts = np.cumsum(counts) - counts
-    return ranked[starts[:, None] + np.arange(k)]
+    order = np.lexsort((cand, d2, rows))
+    counts = np.bincount(rows)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return d2[pick], cand[pick]
 
 
 def knn_bruteforce(cloud, k):
@@ -265,51 +268,59 @@ def knn_bruteforce(cloud, k):
     return IndexMatrix(order[:, :k])
 
 
-def knn_accelerated(cloud, k):
-    """Exact KNN through a kd-tree; agrees with knn_bruteforce on every input.
-
-    One tree query returns the k+2 nearest hits of every point, self among
-    them. Where the (k+2)-th hit is farther than the (k+1)-th by more than
-    the slack, the first k+1 hits are exactly the k+1 closest points (self
-    included; with n = k+1 the missing last hit is infinitely far). Those
-    rows drop self and re-rank their k candidates by recomputed squared
-    distance and index: a stable sort by distance over the candidates in
-    index order. Rows tied within the slack collect every point inside the
-    slightly inflated (k+1)-th distance with one batched ball query and
-    rank those the same way.
-    """
-    pts, k = _knn_input(cloud, k)
-    if pts.shape[1] != 3:
-        raise ShapeError(f"knn_accelerated needs (M, 3) points, got {pts.shape}")
-    n = pts.shape[0]
-    tree = cKDTree(pts)
-    dists, hits = tree.query(pts, k=k + 2)
-    out = np.empty((n, k), dtype=np.int64)
-    tie = dists[:, k + 1] <= dists[:, k] * _RADIUS_SLACK
-    exact, tied = np.flatnonzero(~tie), np.flatnonzero(tie)
-    cols = _columns(pts)
-    if exact.size:
-        cand = np.sort(hits[exact, : k + 1], axis=1)
-        d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(cols, exact, axis=1)[:, :, None])
-        d2[cand == exact[:, None]] = -1.0  # self sorts first, then is dropped
-        # a stable sort by distance over index-sorted candidates: (d2, index) order
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[exact] = np.take_along_axis(cand, order[:, 1:], axis=1)
-    if tied.size:
-        rows, cand, counts = _ball_pairs(tree, pts[tied], dists[tied, k] * _RADIUS_SLACK)
-        other = cand != tied[rows]
-        rows, cand = rows[other], cand[other]
-        d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(cols, tied[rows], axis=1))
-        out[tied] = _rank_pairs(rows, cand, d2, counts - 1, k)
-    return IndexMatrix(out)
-
-
 def _ball_pairs(tree, points, radii):
     """(row, candidate) index pairs of a ball query, grouped by row in order."""
     lists = tree.query_ball_point(points, radii, return_sorted=False)
     counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
     cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
-    return np.repeat(np.arange(len(lists)), counts), cand, counts
+    return np.repeat(np.arange(len(lists)), counts), cand
+
+
+def _nearest(src, dst, n):
+    """The n nearest rows of dst for each row of src: ranked (squared distances, indices).
+
+    src is (S, 3), dst is (D, 3) with n <= D; both results are S x n. Where
+    the tree's (n+1)-th hit (infinitely far if missing) is farther than its
+    n-th by more than the slack, its first n hits are the n closest rows.
+    Other rows take the tie path. Copies of a row are equally far from every
+    point, so only the first min(copies, n) copies of each distinct row in
+    reach can rank among the n nearest.
+    """
+    tree = cKDTree(dst)
+    dist, hits = tree.query(src, k=n + 1)
+    src_cols, dst_cols = _columns(src), _columns(dst)
+    cand = np.sort(hits[:, :n], axis=1)
+    d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - src_cols[:, :, None])
+    order = np.argsort(d2, axis=1, kind="stable")  # stable over hits in index order: (d2, index)
+    d2, idx = np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+    tied = np.flatnonzero(dist[:, n] <= dist[:, n - 1] * _RADIUS_SLACK)
+    if tied.size:
+        distinct, group, copies = np.unique(dst, axis=0, return_inverse=True, return_counts=True)
+        rows, near = _ball_pairs(cKDTree(distinct), src[tied], dist[tied, n - 1] * _RADIUS_SLACK)
+        # each distinct row in reach stands for its first min(copies, n) copies
+        take = np.minimum(copies[near], n)
+        by_group = np.argsort(group.reshape(-1), kind="stable")  # each group's copies in index order
+        offset = (np.cumsum(copies) - copies)[near] - (np.cumsum(take) - take)
+        cand = by_group[np.repeat(offset, take) + np.arange(take.sum())]
+        rows = np.repeat(rows, take)
+        pair_d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - np.take(src_cols, tied[rows], axis=1))
+        d2[tied], idx[tied] = _rank_pairs(rows, cand, pair_d2, n)
+    return d2, idx
+
+
+def knn_accelerated(cloud, k):
+    """Exact KNN through the kd-tree search; agrees with knn_bruteforce on every input.
+
+    Of the k + 1 nearest rows of a point, drop the point itself or, where
+    k + 1 copies of it with smaller indices come first, the last one.
+    """
+    pts, k = _knn_input(cloud, k)
+    if pts.shape[1] != 3:
+        raise ShapeError(f"knn_accelerated needs (M, 3) points, got {pts.shape}")
+    hits = _nearest(pts, pts, k + 1)[1]
+    other = hits != np.arange(pts.shape[0])[:, None]
+    other[other.all(axis=1), k] = False
+    return IndexMatrix(hits[other].reshape(-1, k))
 
 
 def nearest_neighbors(src, dst):
@@ -318,9 +329,6 @@ def nearest_neighbors(src, dst):
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index.
-    Copies of a dst row are equally far from every point, so the tie path
-    searches only the first copy of each: its memory follows the number of
-    distinct rows in reach, not the number of copies.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -333,19 +341,8 @@ def nearest_neighbors(src, dst):
             row = (diff * diff).sum(axis=1)
             d2[i], idx[i] = row.min(), row.argmin()
         return d2, idx
-    dist, idx = cKDTree(dst).query(src, k=2)  # a lone dst point comes back with an inf runner-up
-    nearest = idx[:, 0]
-    src_cols, dst_cols = _columns(src), _columns(dst)
-    # Where the runner-up is farther by more than the slack the tree's winner
-    # is the strict minimum; elsewhere rank every candidate within the slack.
-    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * _RADIUS_SLACK)
-    if tied.size:
-        _, first = np.unique(dst, axis=0, return_index=True)  # smallest index of each copy group
-        rows, cand, counts = _ball_pairs(cKDTree(dst[first]), src[tied], dist[tied, 0] * _RADIUS_SLACK)
-        cand = first[cand]
-        d2 = _sum_squares(np.take(src_cols, tied[rows], axis=1) - np.take(dst_cols, cand, axis=1))
-        nearest[tied] = _rank_pairs(rows, cand, d2, counts, 1)[:, 0]
-    return _sum_squares(src_cols - np.take(dst_cols, nearest, axis=1)), nearest
+    d2, idx = _nearest(src, dst, 1)
+    return d2[:, 0], idx[:, 0]
 
 
 # Rows per Gram block of knn_features: its memory is a few blocks of M floats.
@@ -403,7 +400,7 @@ def knn_features(features, k):
             pairs = slice(at, at + _PAIR_BATCH)
             diff = x[rows[pairs] + start] - x[cand[pairs]]
             d2[pairs] = (diff * diff).sum(axis=-1)
-        out[block] = _rank_pairs(rows, cand, d2, np.bincount(rows, minlength=local.size), k)
+        out[block] = _rank_pairs(rows, cand, d2, k)[1]
     return IndexMatrix(out)
 
 
@@ -580,7 +577,7 @@ def squared_distances_to_mesh(points, mesh):
     reach = np.sqrt(best) * _RADIUS_SLACK + 1e-9 * scale
     for start in range(0, pts.shape[0], _QUERY_ROWS):
         block = slice(start, start + _QUERY_ROWS)
-        rows, cand, _ = _ball_pairs(face_tree, pts[block], reach[block] + radius)
+        rows, cand = _ball_pairs(face_tree, pts[block], reach[block] + radius)
         rows += start
         p, box = np.take(cols, rows, axis=1), np.take(boxes, cand, axis=1)
         keep = _sum_squares(np.maximum(np.maximum(box[:3] - p, p - box[3:]), 0.0)) <= reach[rows] ** 2

@@ -40,7 +40,8 @@ class ExpansionSpec:
     """Configuration of one feature-expansion unit.
 
     regression_mode defaults to edgeconv_before for proedgeshuffle (its final
-    local fusion pass) and to direct regression for every other kind.
+    local fusion pass) and to direct regression for every other kind. Only
+    proedgeshuffle reads index_mode; every other kind must keep "expand".
     """
 
     kind: str
@@ -69,6 +70,10 @@ class ExpansionSpec:
             self.k = int(self.k)
         if self.index_mode not in INDEX_MODES:
             raise ConfigError(f"unknown index mode {self.index_mode!r}; choose from {INDEX_MODES}")
+        if self.index_mode != "expand" and self.kind != "proedgeshuffle":
+            raise ConfigError(
+                f"index mode {self.index_mode!r} is read only by proedgeshuffle, not by {self.kind!r}"
+            )
         if self.regression_mode is None:
             self.regression_mode = "edgeconv_before" if self.kind == "proedgeshuffle" else "direct"
         if self.regression_mode not in REGRESSION_MODES:

@@ -65,6 +65,15 @@ class TestTrainCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.puxp.loss.csv").read_bytes() == (tmp_path / "b.puxp.loss.csv").read_bytes()
 
+    def test_feature_knn_on_branch_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        out = tmp_path / "m.puxp"
+        assert run(["train", "--unit", "branch", "--index-mode", "feature_knn", "--out", out]) == 2
+        assert "index mode 'feature_knn' is read only by proedgeshuffle" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--frobnicate"])
@@ -229,6 +238,15 @@ class TestCompareCommand:
         assert "not a power of 2" in capsys.readouterr().err
         assert trained == []
         assert not out.exists()
+
+    def test_repeated_seed_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE.replace("train.seeds=1\n", "train.seeds=1,2,1\n"))
+        assert run(["compare", "--config", cfg]) == 2
+        assert "train.seeds lists seed 1 more than once" in capsys.readouterr().err
+        assert trained == []
 
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -143,6 +143,14 @@ class TestKnnAccelerated:
             knn_accelerated(np.random.default_rng(2).normal(size=(20, 4)), 3)
 
 
+def copy_heavy_cloud(variant, copies):
+    """Rows that are all copies: one point, or eight points each repeated `copies` times."""
+    rng = np.random.default_rng(11)
+    if variant == "identical":
+        return np.repeat(rng.normal(size=(1, 3)), copies, axis=0)
+    return rng.normal(size=(8, 3))[rng.permutation(np.arange(8 * copies) % 8)]
+
+
 class TestKnnAcceleratedTies:
     """Inputs whose k-th and (k+1)-th distances tie, so rows take the ball query."""
 
@@ -186,6 +194,37 @@ class TestKnnAcceleratedTies:
         assert any(not p.any() for p in queried)  # the origin's row took the ball query
         assert idx.entries[7].tolist() == [1, 2, 3]
         self.assert_matches_bruteforce(pts, (1, 2, 3, 5, 6, 7))
+
+    @pytest.mark.parametrize("variant, copies", [("identical", 4096), ("eight-points", 512)])
+    def test_copy_groups_in_memory_that_follows_the_distinct_rows(self, variant, copies):
+        pts = copy_heavy_cloud(variant, copies)
+        tracemalloc.start()
+        try:
+            idx = knn_accelerated(pts, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ranking every tied pair held 73 MB for 1,024 identical rows and 148 MB for 8 x 512
+        assert peak < 12 * 2**20, peak
+        first = np.argsort(pts[:, 0], kind="stable")  # each group's copies, in index order
+        group_of = np.unique(pts, axis=0, return_inverse=True)[1].reshape(-1)
+        for row in (0, len(pts) // 2, len(pts) - 1):
+            same = first[group_of[first] == group_of[row]]
+            assert idx.entries[row].tolist() == [j for j in same if j != row][:16]
+
+    @pytest.mark.parametrize("variant, copies", [("identical", 512), ("eight-points", 64)])
+    def test_copy_groups_match_bruteforce(self, variant, copies):
+        # k inside and beyond a group of 64 copies
+        self.assert_matches_bruteforce(copy_heavy_cloud(variant, copies), (1, 16, 63, 80))
+
+    def test_copy_groups_at_one_distance_merge_by_index(self):
+        a, b = [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]  # both at distance 1 from the origin
+        pts = np.array([a, b, b, a, [0.0, 0.0, 0.0], a, b, a, a, b, b, a, [5.0, 5.0, 5.0]])
+        ring = [j for j in range(len(pts)) if j not in (4, 12)]  # the copies of a and b, by index
+        ks = (2, 3, 5, 8, 11)  # within one group of 6 copies, and across both
+        for k in ks:
+            assert knn_accelerated(pts, k).entries[4].tolist() == ring[:k]
+        self.assert_matches_bruteforce(pts, ks)
 
 
 class TestKnnHugeCoordinates:

@@ -279,7 +279,7 @@ class TestCheckpointRoundTrip:
 class TestSpecCodec:
     def non_default_config(self):
         unit = ExpansionSpec(
-            kind="nodeshuffle",
+            kind="proedgeshuffle",
             ratio=2,
             channels=8,
             k=5,
@@ -352,12 +352,12 @@ class TestSpecCodec:
                 6,
             ),
             (
-                "unit.kind=nodeshuffle unit.ratio=2 unit.channels=8 unit.k=6 "
+                "unit.kind=proedgeshuffle unit.ratio=2 unit.channels=8 unit.k=6 "
                 "unit.index_mode=feature_knn unit.regression_mode=edgeconv_after "
                 "backbone.kind=edgeconv_stack backbone.depth=1 "
                 "backbone.width=8 model.k=6",
                 ExpansionSpec(
-                    "nodeshuffle", 2, 8, k=6, index_mode="feature_knn", regression_mode="edgeconv_after"
+                    "proedgeshuffle", 2, 8, k=6, index_mode="feature_knn", regression_mode="edgeconv_after"
                 ),
                 BackboneSpec("edgeconv_stack", 1, 8),
                 6,
@@ -407,6 +407,11 @@ class TestOldCheckpoints:
         ckpt, _ = self.checkpoint()
         ckpt.params.append(("unit.conv.h.w1", np.zeros((8, 16), dtype="<f4")))
         with pytest.raises(FormatError, match=r"extra \['unit.conv.h.w1'\]"):
+            model_from_checkpoint(ckpt)
+
+    def test_feature_knn_on_a_unit_that_never_reads_it_is_a_format_error(self):
+        ckpt, _ = self.checkpoint(**{"unit.index_mode": "feature_knn"})  # a nodeshuffle header
+        with pytest.raises(FormatError, match="index mode 'feature_knn' is read only by proedgeshuffle"):
             model_from_checkpoint(ckpt)
 
 

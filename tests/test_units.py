@@ -54,6 +54,11 @@ class TestExpansionSpec:
         with pytest.raises(ConfigError, match="neighbor count"):
             ExpansionSpec(kind="nodeshuffle", ratio=2, channels=4)
 
+    @pytest.mark.parametrize("kind", [k for k in UNIT_KINDS if k != "proedgeshuffle"])
+    def test_feature_knn_only_for_proedgeshuffle(self, kind):
+        with pytest.raises(ConfigError, match=f"read only by proedgeshuffle, not by '{kind}'"):
+            ExpansionSpec(kind=kind, ratio=2, channels=4, k=4, index_mode="feature_knn")
+
     def test_regression_mode_defaults(self):
         assert ExpansionSpec(kind="branch", ratio=2, channels=4).regression_mode == "direct"
         pro = ExpansionSpec(kind="proedgeshuffle", ratio=2, channels=4, k=4)
