@@ -285,8 +285,10 @@ def _duplicate_oracle_agreement(rng, clouds=20):
 
 def _nearest_oracle_agreement(rng):
     """nearest_neighbors (cross-set, k = 1) must give the dense src x dst
-    matrix's `min` and `argmin`, bit for bit, in both directions."""
-    variants = ("random", "duplicated-target", "grid-0.5") * 10
+    matrix's `min` and `argmin`, bit for bit, in both directions. The sets
+    scaled by 2^s must give the same argmins and the mins times 2^2s, also at
+    2^+-600, where the squares of the scaled coordinates over- or underflow."""
+    variants = ("random", "duplicated-target", "grid-0.5") * 10 + ("2^600", "2^-600", "2^300", "2^-300") * 2
     mismatches, first_bad = 0, None
     for variant in variants:
         src = rng.normal(size=(int(rng.integers(1, 300)), 3))
@@ -295,14 +297,18 @@ def _nearest_oracle_agreement(rng):
             dst = dst[rng.integers(0, max(1, dst.shape[0] // 8), size=dst.shape[0])]  # few rows, many copies
         elif variant == "grid-0.5":
             src, dst = np.round(src * 2.0) / 2.0, np.round(dst * 2.0) / 2.0  # exact distance ties
+        shift = int(variant[2:]) if variant.startswith("2^") else 0
         diff = src[:, None, :] - dst[None, :, :]
         dense = (diff * diff).sum(axis=-1)
-        d2, idx = nearest_neighbors(src, dst)
-        back_d2, back_idx = nearest_neighbors(dst, src)
+        src, dst = np.ldexp(src, shift), np.ldexp(dst, shift)
+        with np.errstate(over="ignore"):  # squared distances of 2^1200
+            d2, idx = nearest_neighbors(src, dst)
+            back_d2, back_idx = nearest_neighbors(dst, src)
+            fwd, bwd = np.ldexp(dense.min(axis=1), 2 * shift), np.ldexp(dense.min(axis=0), 2 * shift)
         if not (
-            np.array_equal(d2, dense.min(axis=1))
+            np.array_equal(d2, fwd)
             and np.array_equal(idx, dense.argmin(axis=1))
-            and np.array_equal(back_d2, dense.min(axis=0))
+            and np.array_equal(back_d2, bwd)
             and np.array_equal(back_idx, dense.argmin(axis=0))
         ):
             mismatches += 1

@@ -75,33 +75,38 @@ def write_xyz(path, cloud):
 
 
 def read_off(path):
-    """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped."""
+    """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped.
+
+    A non-finite vertex coordinate is rejected, naming its line.
+    """
     with open(path, "r", encoding="utf-8") as f:
         raw = f.read()
-    tokens = []
-    for line in raw.splitlines():
+    tokens = []  # (line number, token)
+    for lineno, line in enumerate(raw.splitlines(), 1):
         text = line.split("#", 1)[0].strip()
-        if text:
-            tokens.extend(text.split())
+        tokens.extend((lineno, tok) for tok in text.split())
     if not tokens:
         raise FormatError(f"{path}: empty file")
-    head = tokens.pop(0)
+    lineno, head = tokens.pop(0)
     if head != "OFF":
         if head.startswith("OFF") and head[3:].lstrip("-").isdigit():
-            tokens.insert(0, head[3:])  # header glued to the vertex count
+            tokens.insert(0, (lineno, head[3:]))  # header glued to the vertex count
         else:
             raise FormatError(f"{path}: missing OFF header, found {head!r}")
     it = iter(tokens)
 
     def take(what, cast):
         try:
-            tok = next(it)
+            lineno, tok = next(it)
         except StopIteration:
             raise FormatError(f"{path}: truncated file while reading {what}") from None
         try:
-            return cast(tok)
+            value = cast(tok)
         except ValueError:
             raise FormatError(f"{path}: bad {what}: {tok!r}") from None
+        if cast is float and not np.isfinite(value):
+            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+        return value
 
     n_verts = take("vertex count", int)
     n_faces = take("face count", int)

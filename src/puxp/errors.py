@@ -10,7 +10,12 @@ class IndexRangeError(IndexError):
 
 
 class GradientError(ArithmeticError):
-    """A non-finite gradient, network output or KNN input."""
+    """A non-finite gradient, network output, or input to a distance kernel.
+
+    Every KNN, nearest-neighbour and point-to-mesh search raises it for a
+    non-finite row, naming the row; `puxp` exits 3 on it, and training
+    reports it as a DivergenceError at the step.
+    """
 
 
 class DivergenceError(ArithmeticError):

@@ -28,9 +28,10 @@ in the candidate pass can never change a result:
   Memory is O(block x M) however many rows tie, against O(M^2 C) for the
   dense kernel.
 
-The three KNN kernels reject non-finite rows, naming the row. They scale a
-matrix whose largest |x| lies outside [1e-50, 1e50) by a power of two
-first, so that no square overflows or underflows at the scale of the data.
+Every distance kernel and the degeneracy rule of triangles share one scale
+and finiteness rule, _in_range: a non-finite row raises GradientError naming
+it, and inputs whose largest |x| lies outside [1e-50, 1e50) are scaled
+together by a power of two, so no square or product overflows or underflows.
 """
 
 from __future__ import annotations
@@ -45,17 +46,13 @@ from .errors import DegenerateTriangleError, GradientError, IndexRangeError, Sha
 # Relative inflation of a kd-tree distance bound: far above the tree's own
 # rounding error, so a ball query with it misses no candidate.
 _RADIUS_SLACK = 1.0 + 1e-9
-# Below this size no squared distance in the kd-tree and no product in the
-# point-triangle arithmetic (fourth powers of coordinate differences) can
-# overflow. Larger or non-finite coordinates take a plain loop instead.
-_TREE_LIMIT = 1e50
+# Within [1 / _SCALE_LIMIT, _SCALE_LIMIT) no squared distance and no product
+# of the point-triangle arithmetic (fourth powers of coordinate differences)
+# can overflow or underflow at the scale of the data.
+_SCALE_LIMIT = 1e50
 # Candidate pairs per distance batch of knn_features and
 # squared_distances_to_mesh: it bounds their temporary arrays.
 _PAIR_BATCH = 1 << 15
-
-
-def _tree_safe(*arrays):
-    return all(bool(np.all(np.abs(x) < _TREE_LIMIT)) for x in arrays)
 
 
 class PointCloud:
@@ -111,14 +108,11 @@ class TriangleMesh:
 
     @staticmethod
     def filtered(vertices, faces):
-        """Build a mesh dropping zero-area faces; returns (mesh, dropped_count)."""
+        """Build a mesh without the faces the distance kernels reject; returns (mesh, dropped)."""
         verts = np.asarray(vertices, dtype=np.float64)
         tris = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        a = verts[tris[:, 0]]
-        cross = np.cross(verts[tris[:, 1]] - a, verts[tris[:, 2]] - a)
-        area2 = (cross * cross).sum(axis=1)
-        scale = float(np.max(np.abs(verts))) if verts.size else 1.0
-        keep = area2 > (1e-12 * max(scale, 1.0) ** 2) ** 2
+        (scaled,), _ = _in_range([verts], ["mesh vertices"])
+        keep = ~_degenerate_faces(scaled[tris])
         return TriangleMesh(verts, tris[keep]), int((~keep).sum())
 
     def __repr__(self):
@@ -213,16 +207,31 @@ def _sum_squares(columns):
     return x
 
 
-def _knn_input(data, k):
-    """(M, C) float64 rows and k for a KNN search, checked and scaled.
+def _in_range(arrays, names):
+    """The (N, C) arrays, checked and scaled by one shared power of two: (arrays, e).
 
-    A matrix whose largest |x| is 1e50 or more, or below 1e-50 but not 0, is
-    multiplied by the power of two that brings that value into [0.5, 1).
-    Scaling up is exact, and scaling down is exact unless a value falls
-    below the smallest normal float. No square or product of the search can
-    then overflow, and only values ~1e150 times smaller than the largest can
-    underflow. Any other matrix comes back unchanged.
+    Where the largest |x| of them all is not 0 and lies outside [1e-50, 1e50),
+    each comes back times the 2^-e that brings that value into [0.5, 1), and a
+    squared distance d2 between them is np.ldexp(d2, 2 e) at the input scale.
+    Scaling is exact unless a value falls below the smallest normal float,
+    and only values ~1e150 times below the largest then have squares that
+    underflow.
+    NaN and inf fail the range test too; only then are the rows looked at, and
+    the first non-finite one raises GradientError naming it and its array.
     """
+    top = np.max([np.abs(a).max(initial=0.0) for a in arrays])
+    if 1.0 / _SCALE_LIMIT <= top < _SCALE_LIMIT or top == 0.0:
+        return arrays, 0
+    for a, name in zip(arrays, names):
+        finite = np.isfinite(a).all(axis=1)
+        if not finite.all():
+            raise GradientError(f"row {int(np.argmin(finite))} of the {name} is not finite")
+    e = int(np.frexp(top)[1])
+    return [np.ldexp(a, -e) for a in arrays], e
+
+
+def _knn_input(data, k):
+    """(M, C) float64 rows and k for a KNN search, checked and scaled by _in_range."""
     x = _as_coords(data)
     if x.ndim != 2:
         raise ShapeError(f"features must have shape (M, C), got {x.shape}")
@@ -230,12 +239,7 @@ def _knn_input(data, k):
     k = int(k)
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise GradientError(f"row {int(np.argmin(finite))} of the KNN input is not finite")
-    top = float(np.abs(x).max())
-    if not 1.0 / _TREE_LIMIT <= top < _TREE_LIMIT and top > 0.0:
-        x = np.ldexp(x, -np.frexp(top)[1])
+    (x,), _ = _in_range([x], ["KNN input"])
     return x, k
 
 
@@ -334,15 +338,9 @@ def nearest_neighbors(src, dst):
     dst = np.asarray(dst, dtype=np.float64)
     if dst.shape[0] == 0:
         raise ValueError("cannot search an empty point set")
-    if not _tree_safe(src, dst):
-        d2, idx = np.empty(src.shape[0]), np.empty(src.shape[0], dtype=np.int64)
-        for i, p in enumerate(src):  # the dense matrix, one row at a time
-            diff = p - dst
-            row = (diff * diff).sum(axis=1)
-            d2[i], idx[i] = row.min(), row.argmin()
-        return d2, idx
+    (src, dst), e = _in_range([src, dst], ["query points", "searched points"])
     d2, idx = _nearest(src, dst, 1)
-    return d2[:, 0], idx[:, 0]
+    return np.ldexp(d2[:, 0], 2 * e), idx[:, 0]
 
 
 # Rows per Gram block of knn_features: its memory is a few blocks of M floats.
@@ -498,39 +496,38 @@ def _squared_distances(p, face):
     return _sum_squares(p - closest)
 
 
-def _check_triangle(tri):
-    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    ab = tri[1] - tri[0]
-    ac = tri[2] - tri[0]
-    cross = np.cross(ab, ac)
-    cross2 = float(cross @ cross)
-    span = float(ab @ ab) * float(ac @ ac)
-    if cross2 <= 1e-28 * span or span == 0.0:
-        raise DegenerateTriangleError(f"triangle has (near-)zero area: {tri.tolist()}")
-    return tri
+def _degenerate_faces(tris):
+    """The one degeneracy rule: a mask of the (near-)zero-area faces of tris[F, 3, 3].
 
-
-def _check_triangles(tris):
-    """_check_triangle on each of tris[F, 3, 3], raising on the first bad face.
-
-    A vectorised screen with a 10x margin (and any span that may have
-    underflowed) picks the faces that could fail; _check_triangle then
-    decides each of them, so the decision and message are its own.
+    A face is degenerate where |ab x ac|^2 <= 1e-28 |ab|^2 |ac|^2, or the span
+    is 0, with the dot products taken one face at a time. A vectorised screen
+    with a 10x margin (and any span that may have underflowed) picks the
+    faces that could be.
     """
     ab = tris[:, 1] - tris[:, 0]
     ac = tris[:, 2] - tris[:, 0]
     cross = np.cross(ab, ac)
     cross2 = (cross * cross).sum(axis=1)
     span = (ab * ab).sum(axis=1) * (ac * ac).sum(axis=1)
-    for f in np.flatnonzero((cross2 <= 1e-27 * span) | (span <= 1e-250)):
-        _check_triangle(tris[f])
+    bad = (cross2 <= 1e-27 * span) | (span <= 1e-250)
+    for f in np.flatnonzero(bad):
+        span_f = float(ab[f] @ ab[f]) * float(ac[f] @ ac[f])
+        bad[f] = float(cross[f] @ cross[f]) <= 1e-28 * span_f or span_f == 0.0
+    return bad
+
+
+def _zero_area(tri):
+    return DegenerateTriangleError(f"triangle has (near-)zero area: {tri.tolist()}")
 
 
 def squared_distances_to_triangle(points, tri):
     """Squared distance from each of points[P, 3] to the closed triangle."""
-    tri = _check_triangle(tri)
+    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return _squared_distances(_columns(pts), _face_columns(tri[None]))
+    (pts, face), e = _in_range([pts, tri], ["query points", "triangle"])
+    if _degenerate_faces(face[None])[0]:
+        raise _zero_area(tri)
+    return np.ldexp(_squared_distances(_columns(pts), _face_columns(face[None])), 2 * e)
 
 
 def point_triangle_distance(p, tri):
@@ -557,13 +554,11 @@ def squared_distances_to_mesh(points, mesh):
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    tris = mesh.vertices[mesh.faces]
-    _check_triangles(tris)
-    if not _tree_safe(pts, tris):
-        best = np.full(pts.shape[0], np.inf)
-        for tri in tris:
-            np.minimum(best, squared_distances_to_triangle(pts, tri), out=best)
-        return best
+    (pts, verts), e = _in_range([pts, mesh.vertices], ["query points", "mesh vertices"])
+    tris = verts[mesh.faces]
+    bad = np.flatnonzero(_degenerate_faces(tris))
+    if bad.size:
+        raise _zero_area(mesh.triangle(bad[0]))
     faces = _face_columns(tris)
     cols = _columns(pts)
     centroids = tris.mean(axis=1)
@@ -586,4 +581,4 @@ def squared_distances_to_mesh(points, mesh):
             pairs = slice(at, at + _PAIR_BATCH)
             face = np.take(faces, cand[pairs], axis=1)
             np.minimum.at(best, rows[pairs], _squared_distances(p[:, pairs], face))
-    return best
+    return np.ldexp(best, 2 * e)

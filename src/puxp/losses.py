@@ -6,7 +6,9 @@ kd-tree search: nearest distances and assignments equal those of the dense
 P x Q squared-distance matrix, ties going to the smaller index, so losses
 and gradients do not depend on how the neighbors were found. The backward
 rule is the analytic gradient of the squared-distance formulation, with the
-nearest neighbor assignments treated as locally constant.
+nearest neighbor assignments treated as locally constant. Non-finite
+predictions raise GradientError from the search, naming the row, rather
+than giving a NaN loss.
 """
 
 from __future__ import annotations

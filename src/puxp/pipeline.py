@@ -294,11 +294,13 @@ def train(config, dataset=None):
             for _ in range(config.batch_size):
                 patch, idx = prepared[cursor % len(prepared)]
                 cursor += 1
+                stage = "features"  # non-finite features meet a feature-space KNN
                 try:
                     pred = model.forward_tensor(patch.cloud, idx)
-                except GradientError as exc:  # non-finite features met a feature-space KNN
-                    raise DivergenceError(step, f"non-finite features at step {step}: {exc}") from exc
-                loss = chamfer_loss(pred, patch.gt)
+                    stage = "predictions"  # non-finite predictions meet the loss's search
+                    loss = chamfer_loss(pred, patch.gt)
+                except GradientError as exc:
+                    raise DivergenceError(step, f"non-finite {stage} at step {step}: {exc}") from exc
                 total = loss if total is None else ad.add(total, loss)
             if config.batch_size > 1:
                 total = ad.scale(total, 1.0 / config.batch_size)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestTrainCommand:
         assert exc.value.code == 2
 
     def test_divergence_exits_3(self, tmp_path):
-        # the first update overflows the weights, so step 1 sees an inf loss
+        # the first update overflows the weights, so step 1 predicts non-finite points
         with np.errstate(all="ignore"):
             code = run(TRAIN_FLAGS + ["--lr", "1e200", "--out", tmp_path / "x.puxp"])
         assert code == 3
@@ -151,6 +153,32 @@ class TestEvalCommand:
         assert len(rows) == 1
         assert float(rows[0]["cd"]) > 0
         assert rows[0]["p2f"] != ""
+
+    @pytest.mark.parametrize("shift", [-18, 300])
+    def test_scaled_sphere_mesh_gives_the_scaled_unit_metrics(self, tmp_path, shift):
+        # every face of the sphere is kept at 2^-18, and no product overflows at 2^300
+        shape = SyntheticShape("sphere")
+        mesh = surface_mesh(shape)
+        rng = np.random.default_rng(3)
+        pred_pts = surface_sample(shape, 48, rng) + rng.normal(scale=0.02, size=(48, 3))
+        gt_pts = surface_sample(shape, 96, rng)
+        faces = "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist())
+
+        def coords(rows, s):
+            return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in np.ldexp(rows, s).tolist())
+
+        rows = {}
+        for s in (0, shift):
+            pred, gt, off, csv = (tmp_path / f"{name}{s}" for name in ("p.xyz", "g.xyz", "m.off", "r.csv"))
+            pred.write_text(coords(pred_pts, s))
+            gt.write_text(coords(gt_pts, s))
+            off.write_text(f"OFF\n{len(mesh.vertices)} {mesh.face_count} 0\n{coords(mesh.vertices, s)}{faces}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # no face dropped
+                assert run(["eval", "--pred", pred, "--gt", gt, "--mesh", off, "--csv", csv]) == 0
+            rows[s] = read_csv_rows(csv)[0]
+        for key, power in (("cd", 2), ("hd", 1), ("p2f", 1)):  # the CSV keeps 17 digits: exact
+            assert float(rows[shift][key]) == np.ldexp(float(rows[0][key]), power * shift)
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -141,6 +141,14 @@ class TestOff:
             mesh = read_off(p)
         assert mesh.face_count == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex_names_its_line(self, tmp_path, bad):
+        # the bad vertex is used by no face, but would poison any scale taken over the vertices
+        p = tmp_path / "m.off"
+        p.write_text(f"OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n# comment\n{bad} 0 1\n3 0 1 2\n3 0 2 1\n")
+        with pytest.raises(FormatError, match=r"m\.off:7: non-finite coordinate"):
+            read_off(p)
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "m.off"
         p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")

@@ -57,6 +57,17 @@ class TestContainers:
         assert mesh.face_count == 1
         assert dropped == 1
 
+    @pytest.mark.parametrize("shift", [-600, -18, 0, 300, 600])
+    def test_mesh_filter_drops_what_the_mesh_search_rejects_at_any_scale(self, shift):
+        # a sliver below the area threshold, one above it, a proper face and a collinear one
+        verts = np.ldexp(
+            np.array([[0, 0, 0], [1, 0, 0], [0.5, 4e-15, 0], [0.5, 1e-14, 0], [0, 1, 0], [2, 0, 0]]), shift
+        )
+        mesh, dropped = TriangleMesh.filtered(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5]])
+        assert dropped == 2
+        assert mesh.faces.tolist() == [[0, 1, 3], [0, 1, 4]]
+        squared_distances_to_mesh(verts[:1], mesh)  # every kept face passes the search's check
+
     def test_index_matrix_rejects_self_reference(self):
         with pytest.raises(ValueError, match="itself"):
             IndexMatrix([[1], [1]])
@@ -563,6 +574,13 @@ class TestPointTriangleDistance:
         with pytest.raises(DegenerateTriangleError):
             point_triangle_distance([0, 0, 1], [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
 
+    @pytest.mark.parametrize("shift", [300, -300])
+    def test_power_of_two_scaled_triangle_gives_the_scaled_unit_result(self, shift):
+        pts = np.random.default_rng(3).normal(size=(40, 3))
+        unit = squared_distances_to_triangle(pts, self.TRI)
+        got = squared_distances_to_triangle(np.ldexp(pts, shift), np.ldexp(self.TRI, shift))
+        assert np.array_equal(got, np.ldexp(unit, 2 * shift))
+
     def test_matches_dense_barycentric_sampling(self):
         rng = np.random.default_rng(21)
         grid = np.linspace(0.0, 1.0, 120)
@@ -667,10 +685,31 @@ class TestPrunedMeshDistance:
         else:
             assert np.array_equal(np.sqrt(squared_distances_to_mesh(pts, mesh)), per_face_loop(pts, mesh))
 
-    def test_non_finite_points_match_per_face_loop(self):
+    @pytest.mark.parametrize("shift", [300, -300])
+    def test_power_of_two_scaled_torus_gives_the_scaled_unit_result(self, shift):
+        # at 2^+-300 the triangle arithmetic's fourth powers over- or underflow unscaled
+        rng = np.random.default_rng(17)
+        shape = SyntheticShape("torus")
+        mesh = surface_mesh(shape)
+        pts = surface_sample(shape, 200, rng) + rng.normal(scale=0.05, size=(200, 3))
+        unit = squared_distances_to_mesh(pts, mesh)
+        scaled = TriangleMesh(np.ldexp(mesh.vertices, shift), mesh.faces)
+        assert np.array_equal(squared_distances_to_mesh(np.ldexp(pts, shift), scaled), np.ldexp(unit, 2 * shift))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_naming_the_row(self, bad):
         mesh = surface_mesh(SyntheticShape("box_surface"))
-        pts = np.array([[0.1, 0.2, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = squared_distances_to_mesh(pts, mesh)
-            assert np.array_equal(got, per_face_batches(pts, mesh), equal_nan=True)
-        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        pts = np.array([[0.1, 0.2, 2.0], [bad, 0.0, 0.0], [1e200, 0.0, 0.0]])
+        with pytest.raises(GradientError, match="row 1 of the query points is not finite"):
+            squared_distances_to_mesh(pts, mesh)
+        verts = mesh.vertices.copy()
+        verts[5, 2] = bad
+        with pytest.raises(GradientError, match="row 5 of the mesh vertices is not finite"):
+            squared_distances_to_mesh(pts[:1], TriangleMesh(verts, mesh.faces))
+
+    def test_degenerate_face_of_a_scaled_mesh_quotes_its_own_coordinates(self):
+        verts = np.ldexp(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]], dtype=np.float64), 400)
+        mesh = TriangleMesh(verts, [[0, 1, 2], [0, 1, 3]])
+        with pytest.raises(DegenerateTriangleError) as caught:
+            squared_distances_to_mesh([[0.0, 0.0, 1.0]], mesh)
+        assert str(caught.value) == f"triangle has (near-)zero area: {verts[[0, 1, 3]].tolist()}"

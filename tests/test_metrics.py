@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp import metrics
-from puxp.geometry import PointCloud, TriangleMesh, point_triangle_distance
+from puxp.errors import GradientError
+from puxp.geometry import PointCloud, TriangleMesh, nearest_neighbors, point_triangle_distance
 from puxp.metrics import MetricReport, chamfer, chamfer_parts, hausdorff, point_to_face, report
 from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
 
@@ -114,24 +115,44 @@ class TestKdTreeMatchesDenseOracle:
         assert np.array_equal(got[1], nearest_gt)
         assert np.array_equal(got[2], nearest_pred)
 
+    @pytest.mark.parametrize("shift", [600, -600, 300, -300])
+    @pytest.mark.parametrize("variant", ["random", "rounded", "duplicates", "grid"])
+    def test_power_of_two_scaled_pairs_keep_the_unit_scale_assignments(self, variant, shift):
+        # at 2^+-600 every unscaled square overflows to inf or underflows to 0
+        for seed in range(10):
+            a, b = self.clouds(variant, seed)
+            big_a, big_b = np.ldexp(a, shift), np.ldexp(b, shift)
+            with np.errstate(over="ignore"):
+                for p, q, big_p, big_q in ((a, b, big_a, big_b), (b, a, big_b, big_a)):
+                    d2, idx = nearest_neighbors(p, q)
+                    got_d2, got_idx = nearest_neighbors(big_p, big_q)
+                    assert np.array_equal(got_idx, idx)
+                    assert np.array_equal(got_d2, np.ldexp(d2, 2 * shift))
+                got, unit = chamfer_parts(big_a, big_b), chamfer_parts(a, b)
+            assert np.array_equal(got[1], unit[1])
+            assert np.array_equal(got[2], unit[2])
+
+    def test_overflowing_distances_keep_the_true_nearest(self):
+        a = np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        b = np.array([[-1e200, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+        with np.errstate(over="ignore"):
+            value, nearest_gt, nearest_pred = chamfer_parts(a, b)
+        assert value == np.inf
+        assert nearest_gt.tolist() == [1, 1]  # 1e400 < 4e400, though both overflow
+        assert nearest_pred.tolist() == [1, 1]
+
     @pytest.mark.parametrize(
-        "a, b",
+        "a, b, message",
         [
-            ([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]], [[-1e200, 0.0, 0.0], [0.0, 1e-3, 0.0]]),
-            ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], [[0.0, 1.0, 0.0]]),
-            ([[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], [[0.0, 1.0, 0.0]], "row 1 of the query points"),
+            ([[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]], "row 0 of the searched points"),
         ],
-        ids=["overflow", "nan", "inf"],
+        ids=["nan", "inf"],
     )
-    def test_inputs_beyond_the_kd_tree_match_dense(self, a, b):
-        a, b = np.array(a), np.array(b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p, q in ((a, b), (b, a)):
-                value, nearest_gt, nearest_pred, hd = dense_parts(p, q)
-                got = chamfer_parts(p, q)
-                assert np.array_equal([got[0], hausdorff(p, q)], [value, hd], equal_nan=True)
-                assert np.array_equal(got[1], nearest_gt)
-                assert np.array_equal(got[2], nearest_pred)
+    def test_non_finite_input_raises_naming_the_row(self, a, b, message):
+        for metric in (chamfer_parts, hausdorff):
+            with pytest.raises(GradientError, match=message):
+                metric(np.array(a), np.array(b))
 
 
 class TestHausdorff:

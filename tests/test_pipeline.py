@@ -189,12 +189,13 @@ class TestTrain:
         assert a.losses != b.losses
 
     def test_divergence_reports_step(self):
-        # first update pushes weights to ~1e200, so step 1 sees an inf loss
+        # first update pushes weights to ~1e200, so step 1 predicts non-finite points
         cfg = small_config(steps=10, lr=1e200)
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(DivergenceError, match="non-finite predictions at step 1") as exc:
             with np.errstate(all="ignore"):
                 train(cfg, make_dataset(cfg))
         assert exc.value.step == 1
+        assert isinstance(exc.value.__cause__, GradientError)
 
     def test_feature_knn_divergence_reports_step(self):
         # the same overflow reaches knn_features as NaN features before any loss exists
