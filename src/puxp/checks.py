@@ -351,33 +351,47 @@ def _feature_oracle_agreement(rng, k_choices):
     )
 
 
-def run_index_expansion_checks(graphs=100, seed=5):
-    """Structural laws of the doubling rule on seeded random graphs."""
+def _random_graphs(seed, graphs):
+    """Brute-force KNN graphs of seeded random clouds of 6-63 points."""
     rng = np.random.default_rng(seed)
-    results = []
-    bad = []
-    for trial in range(graphs):
+    for _ in range(graphs):
         n = int(rng.integers(6, 64))
         k = int(rng.integers(1, min(n - 1, 12) + 1))
-        cloud = PointCloud(rng.normal(size=(n, 3)))
-        idx = knn_bruteforce(cloud, k)
-        big = expand_index(idx)
-        ok = (
-            big.rows == 2 * idx.rows
-            and big.k == idx.k
-            and np.all(big.entries % 2 == 0)
-            and big.entries.max() < 2 * n
-            and np.array_equal(big.entries[0::2], idx.entries * 2)
-            and np.array_equal(big.entries[1::2], idx.entries * 2)
-        )
-        if not ok:
-            bad.append(trial)
-    results.append(
-        CheckResult(
-            "index-expansion/laws",
-            not bad,
-            f"{len(bad)} failing graphs out of {graphs}",
-            payload=None if not bad else {"trials": bad},
-        )
+        yield knn_bruteforce(PointCloud(rng.normal(size=(n, 3))), k)
+
+
+def _expansion_laws(idx, r):
+    """Row r*i + s of the expanded table lists r * parent[i], from the shared parent."""
+    big = expand_index(idx, r)
+    return (
+        big.rows == r * idx.rows
+        and big.k == idx.k
+        and big.parent is idx.parent
+        and np.all(big.entries % r == 0)
+        and big.entries.max() < r * idx.rows
+        and all(np.array_equal(big.entries[s::r], idx.entries * r) for s in range(r))
     )
+
+
+def _any_ratio_laws(idx):
+    composed, direct = expand_index(expand_index(idx, 3), 2), expand_index(idx, 6)
+    return (
+        _expansion_laws(idx, 3)
+        and _expansion_laws(idx, 5)
+        and composed.ratio == direct.ratio == 6
+        and np.array_equal(composed.entries, direct.entries)
+    )
+
+
+def run_index_expansion_checks(graphs=100, seed=5):
+    """Structural laws of index expansion on seeded random graphs: the doubling
+    rule, then factors 3 and 5 and their composition (3 then 2 is 6)."""
+    results = []
+    for name, laws, draw in (
+        ("index-expansion/laws", lambda idx: _expansion_laws(idx, 2), seed),
+        ("index-expansion/any-ratio-laws", _any_ratio_laws, seed + 1),
+    ):
+        bad = [trial for trial, idx in enumerate(_random_graphs(draw, graphs)) if not laws(idx)]
+        payload = {"trials": bad} if bad else None
+        results.append(CheckResult(name, not bad, f"{len(bad)} failing graphs out of {graphs}", payload))
     return results

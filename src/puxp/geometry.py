@@ -127,7 +127,7 @@ class IndexMatrix:
 
     The table is kept as a validated parent table [N, K] and a ratio r, with
     M = r N. Row r*i + s (s < r) lists r * parent[i]: every KNN result has
-    r = 1, and expand_index doubles r without touching the parent. `entries`
+    r = 1, and expand_index multiplies r, never the parent. `entries`
     gives the M x K table; at r > 1 it is built only when asked for.
     """
 
@@ -402,24 +402,26 @@ def knn_features(features, k):
     return IndexMatrix(out)
 
 
-def expand_index(idx):
-    """Neighbor table for a point set doubled by a x2 feature expansion.
+def expand_index(idx, factor=2):
+    """Neighbor table for a point set grown by a x`factor` feature expansion.
 
-    Row i of the input describes point i; after expansion its two children
-    sit at rows 2i and 2i+1, and the child representing old neighbor j sits
-    at row 2j. Both children therefore copy row i with every entry doubled,
-    which keeps the original graph locality without recomputing KNN.
+    Row i of the input describes point i; after expansion its r children
+    sit at rows r*i .. r*i + r - 1, and the child representing old neighbor
+    j sits at row r*j. Every child therefore copies row i with every entry
+    multiplied by r, which keeps the original graph locality without
+    recomputing KNN. Expanding by a then by b equals expanding by a*b.
 
-    The result shares the parent table and doubles the ratio: O(1) work, no
-    copy and no re-validation. It is valid by construction. Row r*i + s
-    lists r * parent[i]; those entries are in range (below r N), distinct
-    (j -> r j is injective) and never the row itself (r j = r i + s needs
-    j = i, and the parent never lists i).
+    The result shares the parent table and multiplies the ratio by
+    `factor` (any integer >= 1): O(1) work, no copy and no re-validation. It
+    is valid by construction at any ratio r. Row r*i + s (s < r) lists
+    r * parent[i]; those entries are in range (r j <= r (N - 1) < r N),
+    distinct (j -> r j is injective) and never the row itself (r j = r i + s
+    needs j = i, as s < r, and the parent never lists i).
     """
     if not isinstance(idx, IndexMatrix):
         idx = IndexMatrix(idx)
     out = object.__new__(IndexMatrix)
-    out.parent, out.ratio = idx.parent, 2 * idx.ratio
+    out.parent, out.ratio = idx.parent, int(factor) * idx.ratio
     return out
 
 

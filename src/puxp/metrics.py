@@ -11,9 +11,9 @@ search per direction, which `report` shares between CD and HD. Values and
 assignments equal a dense P x Q `min`/`argmin` bit for bit, in O(P + Q)
 memory. Point-to-face (geometry.squared_distances_to_mesh) visits only the
 faces that could hold a point's minimum, and equals a loop over every face.
-Both keep their answers at any coordinate scale: geometry scales clouds and
-meshes outside [1e-50, 1e50) by a power of two first, and a non-finite
-point raises GradientError naming its row.
+Both scale inputs outside [1e-50, 1e50) by a power of two first and reject a
+non-finite point (GradientError, naming its row). Values return at the input
+scale; `report` raises ValueError where a squared distance overflows float64.
 """
 
 from __future__ import annotations
@@ -86,12 +86,16 @@ def point_to_face(pred, mesh):
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
     pred_pts, gt_pts = _as_points(pred), _as_points(gt)
-    cd, hd, _, _ = _summaries(pred_pts, gt_pts)
+    with np.errstate(over="ignore"):  # geometry rejects non-finite points: inf is an overflow
+        cd, hd, _, _ = _summaries(pred_pts, gt_pts)
+        p2f = None if mesh is None else point_to_face(pred_pts, mesh)
+    if not np.isfinite([cd, hd, p2f or 0.0]).all():
+        raise ValueError("squared distances overflow float64 at this coordinate scale")
     return MetricReport(
         label=label,
         cd=cd,
         hd=hd,
-        p2f=None if mesh is None else point_to_face(pred_pts, mesh),
+        p2f=p2f,
         pred_count=pred_pts.shape[0],
         gt_count=gt_pts.shape[0],
     )

@@ -172,11 +172,8 @@ class UpsamplingModel:
         if base_index is None:
             base_index = self.base_graph(cloud)
         feats = self.backbone.forward(Tensor(cloud.points), base_index)
-        ctx = ExpansionContext(cloud, base_index, feats)
-        result = self.unit.expand(ctx)
-        index = None
-        if self.regression.mode != "direct":
-            index = expanded_graph(base_index, self.ratio, result.index)
+        result = self.unit.expand(ExpansionContext(cloud, base_index, feats))
+        index = expanded_graph(base_index, self.ratio, result.index)
         return self.regression.forward(result.features, index)
 
     def upsample(self, cloud):
@@ -433,7 +430,6 @@ def compare_units(configs, seeds=(1, 2, 3)):
             )
     dataset = make_dataset(ref)
     rows = []
-    backbone_counts = set()
     for cfg in configs:
         cds, hds, p2fs = [], [], []
         counts = None
@@ -444,12 +440,10 @@ def compare_units(configs, seeds=(1, 2, 3)):
             hds.append(agg.hd)
             p2fs.append(agg.p2f)
             counts = run.model.parameter_counts()
-        backbone_counts.add(counts["backbone"])
         rows.append(
             ComparisonRow(
                 unit=cfg.unit.kind,
-                # only the progressive unit consumes a high-power index
-                index_mode=cfg.unit.index_mode if cfg.unit.kind == "proedgeshuffle" else "-",
+                index_mode=cfg.unit.index_mode,
                 regression_mode=cfg.unit.regression_mode,
                 cd=float(np.mean(cds)),
                 hd=float(np.mean(hds)),
@@ -459,8 +453,6 @@ def compare_units(configs, seeds=(1, 2, 3)):
                 seeds=len(seeds),
             )
         )
-    if len(backbone_counts) > 1:
-        raise ConfigError(f"backbone parameter counts differ across configs: {backbone_counts}")
     return ComparisonTable(
         rows=rows,
         steps=ref.steps,

@@ -31,10 +31,6 @@ INDEX_MODES = ("expand", "feature_knn")
 REGRESSION_MODES = ("direct", "edgeconv_after", "edgeconv_before")
 
 
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclasses.dataclass
 class ExpansionSpec:
     """Configuration of one feature-expansion unit.
@@ -60,7 +56,7 @@ class ExpansionSpec:
             raise ConfigError(f"ratio must be a positive integer, got {self.ratio}")
         if self.channels < 1:
             raise ConfigError(f"channels must be a positive integer, got {self.channels}")
-        if self.kind in POWER_OF_TWO_KINDS and not _is_power_of_two(self.ratio):
+        if self.kind in POWER_OF_TWO_KINDS and self.ratio & (self.ratio - 1):
             raise ConfigError(f"ratio must be a power of 2 for unit {self.kind!r}, got {self.ratio}")
         if self.kind == "proedgeshuffle" and self.ratio not in (2, 4, 8, 16):
             raise ConfigError(f"proedgeshuffle supports ratios 2, 4, 8, 16, got {self.ratio}")
@@ -79,11 +75,6 @@ class ExpansionSpec:
         if self.regression_mode not in REGRESSION_MODES:
             raise ConfigError(
                 f"unknown regression mode {self.regression_mode!r}; choose from {REGRESSION_MODES}"
-            )
-        if self.regression_mode != "direct" and not _is_power_of_two(self.ratio):
-            raise ConfigError(
-                f"regression mode {self.regression_mode!r} cannot derive an expanded graph "
-                f"for ratio {self.ratio} (not a power of 2)"
             )
 
 
@@ -281,17 +272,14 @@ def expanded_graph(base_index, ratio, provided=None):
     """Neighbor table over the r*N expanded rows.
 
     Units that track their own graph hand it over; anything else gets the
-    base graph doubled log2(r) times. ExpansionSpec only lets a regression
-    mode that reads this graph go with a power-of-two ratio.
+    base graph expanded by the ratio in one O(1) expand_index call, at any
+    ratio.
     """
     if provided is not None:
         return provided
     if base_index is None:
         raise ConfigError("no base index matrix to derive the expanded graph from")
-    idx = base_index
-    for _ in range(int(ratio).bit_length() - 1):
-        idx = expand_index(idx)
-    return idx
+    return expand_index(base_index, ratio)
 
 
 class RegressionStage:
@@ -313,11 +301,9 @@ class RegressionStage:
         if self.mode == "edgeconv_after":
             self.post = EdgeConvLayer(store, "regress.post", 3, 3, rng, activate_output=False)
 
-    def forward(self, features, index=None):
+    def forward(self, features, index):
         if self.mode == "direct":
             return self.head(features)
-        if index is None:
-            raise ConfigError(f"regression mode {self.mode!r} needs a graph over the expanded rows")
         if self.mode == "edgeconv_before":
             return self.head(self.pre(features, index))
         coords = self.head(features)

@@ -150,12 +150,10 @@ class TestEdgeConv:
 
     @pytest.mark.parametrize("activate", [True, False])
     @pytest.mark.parametrize("n", [7, 600])  # 600 parent rows cross a 512-row block
-    @pytest.mark.parametrize("r", [2, 4, 8])
+    @pytest.mark.parametrize("r", [2, 3, 4, 6, 8])
     def test_ratio_table_matches_its_materialised_entries(self, r, n, activate):
         rng = np.random.default_rng(100 * r + n)
-        idx = random_graph(rng, n, 5)
-        while idx.ratio < r:
-            idx = expand_index(idx)
+        idx = expand_index(random_graph(rng, n, 5), r)
         x = rng.normal(size=(n * r, 4))
         heads = x[::r]  # the rows every child lists: duplicate some for exact ties in the max
         heads[1::3] = heads[0::3][: len(heads[1::3])]
@@ -176,17 +174,15 @@ class TestEdgeConv:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 600),
-        doublings=st.integers(0, 2),
+        r=st.sampled_from([1, 2, 3, 4]),
         k=st.integers(1, 8),
         c=st.integers(1, 8),
         d=st.integers(1, 8),
         activate=st.booleans(),
     )
-    def test_property_matches_composed_reference(self, seed, n, doublings, k, c, d, activate):
+    def test_property_matches_composed_reference(self, seed, n, r, k, c, d, activate):
         rng = np.random.default_rng(seed)
-        idx = random_graph(rng, n, min(k, n - 1))
-        for _ in range(doublings):  # ratio 1, 2 or 4
-            idx = expand_index(idx)
+        idx = expand_index(random_graph(rng, n, min(k, n - 1)), r)
         x = rng.normal(size=(idx.rows, c))
         heads = x[:: idx.ratio]  # the rows every child lists: duplicates give exact ties in the max
         heads[1::3] = heads[0::3][: len(heads[1::3])]

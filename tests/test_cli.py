@@ -180,6 +180,26 @@ class TestEvalCommand:
         for key, power in (("cd", 2), ("hd", 1), ("p2f", 1)):  # the CSV keeps 17 digits: exact
             assert float(rows[shift][key]) == np.ldexp(float(rows[0][key]), power * shift)
 
+    @pytest.mark.parametrize("with_mesh", [False, True])
+    def test_squared_distances_beyond_float64_exit_2_and_say_so(self, tmp_path, capsys, with_mesh):
+        shape = SyntheticShape("sphere")
+        mesh = surface_mesh(shape)
+        rng = np.random.default_rng(3)
+
+        def coords(rows):
+            return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in np.ldexp(rows, 600).tolist())
+
+        pred, gt, off = tmp_path / "p.xyz", tmp_path / "g.xyz", tmp_path / "m.off"
+        pred.write_text(coords(surface_sample(shape, 48, rng) + rng.normal(scale=0.02, size=(48, 3))))
+        gt.write_text(coords(surface_sample(shape, 96, rng)))
+        faces = "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist())
+        off.write_text(f"OFF\n{len(mesh.vertices)} {mesh.face_count} 0\n{coords(mesh.vertices)}{faces}")
+        argv = ["eval", "--pred", pred, "--gt", gt] + (["--mesh", off] if with_mesh else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 2
+        assert "squared distances overflow float64 at this coordinate scale" in capsys.readouterr().err
+
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.50 GiB")
@@ -252,9 +272,7 @@ class TestCompareCommand:
         assert err.startswith(f"error: {cfg}:8: key 'train.steps' is set again (first set on line 2)")
         assert not (tmp_path / "comparison.csv").exists()
 
-    def test_impossible_regression_mode_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
-        trained = []
-        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+    def test_graph_regression_mode_runs_at_ratio_3(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         out = tmp_path / "cmp.csv"
         cfg.write_text(
@@ -262,10 +280,12 @@ class TestCompareCommand:
             "data.shapes=sphere\ndata.points=32\ncompare.units=branch\n"
             f"compare.regression_modes=direct,edgeconv_before\nout={out}\n"
         )
-        assert run(["compare", "--config", cfg]) == 2
-        assert "not a power of 2" in capsys.readouterr().err
-        assert trained == []
-        assert not out.exists()
+        assert run(["compare", "--config", cfg]) == 0
+        rows = read_csv_rows(out)
+        assert [(r["unit"], r["index_mode"], r["regression_mode"]) for r in rows] == [
+            ("branch", "expand", "direct"),
+            ("branch", "expand", "edgeconv_before"),
+        ]
 
     def test_repeated_seed_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch):
         trained = []

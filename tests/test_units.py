@@ -262,12 +262,12 @@ class TestRegressionStage:
         stage.forward(result.features, probe)
         assert probe.reads == 0
 
-    def test_missing_graph_for_edgeconv_modes(self):
-        # the spec refuses the mode up front, before any model is built
-        for mode in ("edgeconv_before", "edgeconv_after"):
-            with pytest.raises(ConfigError, match="not a power of 2"):
-                ExpansionSpec(kind="branch", ratio=3, channels=4, regression_mode=mode)
-        assert ExpansionSpec(kind="branch", ratio=3, channels=4, regression_mode="direct").ratio == 3
+    @pytest.mark.parametrize("mode", ["edgeconv_before", "edgeconv_after"])
+    def test_edgeconv_modes_build_at_a_ratio_that_is_not_a_power_of_two(self, mode):
+        ctx, _ = make_context(n=6)
+        assert self.model(kind="branch", mode=mode, ratio=3).upsample(ctx.cloud).count == 18
+        graph = expanded_graph(ctx.base_index, 3)
+        assert np.array_equal(graph.entries, np.repeat(3 * ctx.base_index.entries, 3, axis=0))
 
     def test_edgeconv_before_identical_features_collapse(self):
         ctx, spec, unit, stage = self.make(mode="edgeconv_before")
@@ -279,7 +279,9 @@ class TestRegressionStage:
     def test_derived_graph_matches_repeated_expansion(self):
         ctx, _ = make_context(n=5, c=4, k=2)
         twice = expand_index(expand_index(ctx.base_index))
-        assert np.array_equal(expanded_graph(ctx.base_index, 4).entries, twice.entries)
+        derived = expanded_graph(ctx.base_index, 4)
+        assert np.array_equal(derived.entries, twice.entries)
+        assert derived.parent is twice.parent and derived.ratio == twice.ratio == 4
 
 
 class TestIsolationDichotomy:
