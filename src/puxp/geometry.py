@@ -24,9 +24,10 @@ in the candidate pass can never change a result:
   distinct rows in reach, not the number of copies.
 - knn_features (M x C features) works in blocks of rows. One matmul per
   block gives Gram distances |a|^2 + |b|^2 - 2 a.b, and every column within
-  a proven error bound of the k-th smallest one is re-ranked exactly.
-  Memory is O(block x M) however many rows tie, against O(M^2 C) for the
-  dense kernel.
+  a proven error bound of the k-th smallest one is re-ranked exactly: as one
+  dense (rows, k) array where every row of the block has exactly k
+  candidates, else pair by pair. Memory is O(block x M C) however many
+  rows tie, against O(M^2 C) for the dense kernel.
 
 Every distance kernel and the degeneracy rule of triangles share one scale
 and finiteness rule, _in_range: a non-finite row raises GradientError naming
@@ -256,6 +257,17 @@ def _rank_pairs(rows, cand, d2, k):
     return d2[pick], cand[pick]
 
 
+def _rank_rows(cand, d2):
+    """Each row of candidates ranked by (squared distance, index): (squared distances, indices).
+
+    cand and d2 are R x n, with the indices of each row of cand ascending. A
+    stable argsort keeps equal distances in that order, so it is the
+    (d2, index) order of _rank_pairs.
+    """
+    order = np.argsort(d2, axis=1, kind="stable")
+    return np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+
+
 def knn_bruteforce(cloud, k):
     """Exact KNN from the dense M x M x C difference tensor.
 
@@ -294,9 +306,7 @@ def _nearest(src, dst, n):
     dist, hits = tree.query(src, k=n + 1)
     src_cols, dst_cols = _columns(src), _columns(dst)
     cand = np.sort(hits[:, :n], axis=1)
-    d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - src_cols[:, :, None])
-    order = np.argsort(d2, axis=1, kind="stable")  # stable over hits in index order: (d2, index)
-    d2, idx = np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+    d2, idx = _rank_rows(cand, _sum_squares(np.take(dst_cols, cand, axis=1) - src_cols[:, :, None]))
     tied = np.flatnonzero(dist[:, n] <= dist[:, n - 1] * _RADIUS_SLACK)
     if tied.size:
         distinct, group, copies = np.unique(dst, axis=0, return_inverse=True, return_counts=True)
@@ -372,12 +382,18 @@ def knn_features(features, k):
     D <= t_i + e_i, so the k-th smallest D is at most t_i + e_i, and every
     column of the answer has G <= t_i + 2 e_i.
 
-    Re-rank. Every column with G <= t_i + 2 e_i is a candidate; their D are
-    recomputed exactly as knn_bruteforce computes them, in batches of
-    _PAIR_BATCH pairs, then ranked by (D, index) with self left out. Rows
-    that tie everywhere, such as identical features, make every column a
-    candidate: that costs time, but memory stays a few arrays the size of
-    one Gram block.
+    Re-rank. Every column with G <= t_i + 2 e_i is a candidate, self left
+    out; their D are recomputed exactly as knn_bruteforce computes them
+    (a_j - a_i squares to the bits of a_i - a_j) and ranked by (D, index).
+    The candidates are the flat indices of the block's mask, which run
+    row-major, so each row lists its candidates in ascending index order.
+    Every row has at least k of them. Where every row has exactly k, the
+    block is one dense (rows, k) array of D, and a stable argsort of each
+    row keeps equal D in index order: the (D, index) order. A block takes
+    the pair path, _rank_pairs over batches of _PAIR_BATCH pairs, only when
+    some row has more than k candidates. Rows that tie everywhere, such as
+    identical features, make every column a candidate: that costs time, but
+    memory stays a few arrays the size of one Gram block.
     """
     x, k = _knn_input(features, k)
     m, c = x.shape
@@ -392,7 +408,14 @@ def knn_features(features, k):
         gram -= 2.0 * (part @ x.T)
         gram[local, local + start] = np.inf  # never its own neighbor
         kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-        rows, cand = np.nonzero(gram <= (kth + 2.0 * bound[block])[:, None])
+        rows, cand = np.divmod(np.flatnonzero(gram <= (kth + 2.0 * bound[block])[:, None]), m)
+        if rows.size == k * part.shape[0]:  # exactly k candidates in every row
+            cand = cand.reshape(-1, k)
+            diff = np.take(x, cand, axis=0)
+            diff -= part[:, None, :]
+            diff *= diff
+            out[block] = _rank_rows(cand, diff.sum(axis=-1))[1]
+            continue
         d2 = np.empty(rows.size)
         for at in range(0, rows.size, _PAIR_BATCH):
             pairs = slice(at, at + _PAIR_BATCH)

@@ -323,6 +323,43 @@ class TestKnnFeatures:
         for k in (1, 5, m - 1):
             assert_equals_dense_oracle(feats, k)
 
+    def test_tie_free_blocks_never_take_the_pair_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair path taken")
+
+        monkeypatch.setattr(geometry, "_rank_pairs", refuse)
+        feats = np.random.default_rng(6).normal(size=(300, 32))  # five blocks, no ties
+        assert_equals_dense_oracle(feats, 16)
+        with pytest.raises(AssertionError, match="pair path taken"):
+            knn_features(*feature_oracle_case("rounded-ties"))
+
+    @pytest.mark.parametrize("k", [1, 16, 2 * geometry._GRAM_ROWS + 4])
+    def test_one_tied_row_sends_only_its_block_down_the_pair_path(self, k, monkeypatch):
+        # three blocks, the last partial. In the middle one, row r gets two exact
+        # copies at its k-th distance: its k-th row j, the k-th row of no other
+        # row, and j's features written over the middle-block row farthest from r
+        block = geometry._GRAM_ROWS
+        m = 2 * block + 5
+        feats = np.random.default_rng(7).normal(size=(m, 32))
+        kth = knn_bruteforce(feats, k).entries[:, k - 1]
+        r = block + int(np.argmax(np.bincount(kth, minlength=m)[kth[block : 2 * block]] == 1))
+        ranked = knn_bruteforce(feats, m - 1).entries[r]
+        feats[ranked[(ranked >= block) & (ranked < 2 * block)][-1]] = feats[kth[r]]
+        blocks = []
+        original = geometry._rank_pairs
+
+        def spy(rows, cand, d2, k):
+            blocks.append(np.flatnonzero(np.bincount(rows) > k).tolist())  # its rows with ties
+            return original(rows, cand, d2, k)
+
+        monkeypatch.setattr(geometry, "_rank_pairs", spy)
+        assert_equals_dense_oracle(feats, k)
+        assert blocks == ([] if k == m - 1 else [[r - block]])
+
+    def test_equals_dense_oracle_at_training_size(self):
+        # a 512 x 32 feature_knn graph of a 256-point patch at ratio 2: a 67 MB oracle tensor
+        assert_equals_dense_oracle(np.random.default_rng(8).normal(size=(512, 32)), 16)
+
     def test_identical_rows_take_the_smallest_other_indices(self):
         m = 2 * geometry._GRAM_ROWS + 3
         feats = np.tile(np.random.default_rng(2).normal(size=(1, 32)), (m, 1))
