@@ -295,7 +295,11 @@ def edge_conv(x, idx, w, b, activate):
     buffer and a running max. It never holds an M x K x D tensor, and each
     block's centre term x[i] . (w1 - w2) + b is written straight into the
     output. Under a tape it keeps, per parent row, the first k attaining
-    each max; the gradient flows to that neighbour only. As each
+    each max; the gradient flows to that neighbour only. The winner is the
+    running max of the codes j * [edge_j > best] over the columns, with no
+    masked scatter: j only grows, so the max code is the last column where
+    best strictly rose, and as a later column equal to best does not rise,
+    that column is the first k attaining the final max (0 if none rose). As each
     value of best has one winner, the backward needs no per-neighbour loop:
     the children's gradients are summed per parent row, one bincount
     scatters them onto the winning rows (s), then four matmuls give
@@ -324,20 +328,28 @@ def edge_conv(x, idx, w, b, activate):
     heads = x.data[::r]  # row r*j, the point every child row lists for neighbour j
     proj = heads @ w2  # x_j . w2 depends on j alone: one product, then row gathers
     taped = bool(_TAPES) and any(t.requires_grad for t in (x, w, b))
-    winner = np.zeros((n, d), dtype=np.intp) if taped else None
     out = np.empty((m, d))
     block = 512  # parent rows; a block's gathers stay in cache
     best_rows, edge_rows = np.empty((2, min(block, n), d))  # reused by every block
+    if taped:
+        winner = np.zeros((n, d), dtype=np.intp)
+        rise_rows = np.empty((min(block, n), d), dtype=bool)
+        code_rows = np.empty((min(block, n), d), dtype=np.intp)
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
-        best, edge = best_rows[: rows.stop - start], edge_rows[: rows.stop - start]
+        size = rows.stop - start
+        best, edge = best_rows[:size], edge_rows[:size]
+        if taped:
+            won, rise, code = winner[rows], rise_rows[:size], code_rows[:size]
         # The entries are range-checked above, so "clip" never clips; unlike
         # the default "raise", it gathers into the block buffer with no copy.
         np.take(proj, parent[rows, 0], axis=0, out=best, mode="clip")
         for j in range(1, k):
             np.take(proj, parent[rows, j], axis=0, out=edge, mode="clip")
-            if taped:
-                winner[rows][edge > best] = j  # strict: ties keep the first k
+            if taped:  # won = max of j * [edge > best]: the last strict rise
+                np.greater(edge, best, out=rise)  # strict: ties keep the first k
+                np.multiply(rise, j, out=code)
+                np.maximum(won, code, out=won)
             np.maximum(best, edge, out=best)
         children = slice(rows.start * r, rows.stop * r)
         np.matmul(x.data[children], centre, out=out[children])
@@ -358,7 +370,7 @@ def edge_conv(x, idx, w, b, activate):
         # neighbour is point j (row r*j). The bin numbers are built in place
         # and both scatter inputs freed at once, so the per-parent sum of
         # the children adds no array to the backward's peak, even at r = 1.
-        slot = np.take_along_axis(parent, winner, axis=1)
+        slot = np.take(parent, winner + k * np.arange(n)[:, None])
         slot *= d
         slot += np.arange(d)
         weights = g.reshape(n, r, d).sum(axis=1)

@@ -118,8 +118,11 @@ def _op_cases(seed):
     def case_edge_conv():
         base = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
         # the graph itself, then doubled twice: the 4 children of a point
-        # share one neighbour max, and their gradients meet on its winner
-        for graph, idx, m in (("", base, 6), ("expanded/", expand_index(expand_index(base)), 24)):
+        # share one neighbour max, and their gradients meet on its winner;
+        # then 16 neighbours per row, so winners run up to k = 15
+        ring = (np.arange(20)[:, None] + np.arange(1, 17)) % 20
+        graphs = (("", base, 6), ("expanded/", expand_index(expand_index(base)), 24), ("k16/", ring, 20))
+        for graph, idx, m in graphs:
             args = {"x": rng.normal(size=(m, 3)), "w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
             v = Tensor(rng.normal(size=(4, 1)))  # uneven upstream gradient per channel
             p = Tensor(rng.uniform(0.5, 2.0, size=(1, m)))  # and per row, so children differ

@@ -13,7 +13,9 @@ memory. Point-to-face (geometry.squared_distances_to_mesh) visits only the
 faces that could hold a point's minimum, and equals a loop over every face.
 Both scale inputs outside [1e-50, 1e50) by a power of two first and reject a
 non-finite point (GradientError, naming its row). Values return at the input
-scale; `report` raises ValueError where a squared distance overflows float64.
+scale. Where a squared distance overflows float64, `chamfer`, `hausdorff`,
+`point_to_face` and `report` raise ValueError with no warning; `chamfer_parts`,
+the loss's path, returns inf, which training reports as a divergence.
 """
 
 from __future__ import annotations
@@ -67,30 +69,40 @@ def chamfer_parts(pred, gt):
     return cd, nearest_gt, nearest_pred
 
 
+def _within_float64(compute):
+    """compute() with overflow warnings off; ValueError if a value it returns is inf.
+
+    geometry rejects non-finite points (GradientError), so an inf here can
+    only be a squared distance, or a sum of them, beyond float64.
+    """
+    with np.errstate(over="ignore"):
+        values = compute()
+    if not np.isfinite(values).all():
+        raise ValueError("squared distances overflow float64 at this coordinate scale")
+    return values
+
+
 def chamfer(pred, gt):
     """Symmetric squared chamfer distance between two clouds."""
-    return _summaries(pred, gt)[0]
+    return _within_float64(lambda: _summaries(pred, gt)[0])
 
 
 def hausdorff(pred, gt):
     """Symmetric Hausdorff distance (unsquared)."""
-    return _summaries(pred, gt)[1]
+    return _within_float64(lambda: _summaries(pred, gt)[1])
 
 
 def point_to_face(pred, mesh):
     """Mean distance from each predicted point to the nearest mesh face."""
-    d2 = squared_distances_to_mesh(_as_points(pred), mesh)
-    return float(np.sqrt(d2).mean())
+    pts = _as_points(pred)
+    return _within_float64(lambda: float(np.sqrt(squared_distances_to_mesh(pts, mesh)).mean()))
 
 
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
     pred_pts, gt_pts = _as_points(pred), _as_points(gt)
-    with np.errstate(over="ignore"):  # geometry rejects non-finite points: inf is an overflow
-        cd, hd, _, _ = _summaries(pred_pts, gt_pts)
-        p2f = None if mesh is None else point_to_face(pred_pts, mesh)
-    if not np.isfinite([cd, hd, p2f or 0.0]).all():
-        raise ValueError("squared distances overflow float64 at this coordinate scale")
+    cd, hd = _within_float64(lambda: _summaries(pred_pts, gt_pts)[:2])
+    p2f = None if mesh is None else point_to_face(pred_pts, mesh)
     return MetricReport(
         label=label,
         cd=cd,

@@ -170,6 +170,27 @@ class TestEdgeConv:
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("activate", [True, False])
+    @pytest.mark.parametrize("k", [1, 16])  # k = 16: winners run up to 15; k = 1: every winner is 0
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_train_shape_tape_matches_references(self, r, k, activate):
+        rng = np.random.default_rng(200 + 10 * r + k)
+        n, c, d = 600, 2, 64  # 600 parent rows cross a 512-row block; d as in the backbone
+        idx = expand_index(random_graph(rng, n, k), r)
+        x = rng.normal(size=(n * r, c))
+        x[::r] = np.round(x[::r] * 2.0) / 2.0  # heads on a 0.5 grid: ~5% of the maxima tie at k = 16
+        w, b = self.weights(rng, c, d)
+        w.requires_grad = b.requires_grad = True
+        g = rng.normal(size=(n * r, d)) * rng.uniform(0.1, 10.0, size=d)  # uneven per channel
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ad.edge_conv(xt, idx, w, b, activate)
+            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+        assert out.data.tobytes() == ad.edge_conv(Tensor(x), idx, w, b, activate).data.tobytes()
+        reference = per_neighbour_edge_conv_grads(xt, idx.entries, w, b, activate, g)
+        for got, want in zip((xt.grad, w.grad, b.grad), reference):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

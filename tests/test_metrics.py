@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,44 @@ class TestReport:
             assert calls == [len(pred), len(gt)], name
             value, _, _, dense_hd = dense_parts(pred, gt)
             assert (row.cd, row.hd) == (chamfer(pred, gt), hausdorff(pred, gt)) == (value, dense_hd), name
+
+    @staticmethod
+    def scaled_metrics(shift):
+        """chamfer, hausdorff, point_to_face and report of one sphere case scaled by 2^shift."""
+        shape = SyntheticShape("sphere")
+        rng = np.random.default_rng(5)
+        pred = np.ldexp(surface_sample(shape, 48, rng) + rng.normal(scale=0.02, size=(48, 3)), shift)
+        gt = np.ldexp(surface_sample(shape, 96, rng), shift)
+        unit_mesh = surface_mesh(shape)
+        mesh = TriangleMesh(np.ldexp(unit_mesh.vertices, shift), unit_mesh.faces)
+        return {
+            "chamfer": lambda: chamfer(pred, gt),
+            "hausdorff": lambda: hausdorff(pred, gt),
+            "point_to_face": lambda: point_to_face(pred, mesh),
+            "report": lambda: report("big", pred, gt, mesh),
+        }
+
+    @pytest.mark.parametrize("metric", ["chamfer", "hausdorff", "point_to_face", "report"])
+    def test_overflow_is_one_value_error_with_no_warning(self, metric):
+        # at 2^600 every squared distance is beyond float64, though HD and P2F are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared distances overflow float64 at this coordinate scale"):
+                self.scaled_metrics(600)[metric]()
+
+    def test_below_overflow_values_scale_exactly_with_no_warning(self):
+        unit = {name: compute() for name, compute in self.scaled_metrics(0).items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = {name: compute() for name, compute in self.scaled_metrics(500).items()}
+        assert big["chamfer"] == np.ldexp(unit["chamfer"], 1000)
+        assert big["hausdorff"] == np.ldexp(unit["hausdorff"], 500)
+        assert big["point_to_face"] == np.ldexp(unit["point_to_face"], 500)
+        assert (big["report"].cd, big["report"].hd, big["report"].p2f) == (
+            big["chamfer"],
+            big["hausdorff"],
+            big["point_to_face"],
+        )
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
