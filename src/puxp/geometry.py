@@ -33,11 +33,17 @@ Every distance kernel and the degeneracy rule of triangles share one scale
 and finiteness rule, _in_range: a non-finite row raises GradientError naming
 it, and inputs whose largest |x| lies outside [1e-50, 1e50) are scaled
 together by a power of two, so no square or product overflows or underflows.
+
+Every point set comes in through one shape rule, as_rows: a PointCloud or an
+array becomes float64 rows (N, C) with N >= 1, and C == 3 wherever the
+kernel is 3-D. Anything else, an empty set or an (N, 2) or (N, 6) array
+included, raises ShapeError naming the input; nothing is reshaped.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -62,11 +68,7 @@ class PointCloud:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ShapeError(f"point cloud must have shape (N, 3), got {pts.shape}")
-        if pts.shape[0] < 1:
-            raise ShapeError("point cloud must contain at least one point")
+        pts = np.ascontiguousarray(as_rows(points, "point cloud", 3))
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
         self.points = pts
@@ -110,11 +112,10 @@ class TriangleMesh:
     @staticmethod
     def filtered(vertices, faces):
         """Build a mesh without the faces the distance kernels reject; returns (mesh, dropped)."""
-        verts = np.asarray(vertices, dtype=np.float64)
-        tris = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        (scaled,), _ = _in_range([verts], ["mesh vertices"])
-        keep = ~_degenerate_faces(scaled[tris])
-        return TriangleMesh(verts, tris[keep]), int((~keep).sum())
+        mesh = TriangleMesh(vertices, faces)
+        (scaled,), _ = _in_range([mesh.vertices], ["mesh vertices"])
+        keep = ~_degenerate_faces(scaled[mesh.faces])
+        return TriangleMesh(mesh.vertices, mesh.faces[keep]), int((~keep).sum())
 
     def __repr__(self):
         return f"TriangleMesh({self.vertices.shape[0]} vertices, {self.face_count} faces)"
@@ -174,11 +175,15 @@ class IndexMatrix:
 # K nearest neighbors
 
 
-def _as_coords(obj):
-    if isinstance(obj, PointCloud):
-        return obj.points
-    data = getattr(obj, "data", obj)
-    return np.asarray(data, dtype=np.float64)
+def as_rows(obj, what, width=None):
+    """The float64 rows (N, C) of a PointCloud or an array, N >= 1 and C == width if given.
+
+    Any other shape raises ShapeError naming `what`.
+    """
+    rows = obj.points if isinstance(obj, PointCloud) else np.asarray(obj, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1 or width not in (None, rows.shape[1]):
+        raise ShapeError(f"{what} must be a non-empty (N, {width or 'C'}) array, got shape {rows.shape}")
+    return rows
 
 
 def _columns(rows):
@@ -231,11 +236,9 @@ def _in_range(arrays, names):
     return [np.ldexp(a, -e) for a in arrays], e
 
 
-def _knn_input(data, k):
+def _knn_input(data, k, width=None):
     """(M, C) float64 rows and k for a KNN search, checked and scaled by _in_range."""
-    x = _as_coords(data)
-    if x.ndim != 2:
-        raise ShapeError(f"features must have shape (M, C), got {x.shape}")
+    x = as_rows(data, "KNN input", width)
     m = x.shape[0]
     k = int(k)
     if not 1 <= k < m:
@@ -328,9 +331,7 @@ def knn_accelerated(cloud, k):
     Of the k + 1 nearest rows of a point, drop the point itself or, where
     k + 1 copies of it with smaller indices come first, the last one.
     """
-    pts, k = _knn_input(cloud, k)
-    if pts.shape[1] != 3:
-        raise ShapeError(f"knn_accelerated needs (M, 3) points, got {pts.shape}")
+    pts, k = _knn_input(cloud, k, 3)
     hits = _nearest(pts, pts, k + 1)[1]
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
@@ -344,10 +345,7 @@ def nearest_neighbors(src, dst):
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index.
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if dst.shape[0] == 0:
-        raise ValueError("cannot search an empty point set")
+    src, dst = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
     (src, dst), e = _in_range([src, dst], ["query points", "searched points"])
     d2, idx = _nearest(src, dst, 1)
     return np.ldexp(d2[:, 0], 2 * e), idx[:, 0]
@@ -435,12 +433,16 @@ def expand_index(idx, factor=2):
     recomputing KNN. Expanding by a then by b equals expanding by a*b.
 
     The result shares the parent table and multiplies the ratio by
-    `factor` (any integer >= 1): O(1) work, no copy and no re-validation. It
-    is valid by construction at any ratio r. Row r*i + s (s < r) lists
+    `factor`: O(1) work, no copy and no re-validation. It is valid by
+    construction at any integer ratio r >= 1. Row r*i + s (s < r) lists
     r * parent[i]; those entries are in range (r j <= r (N - 1) < r N),
     distinct (j -> r j is injective) and never the row itself (r j = r i + s
-    needs j = i, as s < r, and the parent never lists i).
+    needs j = i, as s < r, and the parent never lists i). As IndexMatrix's
+    own checks are skipped, a factor that is not an integer >= 1 raises
+    ValueError here.
     """
+    if not isinstance(factor, numbers.Integral) or factor < 1:
+        raise ValueError(f"expansion factor must be an integer >= 1, got {factor!r}")
     if not isinstance(idx, IndexMatrix):
         idx = IndexMatrix(idx)
     out = object.__new__(IndexMatrix)
@@ -547,8 +549,10 @@ def _zero_area(tri):
 
 def squared_distances_to_triangle(points, tri):
     """Squared distance from each of points[P, 3] to the closed triangle."""
-    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    tri = np.asarray(tri, dtype=np.float64)
+    if tri.shape != (3, 3):
+        raise ShapeError(f"triangle must have shape (3, 3), got {tri.shape}")
+    pts = as_rows(points, "query points", 3)
     (pts, face), e = _in_range([pts, tri], ["query points", "triangle"])
     if _degenerate_faces(face[None])[0]:
         raise _zero_area(tri)
@@ -556,8 +560,8 @@ def squared_distances_to_triangle(points, tri):
 
 
 def point_triangle_distance(p, tri):
-    """Euclidean distance from a 3D point to the closed triangle (3x3 vertices)."""
-    d2 = squared_distances_to_triangle(np.asarray(p, dtype=np.float64).reshape(1, 3), tri)
+    """Euclidean distance from a 3D point, shape (3,), to the closed triangle (3x3 vertices)."""
+    d2 = squared_distances_to_triangle([p], tri)
     return float(np.sqrt(d2[0]))
 
 
@@ -578,7 +582,7 @@ def squared_distances_to_mesh(points, mesh):
     """
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = as_rows(points, "query points", 3)
     (pts, verts), e = _in_range([pts, mesh.vertices], ["query points", "mesh vertices"])
     tris = verts[mesh.faces]
     bad = np.flatnonzero(_degenerate_faces(tris))

@@ -8,7 +8,8 @@ and gradients do not depend on how the neighbors were found. The backward
 rule is the analytic gradient of the squared-distance formulation, with the
 nearest neighbor assignments treated as locally constant. Non-finite
 predictions raise GradientError from the search, naming the row, rather
-than giving a NaN loss.
+than giving a NaN loss; a squared distance beyond float64 gives an inf loss
+with no warning. Both point sets follow geometry.as_rows (ShapeError).
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, accumulate_grad, record_op
-from .geometry import PointCloud
+from .geometry import as_rows
 from .metrics import chamfer_parts
 
 
 def chamfer_loss(pred, gt):
     """Scalar chamfer between pred (Tensor[P, 3]) and a fixed target cloud."""
-    gt_pts = gt.points if isinstance(gt, PointCloud) else np.asarray(gt, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[1] != 3:
-        raise ValueError(f"predictions must have shape (P, 3), got {pred.shape}")
+    gt_pts = as_rows(gt, "ground truth", 3)
     value, nearest_gt, nearest_pred = chamfer_parts(pred.data, gt_pts)
     out = Tensor(np.array([value]))
     p = pred.shape[0]

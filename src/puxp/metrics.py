@@ -15,7 +15,13 @@ Both scale inputs outside [1e-50, 1e50) by a power of two first and reject a
 non-finite point (GradientError, naming its row). Values return at the input
 scale. Where a squared distance overflows float64, `chamfer`, `hausdorff`,
 `point_to_face` and `report` raise ValueError with no warning; `chamfer_parts`,
-the loss's path, returns inf, which training reports as a divergence.
+the loss's path, returns inf, also with no warning, which training reports
+as a divergence.
+
+Inputs follow geometry's one point-set rule, geometry.as_rows: predictions
+and ground truth are PointClouds or arrays of float64 rows (N, 3) with
+N >= 1, and any other shape raises ShapeError naming the input before a
+search starts.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import PointCloud, nearest_neighbors, squared_distances_to_mesh
+from .geometry import as_rows, nearest_neighbors, squared_distances_to_mesh
 
 
 @dataclasses.dataclass
@@ -47,16 +53,9 @@ class MetricReport:
                 raise ValueError(f"{field} must be finite and non-negative, got {value}")
 
 
-def _as_points(cloud):
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise ValueError(f"need a non-empty (N, 3) point set, got shape {pts.shape}")
-    return pts
-
-
 def _summaries(pred, gt):
     """CD, HD and both assignments from one nearest-neighbour search per direction."""
-    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
+    pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
     fwd, nearest_gt = nearest_neighbors(pred_pts, gt_pts)
     bwd, nearest_pred = nearest_neighbors(gt_pts, pred_pts)
     hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))
@@ -64,8 +63,12 @@ def _summaries(pred, gt):
 
 
 def chamfer_parts(pred, gt):
-    """Chamfer value plus the nearest-neighbor assignments in both directions."""
-    cd, _, nearest_gt, nearest_pred = _summaries(pred, gt)
+    """Chamfer value plus the nearest-neighbor assignments in both directions.
+
+    A squared distance beyond float64 gives inf, with no overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        cd, _, nearest_gt, nearest_pred = _summaries(pred, gt)
     return cd, nearest_gt, nearest_pred
 
 
@@ -94,13 +97,12 @@ def hausdorff(pred, gt):
 
 def point_to_face(pred, mesh):
     """Mean distance from each predicted point to the nearest mesh face."""
-    pts = _as_points(pred)
-    return _within_float64(lambda: float(np.sqrt(squared_distances_to_mesh(pts, mesh)).mean()))
+    return _within_float64(lambda: float(np.sqrt(squared_distances_to_mesh(pred, mesh)).mean()))
 
 
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
-    pred_pts, gt_pts = _as_points(pred), _as_points(gt)
+    pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
     cd, hd = _within_float64(lambda: _summaries(pred_pts, gt_pts)[:2])
     p2f = None if mesh is None else point_to_face(pred_pts, mesh)
     return MetricReport(

@@ -129,8 +129,6 @@ class Backbone:
     def forward(self, coords, base_index):
         if self.mlp is not None:
             return self.mlp(coords)
-        if base_index is None:
-            raise ConfigError("edgeconv_stack backbone needs a base index matrix")
         h = coords
         for conv in self.convs:
             h = conv(h, base_index)
@@ -325,18 +323,17 @@ def evaluate(model, dataset):
             )
         pred = model.upsample(patch.cloud)
         reports.append(metrics.report(patch.name, pred, patch.gt, patch.mesh))
-    p2f_values = [r.p2f for r in reports]
-    reports.append(
-        metrics.MetricReport(
-            label="mean",
-            cd=float(np.mean([r.cd for r in reports])),
-            hd=float(np.mean([r.hd for r in reports])),
-            p2f=None if any(v is None for v in p2f_values) else float(np.mean(p2f_values)),
-            pred_count=int(sum(r.pred_count for r in reports)),
-            gt_count=int(sum(r.gt_count for r in reports)),
-        )
-    )
+    cd, hd, p2f = _mean_metrics(reports)
+    pred_count, gt_count = sum(r.pred_count for r in reports), sum(r.gt_count for r in reports)
+    reports.append(metrics.MetricReport("mean", cd, hd, p2f, int(pred_count), int(gt_count)))
     return reports
+
+
+def _mean_metrics(rows):
+    """Mean cd, hd and p2f over report rows; p2f is None if any row's p2f is None."""
+    cd, hd = float(np.mean([r.cd for r in rows])), float(np.mean([r.hd for r in rows]))
+    p2f = [r.p2f for r in rows]
+    return cd, hd, None if any(v is None for v in p2f) else float(np.mean(p2f))
 
 
 def model_to_checkpoint(model):
@@ -431,23 +428,21 @@ def compare_units(configs, seeds=(1, 2, 3)):
     dataset = make_dataset(ref)
     rows = []
     for cfg in configs:
-        cds, hds, p2fs = [], [], []
+        aggs = []
         counts = None
         for seed in seeds:
             run = train(dataclasses.replace(cfg, seed=int(seed)), dataset)
-            agg = evaluate(run.model, dataset)[-1]
-            cds.append(agg.cd)
-            hds.append(agg.hd)
-            p2fs.append(agg.p2f)
+            aggs.append(evaluate(run.model, dataset)[-1])
             counts = run.model.parameter_counts()
+        cd, hd, p2f = _mean_metrics(aggs)
         rows.append(
             ComparisonRow(
                 unit=cfg.unit.kind,
                 index_mode=cfg.unit.index_mode,
                 regression_mode=cfg.unit.regression_mode,
-                cd=float(np.mean(cds)),
-                hd=float(np.mean(hds)),
-                p2f=None if any(v is None for v in p2fs) else float(np.mean(p2fs)),
+                cd=cd,
+                hd=hd,
+                p2f=p2f,
                 unit_params=counts["unit"],
                 backbone_params=counts["backbone"],
                 seeds=len(seeds),

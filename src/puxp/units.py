@@ -4,6 +4,8 @@ All units keep the children of point i contiguous at output rows
 r*i .. r*i + r - 1. The branch/duplicate/MLP units process every point in
 isolation; NodeShuffle and ProEdgeShuffle mix neighbor features through
 EdgeConv, which is exactly the property the comparison harness probes.
+Every unit gets the KNN graph of the raw cloud in its ExpansionContext,
+whether it reads it or not.
 """
 
 from __future__ import annotations
@@ -80,20 +82,24 @@ class ExpansionSpec:
 
 @dataclasses.dataclass
 class ExpansionContext:
-    """What a unit sees: the raw cloud, its fixed KNN graph, and features."""
+    """What a unit sees: the raw cloud, its fixed KNN graph, and features.
+
+    The graph is always present, whether or not the unit reads it: a context
+    without an IndexMatrix raises ConfigError here, so no unit checks for one.
+    """
 
     cloud: PointCloud
-    base_index: IndexMatrix | None
+    base_index: IndexMatrix
     features: Tensor
 
     def __post_init__(self):
         n = self.features.shape[0]
         if self.cloud.count != n:
             raise ShapeError(f"cloud has {self.cloud.count} points but features have {n} rows")
-        if self.base_index is not None and self.base_index.rows != n:
-            raise ShapeError(
-                f"index matrix has {self.base_index.rows} rows but features have {n}"
-            )
+        if not isinstance(self.base_index, IndexMatrix):
+            raise ConfigError(f"base index must be an IndexMatrix, got {type(self.base_index).__name__}")
+        if self.base_index.rows != n:
+            raise ShapeError(f"index matrix has {self.base_index.rows} rows but features have {n}")
 
 
 @dataclasses.dataclass
@@ -107,11 +113,6 @@ class _UnitBase:
 
     def __init__(self, spec):
         self.spec = spec
-
-    def _require_graph(self, ctx):
-        if ctx.base_index is None:
-            raise ConfigError(f"unit {self.kind!r} needs a base index matrix")
-        return ctx.base_index
 
 
 class BranchUnit(_UnitBase):
@@ -218,8 +219,8 @@ class NodeShuffleUnit(_UnitBase):
         self.conv = EdgeConvLayer(store, "unit.conv", c, spec.ratio * c, rng)
 
     def expand(self, ctx):
-        base = self._require_graph(ctx)
-        return ExpansionResult(ad.shuffle_expand(self.conv(ctx.features, base), self.spec.ratio), None)
+        feats = self.conv(ctx.features, ctx.base_index)
+        return ExpansionResult(ad.shuffle_expand(feats, self.spec.ratio), None)
 
 
 class ProEdgeShuffleUnit(_UnitBase):
@@ -240,7 +241,7 @@ class ProEdgeShuffleUnit(_UnitBase):
 
     def expand(self, ctx):
         feats = ctx.features
-        idx = self._require_graph(ctx)
+        idx = ctx.base_index
         for conv in self.convs:
             feats = ad.shuffle_expand(conv(feats, idx), 2)
             if self.spec.index_mode == "expand":
@@ -277,8 +278,6 @@ def expanded_graph(base_index, ratio, provided=None):
     """
     if provided is not None:
         return provided
-    if base_index is None:
-        raise ConfigError("no base index matrix to derive the expanded graph from")
     return expand_index(base_index, ratio)
 
 

@@ -57,6 +57,14 @@ class TestContainers:
         assert mesh.face_count == 1
         assert dropped == 1
 
+    def test_mesh_filter_checks_faces_like_the_mesh(self):
+        # three quads were reshaped into four unrelated triangles
+        verts = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(ShapeError, match="faces"):
+            TriangleMesh.filtered(verts, [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]])
+        with pytest.raises(IndexRangeError):
+            TriangleMesh.filtered(verts, [[0, 1, 6]])
+
     @pytest.mark.parametrize("shift", [-600, -18, 0, 300, 600])
     def test_mesh_filter_drops_what_the_mesh_search_rejects_at_any_scale(self, shift):
         # a sliver below the area threshold, one above it, a proper face and a collinear one
@@ -75,6 +83,45 @@ class TestContainers:
     def test_index_matrix_rejects_duplicates_in_row(self):
         with pytest.raises(ValueError, match="duplicate"):
             IndexMatrix([[1, 1], [0, 2], [0, 1]])
+
+
+class TestPointSetRule:
+    """Every point-set input is checked once, by geometry.as_rows, and never reshaped."""
+
+    TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 6)])
+    def test_triangle_and_mesh_distances_reject_rows_that_are_not_3d(self, shape):
+        # both were reshaped to (-1, 3): 2 distances for (3, 2), 8 for (4, 6)
+        with pytest.raises(ShapeError, match=r"query points must be a non-empty \(N, 3\) array"):
+            squared_distances_to_triangle(np.zeros(shape), self.TRI)
+        with pytest.raises(ShapeError, match=r"query points must be a non-empty \(N, 3\) array"):
+            squared_distances_to_mesh(np.zeros(shape), TriangleMesh(self.TRI, [[0, 1, 2]]))
+
+    def test_nearest_neighbors_rejects_rows_that_are_not_3d(self):
+        with pytest.raises(ShapeError, match="query points"):
+            nearest_neighbors(np.zeros((4, 2)), np.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="searched points"):
+            nearest_neighbors(np.zeros((4, 3)), np.zeros((4, 2)))
+
+    def test_empty_sets_are_rejected_by_name(self):
+        with pytest.raises(ShapeError, match="searched points"):
+            nearest_neighbors(np.zeros((2, 3)), np.zeros((0, 3)))
+        with pytest.raises(ShapeError, match="query points"):
+            squared_distances_to_mesh(np.zeros((0, 3)), TriangleMesh(self.TRI, [[0, 1, 2]]))
+        with pytest.raises(ShapeError, match="KNN input"):
+            knn_features(np.zeros((0, 4)), 1)
+
+    def test_rows_of_a_cloud_or_an_array(self):
+        pts = np.arange(12.0).reshape(4, 3)
+        cloud = PointCloud(pts)
+        assert geometry.as_rows(cloud, "cloud", 3) is cloud.points
+        rows = geometry.as_rows(pts[:, ::2].astype(np.int64), "features")  # any width without one given
+        assert rows.dtype == np.float64 and np.array_equal(rows, pts[:, ::2])
+        with pytest.raises(ShapeError, match=r"cloud must be a non-empty \(N, 3\) array, got shape \(4, 2\)"):
+            geometry.as_rows(pts[:, :2], "cloud", 3)
+        with pytest.raises(ShapeError, match=r"\(N, C\) array, got shape \(12,\)"):
+            geometry.as_rows(pts.ravel(), "features")
 
 
 class TestKnnBruteforce:
@@ -498,6 +545,16 @@ class TestNearestNeighborsTies:
 
 
 class TestExpandIndex:
+    @pytest.mark.parametrize("factor", [0, -2, 2.7, 2.0, "2", None])
+    def test_factor_must_be_an_integer_of_at_least_one(self, factor):
+        # factor 0 gave a 0-row matrix, -2 negative rows, and 2.7 was cut to 2
+        with pytest.raises(ValueError, match="expansion factor must be an integer >= 1"):
+            expand_index(IndexMatrix([[1], [0]]), factor)
+
+    def test_numpy_integer_factor(self):
+        out = expand_index(IndexMatrix([[1], [0]]), np.int64(3))
+        assert out.ratio == 3 and type(out.ratio) is int
+
     def test_hand_case(self):
         out = expand_index(IndexMatrix([[1], [2], [0]]))
         assert out.entries.tolist() == [[2], [2], [4], [4], [0], [0]]
@@ -606,6 +663,15 @@ class TestPointTriangleDistance:
             d0 = point_triangle_distance(p, tri)
             d1 = point_triangle_distance(rot @ p + shift, tri @ rot.T + shift)
             assert d1 == pytest.approx(d0, abs=1e-9)
+
+    def test_point_and_triangle_are_not_reshaped(self):
+        # a (3, 1) point and a flat 9-vector triangle were reshaped to fit
+        with pytest.raises(ShapeError, match="query points"):
+            point_triangle_distance([[0.2], [0.2], [1.0]], self.TRI)
+        with pytest.raises(ShapeError, match=r"triangle must have shape \(3, 3\), got \(9,\)"):
+            point_triangle_distance([0.2, 0.2, 1.0], np.ravel(self.TRI))
+        with pytest.raises(ShapeError, match="triangle"):
+            squared_distances_to_triangle([[0.2, 0.2, 1.0]], self.TRI[:, :2])
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(DegenerateTriangleError):

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from puxp.autodiff import Tape, Tensor
 from puxp.checks import check_gradient, finite_difference_gradient
+from puxp.errors import ShapeError
 from puxp.geometry import PointCloud
 from puxp.losses import chamfer_loss
 from puxp.metrics import chamfer
@@ -61,3 +65,20 @@ def test_upstream_scale_flows_through():
     with Tape() as tape:
         tape.backward(chamfer_loss(x, gt))
     assert np.allclose(g2, 2.0 * x.grad, atol=0)
+
+
+def test_overflowing_loss_is_inf_with_no_warning():
+    # at 2^600 every squared distance is beyond float64; training reports the inf as a divergence
+    rng = np.random.default_rng(2)
+    pred, gt = np.ldexp(rng.normal(size=(8, 3)), 600), np.ldexp(rng.normal(size=(16, 3)), 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chamfer_loss(Tensor(pred), gt).item() == np.inf
+
+
+@pytest.mark.parametrize(
+    "pred_shape, gt_shape, name", [((4, 2), (5, 3), "predictions"), ((4, 3), (0, 3), "ground truth")]
+)
+def test_point_sets_follow_the_geometry_rule(pred_shape, gt_shape, name):
+    with pytest.raises(ShapeError, match=name):
+        chamfer_loss(Tensor(np.zeros(pred_shape)), np.zeros(gt_shape))

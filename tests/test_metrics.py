@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp import metrics
-from puxp.errors import GradientError
+from puxp.errors import GradientError, ShapeError
 from puxp.geometry import PointCloud, TriangleMesh, nearest_neighbors, point_triangle_distance
 from puxp.metrics import MetricReport, chamfer, chamfer_parts, hausdorff, point_to_face, report
 from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
@@ -240,6 +240,14 @@ class TestReport:
         assert r.label == "toy"
         assert r.p2f is None
         assert (r.pred_count, r.gt_count) == (8, 16)
+
+    @pytest.mark.parametrize(
+        "pred_shape, gt_shape, name", [((4, 2), (5, 3), "predictions"), ((4, 3), (0, 3), "ground truth")]
+    )
+    def test_point_sets_follow_the_geometry_rule(self, pred_shape, gt_shape, name):
+        for metric in (chamfer, hausdorff, chamfer_parts, lambda a, b: report("bad", a, b)):
+            with pytest.raises(ShapeError, match=f"{name} must be a non-empty"):
+                metric(np.zeros(pred_shape), np.zeros(gt_shape))
 
     def test_8k_clouds_with_mesh_in_bounded_memory(self):
         # a dense P x Q x 3 difference array here would take 1.5 GiB

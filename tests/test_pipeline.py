@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ class TestTrain:
         assert exc.value.step == 1
         assert isinstance(exc.value.__cause__, GradientError)
 
+    def test_overflowing_loss_is_a_divergence_not_a_warning(self):
+        # at 2^600 the first loss is inf; no overflow warning may escape before DivergenceError
+        cfg = small_config(kind="duplicate", steps=2, backbone=BackboneSpec("mlp_stack", 1, 8))
+        (patch,) = make_dataset(cfg)
+        cloud, gt = (PointCloud(np.ldexp(c.points, 600)) for c in (patch.cloud, patch.gt))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
+                train(cfg, [dataclasses.replace(patch, cloud=cloud, gt=gt)])
+
     def test_overfit_single_patch_improves(self):
         cfg = small_config(kind="nodeshuffle", steps=60, lr=0.01)
         result = train(cfg, make_dataset(cfg))
@@ -237,6 +248,18 @@ class TestEvaluate:
         before = evaluate(build_model(cfg), ds)[-1].cd
         after = evaluate(train(cfg, ds).model, ds)[-1].cd
         assert after < before
+
+    def test_mean_row_averages_the_patch_rows(self):
+        cfg = small_config(shapes=("sphere", "box_surface"))
+        ds = make_dataset(cfg)
+        model = build_model(cfg)
+        rows = evaluate(model, ds)
+        for field in ("cd", "hd", "p2f"):
+            assert getattr(rows[-1], field) == float(np.mean([getattr(r, field) for r in rows[:-1]]))
+        # one patch without a mesh leaves the mean p2f undefined
+        rows = evaluate(model, [ds[0], dataclasses.replace(ds[1], mesh=None)])
+        assert rows[1].p2f is None and rows[-1].p2f is None
+        assert rows[-1].cd == float(np.mean([rows[0].cd, rows[1].cd]))
 
     def test_ratio_mismatch_rejected(self):
         cfg = small_config()
@@ -427,6 +450,15 @@ class TestCompareUnits:
         cfgs = [small_config(kind=k, steps=2) for k in ("nodeshuffle", "branch")]
         table = compare_units(cfgs, seeds=(1,))
         assert [r.unit for r in table.rows] == ["nodeshuffle", "branch"]
+
+    def test_rows_average_the_per_seed_mean_rows(self):
+        cfg = small_config(kind="branch", steps=2)
+        (row,) = compare_units([cfg], seeds=(1, 2)).rows
+        dataset = make_dataset(cfg)
+        runs = [train(dataclasses.replace(cfg, seed=s), dataset) for s in (1, 2)]
+        means = [evaluate(run.model, dataset)[-1] for run in runs]
+        for field in ("cd", "hd", "p2f"):
+            assert getattr(row, field) == float(np.mean([getattr(m, field) for m in means]))
 
     def test_mismatched_budgets_refused(self):
         a = small_config(kind="branch", steps=2)

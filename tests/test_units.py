@@ -97,14 +97,14 @@ class TestBranchUnit:
     def test_zero_input_zero_output(self):
         # biases start at zero, so a zero feature map stays zero
         cloud = PointCloud(np.random.default_rng(0).normal(size=(4, 3)))
-        ctx = ExpansionContext(cloud, None, Tensor(np.zeros((4, 3))))
+        ctx = ExpansionContext(cloud, knn_bruteforce(cloud, 2), Tensor(np.zeros((4, 3))))
         unit, _, _ = build("branch", ratio=2, channels=3)
         assert np.all(unit.expand(ctx).features.data == 0.0)
 
     def test_hand_computed_two_branches(self):
         # scalar features, both layers 1x1: branch b computes relu(w2_b * relu(w1_b * f))
         cloud = PointCloud(np.random.default_rng(0).normal(size=(2, 3)))
-        ctx = ExpansionContext(cloud, None, Tensor([[1.0], [-2.0]]))
+        ctx = ExpansionContext(cloud, knn_bruteforce(cloud, 1), Tensor([[1.0], [-2.0]]))
         unit, store, _ = build("branch", ratio=2, channels=1)
         store["unit.branch0.w0"].tensor.data[:] = [[2.0]]
         store["unit.branch0.w1"].tensor.data[:] = [[3.0]]
@@ -167,11 +167,10 @@ class TestMlpUnits:
 
 class TestNodeShuffle:
     def test_requires_graph(self):
+        # the context refuses a missing graph, so no unit ever runs without one
         cloud = PointCloud(np.random.default_rng(0).normal(size=(4, 3)))
-        ctx = ExpansionContext(cloud, None, Tensor(np.zeros((4, 4))))
-        unit, _, _ = build("nodeshuffle")
         with pytest.raises(ConfigError, match="base index"):
-            unit.expand(ctx)
+            ExpansionContext(cloud, None, Tensor(np.zeros((4, 4))))
 
     def test_hand_computed_scalar_case(self):
         # edgeconv 1 -> 2 with hand weights, then shuffle to 6 x 1
