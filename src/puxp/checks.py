@@ -3,6 +3,11 @@
 Each suite returns CheckResult records so callers (CLI, tests) can decide
 how to report. The gradient suite compares tape gradients against central
 finite differences, the independent oracle for every differentiable path.
+
+Every many-case check of `puxp knncheck` goes through `_agreement`: a case
+generator yields `(ok, payload)` per case, the payload being the case's
+inputs and its trial or variant; the check reports "{failures} {noun} out
+of {cases}" and keeps the first failing payload for replay.
 """
 
 from __future__ import annotations
@@ -36,45 +41,48 @@ class CheckResult:
     payload: dict | None = None  # failing case, for replay
 
 
-def finite_difference_gradient(f, x, h=FD_STEP):
-    """Central-difference gradient of scalar f at array x."""
+def _agreement(name, cases, noun):
+    """One check over (ok, payload) cases: count the failures, keep the first one's payload."""
+    total, bad = 0, []
+    for total, (ok, payload) in enumerate(cases, 1):
+        if not ok:
+            bad.append(payload)
+    return CheckResult(name, not bad, f"{len(bad)} {noun} out of {total}", bad[0] if bad else None)
+
+
+def _runtime(name, start):
+    """A whole suite must finish within 30 s of `start`."""
+    elapsed = time.perf_counter() - start
+    return CheckResult(name, elapsed < 30.0, f"{elapsed:.2f}s")
+
+
+def finite_difference_gradient(f, x):
+    """Central-difference gradient of scalar f at array x, with step FD_STEP."""
     x = np.array(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         f_plus = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         f_minus = f(x)
         flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
+        gflat[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     return grad
 
 
-def gradients_match(analytic, estimate, rtol=GRAD_RTOL, atol=GRAD_ATOL):
-    return bool(np.allclose(analytic, estimate, rtol=rtol, atol=atol))
-
-
-def tape_gradient(build_loss, x):
-    """Tape gradient of build_loss (Tensor -> scalar Tensor) at array x."""
+def check_gradient(name, build_loss, x):
+    """Compare the tape gradient of build_loss (Tensor -> scalar Tensor) at
+    array x with its finite-difference estimate."""
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        loss = build_loss(xt)
-        tape.backward(loss)
-    return np.zeros_like(xt.data) if xt.grad is None else xt.grad
-
-
-def check_gradient(name, build_loss, x):
-    """Compare tape vs finite-difference gradients for one input array."""
-    analytic = tape_gradient(build_loss, x)
+        tape.backward(build_loss(xt))
+    analytic = np.zeros_like(xt.data) if xt.grad is None else xt.grad
     estimate = finite_difference_gradient(lambda a: build_loss(Tensor(a)).item(), x)
-    ok = gradients_match(analytic, estimate)
-    detail = ""
-    if not ok:
-        err = float(np.max(np.abs(analytic - estimate)))
-        detail = f"max abs gradient error {err:.3e}"
+    ok = bool(np.allclose(analytic, estimate, rtol=GRAD_RTOL, atol=GRAD_ATOL))
+    detail = "" if ok else f"max abs gradient error {np.max(np.abs(analytic - estimate)):.3e}"
     return CheckResult(name, ok, detail, payload=None if ok else {"input": x})
 
 
@@ -192,80 +200,58 @@ def run_unit_gradient_checks(seed=11):
 def run_gradient_checks(seed=7):
     start = time.perf_counter()
     results = run_op_gradient_checks(seed) + run_unit_gradient_checks(seed + 4)
-    elapsed = time.perf_counter() - start
-    results.append(CheckResult("gradient-suite-runtime", elapsed < 30.0, f"{elapsed:.2f}s"))
-    return results
+    return results + [_runtime("gradient-suite-runtime", start)]
 
 
 # ---------------------------------------------------------------------------
 # KNN oracle suite
 
 
-def run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16)):
+def _knn_agrees(points, k):
+    return np.array_equal(knn_accelerated(points, k).entries, knn_bruteforce(points, k).entries)
+
+
+def run_knn_checks(clouds=200, seed=2024):
     """kd-tree path must equal the brute-force oracle on seeded random clouds."""
-    rng = np.random.default_rng(seed)
-    results = []
+    rng, feature_rng, nearest_rng, duplicate_rng = (np.random.default_rng(seed + i) for i in range(4))
     start = time.perf_counter()
-    mismatches = 0
-    first_bad = None
+    results = [_agreement("knn/oracle-agreement", _cloud_cases(rng, clouds), "mismatching clouds")]
+    results[0].detail += f" ({time.perf_counter() - start:.2f}s)"
+    results += [
+        _agreement("knn/feature-oracle-agreement", _feature_cases(feature_rng), "mismatching feature matrices"),
+        _agreement("knn/duplicate-oracle-agreement", _duplicate_cases(duplicate_rng), "mismatching (cloud, k) pairs"),
+        _runtime("knn-suite-runtime", start),
+    ]
+    # outlier and grid shapes exercise pruning and tie-heavy rows
+    cluster = np.vstack([rng.normal(scale=0.01, size=(40, 3)), [[100.0, 100.0, 100.0]]])
+    g = np.arange(4, dtype=np.float64)
+    grid = np.array([[x, y, z] for x in g for y in g for z in g])
+    return results + [
+        CheckResult("knn/outlier-cluster", _knn_agrees(cluster, 5)),
+        CheckResult("knn/grid-ties", _knn_agrees(grid, 8)),
+        _agreement("nearest/oracle-agreement", _nearest_cases(nearest_rng), "mismatching cloud pairs"),
+    ]
+
+
+def _cloud_cases(rng, clouds):
+    """Random clouds of 20-512 points; every fifth is snapped to a 0.5 grid,
+    which forces exact distance ties."""
     for trial in range(clouds):
         n = int(rng.integers(20, 513))
-        k = int(rng.choice(k_choices))
+        k = int(rng.choice((4, 8, 16)))
         pts = rng.normal(size=(n, 3))
         if trial % 5 == 0:
-            # snapping to a coarse grid forces exact distance ties
             snapped = np.unique(np.round(pts * 2.0) / 2.0, axis=0)
             if snapped.shape[0] > k:
                 pts = snapped
-        cloud = PointCloud(pts)
-        fast = knn_accelerated(cloud, k)
-        slow = knn_bruteforce(cloud, k)
-        if not np.array_equal(fast.entries, slow.entries):
-            mismatches += 1
-            if first_bad is None:
-                first_bad = {"points": pts, "k": k, "trial": trial}
-    elapsed = time.perf_counter() - start
-    results.append(
-        CheckResult(
-            "knn/oracle-agreement",
-            mismatches == 0,
-            f"{mismatches} mismatching clouds out of {clouds} ({elapsed:.2f}s)",
-            payload=first_bad,
-        )
-    )
-    results.append(_feature_oracle_agreement(np.random.default_rng(seed + 1), k_choices))
-    results.append(_duplicate_oracle_agreement(np.random.default_rng(seed + 3)))
-    elapsed = time.perf_counter() - start
-    results.append(CheckResult("knn-suite-runtime", elapsed < 30.0, f"{elapsed:.2f}s"))
-
-    # outlier and grid shapes exercise pruning and tie-heavy rows
-    cluster = np.vstack([rng.normal(scale=0.01, size=(40, 3)), [[100.0, 100.0, 100.0]]])
-    cloud = PointCloud(cluster)
-    results.append(
-        CheckResult(
-            "knn/outlier-cluster",
-            np.array_equal(knn_accelerated(cloud, 5).entries, knn_bruteforce(cloud, 5).entries),
-        )
-    )
-    g = np.arange(4, dtype=np.float64)
-    grid = np.array([[x, y, z] for x in g for y in g for z in g])
-    cloud = PointCloud(grid)
-    results.append(
-        CheckResult(
-            "knn/grid-ties",
-            np.array_equal(knn_accelerated(cloud, 8).entries, knn_bruteforce(cloud, 8).entries),
-        )
-    )
-    results.append(_nearest_oracle_agreement(np.random.default_rng(seed + 2)))
-    return results
+        yield _knn_agrees(pts, k), {"points": pts, "k": k, "trial": trial}
 
 
-def _duplicate_oracle_agreement(rng, clouds=20):
+def _duplicate_cases(rng):
     """knn_accelerated must equal the dense oracle on clouds of repeated rows:
     a few points with many copies each, and copies of a 0.5 grid, with k both
     inside and beyond a group of copies."""
-    mismatches, first_bad = 0, None
-    for trial in range(clouds):
+    for trial in range(20):
         if trial % 2 == 0:
             rows = rng.normal(size=(int(rng.integers(2, 9)), 3))
             copies = int(rng.integers(20, 60))
@@ -274,25 +260,15 @@ def _duplicate_oracle_agreement(rng, clouds=20):
             copies = int(rng.integers(2, 6))
         pts = rows[rng.permutation(np.arange(len(rows) * copies) % len(rows))]
         for k in (max(1, copies // 2), min(2 * copies, len(pts) - 1)):
-            if not np.array_equal(knn_accelerated(pts, k).entries, knn_bruteforce(pts, k).entries):
-                mismatches += 1
-                if first_bad is None:
-                    first_bad = {"points": pts, "k": k, "trial": trial}
-    return CheckResult(
-        "knn/duplicate-oracle-agreement",
-        mismatches == 0,
-        f"{mismatches} mismatching (cloud, k) pairs out of {2 * clouds}",
-        payload=first_bad,
-    )
+            yield _knn_agrees(pts, k), {"points": pts, "k": k, "trial": trial}
 
 
-def _nearest_oracle_agreement(rng):
+def _nearest_cases(rng):
     """nearest_neighbors (cross-set, k = 1) must give the dense src x dst
     matrix's `min` and `argmin`, bit for bit, in both directions. The sets
     scaled by 2^s must give the same argmins and the mins times 2^2s, also at
     2^+-600, where the squares of the scaled coordinates over- or underflow."""
     variants = ("random", "duplicated-target", "grid-0.5") * 10 + ("2^600", "2^-600", "2^300", "2^-300") * 2
-    mismatches, first_bad = 0, None
     for variant in variants:
         src = rng.normal(size=(int(rng.integers(1, 300)), 3))
         dst = rng.normal(size=(int(rng.integers(1, 300)), 3))
@@ -308,32 +284,22 @@ def _nearest_oracle_agreement(rng):
             d2, idx = nearest_neighbors(src, dst)
             back_d2, back_idx = nearest_neighbors(dst, src)
             fwd, bwd = np.ldexp(dense.min(axis=1), 2 * shift), np.ldexp(dense.min(axis=0), 2 * shift)
-        if not (
+        ok = (
             np.array_equal(d2, fwd)
             and np.array_equal(idx, dense.argmin(axis=1))
             and np.array_equal(back_d2, bwd)
             and np.array_equal(back_idx, dense.argmin(axis=0))
-        ):
-            mismatches += 1
-            if first_bad is None:
-                first_bad = {"src": src, "dst": dst, "variant": variant}
-    return CheckResult(
-        "nearest/oracle-agreement",
-        mismatches == 0,
-        f"{mismatches} mismatching cloud pairs out of {len(variants)}",
-        payload=first_bad,
-    )
+        )
+        yield ok, {"src": src, "dst": dst, "variant": variant}
 
 
-def _feature_oracle_agreement(rng, k_choices):
+def _feature_cases(rng):
     """knn_features must equal the dense oracle on C=32 features that span
     several of its row blocks, built to stress each step of its bound."""
-    variants = ("duplicated-rows", "rounded-ties", "offset-1e3", "k=M-1") * 3
-    mismatches, first_bad = 0, None
-    for variant in variants:
+    for variant in ("duplicated-rows", "rounded-ties", "offset-1e3", "k=M-1") * 3:
         m = int(rng.integers(130, 300))
         feats = rng.normal(size=(m, 32))
-        k = int(rng.choice(k_choices))
+        k = int(rng.choice((4, 8, 16)))
         if variant == "duplicated-rows":
             feats[m // 2 :] = feats[: m - m // 2]
         elif variant == "rounded-ties":
@@ -342,25 +308,17 @@ def _feature_oracle_agreement(rng, k_choices):
             feats += 1e3  # norms ~3e7 against distances ~64: the Gram form cancels ~6 digits
         else:
             k = m - 1
-        if not np.array_equal(knn_features(feats, k).entries, knn_bruteforce(feats, k).entries):
-            mismatches += 1
-            if first_bad is None:
-                first_bad = {"features": feats, "k": k, "variant": variant}
-    return CheckResult(
-        "knn/feature-oracle-agreement",
-        mismatches == 0,
-        f"{mismatches} mismatching feature matrices out of {len(variants)}",
-        payload=first_bad,
-    )
+        ok = np.array_equal(knn_features(feats, k).entries, knn_bruteforce(feats, k).entries)
+        yield ok, {"features": feats, "k": k, "variant": variant}
 
 
-def _random_graphs(seed, graphs):
-    """Brute-force KNN graphs of seeded random clouds of 6-63 points."""
-    rng = np.random.default_rng(seed)
-    for _ in range(graphs):
+def _graph_cases(rng, laws):
+    """`laws` on the brute-force KNN graphs of 100 random clouds of 6-63 points."""
+    for trial in range(100):
         n = int(rng.integers(6, 64))
         k = int(rng.integers(1, min(n - 1, 12) + 1))
-        yield knn_bruteforce(PointCloud(rng.normal(size=(n, 3))), k)
+        idx = knn_bruteforce(PointCloud(rng.normal(size=(n, 3))), k)
+        yield laws(idx), {"entries": idx.entries, "trial": trial}
 
 
 def _expansion_laws(idx, r):
@@ -386,15 +344,12 @@ def _any_ratio_laws(idx):
     )
 
 
-def run_index_expansion_checks(graphs=100, seed=5):
+def run_index_expansion_checks(seed=5):
     """Structural laws of index expansion on seeded random graphs: the doubling
     rule, then factors 3 and 5 and their composition (3 then 2 is 6)."""
-    results = []
-    for name, laws, draw in (
-        ("index-expansion/laws", lambda idx: _expansion_laws(idx, 2), seed),
-        ("index-expansion/any-ratio-laws", _any_ratio_laws, seed + 1),
-    ):
-        bad = [trial for trial, idx in enumerate(_random_graphs(draw, graphs)) if not laws(idx)]
-        payload = {"trials": bad} if bad else None
-        results.append(CheckResult(name, not bad, f"{len(bad)} failing graphs out of {graphs}", payload))
-    return results
+    doubling = _graph_cases(np.random.default_rng(seed), lambda idx: _expansion_laws(idx, 2))
+    any_ratio = _graph_cases(np.random.default_rng(seed + 1), _any_ratio_laws)
+    return [
+        _agreement("index-expansion/laws", doubling, "failing graphs"),
+        _agreement("index-expansion/any-ratio-laws", any_ratio, "failing graphs"),
+    ]

@@ -233,6 +233,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_knncheck(args):
+    if args.clouds < 1:
+        raise ConfigError(f"--clouds must be at least 1, got {args.clouds}")
     _print_config(
         {"seed": args.seed, "clouds": args.clouds, "replay_dir": args.replay_dir}
     )

@@ -77,7 +77,8 @@ def write_xyz(path, cloud):
 def read_off(path):
     """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped.
 
-    A non-finite vertex coordinate is rejected, naming its line.
+    A non-finite vertex coordinate, or a token after the last declared face,
+    is rejected naming its line; so is a negative face count, naming the file.
     """
     with open(path, "r", encoding="utf-8") as f:
         raw = f.read()
@@ -113,6 +114,8 @@ def read_off(path):
     take("edge count", int)
     if n_verts < 1:
         raise FormatError(f"{path}: no vertices")
+    if n_faces < 0:
+        raise FormatError(f"{path}: negative face count {n_faces}")
     verts = np.array(
         [[take("coordinate", float) for _ in range(3)] for _ in range(n_verts)]
     )
@@ -127,6 +130,9 @@ def read_off(path):
                 raise FormatError(f"{path}: face {fi} references vertex {vid} of {n_verts}")
         for a, b in zip(ids[1:], ids[2:]):  # fan triangulation
             faces.append((ids[0], a, b))
+    leftover = next(it, None)
+    if leftover:
+        raise FormatError(f"{path}:{leftover[0]}: unexpected token {leftover[1]!r} after the last face")
     mesh, dropped = TriangleMesh.filtered(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} zero-area faces")

@@ -60,7 +60,7 @@ def test_criterion_01_gradient_suite():
 
 def test_criterion_02_knn_oracle_agreement():
     start = time.perf_counter()
-    results = run_knn_checks(clouds=200, seed=2024, k_choices=(4, 8, 16))
+    results = run_knn_checks(clouds=200, seed=2024)
     elapsed = time.perf_counter() - start
     _ok(results)
     assert elapsed < 30.0
@@ -68,7 +68,7 @@ def test_criterion_02_knn_oracle_agreement():
 
 
 def test_criterion_03_index_expansion_laws():
-    results = run_index_expansion_checks(graphs=100, seed=5)
+    results = run_index_expansion_checks(seed=5)
     _ok(results)
     print("\nPASS criterion 3: index-expansion laws on 100 graphs")
 

@@ -1,12 +1,13 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from puxp import metrics, pipeline
+from puxp import checks, metrics, pipeline
 from puxp.cli import _compare_configs, _parse_kv_file, main
 from puxp.dataio import Checkpoint, load_checkpoint, read_csv_rows, read_xyz, save_checkpoint, write_xyz
-from puxp.geometry import PointCloud
+from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
 
 TRAIN_FLAGS = [
@@ -303,9 +304,66 @@ class TestCompareCommand:
         assert ":1" in capsys.readouterr().err
 
 
-class TestCheckCommands:
-    def test_gradcheck_exits_zero(self, tmp_path):
-        assert run(["gradcheck", "--replay-dir", tmp_path]) == 0
+def result_lines(out):
+    """The PASS/FAIL lines of a check suite, timing figures masked."""
+    return [re.sub(r"\d+\.\d\ds", "N.NNs", line) for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
 
-    def test_knncheck_exits_zero(self, tmp_path):
+
+class TestCheckCommands:
+    GRADCHECK_NAMES = [
+        "op/matmul/left", "op/matmul/right", "op/relu", "op/add", "op/scale", "op/add_bias/x",
+        "op/add_bias/bias", "op/concat_last/left", "op/concat_last/right", "op/reshape", "op/shuffle_expand",
+        "op/chamfer_loss", "op/edge_conv/relu/x", "op/edge_conv/relu/w", "op/edge_conv/relu/b",
+        "op/edge_conv/linear/x", "op/edge_conv/linear/w", "op/edge_conv/linear/b",
+        "op/edge_conv/expanded/relu/x", "op/edge_conv/expanded/relu/w", "op/edge_conv/expanded/relu/b",
+        "op/edge_conv/expanded/linear/x", "op/edge_conv/expanded/linear/w", "op/edge_conv/expanded/linear/b",
+        "op/edge_conv/k16/relu/x", "op/edge_conv/k16/relu/w", "op/edge_conv/k16/relu/b",
+        "op/edge_conv/k16/linear/x", "op/edge_conv/k16/linear/w", "op/edge_conv/k16/linear/b", "op/sum_all",
+        "unit/branch", "unit/duplicate", "unit/single_mlp", "unit/multilayer_mlp", "unit/progressive_mlp",
+        "unit/nodeshuffle", "unit/proedgeshuffle", "gradient-suite-runtime",
+    ]
+    KNNCHECK_LINES = [
+        "PASS knn/oracle-agreement 0 mismatching clouds out of 25 (N.NNs)",
+        "PASS knn/feature-oracle-agreement 0 mismatching feature matrices out of 12",
+        "PASS knn/duplicate-oracle-agreement 0 mismatching (cloud, k) pairs out of 40",
+        "PASS knn-suite-runtime N.NNs",
+        "PASS knn/outlier-cluster",
+        "PASS knn/grid-ties",
+        "PASS nearest/oracle-agreement 0 mismatching cloud pairs out of 38",
+        "PASS index-expansion/laws 0 failing graphs out of 100",
+        "PASS index-expansion/any-ratio-laws 0 failing graphs out of 100",
+    ]
+
+    def test_gradcheck_exits_zero(self, tmp_path, capsys):
+        assert run(["gradcheck", "--replay-dir", tmp_path]) == 0
+        lines = result_lines(capsys.readouterr().out)
+        assert [line.split()[1] for line in lines] == self.GRADCHECK_NAMES
+        assert all(line.startswith("PASS ") for line in lines)
+
+    def test_knncheck_exits_zero(self, tmp_path, capsys):
         assert run(["knncheck", "--clouds", 25, "--replay-dir", tmp_path]) == 0
+        assert result_lines(capsys.readouterr().out) == self.KNNCHECK_LINES
+
+    @pytest.mark.parametrize("clouds", [-5, 0])
+    def test_knncheck_needs_a_cloud(self, tmp_path, capsys, clouds):
+        assert run(["knncheck", "--clouds", clouds, "--replay-dir", tmp_path]) == 2
+        assert f"error: --clouds must be at least 1, got {clouds}" in capsys.readouterr().err
+
+    def test_knncheck_failure_exits_1_and_saves_the_first_failing_cloud(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = checks.knn_accelerated
+
+        def corrupt_from_call_4(points, k):
+            calls.append((points, k))
+            idx = real(points, k)
+            return idx if len(calls) < 4 else IndexMatrix(idx.entries[:, ::-1])
+
+        monkeypatch.setattr(checks, "knn_accelerated", corrupt_from_call_4)
+        assert run(["knncheck", "--clouds", 10, "--replay-dir", tmp_path]) == 1
+        lines = result_lines(capsys.readouterr().out)
+        path = tmp_path / "failcase-knn_oracle-agreement.npz"
+        assert f"FAIL knn/oracle-agreement 7 mismatching clouds out of 10 (N.NNs) [case saved to {path}]" in lines
+        points, k = calls[3]  # trial 3 is the first corrupted call
+        with np.load(path) as case:
+            assert np.array_equal(case["points"], points)
+            assert case["k"] == k and case["trial"] == 3

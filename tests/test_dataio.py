@@ -155,6 +155,18 @@ class TestOff:
         with pytest.raises(FormatError, match="truncated"):
             read_off(p)
 
+    def test_negative_face_count_names_the_file(self, tmp_path):
+        p = tmp_path / "m.off"
+        p.write_text("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n")
+        with pytest.raises(FormatError, match=r"m\.off: negative face count -1"):
+            read_off(p)
+
+    def test_token_after_last_face_names_its_line(self, tmp_path):
+        p = tmp_path / "m.off"
+        p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n# trailing\n3 0 2 1\n")
+        with pytest.raises(FormatError, match=r"m\.off:9: unexpected token '3' after the last face"):
+            read_off(p)
+
     def test_header_glued_to_count(self, tmp_path):
         p = tmp_path / "m.off"
         p.write_text("OFF3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
