@@ -12,12 +12,12 @@ from pathlib import Path
 
 from puxp.dataio import write_comparison_csv
 from puxp.pipeline import BackboneSpec, TrainConfig, compare_units
-from puxp.units import UNIT_KINDS, ExpansionSpec, GRAPH_KINDS
+from puxp.units import UNIT_KINDS, ExpansionSpec
 
 C, K = 16, 8
 configs = [
     TrainConfig(
-        unit=ExpansionSpec(kind=kind, ratio=4, channels=C, k=K if kind in GRAPH_KINDS else None),
+        unit=ExpansionSpec(kind=kind, ratio=4, channels=C, k=K),
         backbone=BackboneSpec("edgeconv_stack", depth=2, width=C),
         k=K,
         steps=150,

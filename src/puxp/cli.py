@@ -27,7 +27,7 @@ from .errors import (
 )
 from .pipeline import BackboneSpec, TrainConfig, spec_from_fields, spec_to_fields
 from .shapes import SHAPE_KINDS
-from .units import GRAPH_KINDS, INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
+from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec, _UNIT_CLASSES, _UnitBase
 
 
 def _print_config(pairs):
@@ -41,7 +41,7 @@ def _unit_spec(args):
         kind=args.unit,
         ratio=args.ratio,
         channels=args.channels,
-        k=args.k if args.unit in GRAPH_KINDS else None,
+        k=args.k,
         index_mode=args.index_mode,
         regression_mode=args.regression_mode,
     )
@@ -158,14 +158,14 @@ def _compare_configs(pairs):
         for imode in items("compare.index_modes"):
             if imode not in INDEX_MODES:
                 raise ConfigError(f"unknown index mode {imode!r}; choose from {INDEX_MODES}")
-            # the high-power index type only exists for the progressive graph unit
-            effective_imode = imode if kind == "proedgeshuffle" else "expand"
+            # a unit that does not read this index mode trains once, under expand
+            effective_imode = imode if imode in _UNIT_CLASSES.get(kind, _UnitBase).index_modes else "expand"
             for rmode in items("compare.regression_modes"):
                 spec = ExpansionSpec(
                     kind=kind,
                     ratio=ratio,
                     channels=shared.backbone.width,
-                    k=shared.k if kind in GRAPH_KINDS else None,
+                    k=shared.k,
                     index_mode=effective_imode,
                     regression_mode=None if rmode == "default" else rmode,
                 )

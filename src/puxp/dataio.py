@@ -77,8 +77,10 @@ def write_xyz(path, cloud):
 def read_off(path):
     """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped.
 
-    A non-finite vertex coordinate, or a token after the last declared face,
-    is rejected naming its line; so is a negative face count, naming the file.
+    Values after a face's indices on its line are colour and are skipped. A
+    malformed or non-finite number, a bad face or a token after the last
+    declared face is rejected naming its line; so is a negative face count,
+    naming the file.
     """
     with open(path, "r", encoding="utf-8") as f:
         raw = f.read()
@@ -94,19 +96,21 @@ def read_off(path):
             tokens.insert(0, (lineno, head[3:]))  # header glued to the vertex count
         else:
             raise FormatError(f"{path}: missing OFF header, found {head!r}")
-    it = iter(tokens)
+    pos = 0  # next token to take
+    at = lineno  # line of the token last taken
 
     def take(what, cast):
-        try:
-            lineno, tok = next(it)
-        except StopIteration:
-            raise FormatError(f"{path}: truncated file while reading {what}") from None
+        nonlocal pos, at
+        if pos == len(tokens):
+            raise FormatError(f"{path}: truncated file while reading {what}")
+        at, tok = tokens[pos]
+        pos += 1
         try:
             value = cast(tok)
         except ValueError:
-            raise FormatError(f"{path}: bad {what}: {tok!r}") from None
+            raise FormatError(f"{path}:{at}: bad {what}: {tok!r}") from None
         if cast is float and not np.isfinite(value):
-            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+            raise FormatError(f"{path}:{at}: non-finite coordinate")
         return value
 
     n_verts = take("vertex count", int)
@@ -123,16 +127,18 @@ def read_off(path):
     for fi in range(n_faces):
         arity = take("face arity", int)
         if arity < 3:
-            raise FormatError(f"{path}: face {fi} has {arity} vertices")
+            raise FormatError(f"{path}:{at}: face {fi} has {arity} vertices")
         ids = [take("face index", int) for _ in range(arity)]
         for vid in ids:
             if not 0 <= vid < n_verts:
-                raise FormatError(f"{path}: face {fi} references vertex {vid} of {n_verts}")
+                raise FormatError(f"{path}:{at}: face {fi} references vertex {vid} of {n_verts}")
+        while pos < len(tokens) and tokens[pos][0] == at:  # colour values
+            pos += 1
         for a, b in zip(ids[1:], ids[2:]):  # fan triangulation
             faces.append((ids[0], a, b))
-    leftover = next(it, None)
-    if leftover:
-        raise FormatError(f"{path}:{leftover[0]}: unexpected token {leftover[1]!r} after the last face")
+    if pos < len(tokens):
+        lineno, tok = tokens[pos]
+        raise FormatError(f"{path}:{lineno}: unexpected token {tok!r} after the last face")
     mesh, dropped = TriangleMesh.filtered(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} zero-area faces")
@@ -262,18 +268,3 @@ def write_comparison_csv(path, table):
             "pu-gcn nodeshuffle cd=0.657e-3 vs proedgeshuffle cd=0.597e-3\n"
         )
 
-
-def read_csv_rows(path):
-    """Data rows of a CSV written by this module (comments stripped)."""
-    rows = []
-    header = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if header is None:
-                header = text.split(",")
-                continue
-            rows.append(dict(zip(header, text.split(","))))
-    return rows

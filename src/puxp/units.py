@@ -18,28 +18,15 @@ from .errors import ConfigError, ShapeError
 from .geometry import IndexMatrix, PointCloud, expand_index, knn_features
 from .nn import EdgeConvLayer, SharedMLP, duplicate_with_code
 
-UNIT_KINDS = (
-    "branch",
-    "duplicate",
-    "single_mlp",
-    "multilayer_mlp",
-    "progressive_mlp",
-    "nodeshuffle",
-    "proedgeshuffle",
-)
-GRAPH_KINDS = ("nodeshuffle", "proedgeshuffle")
-POWER_OF_TWO_KINDS = ("duplicate", "progressive_mlp", "proedgeshuffle")
 INDEX_MODES = ("expand", "feature_knn")
 REGRESSION_MODES = ("direct", "edgeconv_after", "edgeconv_before")
 
 
 @dataclasses.dataclass
 class ExpansionSpec:
-    """Configuration of one feature-expansion unit.
-
-    regression_mode defaults to edgeconv_before for proedgeshuffle (its final
-    local fusion pass) and to direct regression for every other kind. Only
-    proedgeshuffle reads index_mode; every other kind must keep "expand".
+    """Configuration of one feature-expansion unit, checked against the rules
+    its unit class states (see _UnitBase). A k given to a unit that does not
+    read the graph is dropped: the spec stores None.
     """
 
     kind: str
@@ -50,7 +37,8 @@ class ExpansionSpec:
     regression_mode: str | None = None
 
     def __post_init__(self):
-        if self.kind not in UNIT_KINDS:
+        rules = _UNIT_CLASSES.get(self.kind)
+        if rules is None:
             raise ConfigError(f"unknown unit kind {self.kind!r}; choose from {UNIT_KINDS}")
         self.ratio = int(self.ratio)
         self.channels = int(self.channels)
@@ -58,22 +46,23 @@ class ExpansionSpec:
             raise ConfigError(f"ratio must be a positive integer, got {self.ratio}")
         if self.channels < 1:
             raise ConfigError(f"channels must be a positive integer, got {self.channels}")
-        if self.kind in POWER_OF_TWO_KINDS and self.ratio & (self.ratio - 1):
+        if rules.doubles and self.ratio & (self.ratio - 1):
             raise ConfigError(f"ratio must be a power of 2 for unit {self.kind!r}, got {self.ratio}")
-        if self.kind == "proedgeshuffle" and self.ratio not in (2, 4, 8, 16):
-            raise ConfigError(f"proedgeshuffle supports ratios 2, 4, 8, 16, got {self.ratio}")
-        if self.kind in GRAPH_KINDS:
-            if self.k is None:
-                raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
-            self.k = int(self.k)
+        if rules.ratios is not None and self.ratio not in rules.ratios:
+            allowed = ", ".join(map(str, rules.ratios))
+            raise ConfigError(f"{self.kind} supports ratios {allowed}, got {self.ratio}")
+        if rules.reads_graph and self.k is None:
+            raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
+        self.k = int(self.k) if rules.reads_graph else None
         if self.index_mode not in INDEX_MODES:
             raise ConfigError(f"unknown index mode {self.index_mode!r}; choose from {INDEX_MODES}")
-        if self.index_mode != "expand" and self.kind != "proedgeshuffle":
+        if self.index_mode not in rules.index_modes:
+            readers = ", ".join(c.kind for c in _UNIT_CLASSES.values() if self.index_mode in c.index_modes)
             raise ConfigError(
-                f"index mode {self.index_mode!r} is read only by proedgeshuffle, not by {self.kind!r}"
+                f"index mode {self.index_mode!r} is read only by {readers}, not by {self.kind!r}"
             )
         if self.regression_mode is None:
-            self.regression_mode = "edgeconv_before" if self.kind == "proedgeshuffle" else "direct"
+            self.regression_mode = rules.regression_default
         if self.regression_mode not in REGRESSION_MODES:
             raise ConfigError(
                 f"unknown regression mode {self.regression_mode!r}; choose from {REGRESSION_MODES}"
@@ -109,10 +98,24 @@ class ExpansionResult:
 
 
 class _UnitBase:
+    """Each unit class states its rules as class data; ExpansionSpec checks them.
+
+    reads_graph: reads the KNN graph, so needs k. doubles: grows in log2(r)
+    doubling rounds, so r is a power of 2. ratios: the only ratios accepted
+    (None: any). index_modes: the index modes read. regression_default: the
+    regression mode used when none is given.
+    """
+
     kind = ""
+    reads_graph = False
+    doubles = False
+    ratios = None
+    index_modes = ("expand",)
+    regression_default = "direct"
 
     def __init__(self, spec):
         self.spec = spec
+        self.rounds = spec.ratio.bit_length() - 1
 
 
 class BranchUnit(_UnitBase):
@@ -140,14 +143,14 @@ class DuplicateUnit(_UnitBase):
     """log2(r) rounds of copy-with-latent-code followed by a shared layer."""
 
     kind = "duplicate"
+    doubles = True
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
-        rounds = self.spec.ratio.bit_length() - 1
         self.round_mlps = [
             SharedMLP(store, f"unit.round{i}", [c + 1, c], rng, activate_output=True)
-            for i in range(rounds)
+            for i in range(self.rounds)
         ]
 
     def expand(self, ctx):
@@ -190,15 +193,15 @@ class ProgressiveMlpUnit(_UnitBase):
     """An extraction layer, then [C -> 2C layer, shuffle] until r*N rows."""
 
     kind = "progressive_mlp"
+    doubles = True
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
         self.extract = SharedMLP(store, "unit.extract", [c, c], rng, activate_output=True)
-        rounds = self.spec.ratio.bit_length() - 1
         self.round_mlps = [
             SharedMLP(store, f"unit.double{i}", [c, 2 * c], rng, activate_output=True)
-            for i in range(rounds)
+            for i in range(self.rounds)
         ]
 
     def expand(self, ctx):
@@ -212,6 +215,7 @@ class NodeShuffleUnit(_UnitBase):
     """EdgeConv C -> r*C on the base graph, then shuffle."""
 
     kind = "nodeshuffle"
+    reads_graph = True
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
@@ -232,12 +236,16 @@ class ProEdgeShuffleUnit(_UnitBase):
     """
 
     kind = "proedgeshuffle"
+    reads_graph = True
+    doubles = True
+    ratios = (2, 4, 8, 16)
+    index_modes = INDEX_MODES
+    regression_default = "edgeconv_before"  # its final local fusion pass
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
-        rounds = self.spec.ratio.bit_length() - 1
-        self.convs = [EdgeConvLayer(store, f"unit.conv{i}", c, 2 * c, rng) for i in range(rounds)]
+        self.convs = [EdgeConvLayer(store, f"unit.conv{i}", c, 2 * c, rng) for i in range(self.rounds)]
 
     def expand(self, ctx):
         feats = ctx.features
@@ -263,6 +271,8 @@ _UNIT_CLASSES = {
         ProEdgeShuffleUnit,
     )
 }
+UNIT_KINDS = tuple(_UNIT_CLASSES)
+GRAPH_KINDS = tuple(kind for kind, cls in _UNIT_CLASSES.items() if cls.reads_graph)
 
 
 def build_unit(store, spec, rng):

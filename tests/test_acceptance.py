@@ -16,7 +16,6 @@ from puxp.checks import (
 )
 from puxp.autodiff import ParameterStore, Tensor
 from puxp.cli import main as cli_main
-from puxp.dataio import read_csv_rows
 from puxp.geometry import PointCloud, TriangleMesh, knn_bruteforce, point_triangle_distance
 from puxp.metrics import chamfer, hausdorff, point_to_face
 from puxp.pipeline import BackboneSpec, TrainConfig, compare_units, make_dataset, train
@@ -27,6 +26,8 @@ from puxp.units import (
     ExpansionSpec,
     build_unit,
 )
+
+from csv_reader import read_csv_rows
 
 
 def _ok(results):

@@ -6,9 +6,11 @@ import pytest
 
 from puxp import checks, metrics, pipeline
 from puxp.cli import _compare_configs, _parse_kv_file, main
-from puxp.dataio import Checkpoint, load_checkpoint, read_csv_rows, read_xyz, save_checkpoint, write_xyz
+from puxp.dataio import Checkpoint, load_checkpoint, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
+
+from csv_reader import read_csv_rows
 
 TRAIN_FLAGS = [
     "train",
@@ -258,6 +260,28 @@ class TestCompareCommand:
         # branch and nodeshuffle differ in unit.kind and unit.k: not one shared value
         for key in ("train.seed=", "unit.kind=", "unit.k="):
             assert not any(line.startswith(f"  {key}") for line in lines), key
+
+    def test_index_modes_reach_only_the_units_that_read_them(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            self.SMALL_COMPARE.replace("branch,nodeshuffle", "branch,proedgeshuffle")
+            + "compare.index_modes=expand,feature_knn\n"
+        )
+        configs, _, _ = _compare_configs(_parse_kv_file(cfg))
+        assert [(c.unit.kind, c.unit.index_mode, c.unit.k) for c in configs] == [
+            ("branch", "expand", None),
+            ("proedgeshuffle", "expand", 6),
+            ("proedgeshuffle", "feature_knn", 6),
+        ]
+
+    def test_unknown_unit_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            self.SMALL_COMPARE.replace("branch,nodeshuffle", "branch,magic")
+            + "compare.index_modes=feature_knn\n"
+        )
+        assert run(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown unit kind 'magic'; choose from")
 
     def test_train_seed_points_to_seeds(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -5,7 +5,6 @@ from puxp import dataio
 from puxp.dataio import (
     Checkpoint,
     load_checkpoint,
-    read_csv_rows,
     read_off,
     read_xyz,
     save_checkpoint,
@@ -16,6 +15,8 @@ from puxp.dataio import (
 from puxp.errors import FormatError
 from puxp.geometry import PointCloud
 from puxp.metrics import MetricReport
+
+from csv_reader import read_csv_rows
 
 
 class TestXyz:
@@ -171,6 +172,30 @@ class TestOff:
         p = tmp_path / "m.off"
         p.write_text("OFF3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         assert read_off(p).face_count == 1
+
+    def test_coloured_faces_load_as_the_uncoloured_mesh(self, tmp_path):
+        body = "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+        plain, coloured = tmp_path / "plain.off", tmp_path / "coloured.off"
+        plain.write_text(body + "3 0 1 2\n3 0 1 3\n")
+        coloured.write_text(body + "3 0 1 2 1 0 0\n3 0 1 3 0.5 0.5 0.5 1\n")
+        want, got = read_off(plain), read_off(coloured)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
+
+    def test_malformed_coordinate_names_its_line(self, tmp_path):
+        p = tmp_path / "m.off"
+        p.write_text("OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(FormatError, match=r"m\.off:4: bad coordinate: 'x'"):
+            read_off(p)
+
+    def test_face_errors_name_their_line(self, tmp_path):
+        p = tmp_path / "m.off"
+        p.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n2 0 1\n")
+        with pytest.raises(FormatError, match=r"m\.off:7: face 1 has 2 vertices"):
+            read_off(p)
+        p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
+        with pytest.raises(FormatError, match=r"m\.off:6: face 0 references vertex 9 of 3"):
+            read_off(p)
 
 
 class TestCheckpoint:

@@ -58,6 +58,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="k"):
             TrainConfig(unit=unit, backbone=BackboneSpec(width=8), k=32, points=32)
 
+    def test_graph_unit_k_must_match_model_k(self):
+        unit = ExpansionSpec(kind="nodeshuffle", ratio=2, channels=8, k=4)
+        with pytest.raises(ConfigError, match=r"^unit k \(4\) disagrees with model k \(6\)$"):
+            UpsamplingModel(unit, BackboneSpec(width=8), 6, np.random.default_rng(0))
+
     def test_unknown_backbone(self):
         with pytest.raises(ConfigError, match="backbone"):
             BackboneSpec(kind="transformer")
@@ -346,6 +351,11 @@ class TestSpecCodec:
         assert fields["train.eps"] == "1e-06"
         assert spec_to_fields(ExpansionSpec("branch", 2, 8), "unit")["unit.k"] == "none"
 
+    def test_unread_k_is_dropped(self):
+        spec = ExpansionSpec("branch", 2, 8, k=4)
+        assert spec.k is None
+        assert spec_to_fields(spec, "unit")["unit.k"] == "none"
+
     def test_budget_key_ignores_seed_and_unit_choices_only(self):
         cfg = self.non_default_config()
         same = dataclasses.replace(
@@ -431,6 +441,11 @@ class TestOldCheckpoints:
         ckpt, _ = self.checkpoint()
         ckpt.params.append(("unit.conv.h.w1", np.zeros((8, 16), dtype="<f4")))
         with pytest.raises(FormatError, match=r"extra \['unit.conv.h.w1'\]"):
+            model_from_checkpoint(ckpt)
+
+    def test_unit_k_disagreeing_with_model_k_is_a_format_error(self):
+        ckpt, _ = self.checkpoint(**{"unit.k": "5"})  # a nodeshuffle header with model.k=6
+        with pytest.raises(FormatError, match=r"unit k \(5\) disagrees with model k \(6\)"):
             model_from_checkpoint(ckpt)
 
     def test_feature_knn_on_a_unit_that_never_reads_it_is_a_format_error(self):

@@ -8,7 +8,9 @@ from puxp.errors import ConfigError
 from puxp.geometry import IndexMatrix, PointCloud, expand_index, knn_bruteforce
 from puxp.pipeline import BackboneSpec, UpsamplingModel
 from puxp.units import (
+    _UNIT_CLASSES,
     GRAPH_KINDS,
+    INDEX_MODES,
     UNIT_KINDS,
     ExpansionContext,
     ExpansionSpec,
@@ -67,6 +69,53 @@ class TestExpansionSpec:
     def test_branch_allows_non_power_of_two(self):
         spec = ExpansionSpec(kind="branch", ratio=3, channels=4)
         assert spec.ratio == 3
+
+    def test_kind_order_is_pinned(self):
+        # CLI choices, compare rows and the gradcheck names follow this order
+        assert UNIT_KINDS == (
+            "branch", "duplicate", "single_mlp", "multilayer_mlp", "progressive_mlp",
+            "nodeshuffle", "proedgeshuffle",
+        )
+        assert GRAPH_KINDS == ("nodeshuffle", "proedgeshuffle")
+
+    # kind: (reads_graph, doubles, ratios, index_modes, regression_default)
+    RULES = {
+        "branch": (False, False, None, ("expand",), "direct"),
+        "duplicate": (False, True, None, ("expand",), "direct"),
+        "single_mlp": (False, False, None, ("expand",), "direct"),
+        "multilayer_mlp": (False, False, None, ("expand",), "direct"),
+        "progressive_mlp": (False, True, None, ("expand",), "direct"),
+        "nodeshuffle": (True, False, None, ("expand",), "direct"),
+        "proedgeshuffle": (True, True, (2, 4, 8, 16), ("expand", "feature_knn"), "edgeconv_before"),
+    }
+
+    @pytest.mark.parametrize("kind", UNIT_KINDS)
+    def test_spec_accepts_exactly_what_the_class_declares(self, kind):
+        cls = _UNIT_CLASSES[kind]
+        rules = (cls.reads_graph, cls.doubles, cls.ratios, cls.index_modes, cls.regression_default)
+        assert rules == self.RULES[kind]
+        for ratio in range(1, 33):
+            for mode in INDEX_MODES:
+                if cls.doubles and ratio & (ratio - 1):
+                    refusal = f"ratio must be a power of 2 for unit '{kind}', got {ratio}"
+                elif cls.ratios is not None and ratio not in cls.ratios:
+                    refusal = f"proedgeshuffle supports ratios 2, 4, 8, 16, got {ratio}"
+                elif mode not in cls.index_modes:
+                    refusal = f"index mode '{mode}' is read only by proedgeshuffle, not by '{kind}'"
+                else:
+                    refusal = None
+                if refusal is not None:
+                    with pytest.raises(ConfigError) as err:
+                        ExpansionSpec(kind, ratio, 4, k=3, index_mode=mode)
+                    assert str(err.value) == refusal
+                    continue
+                spec = ExpansionSpec(kind, ratio, 4, k=3, index_mode=mode)
+                assert (spec.k, spec.index_mode) == (3 if cls.reads_graph else None, mode)
+                assert spec.regression_mode == cls.regression_default
+                if cls.reads_graph:
+                    with pytest.raises(ConfigError) as err:
+                        ExpansionSpec(kind, ratio, 4, index_mode=mode)
+                    assert str(err.value) == f"unit '{kind}' needs a neighbor count k"
 
 
 class TestUniversalShapeLaw:
