@@ -1,9 +1,11 @@
 """Command-line interface: train, upsample, eval, compare, gradcheck, knncheck.
 
-Exit codes: 0 success, 1 property/check failure, 2 usage or configuration
-error, 3 numerical failure (divergence, non-finite values). Every command
-prints its fully resolved configuration, defaults and seed included, before
-doing any work, so a run is reproducible from its log alone.
+Exit codes: 0 success, 1 property/check failure, 2 usage, configuration or
+input-file error (a malformed text input is named as `path:line`), 3
+numerical failure (divergence, non-finite values). A compare config is
+`key=value` lines read by `dataio.read_fields`. Every command prints its
+fully resolved configuration, defaults and seed included, before doing any
+work, so a run is reproducible from its log alone.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import sys
 import numpy as np
 
 from . import checks, dataio, metrics, pipeline
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    FormatError,
-    GradientError,
-    IndexRangeError,
-    ShapeError,
-)
+from .errors import ConfigError, DivergenceError, GradientError, IndexRangeError
 from .pipeline import BackboneSpec, TrainConfig, spec_from_fields, spec_to_fields
 from .shapes import SHAPE_KINDS
 from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec, _UNIT_CLASSES, _UnitBase
@@ -97,26 +92,6 @@ def cmd_eval(args):
     return 0
 
 
-def _parse_kv_file(path):
-    pairs = {}
-    first_line = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key in first_line:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key!r} is set again (first set on line {first_line[key]})"
-                )
-            first_line[key] = lineno
-            pairs[key] = value
-    return pairs
-
-
 # The keys a compare file sets beyond the shared TrainConfig ones, with their
 # defaults; None marks a required key.
 COMPARE_KEYS = {
@@ -184,7 +159,7 @@ def _compare_configs(pairs):
 
 
 def cmd_compare(args):
-    pairs = _parse_kv_file(args.config)
+    pairs = dataio.read_fields(args.config)
     configs, seeds, out = _compare_configs(pairs)
     out = args.out or out
     # a unit.* key that differs between rows is left out; compare.rows names each row's unit
@@ -308,7 +283,7 @@ def main(argv=None):
     except (DivergenceError, GradientError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError, ShapeError, IndexRangeError, OSError, ValueError) as exc:
+    except (IndexRangeError, OSError, ValueError) as exc:  # ConfigError, FormatError, ShapeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -1,13 +1,16 @@
-"""File formats: XYZ clouds, OFF meshes, PUXP1 checkpoints, CSV reports.
+"""File formats: XYZ clouds, OFF meshes, key=value files, PUXP1 checkpoints, CSV reports.
 
-Readers reject malformed input with the offending location instead of
-guessing. Writers are deterministic: the same data always produces the same
-bytes, which is what the reproducibility checks diff.
+Text inputs share one line rule (`_Lines`); readers reject malformed input
+naming `path:line` instead of guessing. Writers are deterministic: the same
+data always produces the same bytes, which is what the reproducibility checks diff.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import pathlib
 import struct
 import warnings
 
@@ -20,47 +23,80 @@ CHECKPOINT_MAGIC = b"PUXP1"
 
 
 # ---------------------------------------------------------------------------
+# Text lines
+
+
+class _Lines:
+    """The line rule of every text input (XYZ, OFF, a compare file, a checkpoint
+    header): UTF-8, lines ended by "\\n", "\\r\\n" or "\\r", each stripped; `texts`
+    leaves out blank lines and '#' comments. `data` is the input's bytes, read
+    from `path` when not given. Lines are numbered only when an error needs it.
+    """
+
+    def __init__(self, path, data=None):
+        data = pathlib.Path(path).read_bytes() if data is None else data
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+            raise FormatError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+        self.path = path
+        self._stripped = list(map(str.strip, io.StringIO(text, newline=None)))
+        self.texts = [s for s in self._stripped if s and s[0] != "#"]
+
+    def number(self, i):
+        """The line number of texts[i]; from len(texts) on, the input's last line."""
+        kept = [n for n, s in enumerate(self._stripped, 1) if s and s[0] != "#"]
+        return kept[i] if i < len(kept) else max(len(self._stripped), 1)
+
+    def error(self, i, message):
+        return FormatError(f"{self.path}:{self.number(i)}: {message}")
+
+
+def read_fields(path, data=None):
+    """{key: value} of `key=value` lines, both sides stripped; a line without
+    '=', an empty key or a key set twice is refused. `data` holds the text
+    when it is part of `path` (a checkpoint header)."""
+    lines = _Lines(path, data)
+    fields, first = {}, {}
+    for i, text in enumerate(lines.texts):
+        if "=" not in text:
+            raise lines.error(i, f"expected key=value, got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if not key:
+            raise lines.error(i, f"empty key in {text!r}")
+        if key in fields:
+            raise lines.error(i, f"key {key!r} is set again (first set on line {lines.number(first[key])})")
+        fields[key], first[key] = value, i
+    return fields
+
+
+# ---------------------------------------------------------------------------
 # XYZ point clouds
 
 
 def read_xyz(path):
-    """One point per line, three whitespace-separated floats; '#' comments.
-
-    One vectorised parse reads a well-formed file. A file it rejects is read
-    again one line at a time, which names the first bad line.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [text for text in map(str.strip, f.read().split("\n")) if text and not text.startswith("#")]
-    if lines:
+    """One point per line, three whitespace-separated floats, read by one
+    vectorised parse; only a file it rejects has its lines walked to name
+    the first bad one."""
+    lines = _Lines(path)
+    try:
+        points = np.loadtxt(lines.texts, dtype=np.float64, comments=None, ndmin=2) if lines.texts else None
+    except ValueError:
+        points = None
+    if points is not None and points.shape[1] == 3 and np.isfinite(points).all():
+        return PointCloud(points)
+    for i, text in enumerate(lines.texts):
+        count = len(text.split())
+        if count != 3:
+            raise lines.error(i, f"expected 3 coordinates, got {count}")
         try:
-            points = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            xyz = np.loadtxt([text], dtype=np.float64, comments=None)
         except ValueError:
-            return _read_xyz_lines(path)
-        if points.shape[1] == 3 and np.isfinite(points).all():
-            return PointCloud(points)
-    return _read_xyz_lines(path)
-
-
-def _read_xyz_lines(path):
-    points = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
-            try:
-                xyz = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if not all(np.isfinite(v) for v in xyz):
-                raise FormatError(f"{path}:{lineno}: non-finite coordinate")
-            points.append(xyz)
-    if not points:
-        raise FormatError(f"{path}: no points")
-    return PointCloud(points)
+            raise lines.error(i, f"not a number: {text!r}") from None
+        if not np.isfinite(xyz).all():
+            raise lines.error(i, "non-finite coordinate")
+    raise lines.error(len(lines.texts), "no points")
 
 
 def write_xyz(path, cloud):
@@ -77,69 +113,64 @@ def write_xyz(path, cloud):
 def read_off(path):
     """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped.
 
-    Values after a face's indices on its line are colour and are skipped. A
-    malformed or non-finite number, a bad face or a token after the last
-    declared face is rejected naming its line; so is a negative face count,
-    naming the file.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.read()
-    tokens = []  # (line number, token)
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        text = line.split("#", 1)[0].strip()
-        tokens.extend((lineno, tok) for tok in text.split())
-    if not tokens:
-        raise FormatError(f"{path}: empty file")
-    lineno, head = tokens.pop(0)
-    if head != "OFF":
-        if head.startswith("OFF") and head[3:].lstrip("-").isdigit():
-            tokens.insert(0, (lineno, head[3:]))  # header glued to the vertex count
-        else:
-            raise FormatError(f"{path}: missing OFF header, found {head!r}")
-    pos = 0  # next token to take
-    at = lineno  # line of the token last taken
+    Rows: `OFF`, with the vertex, face and edge counts on its line (also
+    glued, as in `OFF3 1 0`) or the next; 3 coordinates per vertex; per face
+    its arity, its indices and optional colour values, which are skipped."""
+    lines = _Lines(path)
+    rows = lines.texts
 
-    def take(what, cast):
-        nonlocal pos, at
-        if pos == len(tokens):
-            raise FormatError(f"{path}: truncated file while reading {what}")
-        at, tok = tokens[pos]
-        pos += 1
+    def split(i, what):
+        if i == len(rows):
+            raise lines.error(i, f"truncated file while reading {what}")
+        return rows[i].split()
+
+    def parse(i, token, what, cast):
         try:
-            value = cast(tok)
+            return cast(token)
         except ValueError:
-            raise FormatError(f"{path}:{at}: bad {what}: {tok!r}") from None
-        if cast is float and not np.isfinite(value):
-            raise FormatError(f"{path}:{at}: non-finite coordinate")
-        return value
+            raise lines.error(i, f"bad {what}: {token!r}") from None
 
-    n_verts = take("vertex count", int)
-    n_faces = take("face count", int)
-    take("edge count", int)
+    if not rows:
+        raise lines.error(0, "empty file")
+    head = rows[0].split()[0]
+    if head != "OFF" and not (head.startswith("OFF") and head[3:].lstrip("-").isdigit()):
+        raise lines.error(0, f"missing OFF header, found {head!r}")
+    at, counts = 0, rows[0][3:].split()
+    if not counts:
+        at, counts = 1, split(1, "vertex count")
+    values = [parse(at, token, what, int) for token, what in zip(counts, ("vertex count", "face count", "edge count"))]
+    if len(counts) != 3:
+        raise lines.error(at, f"expected 3 counts, got {len(counts)}")
+    n_verts, n_faces, _ = values
     if n_verts < 1:
-        raise FormatError(f"{path}: no vertices")
+        raise lines.error(at, "no vertices")
     if n_faces < 0:
-        raise FormatError(f"{path}: negative face count {n_faces}")
-    verts = np.array(
-        [[take("coordinate", float) for _ in range(3)] for _ in range(n_verts)]
-    )
+        raise lines.error(at, f"negative face count {n_faces}")
+    verts, first = [], at + 1 + n_verts  # first: the row of face 0
+    for i in range(at + 1, first):
+        xyz = [parse(i, token, "coordinate", float) for token in split(i, "coordinate")]
+        if len(xyz) != 3:
+            raise lines.error(i, f"expected 3 coordinates, got {len(xyz)}")
+        if not np.isfinite(xyz).all():
+            raise lines.error(i, "non-finite coordinate")
+        verts.append(xyz)
     faces = []
-    for fi in range(n_faces):
-        arity = take("face arity", int)
+    for fi, i in enumerate(range(first, first + n_faces)):
+        arity, *listed = split(i, "face arity")
+        arity = parse(i, arity, "face arity", int)
         if arity < 3:
-            raise FormatError(f"{path}:{at}: face {fi} has {arity} vertices")
-        ids = [take("face index", int) for _ in range(arity)]
+            raise lines.error(i, f"face {fi} has {arity} vertices")
+        ids = [parse(i, token, "face index", int) for token in listed[:arity]]
+        if len(ids) < arity:
+            raise lines.error(i, f"face {fi} has {arity} vertices but lists {len(ids)}")
         for vid in ids:
             if not 0 <= vid < n_verts:
-                raise FormatError(f"{path}:{at}: face {fi} references vertex {vid} of {n_verts}")
-        while pos < len(tokens) and tokens[pos][0] == at:  # colour values
-            pos += 1
-        for a, b in zip(ids[1:], ids[2:]):  # fan triangulation
-            faces.append((ids[0], a, b))
-    if pos < len(tokens):
-        lineno, tok = tokens[pos]
-        raise FormatError(f"{path}:{lineno}: unexpected token {tok!r} after the last face")
-    mesh, dropped = TriangleMesh.filtered(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+                raise lines.error(i, f"face {fi} references vertex {vid} of {n_verts}")
+        faces.extend((ids[0], a, b) for a, b in zip(ids[1:], ids[2:]))  # fan triangulation
+    end = first + n_faces
+    if end < len(rows):
+        raise lines.error(end, f"unexpected token {rows[end].split()[0]!r} after the last face")
+    mesh, dropped = TriangleMesh.filtered(np.array(verts), np.array(faces, dtype=np.int64).reshape(-1, 3))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} zero-area faces")
     return mesh
@@ -157,8 +188,10 @@ class Checkpoint:
     params: list  # (name, float32 ndarray) in a fixed order
 
     def __post_init__(self):
+        # each field must read back unchanged through read_fields
         for key, value in self.fields.items():
-            if "=" in key or "\n" in key or "\n" in str(value):
+            plain = all(isinstance(s, str) and s == s.strip() and "\n" not in s and "\r" not in s for s in (key, value))
+            if not (plain and key and not key.startswith("#") and "=" not in key):
                 raise FormatError(f"invalid checkpoint field {key!r}")
 
 
@@ -171,7 +204,7 @@ def save_checkpoint(path, checkpoint):
         f.write(struct.pack("<I", len(checkpoint.params)))
         for name, values in checkpoint.params:
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(values, dtype="<f4")
+            arr = np.asarray(values, dtype="<f4")  # tobytes() is C order; 0-d stays 0-d
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
             f.write(struct.pack("<B", arr.ndim))
@@ -192,15 +225,7 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint (magic {magic!r})")
         (header_len,) = struct.unpack("<I", _read_exact(f, 4, path))
-        header = _read_exact(f, header_len, path).decode("utf-8")
-        fields = {}
-        for line in header.splitlines():
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: malformed header line {line!r}")
-            key, value = line.split("=", 1)
-            fields[key] = value
+        fields = read_fields(path, _read_exact(f, header_len, path))
         (n_params,) = struct.unpack("<I", _read_exact(f, 4, path))
         params = []
         for _ in range(n_params):
@@ -231,40 +256,38 @@ def _fmt(value):
     return "" if value is None else f"{value:.17g}"
 
 
+def _write_csv(path, lines, rows, footer=()):
+    """`lines` (comments, a header) as given, `rows` quoted as the csv module quotes them, then `footer`."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(line + "\n" for line in lines)
+        csv.writer(f, lineterminator="\n").writerows(rows)
+        f.writelines(line + "\n" for line in footer)
+
+
 def write_loss_csv(path, losses):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# columns: step,chamfer_loss\n")
-        for i, value in enumerate(losses):
-            f.write(f"{i},{value:.17g}\n")
+    _write_csv(path, ["# columns: step,chamfer_loss"], ((i, f"{value:.17g}") for i, value in enumerate(losses)))
 
 
 def write_metric_csv(path, reports):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in METRIC_CONVENTIONS:
-            f.write(line + "\n")
-        f.write("label,cd,hd,p2f,pred_count,gt_count\n")
-        for r in reports:
-            f.write(f"{r.label},{_fmt(r.cd)},{_fmt(r.hd)},{_fmt(r.p2f)},{r.pred_count},{r.gt_count}\n")
+    rows = ((r.label, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.pred_count, r.gt_count) for r in reports)
+    _write_csv(path, [*METRIC_CONVENTIONS, "label,cd,hd,p2f,pred_count,gt_count"], rows)
 
 
 def write_comparison_csv(path, table):
     """Comparison matrix CSV with the run budget and reference footnote."""
-    with open(path, "w", encoding="utf-8") as f:
-        for line in METRIC_CONVENTIONS:
-            f.write(line + "\n")
-        f.write(
-            f"# budget: steps={table.steps} points={table.points} ratio={table.ratio} "
-            f"backbone={table.backbone.kind}/{table.backbone.depth}x{table.backbone.width} "
-            f"shapes={','.join(table.shapes)}\n"
-        )
-        f.write("unit,index_mode,regression_mode,cd,hd,p2f,unit_params,backbone_params,seeds\n")
-        for r in table.rows:
-            f.write(
-                f"{r.unit},{r.index_mode},{r.regression_mode},{_fmt(r.cd)},{_fmt(r.hd)},"
-                f"{_fmt(r.p2f)},{r.unit_params},{r.backbone_params},{r.seeds}\n"
-            )
-        f.write(
-            "# reference, full-scale PU1K benchmark (not reproduced at this scale): "
-            "pu-gcn nodeshuffle cd=0.657e-3 vs proedgeshuffle cd=0.597e-3\n"
-        )
-
+    budget = (
+        f"# budget: steps={table.steps} points={table.points} ratio={table.ratio} "
+        f"backbone={table.backbone.kind}/{table.backbone.depth}x{table.backbone.width} "
+        f"shapes={','.join(table.shapes)}"
+    )
+    rows = (
+        (r.unit, r.index_mode, r.regression_mode, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.unit_params,
+         r.backbone_params, r.seeds)
+        for r in table.rows
+    )
+    reference = (
+        "# reference, full-scale PU1K benchmark (not reproduced at this scale): "
+        "pu-gcn nodeshuffle cd=0.657e-3 vs proedgeshuffle cd=0.597e-3"
+    )
+    header = "unit,index_mode,regression_mode,cd,hd,p2f,unit_params,backbone_params,seeds"
+    _write_csv(path, [*METRIC_CONVENTIONS, budget, header], rows, [reference])

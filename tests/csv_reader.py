@@ -1,17 +1,11 @@
 """Read back the CSV files that puxp.dataio writes; only the tests need this."""
 
+import csv
+
 
 def read_csv_rows(path):
     """Data rows of a CSV written by puxp.dataio (comments stripped)."""
-    rows = []
-    header = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if header is None:
-                header = text.split(",")
-                continue
-            rows.append(dict(zip(header, text.split(","))))
-    return rows
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        lines = [line for line in f if line.strip() and not line.lstrip().startswith("#")]
+    header, *rows = csv.reader(lines)
+    return [dict(zip(header, row)) for row in rows]

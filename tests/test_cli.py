@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from puxp import checks, metrics, pipeline
-from puxp.cli import _compare_configs, _parse_kv_file, main
-from puxp.dataio import Checkpoint, load_checkpoint, read_xyz, save_checkpoint, write_xyz
+from puxp.cli import _compare_configs, main
+from puxp.dataio import Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
 
@@ -157,6 +157,19 @@ class TestEvalCommand:
         assert float(rows[0]["cd"]) > 0
         assert rows[0]["p2f"] != ""
 
+    def test_label_with_a_comma_is_quoted(self, tmp_path):
+        pred, gt, csv = tmp_path / "run,1.xyz", tmp_path / "g.xyz", tmp_path / "r.csv"
+        write_cloud(pred, 16, seed=1)
+        write_cloud(gt, 32, seed=2)
+        assert run(["eval", "--pred", pred, "--gt", gt, "--csv", csv]) == 0
+        assert '\n"run,1",' in csv.read_text()
+        (row,) = read_csv_rows(csv)
+        want = metrics.report("run,1", read_xyz(pred), read_xyz(gt), None)
+        assert row == {
+            "label": "run,1", "cd": f"{want.cd:.17g}", "hd": f"{want.hd:.17g}", "p2f": "",
+            "pred_count": "16", "gt_count": "32",
+        }
+
     @pytest.mark.parametrize("shift", [-18, 300])
     def test_scaled_sphere_mesh_gives_the_scaled_unit_metrics(self, tmp_path, shift):
         # every face of the sphere is kept at 2^-18, and no product overflows at 2^300
@@ -250,7 +263,7 @@ class TestCompareCommand:
         cfg.write_text(
             self.SMALL_COMPARE + f"train.beta1=0.5\ntrain.beta2=0.99\ntrain.eps=1e-06\nout={out}\n"
         )
-        configs, _, _ = _compare_configs(_parse_kv_file(cfg))
+        configs, _, _ = _compare_configs(read_fields(cfg))
         assert [(c.beta1, c.beta2, c.eps) for c in configs] == [(0.5, 0.99, 1e-6)] * 2
         assert run(["compare", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -267,7 +280,7 @@ class TestCompareCommand:
             self.SMALL_COMPARE.replace("branch,nodeshuffle", "branch,proedgeshuffle")
             + "compare.index_modes=expand,feature_knn\n"
         )
-        configs, _, _ = _compare_configs(_parse_kv_file(cfg))
+        configs, _, _ = _compare_configs(read_fields(cfg))
         assert [(c.unit.kind, c.unit.index_mode, c.unit.k) for c in configs] == [
             ("branch", "expand", None),
             ("proedgeshuffle", "expand", 6),

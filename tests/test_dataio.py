@@ -1,10 +1,17 @@
+import pathlib
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from puxp import dataio
 from puxp.dataio import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     load_checkpoint,
+    read_fields,
     read_off,
     read_xyz,
     save_checkpoint,
@@ -67,7 +74,7 @@ class TestXyz:
         with pytest.raises(FormatError, match="non-finite"):
             read_xyz(p)
 
-    def test_vectorised_parse_equals_the_line_loop_bitwise(self, tmp_path, monkeypatch):
+    def test_vectorised_parse_equals_float_of_each_token_bitwise(self, tmp_path, monkeypatch):
         text = (
             "# header\r\n"
             "-0 1e-320 +1.5\r\n"
@@ -79,10 +86,14 @@ class TestXyz:
         )
         p = tmp_path / "a.xyz"
         p.write_bytes(text.encode("utf-8"))
-        slow = dataio._read_xyz_lines(p).points
-        monkeypatch.setattr(dataio, "_read_xyz_lines", None)  # the fast parse must not need it
+        rows = [line.split() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+        want = np.array([[float(token) for token in row] for row in rows])
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
         fast = read_xyz(p).points
-        assert fast.tobytes() == slow.tobytes()
+        assert len(calls) == 1  # a well-formed file takes the one vectorised parse
+        assert fast.shape == (4, 3) and fast.tobytes() == want.tobytes()
         assert np.signbit(fast[0, 0]) and fast[0, 1] == 1e-320 and fast[1].tolist() == [2.5, -0.0, 3.0]
 
     @pytest.mark.parametrize(
@@ -156,10 +167,10 @@ class TestOff:
         with pytest.raises(FormatError, match="truncated"):
             read_off(p)
 
-    def test_negative_face_count_names_the_file(self, tmp_path):
+    def test_negative_face_count_names_its_line(self, tmp_path):
         p = tmp_path / "m.off"
         p.write_text("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n")
-        with pytest.raises(FormatError, match=r"m\.off: negative face count -1"):
+        with pytest.raises(FormatError, match=r"m\.off:2: negative face count -1"):
             read_off(p)
 
     def test_token_after_last_face_names_its_line(self, tmp_path):
@@ -198,7 +209,71 @@ class TestOff:
             read_off(p)
 
 
+READERS = {".xyz": read_xyz, ".off": read_off, ".cfg": read_fields}
+
+
+class TestTextInputs:
+    """One line rule and one error form, `path:line: message`, for every text reader."""
+
+    @pytest.mark.parametrize(
+        "name, data, where",
+        [
+            # a vertex row short by one, and a face row short by one index
+            ("m.off", b"OFF\n3 1 0\n1 0\n0 0 1 0\n0 1 0\n3 0 1 2\n", "3: expected 3 coordinates, got 2"),
+            ("m.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n2\n", "6: face 0 has 3 vertices but lists 2"),
+            ("m.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n", "4: truncated file while reading coordinate"),
+            ("m.off", b"OFF\n0 0 0\n", "2: no vertices"),
+            ("m.off", b"# mesh\nPLY\n3 1 0\n", "2: missing OFF header, found 'PLY'"),
+            ("m.off", b"\n# nothing\n", "2: empty file"),
+            ("m.off", b"OFF\n3\n1 0\n", "2: expected 3 counts, got 1"),
+            ("m.off", b"OFF # a triangle\n3 1 0\n", "1: bad vertex count: '#'"),
+            ("c.cfg", b"a=1\nnot key value\n", "2: expected key=value, got 'not key value'"),
+            ("c.cfg", b"a=1\n = 2\n", "2: empty key in '= 2'"),
+            ("c.cfg", b"a=1\n\nb=2\na = 3\n", "4: key 'a' is set again (first set on line 1)"),
+            ("a.xyz", b"0 0 0\n1 1 1\n\xff 0 0\n", "3: not UTF-8 text (byte 0xff)"),
+            ("a.xyz", b"0 0 0\r1 1 \xe9\n", "2: not UTF-8 text (byte 0xe9)"),
+            ("a.xyz", b"1_000 0 0\n", "1: not a number: '1_000 0 0'"),
+            ("a.xyz", b"# nothing\n\n", "2: no points"),
+        ],
+    )
+    def test_error_names_path_line_and_message(self, tmp_path, name, data, where):
+        p = tmp_path / name
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as caught:
+            READERS[p.suffix](p)
+        assert str(caught.value) == f"{p}:{where}"
+
+    ROWS = [
+        "", "   ", "# note", "OFF", "OFF3 1 0", "3 1 0", "0 0 0", "1 0 0", "0 1 0", "1 0", "0 0 1 0",
+        "3 0 1 2", "3 0 1 2 0.5 0.5 0.5", "3 0 1", "nan 0 0", "1_000 0 0", "k=v", " k = v ", "=v", "k",
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.lists(st.tuples(st.sampled_from(ROWS), st.sampled_from(["\n", "\r\n", "\r"])), max_size=12).map(
+                lambda rows: "".join(row + end for row, end in rows).encode("utf-8")
+            ),
+        )
+    )
+    def test_every_reader_returns_or_raises_format_error(self, tmp_path_factory, data):
+        folder = tmp_path_factory.getbasetemp()
+        for suffix, reader in READERS.items():
+            p = folder / f"fuzz{suffix}"
+            p.write_bytes(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.filterwarnings("ignore", "dropped .* zero-area faces")
+                try:
+                    reader(p)
+                except FormatError as exc:
+                    assert str(exc).startswith(f"{p}:")
+
+
 class TestCheckpoint:
+    BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "proedgeshuffle-r4.puxp"
+
     def make(self):
         rng = np.random.default_rng(1)
         return Checkpoint(
@@ -245,6 +320,61 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(p)
+
+    def test_header_setting_a_key_twice_is_refused(self, tmp_path):
+        data = self.BENCH.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        (size,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC) : start])
+        header = data[start : start + size] + b"unit.index_mode=feature_knn\n"
+        p = tmp_path / "c.puxp"
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + data[start + size :])
+        with pytest.raises(FormatError) as caught:
+            load_checkpoint(p)
+        assert str(caught.value) == f"{p}:12: key 'unit.index_mode' is set again (first set on line 5)"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("", "1"), ("#k", "1"), (" k", "1"), ("k ", "1"), ("k", " 1"), ("k", "1\t"), ("k", "a\rb"), ("a=b", "1"),
+         ("k", 1)],
+    )
+    def test_field_the_reader_would_change_is_refused(self, key, value):
+        with pytest.raises(FormatError, match="invalid checkpoint field"):
+            Checkpoint({key: value}, [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fields=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6),
+        params=st.lists(
+            st.tuples(
+                st.text(max_size=8),
+                st.lists(st.integers(0, 3), max_size=3).flatmap(
+                    lambda shape: st.binary(min_size=4 * int(np.prod(shape)), max_size=4 * int(np.prod(shape))).map(
+                        lambda raw: np.frombuffer(raw, dtype="<f4").reshape(shape)
+                    )
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_every_checkpoint_that_constructs_reads_back(self, tmp_path_factory, fields, params):
+        try:
+            ckpt = Checkpoint(fields, params)
+        except FormatError:
+            return
+        self.assert_reads_back(tmp_path_factory.getbasetemp() / "property.puxp", ckpt)
+
+    def test_spec_written_fields_read_back(self, tmp_path):
+        fields = {"unit.k": "none", "data.shapes": "sphere,torus", "unit.edge_hidden": ""}
+        self.assert_reads_back(tmp_path / "c.puxp", Checkpoint(fields, self.make().params))
+
+    @staticmethod
+    def assert_reads_back(path, ckpt):
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path)
+        assert back.fields == ckpt.fields
+        assert [name for name, _ in back.params] == [name for name, _ in ckpt.params]
+        for (_, want), (_, got) in zip(ckpt.params, back.params):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCsv:
