@@ -21,11 +21,14 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tape, Tensor
 from .geometry import (
     PointCloud,
+    TriangleMesh,
     expand_index,
     knn_accelerated,
     knn_bruteforce,
     knn_features,
     nearest_neighbors,
+    squared_distances_to_mesh,
+    squared_distances_to_triangle,
 )
 
 GRAD_RTOL = 1e-4
@@ -212,8 +215,9 @@ def _knn_agrees(points, k):
 
 
 def run_knn_checks(clouds=200, seed=2024):
-    """kd-tree path must equal the brute-force oracle on seeded random clouds."""
-    rng, feature_rng, nearest_rng, duplicate_rng = (np.random.default_rng(seed + i) for i in range(4))
+    """kd-tree path must equal the brute-force oracle on seeded random clouds;
+    the mesh search must equal a loop over every face."""
+    rng, feature_rng, nearest_rng, duplicate_rng, mesh_rng = (np.random.default_rng(seed + i) for i in range(5))
     start = time.perf_counter()
     results = [_agreement("knn/oracle-agreement", _cloud_cases(rng, clouds), "mismatching clouds")]
     results[0].detail += f" ({time.perf_counter() - start:.2f}s)"
@@ -230,6 +234,7 @@ def run_knn_checks(clouds=200, seed=2024):
         CheckResult("knn/outlier-cluster", _knn_agrees(cluster, 5)),
         CheckResult("knn/grid-ties", _knn_agrees(grid, 8)),
         _agreement("nearest/oracle-agreement", _nearest_cases(nearest_rng), "mismatching cloud pairs"),
+        _agreement("p2f/oracle-agreement", _mesh_cases(mesh_rng), "mismatching meshes"),
     ]
 
 
@@ -291,6 +296,35 @@ def _nearest_cases(rng):
             and np.array_equal(back_idx, dense.argmin(axis=0))
         )
         yield ok, {"src": src, "dst": dst, "variant": variant}
+
+
+def _mesh_cases(rng):
+    """squared_distances_to_mesh must equal the minimum of squared_distances_to_triangle
+    over every face, bit for bit: on random triangle soups of 1-70 faces, on
+    rings of faces 2 long and at most 0.02 wide (a thin cylinder), and on
+    both scaled by 2^+-300. Each mesh is searched twice, so the second search runs
+    on the index the first one kept."""
+    for variant in ("random", "sliver", "random-2^300", "sliver-2^-300") * 5:
+        if variant.startswith("random"):
+            faces = np.arange(3 * int(rng.integers(1, 71))).reshape(-1, 3)
+            verts = rng.normal(size=(faces.size, 3))
+            pts = rng.normal(scale=1.5, size=(int(rng.integers(1, 200)), 3))
+        else:
+            ring = int(rng.integers(3, 40))
+            angle = 2.0 * np.pi * np.arange(ring) / ring
+            circle = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(ring)]) * 0.01
+            verts = np.vstack([circle - [0.0, 0.0, 1.0], circle + [0.0, 0.0, 1.0]])
+            i, j = np.arange(ring), (np.arange(ring) + 1) % ring
+            faces = np.vstack([np.column_stack([i, j, i + ring]), np.column_stack([j, j + ring, i + ring])])
+            pts = rng.normal(scale=[0.03, 0.03, 1.2], size=(int(rng.integers(1, 200)), 3))
+        shift = int(variant.rsplit("^", 1)[1]) if "^" in variant else 0
+        verts, pts = np.ldexp(verts, shift), np.ldexp(pts, shift)
+        mesh = TriangleMesh(verts, faces)
+        want = np.full(pts.shape[0], np.inf)
+        for f in range(mesh.face_count):
+            np.minimum(want, squared_distances_to_triangle(pts, mesh.triangle(f)), out=want)
+        ok = all(np.array_equal(squared_distances_to_mesh(pts, mesh), want) for _ in range(2))
+        yield ok, {"points": pts, "vertices": verts, "faces": faces, "variant": variant}
 
 
 def _feature_cases(rng):

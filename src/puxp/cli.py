@@ -268,7 +268,7 @@ def build_parser():
     p.add_argument("--replay-dir", default=".")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("knncheck", help="KNN oracle and index-expansion property suite")
+    p = sub.add_parser("knncheck", help="KNN, P2F oracle and index-expansion property suite")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--clouds", type=int, default=200)
     p.add_argument("--replay-dir", default=".")

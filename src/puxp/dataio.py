@@ -75,17 +75,37 @@ def read_fields(path, data=None):
 # XYZ point clouds
 
 
+def _xyz_rows(texts):
+    """Lines of three finite numbers each as (N, 3) float64 rows, by one vectorised
+    parse, or None where any line is not one. NumPy's parser reads ASCII numbers
+    only: `1_0`, or digits of other scripts, are not numbers here."""
+    try:
+        points = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2) if texts else None
+    except ValueError:
+        return None
+    return points if points is not None and points.shape[1] == 3 and np.isfinite(points).all() else None
+
+
+def _number(token):
+    """One float in the grammar of _xyz_rows; ValueError otherwise."""
+    return float(np.loadtxt([token], dtype=np.float64, comments=None, ndmin=1)[0])
+
+
+def _integer(token):
+    """One integer in the same ASCII grammar: decimal digits after an optional sign."""
+    if not (token.isascii() and token.lstrip("+-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def read_xyz(path):
     """One point per line, three whitespace-separated floats, read by one
     vectorised parse; only a file it rejects has its lines walked to name
     the first bad one."""
     lines = _Lines(path)
-    try:
-        points = np.loadtxt(lines.texts, dtype=np.float64, comments=None, ndmin=2) if lines.texts else None
-    except ValueError:
-        points = None
-    if points is not None and points.shape[1] == 3 and np.isfinite(points).all():
-        return PointCloud(points)
+    points = _xyz_rows(lines.texts)
+    if points is not None:
+        return PointCloud(points, _fresh=True)
     for i, text in enumerate(lines.texts):
         count = len(text.split())
         if count != 3:
@@ -138,7 +158,7 @@ def read_off(path):
     at, counts = 0, rows[0][3:].split()
     if not counts:
         at, counts = 1, split(1, "vertex count")
-    values = [parse(at, token, what, int) for token, what in zip(counts, ("vertex count", "face count", "edge count"))]
+    values = [parse(at, t, what, _integer) for t, what in zip(counts, ("vertex count", "face count", "edge count"))]
     if len(counts) != 3:
         raise lines.error(at, f"expected 3 counts, got {len(counts)}")
     n_verts, n_faces, _ = values
@@ -146,21 +166,24 @@ def read_off(path):
         raise lines.error(at, "no vertices")
     if n_faces < 0:
         raise lines.error(at, f"negative face count {n_faces}")
-    verts, first = [], at + 1 + n_verts  # first: the row of face 0
-    for i in range(at + 1, first):
-        xyz = [parse(i, token, "coordinate", float) for token in split(i, "coordinate")]
-        if len(xyz) != 3:
-            raise lines.error(i, f"expected 3 coordinates, got {len(xyz)}")
-        if not np.isfinite(xyz).all():
-            raise lines.error(i, "non-finite coordinate")
-        verts.append(xyz)
+    first = at + 1 + n_verts  # the row of face 0
+    verts = _xyz_rows(rows[at + 1 : first])
+    if verts is None or len(verts) < n_verts:  # walk the rows to name the first bad one
+        verts = []
+        for i in range(at + 1, first):
+            xyz = [parse(i, token, "coordinate", _number) for token in split(i, "coordinate")]
+            if len(xyz) != 3:
+                raise lines.error(i, f"expected 3 coordinates, got {len(xyz)}")
+            if not np.isfinite(xyz).all():
+                raise lines.error(i, "non-finite coordinate")
+            verts.append(xyz)
     faces = []
     for fi, i in enumerate(range(first, first + n_faces)):
         arity, *listed = split(i, "face arity")
-        arity = parse(i, arity, "face arity", int)
+        arity = parse(i, arity, "face arity", _integer)
         if arity < 3:
             raise lines.error(i, f"face {fi} has {arity} vertices")
-        ids = [parse(i, token, "face index", int) for token in listed[:arity]]
+        ids = [parse(i, token, "face index", _integer) for token in listed[:arity]]
         if len(ids) < arity:
             raise lines.error(i, f"face {fi} has {arity} vertices but lists {len(ids)}")
         for vid in ids:
@@ -180,9 +203,21 @@ def read_off(path):
 # PUXP1 checkpoints
 
 
+def _utf8(text):
+    """The UTF-8 bytes of a str, or None where it is not one or holds a lone surrogate."""
+    try:
+        return text.encode("utf-8") if isinstance(text, str) else None
+    except UnicodeEncodeError:
+        return None
+
+
 @dataclasses.dataclass
 class Checkpoint:
-    """Spec fields (flat strings) plus named float32 parameter arrays."""
+    """Spec fields (flat strings) plus named float32 parameter arrays.
+
+    Construction refuses what save_checkpoint cannot write or load_checkpoint
+    would read back changed, so a save never stops half way through a file.
+    """
 
     fields: dict
     params: list  # (name, float32 ndarray) in a fixed order
@@ -190,9 +225,15 @@ class Checkpoint:
     def __post_init__(self):
         # each field must read back unchanged through read_fields
         for key, value in self.fields.items():
-            plain = all(isinstance(s, str) and s == s.strip() and "\n" not in s and "\r" not in s for s in (key, value))
+            plain = all(
+                _utf8(s) is not None and s == s.strip() and "\n" not in s and "\r" not in s for s in (key, value)
+            )
             if not (plain and key and not key.startswith("#") and "=" not in key):
                 raise FormatError(f"invalid checkpoint field {key!r}")
+        for i, (name, _) in enumerate(self.params):
+            encoded = _utf8(name)
+            if encoded is None or len(encoded) > 0xFFFF:  # its length is written as "<H"
+                raise FormatError(f"invalid checkpoint parameter name at index {i}: not UTF-8 of at most 65535 bytes")
 
 
 def save_checkpoint(path, checkpoint):
@@ -228,9 +269,13 @@ def load_checkpoint(path):
         fields = read_fields(path, _read_exact(f, header_len, path))
         (n_params,) = struct.unpack("<I", _read_exact(f, 4, path))
         params = []
-        for _ in range(n_params):
+        for i in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, path))
-            name = _read_exact(f, name_len, path).decode("utf-8")
+            raw = _read_exact(f, name_len, path)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: parameter {i} has a name that is not UTF-8") from None
             (rank,) = struct.unpack("<B", _read_exact(f, 1, path))
             shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path))
             count = int(np.prod(shape)) if rank else 1

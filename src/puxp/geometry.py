@@ -38,6 +38,12 @@ Every point set comes in through one shape rule, as_rows: a PointCloud or an
 array becomes float64 rows (N, C) with N >= 1, and C == 3 wherever the
 kernel is 3-D. Anything else, an empty set or an (N, 2) or (N, 6) array
 included, raises ShapeError naming the input; nothing is reshaped.
+
+PointCloud and TriangleMesh hold read-only copies of their arrays and keep
+what searches build from them, on first use and per _in_range exponent (0
+for every input in [1e-50, 1e50)): a cloud searched by nearest_neighbors its
+kd-tree and columns, a mesh the index of squared_distances_to_mesh. A raw
+array gets the same build afresh on every call.
 """
 
 from __future__ import annotations
@@ -62,16 +68,30 @@ _SCALE_LIMIT = 1e50
 _PAIR_BATCH = 1 << 15
 
 
+def _kept(owner, e, build):
+    """build(), kept in owner's memo under the _in_range exponent e; a raw array keeps nothing."""
+    memo = getattr(owner, "_memo", None)
+    if memo is None:
+        return build()
+    return memo[e] if e in memo else memo.setdefault(e, build())
+
+
 class PointCloud:
-    """Ordered list of finite 3D points; order defines row identity."""
+    """Ordered list of finite 3D points; order defines row identity. Read-only."""
 
-    __slots__ = ("points",)
+    __slots__ = ("_points", "_memo")
 
-    def __init__(self, points):
-        pts = np.ascontiguousarray(as_rows(points, "point cloud", 3))
+    def __init__(self, points, *, _fresh=False):
+        # _fresh: points is a new float64 array that no one else holds, made read-only in place;
+        # copying the clouds that read_xyz and sample_pair make raised the upsample peak memory
+        pts = as_rows(points, "point cloud", 3)
+        pts = pts if _fresh else np.array(pts, order="C")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
-        self.points = pts
+        pts.flags.writeable = False
+        self._points, self._memo = pts, {}
+
+    points = property(lambda self: self._points)
 
     @property
     def count(self):
@@ -85,13 +105,13 @@ class PointCloud:
 
 
 class TriangleMesh:
-    """Vertex/face arrays with all faces triangular and indices in range."""
+    """Vertex/face arrays with all faces triangular and indices in range. Read-only."""
 
-    __slots__ = ("vertices", "faces")
+    __slots__ = ("_vertices", "_faces", "_memo")
 
     def __init__(self, vertices, faces):
-        verts = np.ascontiguousarray(vertices, dtype=np.float64)
-        tris = np.ascontiguousarray(faces, dtype=np.int64)
+        verts = np.array(vertices, dtype=np.float64, order="C")  # private copies, read-only below
+        tris = np.array(faces, dtype=np.int64, order="C")
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ShapeError(f"mesh vertices must have shape (V, 3), got {verts.shape}")
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -99,8 +119,11 @@ class TriangleMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= verts.shape[0]):
             bad = int(tris.min()) if tris.min() < 0 else int(tris.max())
             raise IndexRangeError(f"face index {bad} out of range for {verts.shape[0]} vertices")
-        self.vertices = verts
-        self.faces = tris
+        verts.flags.writeable = tris.flags.writeable = False
+        self._vertices, self._faces, self._memo = verts, tris, {}
+
+    vertices = property(lambda self: self._vertices)
+    faces = property(lambda self: self._faces)
 
     @property
     def face_count(self):
@@ -295,19 +318,24 @@ def _ball_pairs(tree, points, radii):
     return np.repeat(np.arange(len(lists)), counts), cand
 
 
-def _nearest(src, dst, n):
+def _searched(dst):
+    """The searched side of _nearest: (D, 3) rows, their columns and a kd-tree over them."""
+    return dst, _columns(dst), cKDTree(dst)
+
+
+def _nearest(src, searched, n):
     """The n nearest rows of dst for each row of src: ranked (squared distances, indices).
 
-    src is (S, 3), dst is (D, 3) with n <= D; both results are S x n. Where
-    the tree's (n+1)-th hit (infinitely far if missing) is farther than its
-    n-th by more than the slack, its first n hits are the n closest rows.
-    Other rows take the tie path. Copies of a row are equally far from every
-    point, so only the first min(copies, n) copies of each distinct row in
-    reach can rank among the n nearest.
+    src is (S, 3) and searched is _searched(dst), dst (D, 3) with n <= D;
+    both results are S x n. Where the tree's (n+1)-th hit (infinitely far if
+    missing) is farther than its n-th by more than the slack, its first n
+    hits are the n closest rows. Other rows take the tie path. Copies of a
+    row are equally far from every point, so only the first min(copies, n)
+    copies of each distinct row in reach can rank among the n nearest.
     """
-    tree = cKDTree(dst)
+    dst, dst_cols, tree = searched
     dist, hits = tree.query(src, k=n + 1)
-    src_cols, dst_cols = _columns(src), _columns(dst)
+    src_cols = _columns(src)
     cand = np.sort(hits[:, :n], axis=1)
     d2, idx = _rank_rows(cand, _sum_squares(np.take(dst_cols, cand, axis=1) - src_cols[:, :, None]))
     tied = np.flatnonzero(dist[:, n] <= dist[:, n - 1] * _RADIUS_SLACK)
@@ -332,7 +360,7 @@ def knn_accelerated(cloud, k):
     k + 1 copies of it with smaller indices come first, the last one.
     """
     pts, k = _knn_input(cloud, k, 3)
-    hits = _nearest(pts, pts, k + 1)[1]
+    hits = _nearest(pts, _searched(pts), k + 1)[1]
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
     return IndexMatrix(hits[other].reshape(-1, k))
@@ -343,11 +371,12 @@ def nearest_neighbors(src, dst):
 
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
-    summed over the three coordinates, and ties go to the smaller index.
+    summed over the three coordinates, and ties go to the smaller index. A
+    PointCloud dst keeps its kd-tree and columns for the next search.
     """
-    src, dst = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
-    (src, dst), e = _in_range([src, dst], ["query points", "searched points"])
-    d2, idx = _nearest(src, dst, 1)
+    rows, dst_rows = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
+    (rows, dst_rows), e = _in_range([rows, dst_rows], ["query points", "searched points"])
+    d2, idx = _nearest(rows, _kept(dst, e, lambda: _searched(dst_rows)), 1)
     return np.ldexp(d2[:, 0], 2 * e), idx[:, 0]
 
 
@@ -565,8 +594,37 @@ def point_triangle_distance(p, tri):
     return float(np.sqrt(d2[0]))
 
 
-# Points per candidate-face query of squared_distances_to_mesh.
-_QUERY_ROWS = 256
+def _box_levels(boxes):
+    """Box hierarchy over face boxes (6, F), lo then hi: (Morton order of the faces, levels).
+
+    The last level is the face boxes sorted by the 30-bit Morton code of
+    their centres and padded with empty boxes (lo inf, hi -inf) to a power
+    of two. Node i of each level above is the min/max of nodes 2i and 2i + 1
+    below it, up to one root; levels come root first.
+    """
+    centre = boxes[:3] + boxes[3:]
+    low, span = centre.min(axis=1, keepdims=True), np.ptp(centre, axis=1, keepdims=True)
+    grid = ((centre - low) / np.where(span > 0.0, span, 1.0) * 1023.0).astype(np.int64)
+    code = sum(((grid[axis] >> bit) & 1) << (3 * bit + axis) for bit in range(10) for axis in range(3))
+    order = np.argsort(code, kind="stable")
+    levels = [np.full((6, 1 << (order.size - 1).bit_length()), np.inf)]
+    levels[0][3:] = -np.inf
+    levels[0][:, : order.size] = boxes[:, order]
+    while levels[-1].shape[1] > 1:
+        lo, hi = levels[-1][:3], levels[-1][3:]
+        levels.append(np.vstack([np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])]))
+    return order, levels[::-1]
+
+
+def _mesh_index(verts, faces):
+    """What squared_distances_to_mesh keeps of a mesh at one scale: (first degenerate
+    face, None), or (None, (face columns, largest |x| of a face, centroid tree, order, levels))."""
+    tris = verts[faces]
+    bad = np.flatnonzero(_degenerate_faces(tris))
+    if bad.size:
+        return int(bad[0]), None
+    boxes = _columns(np.hstack([tris.min(axis=1), tris.max(axis=1)]))
+    return None, (_face_columns(tris), float(np.abs(tris).max()), cKDTree(tris.mean(axis=1)), *_box_levels(boxes))
 
 
 def squared_distances_to_mesh(points, mesh):
@@ -574,40 +632,45 @@ def squared_distances_to_mesh(points, mesh):
 
     Bit for bit the minimum of squared_distances_to_triangle over all faces,
     but each point visits only the faces that could hold that minimum. The
-    face with the nearest centroid gives an upper bound u on the distance; a
-    kd-tree over centroids, searched out to u plus the largest centroid-to-
-    vertex radius, yields the candidates, and a face whose bounding box lies
-    farther than u is dropped. u is widened by a relative 1e-9 plus 1e-9 of
-    the coordinate scale, far above the rounding of the distance arithmetic.
+    face with the nearest centroid gives an upper bound u on the distance,
+    widened by a relative 1e-9 plus 1e-9 of the coordinate scale, far above
+    the rounding of the distance arithmetic. The points walk down the box
+    hierarchy as flat (point, node) pairs, at most _PAIR_BATCH at a time: a
+    pair whose node box lies farther than u is dropped, a kept one goes on
+    to the node's two children, and the faces left at the last level get the
+    exact distance. A node box holds its faces' boxes and rounded
+    subtraction is monotone, so no face whose own box lies within u is
+    dropped on the way.
     """
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
     pts = as_rows(points, "query points", 3)
     (pts, verts), e = _in_range([pts, mesh.vertices], ["query points", "mesh vertices"])
-    tris = verts[mesh.faces]
-    bad = np.flatnonzero(_degenerate_faces(tris))
-    if bad.size:
-        raise _zero_area(mesh.triangle(bad[0]))
-    faces = _face_columns(tris)
+    bad, index = _kept(mesh, e, lambda: _mesh_index(verts, mesh.faces))
+    if index is None:
+        raise _zero_area(mesh.triangle(bad))
+    faces, top, centroids, order, levels = index
     cols = _columns(pts)
-    centroids = tris.mean(axis=1)
-    spread = tris - centroids[:, None, :]
-    radius = float(np.sqrt((spread * spread).sum(axis=2).max()))
-    boxes = _columns(np.hstack([tris.min(axis=1), tris.max(axis=1)]))  # lo then hi x, y, z
-    face_tree = cKDTree(centroids)
-    _, first = face_tree.query(pts, k=1)
-    best = _squared_distances(cols, np.take(faces, first, axis=1))
-    scale = max(float(np.abs(pts).max(initial=0.0)), float(np.abs(tris).max()))
-    reach = np.sqrt(best) * _RADIUS_SLACK + 1e-9 * scale
-    for start in range(0, pts.shape[0], _QUERY_ROWS):
-        block = slice(start, start + _QUERY_ROWS)
-        rows, cand = _ball_pairs(face_tree, pts[block], reach[block] + radius)
-        rows += start
-        p, box = np.take(cols, rows, axis=1), np.take(boxes, cand, axis=1)
-        keep = _sum_squares(np.maximum(np.maximum(box[:3] - p, p - box[3:]), 0.0)) <= reach[rows] ** 2
-        rows, cand, p = rows[keep], cand[keep], np.compress(keep, p, axis=1)
-        for at in range(0, rows.size, _PAIR_BATCH):
-            pairs = slice(at, at + _PAIR_BATCH)
-            face = np.take(faces, cand[pairs], axis=1)
-            np.minimum.at(best, rows[pairs], _squared_distances(p[:, pairs], face))
+    best = _squared_distances(cols, np.take(faces, centroids.query(pts, k=1)[1], axis=1))
+    limit = (np.sqrt(best) * _RADIUS_SLACK + 1e-9 * max(float(np.abs(pts).max(initial=0.0)), top)) ** 2
+    work = [(0, np.arange(pts.shape[0]), np.zeros(pts.shape[0], dtype=np.int64))]
+    while work:
+        depth, rows, node = work.pop()
+        if rows.size > _PAIR_BATCH:  # no temporary outgrows a batch of pairs
+            cuts = range(_PAIR_BATCH, rows.size, _PAIR_BATCH)
+            work += [(depth, r, n) for r, n in zip(np.split(rows, cuts), np.split(node, cuts))]
+            continue
+        p, box = np.take(cols, rows, axis=1), np.take(levels[depth], node, axis=1)
+        lo, hi = box[:3], box[3:]  # squared distance to the box: max(lo - p, p - hi, 0) per axis
+        lo -= p
+        np.maximum(lo, np.subtract(p, hi, out=hi), out=lo)
+        keep = _sum_squares(np.maximum(lo, 0.0, out=lo)) <= limit[rows]
+        rows, node = rows[keep], node[keep]
+        if depth + 1 < len(levels):
+            node = np.repeat(2 * node, 2)
+            node[1::2] += 1
+            work.append((depth + 1, np.repeat(rows, 2), node))
+        else:
+            face = np.take(faces, order[node], axis=1)
+            np.minimum.at(best, rows, _squared_distances(np.compress(keep, p, axis=1), face))
     return np.ldexp(best, 2 * e)

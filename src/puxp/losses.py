@@ -24,7 +24,7 @@ from .metrics import chamfer_parts
 def chamfer_loss(pred, gt):
     """Scalar chamfer between pred (Tensor[P, 3]) and a fixed target cloud."""
     gt_pts = as_rows(gt, "ground truth", 3)
-    value, nearest_gt, nearest_pred = chamfer_parts(pred.data, gt_pts)
+    value, nearest_gt, nearest_pred = chamfer_parts(pred.data, gt)
     out = Tensor(np.array([value]))
     p = pred.shape[0]
     q = gt_pts.shape[0]

@@ -9,8 +9,11 @@ Conventions (stored values are raw; table formatting may scale by 1e3):
 Nearest neighbors come from geometry.nearest_neighbors: one exact kd-tree
 search per direction, which `report` shares between CD and HD. Values and
 assignments equal a dense P x Q `min`/`argmin` bit for bit, in O(P + Q)
-memory. Point-to-face (geometry.squared_distances_to_mesh) visits only the
-faces that could hold a point's minimum, and equals a loop over every face.
+memory. Point-to-face (geometry.squared_distances_to_mesh) walks a box
+hierarchy over the faces to the few that could hold a point's minimum, and
+equals a loop over every face. PointClouds and meshes are passed through to
+geometry, not copied, so a ground-truth cloud keeps its kd-tree and a mesh
+its index from one call to the next.
 Both scale inputs outside [1e-50, 1e50) by a power of two first and reject a
 non-finite point (GradientError, naming its row). Values return at the input
 scale. Where a squared distance overflows float64, `chamfer`, `hausdorff`,
@@ -55,9 +58,10 @@ class MetricReport:
 
 def _summaries(pred, gt):
     """CD, HD and both assignments from one nearest-neighbour search per direction."""
-    pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
-    fwd, nearest_gt = nearest_neighbors(pred_pts, gt_pts)
-    bwd, nearest_pred = nearest_neighbors(gt_pts, pred_pts)
+    as_rows(pred, "predictions", 3)  # named here: the searches would name it "query points"
+    as_rows(gt, "ground truth", 3)
+    fwd, nearest_gt = nearest_neighbors(pred, gt)
+    bwd, nearest_pred = nearest_neighbors(gt, pred)
     hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))
     return float(fwd.mean() + bwd.mean()), hd, nearest_gt, nearest_pred
 
@@ -103,8 +107,8 @@ def point_to_face(pred, mesh):
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
     pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
-    cd, hd = _within_float64(lambda: _summaries(pred_pts, gt_pts)[:2])
-    p2f = None if mesh is None else point_to_face(pred_pts, mesh)
+    cd, hd = _within_float64(lambda: _summaries(pred, gt)[:2])
+    p2f = None if mesh is None else point_to_face(pred, mesh)
     return MetricReport(
         label=label,
         cd=cd,

@@ -3,7 +3,8 @@
 A model is backbone (N x 3 -> N x C) + expansion unit (N x C -> r*N x C) +
 regression stage (r*N x C -> r*N x 3), all sharing one parameter store. The
 KNN graph of the raw input is computed once per cloud and reused everywhere,
-except when a unit explicitly recomputes feature-space KNN.
+except when a unit explicitly recomputes feature-space KNN; a Patch keeps it
+for every model that trains on it or is scored on it.
 
 Training minimizes the squared chamfer distance with Adam. Everything is
 driven by explicit seeds: a (config, seed) pair fully determines parameter
@@ -174,13 +175,13 @@ class UpsamplingModel:
         index = expanded_graph(base_index, self.ratio, result.index)
         return self.regression.forward(result.features, index)
 
-    def upsample(self, cloud):
-        coords = self.forward_tensor(cloud)
+    def upsample(self, cloud, base_index=None):
+        coords = self.forward_tensor(cloud, base_index)
         finite = np.isfinite(coords.data).all(axis=1)
         if not finite.all():
             row = int(np.nonzero(~finite)[0][0])
             raise GradientError(f"non-finite coordinates at output row {row}")
-        return PointCloud(coords.data.copy())
+        return PointCloud(coords.data)
 
     def parameter_counts(self):
         """Value counts per stage, keyed by parameter name prefix."""
@@ -247,6 +248,13 @@ class Patch:
     cloud: PointCloud
     gt: PointCloud
     mesh: "object"
+    graphs: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)  # per k
+
+    def base_graph(self, model):
+        """model.base_graph of the cloud, built once per k for every model that trains or scores it."""
+        if model.k not in self.graphs:
+            self.graphs[model.k] = model.base_graph(self.cloud)
+        return self.graphs[model.k]
 
 
 def make_dataset(config):
@@ -279,7 +287,7 @@ def train(config, dataset=None):
         raise ConfigError("empty training dataset")
     model = build_model(config)
     state = AdamState(model.store)
-    prepared = [(patch, model.base_graph(patch.cloud)) for patch in dataset]
+    prepared = [(patch, patch.base_graph(model)) for patch in dataset]
     losses = []
     cursor = 0
     for step in range(config.steps):
@@ -321,7 +329,7 @@ def evaluate(model, dataset):
                 f"patch {patch.name!r}: {patch.cloud.count} x ratio {model.ratio} "
                 f"!= {patch.gt.count} ground-truth points"
             )
-        pred = model.upsample(patch.cloud)
+        pred = model.upsample(patch.cloud, patch.base_graph(model))
         reports.append(metrics.report(patch.name, pred, patch.gt, patch.mesh))
     cd, hd, p2f = _mean_metrics(reports)
     pred_count, gt_count = sum(r.pred_count for r in reports), sum(r.gt_count for r in reports)

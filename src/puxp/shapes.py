@@ -202,7 +202,7 @@ def sample_pair(shape, n, ratio, seed):
     if ratio < 1:
         raise ConfigError(f"ratio must be positive, got {ratio}")
     rng = np.random.default_rng(seed)
-    gt = PointCloud(surface_sample(shape, ratio * n, rng))
+    gt = PointCloud(surface_sample(shape, ratio * n, rng), _fresh=True)
     pool = surface_sample(shape, 2 * n, rng)
     pick = rng.choice(2 * n, size=n, replace=False)
-    return PointCloud(pool[pick]), gt, surface_mesh(shape)
+    return PointCloud(pool[pick], _fresh=True), gt, surface_mesh(shape)

@@ -33,6 +33,7 @@ class TestXyz:
         cloud = read_xyz(p)
         assert cloud.count == 2
         assert np.array_equal(cloud.points[1], [1.0, 2.0, 3.0])
+        assert not cloud.points.flags.writeable
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "a.xyz"
@@ -199,6 +200,25 @@ class TestOff:
         with pytest.raises(FormatError, match=r"m\.off:4: bad coordinate: 'x'"):
             read_off(p)
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            # Python's float() and int() read these as 10 and 1; read_xyz refuses them
+            ("OFF\n3 1 0\n1_0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "3: bad coordinate: '1_0'"),
+            ("OFF\n3 1 0\n0 0 0\n\u0661 0 0\n0 1 0\n3 0 1 2\n", "4: bad coordinate: '\u0661'"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u0662\n", "6: bad face index: '\u0662'"),
+            ("OFF\n3 1_0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "2: bad face count: '1_0'"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\u0663 0 1 2\n", "6: bad face arity: '\u0663'"),
+        ],
+        ids=["underscore-coordinate", "arabic-coordinate", "arabic-index", "underscore-count", "arabic-arity"],
+    )
+    def test_numbers_follow_the_xyz_grammar(self, tmp_path, body, where):
+        p = tmp_path / "m.off"
+        p.write_text(body, encoding="utf-8")
+        with pytest.raises(FormatError) as caught:
+            read_off(p)
+        assert str(caught.value) == f"{p}:{where}"
+
     def test_face_errors_name_their_line(self, tmp_path):
         p = tmp_path / "m.off"
         p.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n2 0 1\n")
@@ -332,6 +352,34 @@ class TestCheckpoint:
             load_checkpoint(p)
         assert str(caught.value) == f"{p}:12: key 'unit.index_mode' is set again (first set on line 5)"
 
+    def test_parameter_name_that_is_not_utf8_names_the_file_and_index(self, tmp_path):
+        p = tmp_path / "c.puxp"
+        save_checkpoint(p, self.make())
+        data = p.read_bytes()
+        at = data.index(b"\x01\x00b")  # parameter 1, "b": a 1-byte name
+        p.write_bytes(data[: at + 2] + b"\xff" + data[at + 3 :])
+        with pytest.raises(FormatError) as caught:
+            load_checkpoint(p)
+        assert str(caught.value) == f"{p}: parameter 1 has a name that is not UTF-8"
+
+    @pytest.mark.parametrize("fields", [{"k\udcff": "1"}, {"k": "\ud800"}])
+    def test_field_with_a_lone_surrogate_is_refused(self, fields):
+        with pytest.raises(FormatError, match="invalid checkpoint field"):
+            Checkpoint(fields, [])
+
+    @pytest.mark.parametrize(
+        "name", ["k\udcff", "w" * 65536, "\u00e9" * 32768, 7], ids=["surrogate", "ascii-64k", "latin-64k", "int"]
+    )
+    def test_parameter_name_save_cannot_write_is_refused(self, tmp_path, name):
+        # the save died mid-file (UnicodeEncodeError or struct.error), leaving a truncated checkpoint
+        params = [("w", np.zeros(2, np.float32)), (name, np.zeros(2, np.float32))]
+        with pytest.raises(FormatError, match="parameter name at index 1"):
+            Checkpoint({"unit.kind": "branch"}, params)
+
+    def test_longest_parameter_name_reads_back(self, tmp_path):
+        name = "\u00e9" * 32767 + "w"  # 65,535 UTF-8 bytes
+        self.assert_reads_back(tmp_path / "c.puxp", Checkpoint({}, [(name, np.ones(3, np.float32))]))
+
     @pytest.mark.parametrize(
         "key, value",
         [("", "1"), ("#k", "1"), (" k", "1"), ("k ", "1"), ("k", " 1"), ("k", "1\t"), ("k", "a\rb"), ("a=b", "1"),
@@ -341,12 +389,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="invalid checkpoint field"):
             Checkpoint({key: value}, [])
 
+    # text with lone surrogates, which UTF-8 cannot encode
+    TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=8)
+
     @settings(max_examples=100, deadline=None)
     @given(
-        fields=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6),
+        fields=st.dictionaries(TEXT, TEXT, max_size=6),
         params=st.lists(
             st.tuples(
-                st.text(max_size=8),
+                TEXT,
                 st.lists(st.integers(0, 3), max_size=3).flatmap(
                     lambda shape: st.binary(min_size=4 * int(np.prod(shape)), max_size=4 * int(np.prod(shape))).map(
                         lambda raw: np.frombuffer(raw, dtype="<f4").reshape(shape)

@@ -20,7 +20,7 @@ from puxp.geometry import (
     squared_distances_to_mesh,
     squared_distances_to_triangle,
 )
-from puxp.shapes import SHAPE_KINDS, SyntheticShape, surface_mesh, surface_sample
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
 
 
 def rotation_matrix(axis, angle):
@@ -75,6 +75,26 @@ class TestContainers:
         assert dropped == 2
         assert mesh.faces.tolist() == [[0, 1, 3], [0, 1, 4]]
         squared_distances_to_mesh(verts[:1], mesh)  # every kept face passes the search's check
+
+    def test_clouds_and_meshes_are_read_only_copies(self):
+        pts, verts, faces = np.zeros((4, 3)), np.eye(3), np.array([[0, 1, 2]])
+        cloud, mesh = PointCloud(pts), TriangleMesh(verts, faces)
+        pts[0, 0], verts[0, 0], faces[0, 0] = 9.0, 9.0, 2  # the objects hold their own copies
+        assert cloud.points[0, 0] == 0.0 and mesh.vertices[0, 0] == 1.0 and mesh.faces[0, 0] == 0
+        for array in (cloud.points, mesh.vertices, mesh.faces):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        with pytest.raises(AttributeError):
+            cloud.points = pts
+        clouds = sample_pair(SyntheticShape("torus"), 16, 4, 0)[:2]  # clouds made in place, not copied
+        assert not any(c.points.flags.writeable for c in clouds)
+
+    def test_nothing_is_built_before_a_search(self):
+        cloud, mesh = PointCloud(np.eye(3)), surface_mesh(SyntheticShape("box_surface"))
+        assert not cloud._memo and not mesh._memo
+        nearest_neighbors(np.zeros((2, 3)), cloud)
+        squared_distances_to_mesh(np.zeros((2, 3)), mesh)
+        assert list(cloud._memo) == list(mesh._memo) == [0]
 
     def test_index_matrix_rejects_self_reference(self):
         with pytest.raises(ValueError, match="itself"):
@@ -798,6 +818,80 @@ class TestPrunedMeshDistance:
         unit = squared_distances_to_mesh(pts, mesh)
         scaled = TriangleMesh(np.ldexp(mesh.vertices, shift), mesh.faces)
         assert np.array_equal(squared_distances_to_mesh(np.ldexp(pts, shift), scaled), np.ldexp(unit, 2 * shift))
+
+    @pytest.mark.parametrize("faces", [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_every_face_count_matches_per_face_batches(self, faces):
+        # 2^k - 1, 2^k and 2^k + 1 faces: full, exact and barely padded hierarchies
+        rng = np.random.default_rng(faces)
+        mesh = TriangleMesh(rng.normal(size=(3 * faces, 3)), np.arange(3 * faces).reshape(-1, 3))
+        pts = rng.normal(scale=1.5, size=(200, 3))
+        assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+
+    @pytest.mark.parametrize("ring", [3, 8, 33])
+    def test_sliver_faces_match_per_face_batches(self, ring):
+        # a cylinder of faces 2 long and at most 0.02 wide, and points near, on and inside it
+        rng = np.random.default_rng(ring)
+        angle = 2.0 * np.pi * np.arange(ring) / ring
+        circle = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(ring)]) * 0.01
+        verts = np.vstack([circle - [0.0, 0.0, 1.0], circle + [0.0, 0.0, 1.0]])
+        i, j = np.arange(ring), (np.arange(ring) + 1) % ring
+        faces = np.vstack([np.column_stack([i, j, i + ring]), np.column_stack([j, j + ring, i + ring])])
+        mesh = TriangleMesh(verts, faces)
+        pts = np.vstack([verts, rng.normal(scale=[0.02, 0.02, 1.0], size=(300, 3)), rng.normal(size=(50, 3))])
+        assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+
+    def test_more_pairs_than_a_batch_match_per_face_batches(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_BATCH", 64)  # the walk splits its pairs many times over
+        rng = np.random.default_rng(18)
+        mesh = surface_mesh(SyntheticShape("torus"))
+        pts = np.vstack([rng.normal(scale=0.6, size=(300, 3)), rng.normal(scale=30.0, size=(20, 3))])
+        assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+
+    def test_far_points_walk_in_bounded_memory(self):
+        # far from the sphere every point keeps hundreds of faces: walking all 16k at once held 292 MB, in chunks 13
+        mesh = surface_mesh(SyntheticShape("sphere"))
+        pts = np.random.default_rng(21).normal(scale=3.0, size=(16384, 3))
+        squared_distances_to_mesh(pts[:1], mesh)  # the index is kept, not counted
+        tracemalloc.start()
+        try:
+            squared_distances_to_mesh(pts, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
+    @pytest.mark.parametrize("shift", [0, 300, -300])
+    def test_a_kept_index_gives_what_a_fresh_mesh_gives(self, shift):
+        rng = np.random.default_rng(19)
+        base = surface_mesh(SyntheticShape("cylinder"))
+        mesh = TriangleMesh(np.ldexp(base.vertices, shift), base.faces)
+        pts = [np.ldexp(rng.normal(size=(100, 3)), shift) for _ in range(2)]
+        first = [squared_distances_to_mesh(p, mesh) for p in pts]
+        again = [squared_distances_to_mesh(p, mesh) for p in pts]
+        fresh = [squared_distances_to_mesh(p, TriangleMesh(mesh.vertices, mesh.faces)) for p in pts]
+        for a, b, c, p in zip(first, again, fresh, pts):
+            assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, per_face_batches(p, mesh))
+
+    def test_one_index_per_scale(self):
+        # far query points scale the mesh with them (e != 0); near ones leave it as it is (e = 0)
+        rng = np.random.default_rng(20)
+        mesh = surface_mesh(SyntheticShape("torus"))
+        near, far = rng.normal(size=(50, 3)), np.ldexp(rng.normal(size=(50, 3)), 200)
+        for pts in (far, near, far):
+            assert np.array_equal(squared_distances_to_mesh(pts, mesh), per_face_batches(pts, mesh))
+        assert len(mesh._memo) == 2
+        cloud = PointCloud(rng.normal(size=(80, 3)))
+        for src in (far, near, far):
+            d2, idx = nearest_neighbors(src, cloud)
+            assert np.array_equal(d2, nearest_neighbors(src, cloud.points)[0])
+            assert np.array_equal(idx, nearest_neighbors(src, cloud.points)[1])
+        assert len(cloud._memo) == 2
+
+    def test_degenerate_face_raises_on_every_call(self):
+        mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], [[0, 1, 3], [0, 1, 2]])
+        for _ in range(2):
+            with pytest.raises(DegenerateTriangleError, match=r"\[2\.0, 0\.0, 0\.0\]"):
+                squared_distances_to_mesh([[0.0, 0.0, 1.0]], mesh)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_naming_the_row(self, bad):

@@ -18,6 +18,26 @@ def test_loss_value_equals_metric_exactly():
     assert chamfer_loss(Tensor(pred), gt).item() == chamfer(pred, gt)
 
 
+@pytest.mark.parametrize("shift", [0, 300, -300])
+def test_a_kept_target_gives_the_loss_and_gradient_of_a_fresh_one(shift):
+    rng = np.random.default_rng(4)
+    gt = PointCloud(np.ldexp(rng.normal(size=(40, 3)), shift))
+    preds = [np.ldexp(rng.normal(size=(20, 3)), shift) for _ in range(2)]
+
+    def run(target):
+        out = []
+        for pred in preds:
+            t = Tensor(pred, requires_grad=True)
+            with Tape() as tape:
+                loss = chamfer_loss(t, target)
+                tape.backward(loss)
+            out.append((loss.item(), t.grad.tobytes()))
+        return out
+
+    first = run(gt)
+    assert run(gt) == first == run(PointCloud(gt.points)) == run(gt.points)
+
+
 def test_zero_for_identical_clouds():
     pts = np.random.default_rng(1).normal(size=(6, 3))
     assert chamfer_loss(Tensor(pts), PointCloud(pts)).item() == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -286,6 +287,25 @@ class TestReport:
             assert calls == [len(pred), len(gt)], name
             value, _, _, dense_hd = dense_parts(pred, gt)
             assert (row.cd, row.hd) == (chamfer(pred, gt), hausdorff(pred, gt)) == (value, dense_hd), name
+
+    @pytest.mark.parametrize("shift", [0, 300, -300])
+    def test_kept_indexes_repeat_the_first_report_and_a_fresh_one(self, shift):
+        rng = np.random.default_rng(6)
+        cloud, gt, unit_mesh = sample_pair(SyntheticShape("cylinder"), 64, 4, 6)
+        gt = PointCloud(np.ldexp(gt.points, shift))
+        mesh = TriangleMesh(np.ldexp(unit_mesh.vertices, shift), unit_mesh.faces)
+        preds = [PointCloud(np.ldexp(rng.normal(scale=0.6, size=(256, 3)), shift)) for _ in range(2)]
+
+        def rows(gt, mesh):
+            return [
+                (dataclasses.astuple(report("r", pred, gt, mesh)), point_to_face(pred, mesh), chamfer(pred, gt))
+                for pred in preds
+            ]
+
+        first = rows(gt, mesh)
+        assert rows(gt, mesh) == first
+        assert rows(PointCloud(gt.points), TriangleMesh(mesh.vertices, mesh.faces)) == first
+        assert rows(gt.points, mesh) == first  # a raw array is prepared afresh, by the same code
 
     @staticmethod
     def scaled_metrics(shift):

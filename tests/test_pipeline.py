@@ -100,7 +100,7 @@ class TestModelForward:
         model = build_model(cfg)
         coords = np.zeros((4 * cfg.points, 3))
         coords[1, 0], coords[5, 2] = np.inf, np.nan
-        monkeypatch.setattr(model, "forward_tensor", lambda cloud: Tensor(coords))
+        monkeypatch.setattr(model, "forward_tensor", lambda cloud, base_index=None: Tensor(coords))
         with pytest.raises(GradientError, match="output row 1$"):
             model.upsample(make_dataset(cfg)[0].cloud)
 
@@ -265,6 +265,19 @@ class TestEvaluate:
         rows = evaluate(model, [ds[0], dataclasses.replace(ds[1], mesh=None)])
         assert rows[1].p2f is None and rows[-1].p2f is None
         assert rows[-1].cd == float(np.mean([rows[0].cd, rows[1].cd]))
+
+    def test_patches_keep_one_base_graph_per_k_and_repeat_their_rows(self):
+        cfg = small_config(shapes=("sphere", "cylinder"))
+        ds = make_dataset(cfg)
+        model = build_model(cfg)
+        first = evaluate(model, ds)
+        graph = ds[0].graphs[cfg.k]
+        assert list(ds[0].graphs) == [cfg.k] and ds[0].base_graph(model) is graph
+        assert evaluate(model, ds) == first == evaluate(model, make_dataset(cfg))
+        assert ds[0].graphs[cfg.k] is graph
+        cloud = ds[0].cloud
+        assert np.array_equal(model.upsample(cloud, graph).points, model.upsample(cloud).points)
+        assert not dataclasses.replace(ds[0], cloud=ds[1].cloud).graphs  # a changed patch builds its own
 
     def test_ratio_mismatch_rejected(self):
         cfg = small_config()
