@@ -10,24 +10,29 @@ axis in that order, so the bits are those of the row form, which
 knn_bruteforce and the tests' oracles keep as independent witnesses.
 
 There is one dense kernel, knn_bruteforce: the M x M x C difference tensor,
-kept as the oracle for the tests and `puxp knncheck`. The fast kernels only
-pick candidates and then rank them with the oracle's arithmetic, so rounding
-in the candidate pass can never change a result:
+kept as the oracle for the tests and `puxp knncheck`. The fast kernels pick
+candidates and order them by their own rounded distances. A row keeps that
+order where every gap in it exceeds the proven error of those distances;
+the other rows are re-ranked with the oracle's arithmetic. So rounding in
+the fast pass can never change a result:
 
 - One kd-tree search serves self and cross queries: knn_accelerated (the
   k + 1 nearest rows of an M x 3 cloud, less the point itself) and
   nearest_neighbors (k = 1 across two sets). It queries one hit more than
   it needs; where that spare hit is farther than the last needed one by
-  more than a relative 1e-9, the needed hits are the right candidate set.
+  more than a relative 1e-9, the needed hits are the right candidate set,
+  in the tree's order where each is that much farther than the one before.
   Rows tied within 1e-9 ball-query a tree of the distinct rows and rank the
   first min(copies, n) copies of each, so their memory follows the
   distinct rows in reach, not the number of copies.
 - knn_features (M x C features) works in blocks of rows. One matmul per
-  block gives Gram distances |a|^2 + |b|^2 - 2 a.b, and every column within
-  a proven error bound of the k-th smallest one is re-ranked exactly: as one
-  dense (rows, k) array where every row of the block has exactly k
-  candidates, else pair by pair. Memory is O(block x M C) however many
-  rows tie, against O(M^2 C) for the dense kernel.
+  block gives Gram values -2 a.b + |b|^2 (squared distances less the row's
+  |a|^2), and every column within a proven error bound e of the k-th
+  smallest is a candidate. Where every row of the block has exactly k, a
+  row whose gaps all exceed 2 e keeps its Gram order and the rest are
+  re-ranked; else the block is ranked pair by pair. Memory is
+  O(block M + M C) however many rows tie, against O(M^2 C) for the dense
+  kernel.
 
 Every distance kernel and the degeneracy rule of triangles share one scale
 and finiteness rule, _in_range: a non-finite row raises GradientError naming
@@ -263,6 +268,8 @@ def _knn_input(data, k, width=None):
     """(M, C) float64 rows and k for a KNN search, checked and scaled by _in_range."""
     x = as_rows(data, "KNN input", width)
     m = x.shape[0]
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
@@ -324,21 +331,27 @@ def _searched(dst):
 
 
 def _nearest(src, searched, n):
-    """The n nearest rows of dst for each row of src: ranked (squared distances, indices).
+    """The indices of the n nearest rows of dst for each row of src, ranked: S x n.
 
-    src is (S, 3) and searched is _searched(dst), dst (D, 3) with n <= D;
-    both results are S x n. Where the tree's (n+1)-th hit (infinitely far if
-    missing) is farther than its n-th by more than the slack, its first n
-    hits are the n closest rows. Other rows take the tie path. Copies of a
-    row are equally far from every point, so only the first min(copies, n)
-    copies of each distinct row in reach can rank among the n nearest.
+    src is (S, 3) and searched is _searched(dst), dst (D, 3) with n <= D.
+    Where the tree's (n+1)-th hit (infinitely far if missing) is farther
+    than its n-th by more than the slack, its first n hits are the n closest
+    rows. They keep the tree's order where each is that much farther than
+    the one before, else they are re-ranked. Other rows take the tie path.
+    Copies of a row are equally far from every point, so only the first
+    min(copies, n) copies of each distinct row in reach can rank among the
+    n nearest.
     """
     dst, dst_cols, tree = searched
     dist, hits = tree.query(src, k=n + 1)
-    src_cols = _columns(src)
-    cand = np.sort(hits[:, :n], axis=1)
-    d2, idx = _rank_rows(cand, _sum_squares(np.take(dst_cols, cand, axis=1) - src_cols[:, :, None]))
-    tied = np.flatnonzero(dist[:, n] <= dist[:, n - 1] * _RADIUS_SLACK)
+    idx = hits[:, :n]
+    apart = dist[:, 1:] > dist[:, :-1] * _RADIUS_SLACK
+    unsure = np.flatnonzero(apart[:, -1] & ~apart[:, :-1].all(axis=1))
+    if unsure.size:
+        cand = np.sort(idx[unsure], axis=1)
+        near = np.take(dst_cols, cand, axis=1) - _columns(src[unsure])[:, :, None]
+        idx[unsure] = _rank_rows(cand, _sum_squares(near))[1]
+    tied = np.flatnonzero(~apart[:, -1])
     if tied.size:
         distinct, group, copies = np.unique(dst, axis=0, return_inverse=True, return_counts=True)
         rows, near = _ball_pairs(cKDTree(distinct), src[tied], dist[tied, n - 1] * _RADIUS_SLACK)
@@ -348,9 +361,9 @@ def _nearest(src, searched, n):
         offset = (np.cumsum(copies) - copies)[near] - (np.cumsum(take) - take)
         cand = by_group[np.repeat(offset, take) + np.arange(take.sum())]
         rows = np.repeat(rows, take)
-        pair_d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - np.take(src_cols, tied[rows], axis=1))
-        d2[tied], idx[tied] = _rank_pairs(rows, cand, pair_d2, n)
-    return d2, idx
+        pair_d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - _columns(src[tied[rows]]))
+        idx[tied] = _rank_pairs(rows, cand, pair_d2, n)[1]
+    return idx
 
 
 def knn_accelerated(cloud, k):
@@ -360,7 +373,7 @@ def knn_accelerated(cloud, k):
     k + 1 copies of it with smaller indices come first, the last one.
     """
     pts, k = _knn_input(cloud, k, 3)
-    hits = _nearest(pts, _searched(pts), k + 1)[1]
+    hits = _nearest(pts, _searched(pts), k + 1)
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
     return IndexMatrix(hits[other].reshape(-1, k))
@@ -376,8 +389,10 @@ def nearest_neighbors(src, dst):
     """
     rows, dst_rows = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
     (rows, dst_rows), e = _in_range([rows, dst_rows], ["query points", "searched points"])
-    d2, idx = _nearest(rows, _kept(dst, e, lambda: _searched(dst_rows)), 1)
-    return np.ldexp(d2[:, 0], 2 * e), idx[:, 0]
+    searched = _kept(dst, e, lambda: _searched(dst_rows))
+    idx = _nearest(rows, searched, 1)[:, 0]
+    d2 = _sum_squares(np.take(searched[1], idx, axis=1) - _columns(rows))
+    return np.ldexp(d2, 2 * e), idx
 
 
 # Rows per Gram block of knn_features: its memory is a few blocks of M floats.
@@ -387,61 +402,76 @@ _GRAM_ROWS = 64
 def knn_features(features, k):
     """Exact KNN over M x C rows in blocks of rows: bit for bit knn_bruteforce.
 
-    Candidate pass. For a block of rows a_i, one matmul gives the Gram
-    distances G_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j to every row a_j. Let D_ij
-    be the squared distance as the re-rank computes it, (diff * diff).sum(),
-    and d = |a_i - a_j|^2 the exact one. With u = 2^-53, S = |a_i|^2 + |a_j|^2
-    and g_n = n u / (1 - n u), the standard rounding-error bounds give
+    Candidate pass. For a block of rows a_i, one matmul with -2 x^T (exact:
+    a power-of-two scale) and one add give G_ij = -2 a_i.a_j + |a_j|^2: the
+    squared distance less c_i = |a_i|^2, which shifts all of row i alike and
+    is never added. Let D_ij be the squared distance as the re-rank computes
+    it, (diff * diff).sum(), and d = |a_i - a_j|^2 the exact one. With
+    u = 2^-53, S = |a_i|^2 + |a_j|^2 and g_n = n u / (1 - n u), the standard
+    rounding-error bounds give
       |D - d| <= g_(C+2) d <= 2 g_(C+2) S
         (a rounded difference and square per column, then C non-negative
         terms summed in any order; d <= 2 S);
-      |G - d| <= (g_(C+1) + g_C + 2u (1 + g_(C+1))) S
-        (the two norms and their sum; twice the dot product, summed in any
-        BLAS order, with sum|a b| <= S/2; the final subtraction).
-    So |G - D| <= g_(4C+8) S. The kernel takes e_i = (4C + 16) u (|a_i|^2 +
-    max_j |a_j|^2) from the computed norms, which bounds |G_ij - D_ij| for
-    every j. The 8 u S to spare covers the rounding of the norms, of e_i and
-    of t_i + 2 e_i below. It also covers underflow: after the input scaling
-    the largest |x| is 0 or at least 1e-50, so 8 u S > 1e-116 whenever S is
-    not 0, far above C subnormal steps of 5e-324.
+      |G + c_i - d| <= (2 g_C + 2u (1 + g_C)) S
+        (the norm |a_j|^2; twice the dot product in any BLAS order, with
+        sum|a b| <= S/2; one add of terms summing to at most 2 (1 + g_C) S).
+    So |G + c_i - D| <= g_(4C+6) S, and e_i = (4C + 16) u (|a_i|^2 +
+    max_j |a_j|^2), from the computed norms, bounds it for every j. The
+    10 u S to spare covers the rounding of the norms, of e_i and of
+    t_i + 2 e_i below, and underflow: after the input scaling the largest
+    |x| is 0 or at least 1e-50, so 10 u S > 1e-116 whenever S is not 0, far
+    above C subnormal steps of 5e-324.
 
     Let t_i be the k-th smallest G_ij over j != i. Those k columns have
-    D <= t_i + e_i, so the k-th smallest D is at most t_i + e_i, and every
+    D <= t_i + c_i + e_i, so the k-th smallest D is at most that, and every
     column of the answer has G <= t_i + 2 e_i.
 
-    Re-rank. Every column with G <= t_i + 2 e_i is a candidate, self left
-    out; their D are recomputed exactly as knn_bruteforce computes them
-    (a_j - a_i squares to the bits of a_i - a_j) and ranked by (D, index).
-    The candidates are the flat indices of the block's mask, which run
-    row-major, so each row lists its candidates in ascending index order.
-    Every row has at least k of them. Where every row has exactly k, the
-    block is one dense (rows, k) array of D, and a stable argsort of each
-    row keeps equal D in index order: the (D, index) order. A block takes
-    the pair path, _rank_pairs over batches of _PAIR_BATCH pairs, only when
-    some row has more than k candidates. Rows that tie everywhere, such as
-    identical features, make every column a candidate: that costs time, but
-    memory stays a few arrays the size of one Gram block.
+    Certify or re-rank. Every column with G <= t_i + 2 e_i is a candidate,
+    self left out: the flat indices of the block's mask, row-major, so each
+    row lists its at least k candidates in ascending index order. Where
+    every row has exactly k, they are its answer. Where every gap of a row's
+    stable sort by G exceeds 2 e_i (a rounded gap above the float 2 e_i is
+    an exact one above it, as rounding is monotone), D strictly increases
+    along it: that is the (D, index) order. The other rows, with an exact
+    tie or a gap lost to cancellation, get D as knn_bruteforce computes it
+    (a_j - a_i squares to the bits of a_i - a_j), ranked by a stable
+    argsort. A block takes the pair path, _rank_pairs over batches of
+    _PAIR_BATCH pairs, only when some row has more than k candidates. Rows
+    that tie everywhere, such as identical features, make every column a
+    candidate: that costs time, not memory, which is two block x M buffers
+    made once per call and one C x M copy of the rows: O(block M + M C).
     """
     x, k = _knn_input(features, k)
     m, c = x.shape
     sq = (x * x).sum(axis=1)
     bound = (4 * c + 16) * 2.0**-53 * (sq + sq.max())
+    scaled = np.ascontiguousarray(-2.0 * x.T)
+    gram_buf, kth_buf = np.empty((2, min(m, _GRAM_ROWS), m))
     out = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, _GRAM_ROWS):
         block = slice(start, start + _GRAM_ROWS)
         part = x[block]
         local = np.arange(part.shape[0])
-        gram = sq[block, None] + sq
-        gram -= 2.0 * (part @ x.T)
+        gram, kth = gram_buf[: local.size], kth_buf[: local.size]
+        np.matmul(part, scaled, out=gram)
+        gram += sq
         gram[local, local + start] = np.inf  # never its own neighbor
-        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-        rows, cand = np.divmod(np.flatnonzero(gram <= (kth + 2.0 * bound[block])[:, None]), m)
-        if rows.size == k * part.shape[0]:  # exactly k candidates in every row
+        np.copyto(kth, gram)
+        kth.partition(k - 1, axis=1)
+        flat = np.flatnonzero(gram <= (kth[:, k - 1] + 2.0 * bound[block])[:, None])
+        rows, cand = np.divmod(flat, m)
+        if rows.size == k * local.size:  # exactly k candidates in every row
             cand = cand.reshape(-1, k)
-            diff = np.take(x, cand, axis=0)
-            diff -= part[:, None, :]
-            diff *= diff
-            out[block] = _rank_rows(cand, diff.sum(axis=-1))[1]
+            near = np.take(gram, flat).reshape(-1, k)
+            order = np.argsort(near, axis=1, kind="stable") + np.arange(0, flat.size, k)[:, None]
+            out[block] = np.take(cand, order)
+            gaps = np.diff(np.take(near, order), axis=1)
+            unsure = np.flatnonzero((gaps <= 2.0 * bound[block, None]).any(axis=1))
+            if unsure.size:
+                diff = np.take(x, cand[unsure], axis=0)
+                diff -= part[unsure, None, :]
+                diff *= diff
+                out[start + unsure] = _rank_rows(cand[unsure], diff.sum(axis=-1))[1]
             continue
         d2 = np.empty(rows.size)
         for at in range(0, rows.size, _PAIR_BATCH):

@@ -177,6 +177,18 @@ class TestKnnBruteforce:
         with pytest.raises(ValueError):
             knn_bruteforce(cloud, 5)
 
+    @pytest.mark.parametrize("k", [2.7, 2.0, "2", None])
+    def test_k_must_be_an_integer(self, k):
+        # int(2.7) would silently search for 2 neighbours
+        pts = np.random.default_rng(0).normal(size=(8, 3))
+        for kernel in (knn_bruteforce, knn_accelerated, knn_features):
+            with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+                kernel(pts, k)
+
+    def test_numpy_integer_k(self):
+        pts = np.random.default_rng(0).normal(size=(8, 3))
+        assert np.array_equal(knn_bruteforce(pts, np.int32(3)).entries, knn_bruteforce(pts, 3).entries)
+
     def test_rigid_invariance(self):
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(40, 3))  # generic: no exact ties
@@ -219,6 +231,59 @@ class TestKnnAccelerated:
     def test_rejects_rows_that_are_not_3d(self):
         with pytest.raises(ShapeError):
             knn_accelerated(np.random.default_rng(2).normal(size=(20, 4)), 3)
+
+
+def ulp_lattice(seed, ulps, offset=0.0):
+    """A shuffled 6 x 6 x 6 unit lattice, each coordinate moved by up to `ulps` ulps.
+
+    Its rows have 6 neighbours at distance 1 and 12 at sqrt(2): exact ties
+    when ulps is 0, else near-ties far inside the kd-tree's 1e-9 slack.
+    """
+    rng = np.random.default_rng(seed)
+    g = np.arange(1.0, 7.0)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)[rng.permutation(216)] + offset
+    return pts + rng.integers(-ulps, ulps + 1, size=pts.shape) * np.spacing(pts)
+
+
+class TestKdTreeCertifiedOrder:
+    """Rows whose kd-tree distances are all farther apart than the slack keep the tree's order."""
+
+    def test_tie_free_cloud_never_re_ranks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("re-ranked")
+
+        monkeypatch.setattr(geometry, "_rank_rows", refuse)
+        monkeypatch.setattr(geometry, "_rank_pairs", refuse)
+        pts = np.random.default_rng(3).normal(size=(3000, 3))
+        assert np.array_equal(knn_accelerated(pts, 16).entries, knn_bruteforce(pts, 16).entries)
+
+    @pytest.mark.parametrize("ulps", [0, 1, 3])
+    def test_lattice_ties_and_near_ties_equal_bruteforce(self, ulps, monkeypatch):
+        ranked = []
+        original = geometry._rank_rows
+
+        def spy(cand, d2):
+            ranked.append(len(cand))
+            return original(cand, d2)
+
+        monkeypatch.setattr(geometry, "_rank_rows", spy)
+        for seed in range(3):
+            pts = ulp_lattice(seed, ulps)
+            oracle = knn_bruteforce(pts, 30).entries  # rows ascend, so k columns answer k
+            for k in (1, 4, 8, 16, 30):
+                assert np.array_equal(knn_accelerated(pts, k).entries, oracle[:, :k]), (seed, k)
+        assert ranked  # rows whose order the tree could not prove were re-ranked
+
+    @pytest.mark.parametrize("ulps", [0, 1, 3])
+    def test_lattice_nearest_neighbors_equal_dense_min_and_argmin(self, ulps):
+        for seed in range(3):
+            dst = ulp_lattice(seed, ulps)
+            src = ulp_lattice(seed + 10, ulps, offset=0.5)  # each equidistant from up to 8 lattice rows
+            diff = src[:, None, :] - dst[None, :, :]
+            d2 = (diff * diff).sum(axis=-1)
+            got_d2, got_idx = nearest_neighbors(src, dst)
+            assert np.array_equal(got_idx, d2.argmin(axis=1))
+            assert np.array_equal(got_d2, d2.min(axis=1))
 
 
 def copy_heavy_cloud(variant, copies):
@@ -422,6 +487,48 @@ class TestKnnFeatures:
         monkeypatch.setattr(geometry, "_rank_pairs", spy)
         assert_equals_dense_oracle(feats, k)
         assert blocks == ([] if k == m - 1 else [[r - block]])
+
+    @pytest.mark.parametrize("m", [512, 1024])
+    def test_tie_free_features_keep_the_gram_order(self, m, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("re-ranked")
+
+        monkeypatch.setattr(geometry, "_rank_rows", refuse)
+        monkeypatch.setattr(geometry, "_rank_pairs", refuse)
+        assert_equals_dense_oracle(np.random.default_rng(m).normal(size=(m, 32)), 16)
+
+    def test_a_tie_inside_the_first_k_re_ranks_only_its_row(self, monkeypatch):
+        # dyadic features make every distance exact; in the middle block, row r
+        # gets a mirror of its nearest row through itself, at the same distance
+        block = geometry._GRAM_ROWS
+        m = 2 * block + 5
+        feats = np.round(np.random.default_rng(12).normal(size=(m, 32)) * 256) / 256
+        r = block + 7
+        ranked = knn_bruteforce(feats, m - 1).entries[r]
+        feats[ranked[-1]] = 2 * feats[r] - feats[ranked[0]]
+        rows = []
+        original = geometry._rank_rows
+
+        def spy(cand, d2):
+            rows.extend(sorted(row) for row in cand.tolist())
+            return original(cand, d2)
+
+        monkeypatch.setattr(geometry, "_rank_rows", spy)
+        expected = knn_bruteforce(feats, 16).entries
+        assert np.array_equal(knn_features(feats, 16).entries, expected)
+        assert expected[r][:2].tolist() == sorted([ranked[0], ranked[-1]])  # tied at ranks 1 and 2
+        assert rows == [sorted(expected[r])]
+
+    @given(st.integers(2, 41), st.integers(1, 40), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_oracle_on_rows_a_few_ulps_apart(self, groups, c, copies, seed):
+        # each row has copies - 1 near-copies, each coordinate moved by up to 3 ulps:
+        # their Gram gaps fall within the bound while their squared distances mostly
+        # differ. k takes whole groups, so every block is dense, with near-ties inside k
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(groups, c))[rng.permutation(np.arange(groups * copies) % groups)]
+        feats += rng.integers(-3, 4, size=feats.shape) * np.spacing(feats)
+        assert_equals_dense_oracle(feats, copies - 1 + copies * int(rng.integers(0, groups)))
 
     def test_equals_dense_oracle_at_training_size(self):
         # a 512 x 32 feature_knn graph of a 256-point patch at ratio 2: a 67 MB oracle tensor
