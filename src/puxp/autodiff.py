@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexRangeError, ShapeError
+from .errors import IndexRangeError, ShapeError, integer
+from .geometry import IndexMatrix, integer_table
 
 
 class Tensor:
@@ -102,7 +103,7 @@ class ParameterStore:
             p.tensor.grad = None
 
     def value_count(self):
-        return int(sum(p.data.size for p in self._params.values()))
+        return sum(p.data.size for p in self._params.values())
 
 
 _TAPES: list["Tape"] = []
@@ -306,16 +307,16 @@ def edge_conv(x, idx, w, b, activate):
     gx = g . (w1 - w2)^T (+ s . w2^T on rows r*j), gw1 = x^T g and
     gw2 = x[::r]^T s - gw1.
     """
-    parent = np.asarray(getattr(idx, "parent", idx))
-    r = int(getattr(idx, "ratio", 1))
+    if isinstance(idx, IndexMatrix):
+        parent, r = idx.parent, idx.ratio
+    else:
+        parent, r = integer_table(idx, "edge_conv: index"), 1
     if x.ndim != 2:
         raise ShapeError(f"edge_conv: need a rank-2 source, got shape {x.shape}")
     m, c = x.shape
-    if parent.ndim != 2 or not np.issubdtype(parent.dtype, np.integer):
-        raise ShapeError("edge_conv: index must be an integer matrix")
+    if parent.ndim != 2 or parent.shape[0] * r != m or parent.shape[1] < 1:
+        raise ShapeError(f"edge_conv: index of shape {parent.shape} at ratio {r} for {m} rows")
     n = parent.shape[0]
-    if n * r != m or parent.shape[1] < 1:
-        raise ShapeError(f"edge_conv: index of shape {(n * r, parent.shape[1])} for {m} rows")
     if parent.size and (parent.min() < 0 or parent.max() >= n):
         bad = int(parent.min() if parent.min() < 0 else parent.max())
         where = f" (parent entry {bad}, ratio {r})" if r > 1 else ""
@@ -391,7 +392,7 @@ def edge_conv(x, idx, w, b, activate):
 
 def reshape(x, shape):
     """Row-major reshape preserving element count (target rank 1 or 2)."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(shape)
     if len(shape) not in (1, 2):
         raise ShapeError(f"reshape: target rank must be 1 or 2, got {shape}")
     if int(np.prod(shape)) != x.data.size:
@@ -414,11 +415,9 @@ def shuffle_expand(x, ratio):
     Output row r*i + s holds channels [s*C, (s+1)*C) of input row i: the r
     children of a point are contiguous. The map is a bijection on elements.
     """
-    ratio = int(ratio)
+    ratio = integer("ratio", ratio)
     if x.ndim != 2:
         raise ShapeError(f"shuffle_expand: need a rank-2 tensor, got shape {x.shape}")
-    if ratio < 1:
-        raise ShapeError(f"shuffle_expand: ratio must be >= 1, got {ratio}")
     n, rc = x.shape
     if rc % ratio != 0:
         raise ShapeError(f"shuffle_expand: channel count {rc} not divisible by ratio {ratio}")

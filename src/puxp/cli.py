@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checks, dataio, metrics, pipeline
 from .errors import ConfigError, DivergenceError, GradientError, IndexRangeError
-from .pipeline import BackboneSpec, TrainConfig, spec_from_fields, spec_to_fields
+from .pipeline import BackboneSpec, TrainConfig, parse_field, spec_from_fields, spec_to_fields
 from .shapes import SHAPE_KINDS
 from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec, _UNIT_CLASSES, _UnitBase
 
@@ -108,7 +108,7 @@ def _compare_configs(pairs):
     if "train.seed" in pairs:
         raise ConfigError("compare config sets train.seed; list the seeds in train.seeds instead")
     own = {**COMPARE_KEYS, **{k: v for k, v in pairs.items() if k in COMPARE_KEYS}}
-    ratio = int(own["train.ratio"])
+    ratio = parse_field(int, "train.ratio", own["train.ratio"])
     # compare.* picks the units; the placeholder only carries the ratio
     shared = spec_from_fields(TrainConfig, pairs, "train", unit=ExpansionSpec("branch", ratio, 1))
     known = set(COMPARE_KEYS) | {
@@ -151,7 +151,7 @@ def _compare_configs(pairs):
                 configs.append(dataclasses.replace(shared, unit=spec))
     if not configs:
         raise ConfigError("compare config selects no unit")
-    seeds = tuple(int(s) for s in own["train.seeds"].split(","))
+    seeds = tuple(parse_field(int, "train.seeds", s) for s in own["train.seeds"].split(","))
     for seed in seeds:
         if seeds.count(seed) > 1:
             raise ConfigError(f"train.seeds lists seed {seed} more than once")

@@ -1,5 +1,7 @@
 """Exception types shared across the package. Messages carry the offending values."""
 
+import numbers
+
 
 class ShapeError(ValueError):
     """Operands disagree with an operation's shape contract."""
@@ -22,7 +24,7 @@ class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss."""
 
     def __init__(self, step, message=""):
-        self.step = int(step)
+        self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
 
 
@@ -36,3 +38,11 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """An invalid or inconsistent run configuration."""
+
+
+def integer(name, value, least=1):
+    """The one rule for every count, ratio, seed and k: an Integral, not a bool, >= least,
+    returned as an int; anything else (2.7, 2.0, "2", None, True) raises ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")

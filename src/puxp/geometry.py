@@ -54,12 +54,11 @@ array gets the same build afresh on every call.
 from __future__ import annotations
 
 import itertools
-import numbers
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
+from .errors import ConfigError, DegenerateTriangleError, GradientError, IndexRangeError, ShapeError, integer
 
 # Relative inflation of a kd-tree distance bound: far above the tree's own
 # rounding error, so a ball query with it misses no candidate.
@@ -116,7 +115,7 @@ class TriangleMesh:
 
     def __init__(self, vertices, faces):
         verts = np.array(vertices, dtype=np.float64, order="C")  # private copies, read-only below
-        tris = np.array(faces, dtype=np.int64, order="C")
+        tris = np.array(integer_table(faces, "mesh faces"))
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ShapeError(f"mesh vertices must have shape (V, 3), got {verts.shape}")
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -158,13 +157,15 @@ class IndexMatrix:
     The table is kept as a validated parent table [N, K] and a ratio r, with
     M = r N. Row r*i + s (s < r) lists r * parent[i]: every KNN result has
     r = 1, and expand_index multiplies r, never the parent. `entries`
-    gives the M x K table; at r > 1 it is built only when asked for.
+    gives the M x K table; at r > 1 it is built only when asked for. The
+    constructor checks a table from outside; the KNN kernels and
+    expand_index build valid ones and skip the checks through _built.
     """
 
     __slots__ = ("parent", "ratio")
 
     def __init__(self, entries):
-        idx = np.ascontiguousarray(entries, dtype=np.int64)
+        idx = integer_table(entries, "index matrix")
         if idx.ndim != 2 or idx.shape[1] < 1:
             raise ShapeError(f"index matrix must have shape (M, K), got {idx.shape}")
         m = idx.shape[0]
@@ -178,8 +179,13 @@ class IndexMatrix:
         if idx.shape[1] > 1 and np.any(srt[:, 1:] == srt[:, :-1]):
             row = int(np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains duplicate neighbor indices")
-        self.parent = idx
-        self.ratio = 1
+        self.parent, self.ratio = idx, 1
+
+    @classmethod
+    def _built(cls, parent, ratio=1):  # parent: C-contiguous int64, valid by construction
+        out = object.__new__(cls)
+        out.parent, out.ratio = parent, ratio
+        return out
 
     @property
     def entries(self):
@@ -197,6 +203,15 @@ class IndexMatrix:
 
     def __repr__(self):
         return f"IndexMatrix({self.rows} rows, k={self.k}, ratio={self.ratio})"
+
+
+def integer_table(table, what):
+    """The one integer-table rule: table as C-contiguous int64, nothing truncated. A
+    non-empty table of another dtype raises ShapeError; an empty one keeps its caller's."""
+    arr = np.asarray(table)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ShapeError(f"{what} must be an integer matrix, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +283,9 @@ def _knn_input(data, k, width=None):
     """(M, C) float64 rows and k for a KNN search, checked and scaled by _in_range."""
     x = as_rows(data, "KNN input", width)
     m = x.shape[0]
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if not 1 <= k < m:
-        raise ValueError(f"k must satisfy 1 <= k < M, got k={k}, M={m}")
+    k = integer("k", k)
+    if k >= m:
+        raise ConfigError(f"KNN input has {m} points but k={k} needs more")
     (x,), _ = _in_range([x], ["KNN input"])
     return x, k
 
@@ -314,7 +327,7 @@ def knn_bruteforce(cloud, k):
     np.fill_diagonal(d2, np.inf)
     cols = np.broadcast_to(np.arange(m), (m, m))
     order = np.lexsort((cols, d2), axis=-1)
-    return IndexMatrix(order[:, :k])
+    return IndexMatrix._built(np.ascontiguousarray(order[:, :k]))
 
 
 def _ball_pairs(tree, points, radii):
@@ -376,7 +389,7 @@ def knn_accelerated(cloud, k):
     hits = _nearest(pts, _searched(pts), k + 1)
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
-    return IndexMatrix(hits[other].reshape(-1, k))
+    return IndexMatrix._built(hits[other].reshape(-1, k))
 
 
 def nearest_neighbors(src, dst):
@@ -479,7 +492,7 @@ def knn_features(features, k):
             diff = x[rows[pairs] + start] - x[cand[pairs]]
             d2[pairs] = (diff * diff).sum(axis=-1)
         out[block] = _rank_pairs(rows, cand, d2, k)[1]
-    return IndexMatrix(out)
+    return IndexMatrix._built(out)
 
 
 def expand_index(idx, factor=2):
@@ -497,16 +510,13 @@ def expand_index(idx, factor=2):
     r * parent[i]; those entries are in range (r j <= r (N - 1) < r N),
     distinct (j -> r j is injective) and never the row itself (r j = r i + s
     needs j = i, as s < r, and the parent never lists i). As IndexMatrix's
-    own checks are skipped, a factor that is not an integer >= 1 raises
-    ValueError here.
+    own checks are skipped, the factor passes the integer rule here: one
+    that is not an integer >= 1 raises ConfigError.
     """
-    if not isinstance(factor, numbers.Integral) or factor < 1:
-        raise ValueError(f"expansion factor must be an integer >= 1, got {factor!r}")
+    factor = integer("expansion factor", factor)
     if not isinstance(idx, IndexMatrix):
         idx = IndexMatrix(idx)
-    out = object.__new__(IndexMatrix)
-    out.parent, out.ratio = idx.parent, int(factor) * idx.ratio
-    return out
+    return IndexMatrix._built(idx.parent, factor * idx.ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class SharedMLP:
         if len(widths) < 2:
             raise ValueError(f"{name}: need at least input and output widths, got {widths}")
         self.name = name
-        self.widths = [int(w) for w in widths]
+        self.widths = list(widths)
         self.activate_output = activate_output
         self.layers = []
         for i, (c_in, c_out) in enumerate(zip(self.widths[:-1], self.widths[1:])):
@@ -65,8 +65,8 @@ class EdgeConvLayer:
 
     def __init__(self, store, name, c_in, c_out, rng, activate_output=True):
         self.activate_output = activate_output
-        self.w = store.add(f"{name}.h.w0", glorot_uniform(rng, 2 * int(c_in), int(c_out)))
-        self.b = store.add(f"{name}.h.b0", np.zeros(int(c_out)))
+        self.w = store.add(f"{name}.h.w0", glorot_uniform(rng, 2 * c_in, c_out))
+        self.b = store.add(f"{name}.h.b0", np.zeros(c_out))
 
     def __call__(self, x, idx):
         return ad.edge_conv(x, idx, self.w.tensor, self.b.tensor, self.activate_output)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import ParameterStore, Tape, Tensor
-from .errors import ConfigError, DivergenceError, GradientError, ShapeError
+from .errors import ConfigError, DivergenceError, GradientError, ShapeError, integer
 from .geometry import PointCloud, knn_accelerated
 from .losses import chamfer_loss
 from .nn import EdgeConvLayer, SharedMLP
@@ -72,14 +72,18 @@ def spec_to_fields(obj, prefix):
     return out
 
 
-def _parse(hint, text):
+def parse_field(hint, key, text):
+    """The one text-to-value step of every key=value input; ConfigError names the key."""
     if isinstance(hint, types.UnionType):  # X | None
         if text == "none":
             return None
         (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
     if hint is tuple:
         return tuple(item.strip() for item in text.split(",") if item.strip())
-    return hint(text)
+    try:
+        return hint(text)
+    except ValueError:
+        raise ConfigError(f"{key}: {text!r} is not {'an integer' if hint is int else 'a number'}") from None
 
 
 def spec_from_fields(cls, fields, prefix, **given):
@@ -92,7 +96,7 @@ def spec_from_fields(cls, fields, prefix, **given):
         if dataclasses.is_dataclass(hint):
             kwargs[name] = spec_from_fields(hint, fields, key)
         elif key in fields:
-            kwargs[name] = _parse(hint, fields[key])
+            kwargs[name] = parse_field(hint, key, fields[key])
     return cls(**kwargs)
 
 
@@ -105,10 +109,8 @@ class BackboneSpec:
     def __post_init__(self):
         if self.kind not in BACKBONE_KINDS:
             raise ConfigError(f"unknown backbone {self.kind!r}; choose from {BACKBONE_KINDS}")
-        self.depth = int(self.depth)
-        self.width = int(self.width)
-        if self.depth < 1 or self.width < 1:
-            raise ConfigError(f"backbone depth and width must be positive, got {self}")
+        self.depth = integer("depth", self.depth)
+        self.width = integer("width", self.width)
 
 
 class Backbone:
@@ -145,13 +147,11 @@ class UpsamplingModel:
                 f"unit channels ({unit_spec.channels}) must match backbone width "
                 f"({backbone_spec.width})"
             )
-        if unit_spec.k is not None and unit_spec.k != int(k):
-            raise ConfigError(f"unit k ({unit_spec.k}) disagrees with model k ({k})")
+        self.k = integer("k", k)
+        if unit_spec.k is not None and unit_spec.k != self.k:
+            raise ConfigError(f"unit k ({unit_spec.k}) disagrees with model k ({self.k})")
         self.unit_spec = unit_spec
         self.backbone_spec = backbone_spec
-        self.k = int(k)
-        if self.k < 1:
-            raise ConfigError(f"neighbor count k must be positive, got {self.k}")
         self.store = ParameterStore()
         self.backbone = Backbone(self.store, backbone_spec, rng)
         self.unit = build_unit(self.store, unit_spec, rng)
@@ -162,8 +162,6 @@ class UpsamplingModel:
         return self.unit_spec.ratio
 
     def base_graph(self, cloud):
-        if cloud.count <= self.k:
-            raise ConfigError(f"cloud has {cloud.count} points but k={self.k} needs more")
         return knn_accelerated(cloud, self.k)
 
     def forward_tensor(self, cloud, base_index=None):
@@ -208,22 +206,17 @@ class TrainConfig:
     data_seed: int = dataclasses.field(default=100, metadata={"key": "data.seed"})
 
     def __post_init__(self):
-        self.k = int(self.k)
+        for name in ("k", "steps", "points", "batch_size", "seed", "data_seed"):
+            setattr(self, name, integer(name, getattr(self, name), 0 if name.endswith("seed") else 1))
         # floats as floats, so budget keys compare lr=1 and lr=1.0 as equal
         self.lr, self.beta1, self.beta2, self.eps = (
             float(v) for v in (self.lr, self.beta1, self.beta2, self.eps)
         )
-        self.steps = int(self.steps)
-        self.points = int(self.points)
-        self.batch_size = int(self.batch_size)
-        self.seed = int(self.seed)
         self.shapes = tuple(self.shapes)
         if self.unit.ratio < 2:
             raise ConfigError(f"upsampling ratio must be at least 2, got {self.unit.ratio}")
-        if self.k < 1 or self.k >= self.points:
+        if self.k >= self.points:
             raise ConfigError(f"need 1 <= k < points, got k={self.k}, points={self.points}")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be positive")
         if self.lr < 0 or not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1) or self.eps <= 0:
             raise ConfigError("invalid optimizer settings")
         if not self.shapes:
@@ -333,7 +326,7 @@ def evaluate(model, dataset):
         reports.append(metrics.report(patch.name, pred, patch.gt, patch.mesh))
     cd, hd, p2f = _mean_metrics(reports)
     pred_count, gt_count = sum(r.pred_count for r in reports), sum(r.gt_count for r in reports)
-    reports.append(metrics.MetricReport("mean", cd, hd, p2f, int(pred_count), int(gt_count)))
+    reports.append(metrics.MetricReport("mean", cd, hd, p2f, pred_count, gt_count))
     return reports
 
 
@@ -369,7 +362,8 @@ def model_from_checkpoint(ckpt):
     try:
         unit_spec = spec_from_fields(ExpansionSpec, fields, "unit")
         backbone_spec = spec_from_fields(BackboneSpec, fields, "backbone")
-        model = UpsamplingModel(unit_spec, backbone_spec, int(fields["model.k"]), np.random.default_rng(0))
+        k = parse_field(int, "model.k", fields["model.k"])
+        model = UpsamplingModel(unit_spec, backbone_spec, k, np.random.default_rng(0))
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"checkpoint spec block is invalid: {exc}") from exc
     # an empty value is a feature left off; any other value this version cannot honour
@@ -439,7 +433,7 @@ def compare_units(configs, seeds=(1, 2, 3)):
         aggs = []
         counts = None
         for seed in seeds:
-            run = train(dataclasses.replace(cfg, seed=int(seed)), dataset)
+            run = train(dataclasses.replace(cfg, seed=seed), dataset)
             aggs.append(evaluate(run.model, dataset)[-1])
             counts = run.model.parameter_counts()
         cd, hd, p2f = _mean_metrics(aggs)

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .geometry import PointCloud, TriangleMesh
 
 SHAPE_KINDS = ("sphere", "torus", "cylinder", "box_surface")
@@ -195,12 +195,8 @@ def sample_pair(shape, n, ratio, seed):
     of an independent uniform draw, so input points are not a subset of the
     ground truth.
     """
-    n = int(n)
-    ratio = int(ratio)
-    if n < 8:
-        raise ConfigError(f"need at least 8 input points, got {n}")
-    if ratio < 1:
-        raise ConfigError(f"ratio must be positive, got {ratio}")
+    n = integer("n", n, least=8)
+    ratio = integer("ratio", ratio)
     rng = np.random.default_rng(seed)
     gt = PointCloud(surface_sample(shape, ratio * n, rng), _fresh=True)
     pool = surface_sample(shape, 2 * n, rng)

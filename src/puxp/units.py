@@ -14,7 +14,7 @@ import dataclasses
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, integer
 from .geometry import IndexMatrix, PointCloud, expand_index, knn_features
 from .nn import EdgeConvLayer, SharedMLP, duplicate_with_code
 
@@ -25,8 +25,8 @@ REGRESSION_MODES = ("direct", "edgeconv_after", "edgeconv_before")
 @dataclasses.dataclass
 class ExpansionSpec:
     """Configuration of one feature-expansion unit, checked against the rules
-    its unit class states (see _UnitBase). A k given to a unit that does not
-    read the graph is dropped: the spec stores None.
+    its unit class states (see _UnitBase) and the integer rule, errors.integer.
+    A k given to a unit that does not read the graph is dropped: it is None.
     """
 
     kind: str
@@ -40,20 +40,13 @@ class ExpansionSpec:
         rules = _UNIT_CLASSES.get(self.kind)
         if rules is None:
             raise ConfigError(f"unknown unit kind {self.kind!r}; choose from {UNIT_KINDS}")
-        self.ratio = int(self.ratio)
-        self.channels = int(self.channels)
-        if self.ratio < 1:
-            raise ConfigError(f"ratio must be a positive integer, got {self.ratio}")
-        if self.channels < 1:
-            raise ConfigError(f"channels must be a positive integer, got {self.channels}")
+        self.ratio = integer("ratio", self.ratio)
+        self.channels = integer("channels", self.channels)
         if rules.doubles and self.ratio & (self.ratio - 1):
             raise ConfigError(f"ratio must be a power of 2 for unit {self.kind!r}, got {self.ratio}")
-        if rules.ratios is not None and self.ratio not in rules.ratios:
-            allowed = ", ".join(map(str, rules.ratios))
-            raise ConfigError(f"{self.kind} supports ratios {allowed}, got {self.ratio}")
         if rules.reads_graph and self.k is None:
             raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
-        self.k = int(self.k) if rules.reads_graph else None
+        self.k = integer("k", self.k) if rules.reads_graph else None
         if self.index_mode not in INDEX_MODES:
             raise ConfigError(f"unknown index mode {self.index_mode!r}; choose from {INDEX_MODES}")
         if self.index_mode not in rules.index_modes:
@@ -101,15 +94,13 @@ class _UnitBase:
     """Each unit class states its rules as class data; ExpansionSpec checks them.
 
     reads_graph: reads the KNN graph, so needs k. doubles: grows in log2(r)
-    doubling rounds, so r is a power of 2. ratios: the only ratios accepted
-    (None: any). index_modes: the index modes read. regression_default: the
-    regression mode used when none is given.
+    doubling rounds, so r is a power of 2. index_modes: the index modes
+    read. regression_default: the regression mode used when none is given.
     """
 
     kind = ""
     reads_graph = False
     doubles = False
-    ratios = None
     index_modes = ("expand",)
     regression_default = "direct"
 
@@ -238,7 +229,6 @@ class ProEdgeShuffleUnit(_UnitBase):
     kind = "proedgeshuffle"
     reads_graph = True
     doubles = True
-    ratios = (2, 4, 8, 16)
     index_modes = INDEX_MODES
     regression_default = "edgeconv_before"  # its final local fusion pass
 

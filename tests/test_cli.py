@@ -129,6 +129,18 @@ class TestUpsampleCommand:
         assert capsys.readouterr().err.startswith("error: checkpoint sets field(s) this version does not know")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["unit.ratio", "model.k"])
+    def test_non_integer_header_value_exits_2_and_names_its_key(self, tmp_path, checkpoint, capsys, key):
+        ckpt = load_checkpoint(checkpoint)
+        bad = tmp_path / "bad.puxp"
+        save_checkpoint(bad, Checkpoint({**ckpt.fields, key: "2.5"}, ckpt.params))
+        inp = tmp_path / "in.xyz"
+        write_cloud(inp, 16)
+        capsys.readouterr()
+        assert run(["upsample", "--model", bad, "--input", inp, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint spec block is invalid: {key}: '2.5' is not an integer\n"
+
     def test_foreign_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.puxp"
         bad.write_bytes(b"WRONG" + b"\x00" * 32)
@@ -333,6 +345,21 @@ class TestCompareCommand:
         assert run(["compare", "--config", cfg]) == 2
         assert "train.seeds lists seed 1 more than once" in capsys.readouterr().err
         assert trained == []
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("train.k=6\n", "train.k=6\ntrain.ratio=2.5\n", "train.ratio: '2.5' is not an integer"),
+            ("train.steps=2\n", "train.steps=2.5\n", "train.steps: '2.5' is not an integer"),
+            ("train.seeds=1\n", "train.seeds=1,x\n", "train.seeds: 'x' is not an integer"),
+            ("train.seeds=1\n", "train.seeds=1\ntrain.lr=fast\n", "train.lr: 'fast' is not a number"),
+        ],
+    )
+    def test_unparsable_value_exits_2_and_names_its_key(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE.replace(old, new))
+        assert run(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

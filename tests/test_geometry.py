@@ -182,7 +182,7 @@ class TestKnnBruteforce:
         # int(2.7) would silently search for 2 neighbours
         pts = np.random.default_rng(0).normal(size=(8, 3))
         for kernel in (knn_bruteforce, knn_accelerated, knn_features):
-            with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
                 kernel(pts, k)
 
     def test_numpy_integer_k(self):
@@ -742,6 +742,30 @@ class TestExpandIndex:
         assert big.entries.dtype == want.dtype and big.entries.tobytes() == want.tobytes()
         assert big.rows == want.shape[0] and big.k == want.shape[1]
         assert IndexMatrix(big.entries).entries.tobytes() == want.tobytes()
+
+
+def built_table_case(variant, m=120, seed=0):
+    """An M x 3 cloud for one stress variant of the kernels' own tables."""
+    pts = np.random.default_rng(seed).normal(size=(m, 3))
+    if variant == "grid-0.5-ties":
+        pts = np.round(2.0 * pts) / 2.0  # exact ties and many copies
+    elif variant == "duplicated-rows":
+        pts[m // 2 :] = pts[: m - m // 2]
+    elif variant == "offset-1e3":
+        pts += 1e3
+    return pts
+
+
+class TestBuiltTables:
+    """KNN results and expand_index skip IndexMatrix's checks; their tables pass them anyway."""
+
+    @pytest.mark.parametrize("variant", ["random", "grid-0.5-ties", "duplicated-rows", "offset-1e3"])
+    @pytest.mark.parametrize("kernel", [knn_bruteforce, knn_accelerated, knn_features])
+    def test_pass_every_public_check(self, kernel, variant):
+        idx = kernel(built_table_case(variant), 8)
+        assert idx.parent.dtype == np.int64 and idx.parent.flags.c_contiguous
+        for table in (idx, expand_index(idx, 2), expand_index(idx, 3)):
+            assert np.array_equal(IndexMatrix(table.entries).entries, table.entries)
 
 
 class TestPointTriangleDistance:

@@ -48,9 +48,15 @@ class TestExpansionSpec:
         with pytest.raises(ConfigError, match="ratio must be a power of 2"):
             ExpansionSpec(kind="duplicate", ratio=6, channels=4)
 
-    def test_proedgeshuffle_ratio_cap(self):
-        with pytest.raises(ConfigError, match="2, 4, 8, 16"):
-            ExpansionSpec(kind="proedgeshuffle", ratio=32, channels=4, k=4)
+    @pytest.mark.parametrize("index_mode", INDEX_MODES)
+    def test_proedgeshuffle_expands_at_ratio_32(self, index_mode):
+        # no ratio cap: five doubling rounds give 32 N rows and a valid graph over them
+        ctx, _ = make_context(n=6, c=4, k=3)
+        unit, _, _ = build("proedgeshuffle", ratio=32, index_mode=index_mode)
+        out = unit.expand(ctx)
+        assert out.features.shape == (32 * 6, 4)
+        assert (out.index.rows, out.index.k) == (32 * 6, 3)
+        IndexMatrix(out.index.entries)  # passes every public check
 
     def test_graph_kinds_need_k(self):
         with pytest.raises(ConfigError, match="neighbor count"):
@@ -78,28 +84,26 @@ class TestExpansionSpec:
         )
         assert GRAPH_KINDS == ("nodeshuffle", "proedgeshuffle")
 
-    # kind: (reads_graph, doubles, ratios, index_modes, regression_default)
+    # kind: (reads_graph, doubles, index_modes, regression_default)
     RULES = {
-        "branch": (False, False, None, ("expand",), "direct"),
-        "duplicate": (False, True, None, ("expand",), "direct"),
-        "single_mlp": (False, False, None, ("expand",), "direct"),
-        "multilayer_mlp": (False, False, None, ("expand",), "direct"),
-        "progressive_mlp": (False, True, None, ("expand",), "direct"),
-        "nodeshuffle": (True, False, None, ("expand",), "direct"),
-        "proedgeshuffle": (True, True, (2, 4, 8, 16), ("expand", "feature_knn"), "edgeconv_before"),
+        "branch": (False, False, ("expand",), "direct"),
+        "duplicate": (False, True, ("expand",), "direct"),
+        "single_mlp": (False, False, ("expand",), "direct"),
+        "multilayer_mlp": (False, False, ("expand",), "direct"),
+        "progressive_mlp": (False, True, ("expand",), "direct"),
+        "nodeshuffle": (True, False, ("expand",), "direct"),
+        "proedgeshuffle": (True, True, ("expand", "feature_knn"), "edgeconv_before"),
     }
 
     @pytest.mark.parametrize("kind", UNIT_KINDS)
     def test_spec_accepts_exactly_what_the_class_declares(self, kind):
         cls = _UNIT_CLASSES[kind]
-        rules = (cls.reads_graph, cls.doubles, cls.ratios, cls.index_modes, cls.regression_default)
+        rules = (cls.reads_graph, cls.doubles, cls.index_modes, cls.regression_default)
         assert rules == self.RULES[kind]
         for ratio in range(1, 33):
             for mode in INDEX_MODES:
                 if cls.doubles and ratio & (ratio - 1):
                     refusal = f"ratio must be a power of 2 for unit '{kind}', got {ratio}"
-                elif cls.ratios is not None and ratio not in cls.ratios:
-                    refusal = f"proedgeshuffle supports ratios 2, 4, 8, 16, got {ratio}"
                 elif mode not in cls.index_modes:
                     refusal = f"index mode '{mode}' is read only by proedgeshuffle, not by '{kind}'"
                 else:
