@@ -307,20 +307,17 @@ def edge_conv(x, idx, w, b, activate):
     gx = g . (w1 - w2)^T (+ s . w2^T on rows r*j), gw1 = x^T g and
     gw2 = x[::r]^T s - gw1.
     """
-    if isinstance(idx, IndexMatrix):
-        parent, r = idx.parent, idx.ratio
-    else:
-        parent, r = integer_table(idx, "edge_conv: index"), 1
+    trusted = isinstance(idx, IndexMatrix)  # checked once and read-only: no range check per forward
+    parent, r = (idx.parent, idx.ratio) if trusted else (integer_table(idx, "edge_conv: index"), 1)
     if x.ndim != 2:
         raise ShapeError(f"edge_conv: need a rank-2 source, got shape {x.shape}")
     m, c = x.shape
     if parent.ndim != 2 or parent.shape[0] * r != m or parent.shape[1] < 1:
         raise ShapeError(f"edge_conv: index of shape {parent.shape} at ratio {r} for {m} rows")
     n = parent.shape[0]
-    if parent.size and (parent.min() < 0 or parent.max() >= n):
+    if not trusted and parent.size and (parent.min() < 0 or parent.max() >= n):
         bad = int(parent.min() if parent.min() < 0 else parent.max())
-        where = f" (parent entry {bad}, ratio {r})" if r > 1 else ""
-        raise IndexRangeError(f"edge_conv: index {bad * r} out of range for {m} rows{where}")
+        raise IndexRangeError(f"edge_conv: index {bad} out of range for {m} rows")
     if w.ndim != 2 or w.shape[0] != 2 * c or b.shape != (w.shape[1],):
         raise ShapeError(f"edge_conv: weights {w.shape} and bias {b.shape} for {c} input channels")
     k, d = parent.shape[1], w.shape[1]

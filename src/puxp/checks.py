@@ -217,7 +217,8 @@ def _knn_agrees(points, k):
 def run_knn_checks(clouds=200, seed=2024):
     """kd-tree path must equal the brute-force oracle on seeded random clouds;
     the mesh search must equal a loop over every face."""
-    rng, feature_rng, nearest_rng, duplicate_rng, mesh_rng = (np.random.default_rng(seed + i) for i in range(5))
+    rngs = [np.random.default_rng(seed + i) for i in range(6)]
+    rng, feature_rng, nearest_rng, duplicate_rng, mesh_rng, collapsed_rng = rngs
     start = time.perf_counter()
     results = [_agreement("knn/oracle-agreement", _cloud_cases(rng, clouds), "mismatching clouds")]
     results[0].detail += f" ({time.perf_counter() - start:.2f}s)"
@@ -234,6 +235,7 @@ def run_knn_checks(clouds=200, seed=2024):
         CheckResult("knn/outlier-cluster", _knn_agrees(cluster, 5)),
         CheckResult("knn/grid-ties", _knn_agrees(grid, 8)),
         _agreement("nearest/oracle-agreement", _nearest_cases(nearest_rng), "mismatching cloud pairs"),
+        _agreement("nearest/collapsed-target", _collapsed_cases(collapsed_rng), "mismatching collapsed clouds"),
         _agreement("p2f/oracle-agreement", _mesh_cases(mesh_rng), "mismatching meshes"),
     ]
 
@@ -296,6 +298,30 @@ def _nearest_cases(rng):
             and np.array_equal(back_idx, dense.argmin(axis=0))
         )
         yield ok, {"src": src, "dst": dst, "variant": variant}
+
+
+def _collapsed_cases(rng):
+    """A searched cloud of 1-3 distinct rows with 100-200 copies each, as an
+    untrained or diverged model predicts: nearest_neighbors in both directions
+    against a random cloud must give the dense matrix's `min` and `argmin`, and
+    knn_accelerated on the copies the dense oracle's table, with k inside and
+    beyond a group of copies."""
+    for trial in range(6):
+        rows = rng.normal(size=(int(rng.integers(1, 4)), 3))
+        copies = int(rng.integers(100, 201))
+        dst = rows[rng.permutation(np.arange(len(rows) * copies) % len(rows))]
+        src = rng.normal(size=(int(rng.integers(1, 300)), 3))
+        diff = src[:, None, :] - dst[None, :, :]
+        dense = (diff * diff).sum(axis=-1)
+        (d2, idx), (back_d2, back_idx) = nearest_neighbors(src, dst), nearest_neighbors(dst, src)
+        ok = (
+            np.array_equal(d2, dense.min(axis=1))
+            and np.array_equal(idx, dense.argmin(axis=1))
+            and np.array_equal(back_d2, dense.min(axis=0))
+            and np.array_equal(back_idx, dense.argmin(axis=0))
+            and all(_knn_agrees(dst, k) for k in (16, min(copies + 8, len(dst) - 1)))
+        )
+        yield ok, {"src": src, "dst": dst, "trial": trial}
 
 
 def _mesh_cases(rng):

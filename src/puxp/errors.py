@@ -1,5 +1,6 @@
 """Exception types shared across the package. Messages carry the offending values."""
 
+import math
 import numbers
 
 
@@ -46,3 +47,15 @@ def integer(name, value, least=1):
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def real(name, value):
+    """The one rule for every real-valued setting: a finite Real, not a bool, returned as a
+    float; anything else ("0.5", True, None, nan, inf, 10**400) raises ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond every float
+            pass
+    raise ConfigError(f"{name} must be a finite real number, got {value!r}")

@@ -18,13 +18,12 @@ the fast pass can never change a result:
 
 - One kd-tree search serves self and cross queries: knn_accelerated (the
   k + 1 nearest rows of an M x 3 cloud, less the point itself) and
-  nearest_neighbors (k = 1 across two sets). It queries one hit more than
-  it needs; where that spare hit is farther than the last needed one by
-  more than a relative 1e-9, the needed hits are the right candidate set,
-  in the tree's order where each is that much farther than the one before.
-  Rows tied within 1e-9 ball-query a tree of the distinct rows and rank the
-  first min(copies, n) copies of each, so their memory follows the
-  distinct rows in reach, not the number of copies.
+  nearest_neighbors (k = 1 across two sets). Its tree holds the distinct
+  rows, so N copies of one point cost O(N log N), not O(N^2). A row keeps
+  the tree's order where its n + 1 hits are each more than a relative 1e-9
+  apart and copies do not fill the n rows early; every other row ranks the
+  first min(copies, n) copies of each distinct row within a ball query, in
+  memory that follows the distinct rows in reach, not the copies.
 - knn_features (M x C features) works in blocks of rows. One matmul per
   block gives Gram values -2 a.b + |b|^2 (squared distances less the row's
   |a|^2), and every column within a proven error bound e of the k-th
@@ -47,8 +46,8 @@ included, raises ShapeError naming the input; nothing is reshaped.
 PointCloud and TriangleMesh hold read-only copies of their arrays and keep
 what searches build from them, on first use and per _in_range exponent (0
 for every input in [1e-50, 1e50)): a cloud searched by nearest_neighbors its
-kd-tree and columns, a mesh the index of squared_distances_to_mesh. A raw
-array gets the same build afresh on every call.
+columns, tree and copy groups, a mesh the index of squared_distances_to_mesh.
+A raw array gets the same build afresh on every call.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ _SCALE_LIMIT = 1e50
 # Candidate pairs per distance batch of knn_features and
 # squared_distances_to_mesh: it bounds their temporary arrays.
 _PAIR_BATCH = 1 << 15
+_LEAFSIZE = 16  # points per leaf of every kd-tree; 32 made near-collapsed searches 15% faster, trained ones 5% slower
 
 
 def _kept(owner, e, build):
@@ -158,14 +158,14 @@ class IndexMatrix:
     M = r N. Row r*i + s (s < r) lists r * parent[i]: every KNN result has
     r = 1, and expand_index multiplies r, never the parent. `entries`
     gives the M x K table; at r > 1 it is built only when asked for. The
-    constructor checks a table from outside; the KNN kernels and
-    expand_index build valid ones and skip the checks through _built.
+    constructor checks a read-only copy of a table from outside; _built
+    skips the checks for the kernels' valid tables and makes them read-only.
     """
 
     __slots__ = ("parent", "ratio")
 
     def __init__(self, entries):
-        idx = integer_table(entries, "index matrix")
+        idx = np.array(integer_table(entries, "index matrix"))  # private: no caller can change it later
         if idx.ndim != 2 or idx.shape[1] < 1:
             raise ShapeError(f"index matrix must have shape (M, K), got {idx.shape}")
         m = idx.shape[0]
@@ -179,11 +179,13 @@ class IndexMatrix:
         if idx.shape[1] > 1 and np.any(srt[:, 1:] == srt[:, :-1]):
             row = int(np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains duplicate neighbor indices")
+        idx.flags.writeable = False
         self.parent, self.ratio = idx, 1
 
     @classmethod
     def _built(cls, parent, ratio=1):  # parent: C-contiguous int64, valid by construction
         out = object.__new__(cls)
+        parent.flags.writeable = False
         out.parent, out.ratio = parent, ratio
         return out
 
@@ -291,27 +293,15 @@ def _knn_input(data, k, width=None):
 
 
 def _rank_pairs(rows, cand, d2, k):
-    """The first k candidates of each row by (squared distance, index).
+    """The first k candidates of each row by (squared distance, index): R x k.
 
     (rows[i], cand[i]) is a candidate pair at squared distance d2[i]; rows
-    are numbered 0 .. R - 1 and each has at least k pairs. Returns the
-    ranked (squared distances, indices), both R x k.
+    are numbered 0 .. R - 1 and each has at least k pairs. The one exact
+    re-rank of every search here.
     """
     order = np.lexsort((cand, d2, rows))
     counts = np.bincount(rows)
-    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    return d2[pick], cand[pick]
-
-
-def _rank_rows(cand, d2):
-    """Each row of candidates ranked by (squared distance, index): (squared distances, indices).
-
-    cand and d2 are R x n, with the indices of each row of cand ascending. A
-    stable argsort keeps equal distances in that order, so it is the
-    (d2, index) order of _rank_pairs.
-    """
-    order = np.argsort(d2, axis=1, kind="stable")
-    return np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+    return cand[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
 
 
 def knn_bruteforce(cloud, k):
@@ -339,43 +329,51 @@ def _ball_pairs(tree, points, radii):
 
 
 def _searched(dst):
-    """The searched side of _nearest: (D, 3) rows, their columns and a kd-tree over them."""
-    return dst, _columns(dst), cKDTree(dst)
+    """The searched side of _nearest for (D, 3) rows: (columns, kd-tree, copy groups).
+
+    If no two rows share an x (one sort of that column), groups is None and
+    the tree holds the rows. Else a stable sort by (x, y, z) gives order, in
+    which group g of equal rows starts at first[g] and holds copies[g] rows
+    in index order, and the tree holds one row per group: cKDTree cannot
+    split identical rows, so over N copies each query scanned a leaf of N.
+    """
+    cols = _columns(dst)
+    x = np.sort(cols[0])
+    if (x[1:] != x[:-1]).all():
+        return cols, cKDTree(dst, leafsize=_LEAFSIZE), None
+    order = np.lexsort(cols[::-1])
+    first = np.flatnonzero(np.append(True, np.diff(np.take(cols, order, axis=1), axis=1).any(axis=0)))
+    return cols, cKDTree(dst[order[first]], leafsize=_LEAFSIZE), (order, first, np.diff(first, append=order.size))
 
 
-def _nearest(src, searched, n):
+def _nearest(src, cols, tree, groups, n):
     """The indices of the n nearest rows of dst for each row of src, ranked: S x n.
 
-    src is (S, 3) and searched is _searched(dst), dst (D, 3) with n <= D.
-    Where the tree's (n+1)-th hit (infinitely far if missing) is farther
-    than its n-th by more than the slack, its first n hits are the n closest
-    rows. They keep the tree's order where each is that much farther than
-    the one before, else they are re-ranked. Other rows take the tie path.
-    Copies of a row are equally far from every point, so only the first
-    min(copies, n) copies of each distinct row in reach can rank among the
-    n nearest.
+    src is (S, 3) and (cols, tree, groups) is _searched(dst), dst (D, 3) with
+    n <= D. The tree gives each row its n + 1 nearest distinct rows
+    (infinitely far where missing). Where each is farther than the one before
+    by more than the slack and the first n - 1 have one copy each, the first
+    copies of the first n are the answer, in the tree's order. Every other
+    row takes one fallback: a ball query out to the hit whose copies complete
+    n rows, times the slack, then _rank_pairs over the first min(copies, n)
+    copies of each distinct row in reach, the only ones that can rank.
     """
-    dst, dst_cols, tree = searched
     dist, hits = tree.query(src, k=n + 1)
-    idx = hits[:, :n]
-    apart = dist[:, 1:] > dist[:, :-1] * _RADIUS_SLACK
-    unsure = np.flatnonzero(apart[:, -1] & ~apart[:, :-1].all(axis=1))
-    if unsure.size:
-        cand = np.sort(idx[unsure], axis=1)
-        near = np.take(dst_cols, cand, axis=1) - _columns(src[unsure])[:, :, None]
-        idx[unsure] = _rank_rows(cand, _sum_squares(near))[1]
-    tied = np.flatnonzero(~apart[:, -1])
-    if tied.size:
-        distinct, group, copies = np.unique(dst, axis=0, return_inverse=True, return_counts=True)
-        rows, near = _ball_pairs(cKDTree(distinct), src[tied], dist[tied, n - 1] * _RADIUS_SLACK)
-        # each distinct row in reach stands for its first min(copies, n) copies
-        take = np.minimum(copies[near], n)
-        by_group = np.argsort(group.reshape(-1), kind="stable")  # each group's copies in index order
-        offset = (np.cumsum(copies) - copies)[near] - (np.cumsum(take) - take)
-        cand = by_group[np.repeat(offset, take) + np.arange(take.sum())]
-        rows = np.repeat(rows, take)
-        pair_d2 = _sum_squares(np.take(dst_cols, cand, axis=1) - _columns(src[tied[rows]]))
-        idx[tied] = _rank_pairs(rows, cand, pair_d2, n)[1]
+    idx, reach = hits[:, :n], np.full(src.shape[0], n - 1)
+    if groups is not None:
+        order, first, copies = groups
+        # missing hits (index tree.n) come after the one that completes n rows; clipped, they change nothing
+        reach = np.argmax(np.cumsum(np.take(copies, hits, mode="clip"), axis=1) >= n, axis=1)
+        idx = order[np.take(first, idx, mode="clip")]
+    rest = np.flatnonzero((dist[:, 1:] <= dist[:, :-1] * _RADIUS_SLACK).any(axis=1) | (reach < n - 1))
+    if rest.size:
+        rows, cand = _ball_pairs(tree, src[rest], dist[rest, reach[rest]] * _RADIUS_SLACK)
+        if groups is not None:
+            take = np.minimum(copies[cand], n)
+            cand = order[np.repeat(first[cand] - (np.cumsum(take) - take), take) + np.arange(take.sum())]
+            rows = np.repeat(rows, take)
+        pair_d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(_columns(src[rest]), rows, axis=1))
+        idx[rest] = _rank_pairs(rows, cand, pair_d2, n)
     return idx
 
 
@@ -386,7 +384,7 @@ def knn_accelerated(cloud, k):
     k + 1 copies of it with smaller indices come first, the last one.
     """
     pts, k = _knn_input(cloud, k, 3)
-    hits = _nearest(pts, _searched(pts), k + 1)
+    hits = _nearest(pts, *_searched(pts), k + 1)
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
     return IndexMatrix._built(hits[other].reshape(-1, k))
@@ -398,13 +396,13 @@ def nearest_neighbors(src, dst):
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index. A
-    PointCloud dst keeps its kd-tree and columns for the next search.
+    PointCloud dst keeps what _searched builds for the next search.
     """
     rows, dst_rows = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
     (rows, dst_rows), e = _in_range([rows, dst_rows], ["query points", "searched points"])
     searched = _kept(dst, e, lambda: _searched(dst_rows))
-    idx = _nearest(rows, searched, 1)[:, 0]
-    d2 = _sum_squares(np.take(searched[1], idx, axis=1) - _columns(rows))
+    idx = _nearest(rows, *searched, 1)[:, 0]
+    d2 = _sum_squares(np.take(searched[0], idx, axis=1) - _columns(rows))
     return np.ldexp(d2, 2 * e), idx
 
 
@@ -447,9 +445,9 @@ def knn_features(features, k):
     an exact one above it, as rounding is monotone), D strictly increases
     along it: that is the (D, index) order. The other rows, with an exact
     tie or a gap lost to cancellation, get D as knn_bruteforce computes it
-    (a_j - a_i squares to the bits of a_i - a_j), ranked by a stable
-    argsort. A block takes the pair path, _rank_pairs over batches of
-    _PAIR_BATCH pairs, only when some row has more than k candidates. Rows
+    (a_j - a_i squares to the bits of a_i - a_j), ranked by _rank_pairs.
+    Only a block where some row has more than k candidates takes the pair
+    path: D of all its pairs, _PAIR_BATCH at a time, then _rank_pairs. Rows
     that tie everywhere, such as identical features, make every column a
     candidate: that costs time, not memory, which is two block x M buffers
     made once per call and one C x M copy of the rows: O(block M + M C).
@@ -484,14 +482,15 @@ def knn_features(features, k):
                 diff = np.take(x, cand[unsure], axis=0)
                 diff -= part[unsure, None, :]
                 diff *= diff
-                out[start + unsure] = _rank_rows(cand[unsure], diff.sum(axis=-1))[1]
+                rows = np.repeat(np.arange(unsure.size), k)
+                out[start + unsure] = _rank_pairs(rows, cand[unsure].ravel(), diff.sum(axis=-1).ravel(), k)
             continue
         d2 = np.empty(rows.size)
         for at in range(0, rows.size, _PAIR_BATCH):
             pairs = slice(at, at + _PAIR_BATCH)
             diff = x[rows[pairs] + start] - x[cand[pairs]]
             d2[pairs] = (diff * diff).sum(axis=-1)
-        out[block] = _rank_pairs(rows, cand, d2, k)[1]
+        out[block] = _rank_pairs(rows, cand, d2, k)
     return IndexMatrix._built(out)
 
 
@@ -664,7 +663,8 @@ def _mesh_index(verts, faces):
     if bad.size:
         return int(bad[0]), None
     boxes = _columns(np.hstack([tris.min(axis=1), tris.max(axis=1)]))
-    return None, (_face_columns(tris), float(np.abs(tris).max()), cKDTree(tris.mean(axis=1)), *_box_levels(boxes))
+    centroids = cKDTree(tris.mean(axis=1), leafsize=_LEAFSIZE)
+    return None, (_face_columns(tris), float(np.abs(tris).max()), centroids, *_box_levels(boxes))
 
 
 def squared_distances_to_mesh(points, mesh):

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import ParameterStore, Tape, Tensor
-from .errors import ConfigError, DivergenceError, GradientError, ShapeError, integer
+from .errors import ConfigError, DivergenceError, GradientError, ShapeError, integer, real
 from .geometry import PointCloud, knn_accelerated
 from .losses import chamfer_loss
 from .nn import EdgeConvLayer, SharedMLP
@@ -209,9 +209,8 @@ class TrainConfig:
         for name in ("k", "steps", "points", "batch_size", "seed", "data_seed"):
             setattr(self, name, integer(name, getattr(self, name), 0 if name.endswith("seed") else 1))
         # floats as floats, so budget keys compare lr=1 and lr=1.0 as equal
-        self.lr, self.beta1, self.beta2, self.eps = (
-            float(v) for v in (self.lr, self.beta1, self.beta2, self.eps)
-        )
+        for name in ("lr", "beta1", "beta2", "eps"):
+            setattr(self, name, real(name, getattr(self, name)))
         self.shapes = tuple(self.shapes)
         if self.unit.ratio < 2:
             raise ConfigError(f"upsampling ratio must be at least 2, got {self.unit.ratio}")

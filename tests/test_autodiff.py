@@ -12,7 +12,7 @@ from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import _op_cases, check_gradient, finite_difference_gradient, run_op_gradient_checks
 from puxp.errors import IndexRangeError, ShapeError
-from puxp.geometry import IndexMatrix, expand_index
+from puxp.geometry import IndexMatrix, expand_index, knn_bruteforce
 
 from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads, random_graph
 
@@ -348,11 +348,22 @@ class TestEdgeConv:
             ad.edge_conv(Tensor(np.zeros((2, 1))), np.array([[1], [9]]), Tensor(np.zeros((2, 1))),
                          Tensor(np.zeros(1)), True)
 
-    def test_out_of_range_parent_entry_names_value(self):
-        idx = expand_index(expand_index(IndexMatrix([[1], [0]])))  # ratio 4, 8 rows
-        idx.parent[1, 0] = 9  # listed as 4 * 9 = 36 on rows 4-7
-        with pytest.raises(IndexRangeError, match="index 36 .*parent entry 9"):
-            ad.edge_conv(Tensor(np.zeros((8, 1))), idx, Tensor(np.zeros((2, 1))), Tensor(np.zeros(1)), True)
+    def test_index_matrix_tables_cannot_change_after_their_check(self):
+        # edge_conv trusts an IndexMatrix, so no table may be broken after it is validated
+        source = np.array([[1], [0]])
+        idx = IndexMatrix(source)
+        source[0, 0] = 0  # row 0 would list itself
+        assert idx.parent.tolist() == [[1], [0]]
+        for table in (idx, expand_index(expand_index(idx)), knn_bruteforce(np.eye(3), 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                table.parent[1, 0] = 9
+
+    @pytest.mark.parametrize("bad", [36, -1])
+    def test_out_of_range_raw_table_names_index_and_rows(self, bad):
+        table = np.array([[1], [0], [3], [2], [5], [4], [7], [6]])
+        table[5, 0] = bad
+        with pytest.raises(IndexRangeError, match=f"^edge_conv: index {bad} out of range for 8 rows$"):
+            ad.edge_conv(Tensor(np.zeros((8, 1))), table, Tensor(np.zeros((2, 1))), Tensor(np.zeros(1)), True)
 
 
 class TestShuffleExpand:

@@ -394,6 +394,7 @@ class TestCheckCommands:
         "PASS knn/outlier-cluster",
         "PASS knn/grid-ties",
         "PASS nearest/oracle-agreement 0 mismatching cloud pairs out of 38",
+        "PASS nearest/collapsed-target 0 mismatching collapsed clouds out of 6",
         "PASS p2f/oracle-agreement 0 mismatching meshes out of 20",
         "PASS index-expansion/laws 0 failing graphs out of 100",
         "PASS index-expansion/any-ratio-laws 0 failing graphs out of 100",

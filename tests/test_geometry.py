@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -252,21 +253,21 @@ class TestKdTreeCertifiedOrder:
         def refuse(*args):
             raise AssertionError("re-ranked")
 
-        monkeypatch.setattr(geometry, "_rank_rows", refuse)
         monkeypatch.setattr(geometry, "_rank_pairs", refuse)
+        monkeypatch.setattr(geometry, "_ball_pairs", refuse)
         pts = np.random.default_rng(3).normal(size=(3000, 3))
         assert np.array_equal(knn_accelerated(pts, 16).entries, knn_bruteforce(pts, 16).entries)
 
     @pytest.mark.parametrize("ulps", [0, 1, 3])
     def test_lattice_ties_and_near_ties_equal_bruteforce(self, ulps, monkeypatch):
         ranked = []
-        original = geometry._rank_rows
+        original = geometry._rank_pairs
 
-        def spy(cand, d2):
-            ranked.append(len(cand))
-            return original(cand, d2)
+        def spy(rows, cand, d2, k):
+            ranked.append(len(rows))
+            return original(rows, cand, d2, k)
 
-        monkeypatch.setattr(geometry, "_rank_rows", spy)
+        monkeypatch.setattr(geometry, "_rank_pairs", spy)
         for seed in range(3):
             pts = ulp_lattice(seed, ulps)
             oracle = knn_bruteforce(pts, 30).entries  # rows ascend, so k columns answer k
@@ -456,8 +457,12 @@ class TestKnnFeatures:
             assert_equals_dense_oracle(feats, k)
 
     def test_tie_free_blocks_never_take_the_pair_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("pair path taken")
+        original = geometry._rank_pairs
+
+        def refuse(rows, cand, d2, k):
+            if np.bincount(rows).max() > k:  # a row with more than k pairs: not a re-rank of k
+                raise AssertionError("pair path taken")
+            return original(rows, cand, d2, k)
 
         monkeypatch.setattr(geometry, "_rank_pairs", refuse)
         feats = np.random.default_rng(6).normal(size=(300, 32))  # five blocks, no ties
@@ -481,7 +486,9 @@ class TestKnnFeatures:
         original = geometry._rank_pairs
 
         def spy(rows, cand, d2, k):
-            blocks.append(np.flatnonzero(np.bincount(rows) > k).tolist())  # its rows with ties
+            tied = np.flatnonzero(np.bincount(rows) > k).tolist()  # its rows with ties
+            if tied:  # re-ranks of exactly k candidates per row are not the pair path
+                blocks.append(tied)
             return original(rows, cand, d2, k)
 
         monkeypatch.setattr(geometry, "_rank_pairs", spy)
@@ -493,7 +500,6 @@ class TestKnnFeatures:
         def refuse(*args):
             raise AssertionError("re-ranked")
 
-        monkeypatch.setattr(geometry, "_rank_rows", refuse)
         monkeypatch.setattr(geometry, "_rank_pairs", refuse)
         assert_equals_dense_oracle(np.random.default_rng(m).normal(size=(m, 32)), 16)
 
@@ -507,13 +513,13 @@ class TestKnnFeatures:
         ranked = knn_bruteforce(feats, m - 1).entries[r]
         feats[ranked[-1]] = 2 * feats[r] - feats[ranked[0]]
         rows = []
-        original = geometry._rank_rows
+        original = geometry._rank_pairs
 
-        def spy(cand, d2):
-            rows.extend(sorted(row) for row in cand.tolist())
-            return original(cand, d2)
+        def spy(pair_rows, cand, d2, k):
+            rows.extend(sorted(cand[pair_rows == row].tolist()) for row in range(pair_rows.max() + 1))
+            return original(pair_rows, cand, d2, k)
 
-        monkeypatch.setattr(geometry, "_rank_rows", spy)
+        monkeypatch.setattr(geometry, "_rank_pairs", spy)
         expected = knn_bruteforce(feats, 16).entries
         assert np.array_equal(knn_features(feats, 16).entries, expected)
         assert expected[r][:2].tolist() == sorted([ranked[0], ranked[-1]])  # tied at ranks 1 and 2
@@ -669,6 +675,35 @@ class TestNearestNeighborsTies:
         assert np.array_equal(idx, np.zeros(4096, dtype=np.int64))
         diff = gt - pred[0]
         assert np.array_equal(d2, (diff * diff).sum(axis=1))
+
+    @pytest.mark.parametrize("where", ["far", "near"])
+    def test_a_collapsed_target_costs_a_tree_of_its_distinct_rows(self, where):
+        # a kd-tree over every copy scanned one leaf of 65,536 rows per query: 15 s for 65,536 queries
+        rng = np.random.default_rng(4)
+        gt = rng.normal(size=(16384, 3))
+        point = [[40.0, 0.0, 0.0]] if where == "far" else gt[:1] + 1e-3
+        pred = np.repeat(point, 65536, axis=0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            d2, idx = nearest_neighbors(gt, pred)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, elapsed
+        assert peak < 16 * 2**20, peak
+        assert not idx.any()  # every copy is as near: the smallest index
+        diff = gt - pred[0]
+        assert np.array_equal(d2, (diff * diff).sum(axis=1))
+
+    def test_self_knn_of_a_collapsed_cloud_is_fast(self):
+        pts = np.repeat(np.random.default_rng(5).normal(size=(1, 3)), 65536, axis=0)
+        start = time.perf_counter()
+        idx = knn_accelerated(pts, 16)
+        assert time.perf_counter() - start < 2.0
+        for row in (0, 7, 65535):
+            assert idx.entries[row].tolist() == [j for j in range(17) if j != row][:16]
 
 
 class TestExpandIndex:

@@ -1,10 +1,13 @@
 """The one integer rule: every count, ratio, seed and k is checked where it
 enters, refused unless it is an integer of at least its least value, and
 never truncated. Integer tables (neighbour tables, mesh faces) refuse
-non-integer dtypes."""
+non-integer dtypes. The optimizer's real-valued settings follow one
+real-number rule: a finite real, not a bool, stored as a float."""
 
 import dataclasses
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from puxp import autodiff as ad
 from puxp.errors import ConfigError, ShapeError
 from puxp.geometry import IndexMatrix, TriangleMesh, expand_index, knn_accelerated, knn_bruteforce, knn_features
-from puxp.pipeline import BackboneSpec, TrainConfig, UpsamplingModel, spec_to_fields
+from puxp.pipeline import BackboneSpec, TrainConfig, UpsamplingModel, spec_from_fields, spec_to_fields
 from puxp.shapes import SyntheticShape, sample_pair
 from puxp.units import ExpansionSpec
 
@@ -82,6 +85,36 @@ def test_replace_reruns_the_rule():
     cfg = TrainConfig(BRANCH)
     with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got 2.5$"):
         dataclasses.replace(cfg, seed=2.5)
+
+
+REAL_FIELDS = ("lr", "beta1", "beta2", "eps")
+# '0.5' and True were read as 0.5 and 1.0, and NaN and inf learning rates were accepted
+REAL_REFUSALS = {"'0.5'": "0.5", "True": True, "None": None, "nan": math.nan, "inf": math.inf,
+                 "-inf": -math.inf, "10**400": 10**400, "1j": 1j}
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize("bad", REAL_REFUSALS)
+def test_real_field_refuses_non_reals_and_non_finite_values(field, bad):
+    value = REAL_REFUSALS[bad]
+    message = f"{field} must be a finite real number, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainConfig(BRANCH, **{field: value})
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize("value", [0.25, np.float32(0.25), Fraction(1, 4)], ids=["float", "float32", "Fraction"])
+def test_real_field_stores_any_finite_real_as_a_float(field, value):
+    got = getattr(TrainConfig(BRANCH, **{field: value}), field)
+    assert type(got) is float and got == 0.25
+
+
+def test_real_field_text_still_parses_before_the_rule():
+    fields = {"train.lr": "1", "train.eps": "1e-6"}
+    cfg = spec_from_fields(TrainConfig, fields, "train", unit=BRANCH)
+    assert (cfg.lr, cfg.eps) == (1.0, 1e-6) and cfg.budget_key() == TrainConfig(BRANCH, lr=1, eps=1e-6).budget_key()
+    with pytest.raises(ConfigError, match=r"^lr must be a finite real number, got nan$"):
+        spec_from_fields(TrainConfig, {"train.lr": "nan"}, "train", unit=BRANCH)
 
 
 class TestIntegerTables:
