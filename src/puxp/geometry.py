@@ -162,7 +162,9 @@ class IndexMatrix:
     skips the checks for the kernels' valid tables and makes them read-only.
     """
 
-    __slots__ = ("parent", "ratio")
+    __slots__ = ("_parent", "_ratio")
+    parent = property(lambda self: self._parent)
+    ratio = property(lambda self: self._ratio)
 
     def __init__(self, entries):
         idx = np.array(integer_table(entries, "index matrix"))  # private: no caller can change it later
@@ -180,13 +182,13 @@ class IndexMatrix:
             row = int(np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains duplicate neighbor indices")
         idx.flags.writeable = False
-        self.parent, self.ratio = idx, 1
+        self._parent, self._ratio = idx, 1
 
     @classmethod
     def _built(cls, parent, ratio=1):  # parent: C-contiguous int64, valid by construction
         out = object.__new__(cls)
         parent.flags.writeable = False
-        out.parent, out.ratio = parent, ratio
+        out._parent, out._ratio = parent, ratio
         return out
 
     @property
@@ -331,19 +333,16 @@ def _ball_pairs(tree, points, radii):
 def _searched(dst):
     """The searched side of _nearest for (D, 3) rows: (columns, kd-tree, copy groups).
 
-    If no two rows share an x (one sort of that column), groups is None and
-    the tree holds the rows. Else a stable sort by (x, y, z) gives order, in
-    which group g of equal rows starts at first[g] and holds copies[g] rows
-    in index order, and the tree holds one row per group: cKDTree cannot
-    split identical rows, so over N copies each query scanned a leaf of N.
+    A stable sort by (x, y, z) gives order, in which group g of equal rows
+    starts at first[g] and holds copies[g] rows in index order, and the tree
+    holds one row per group: cKDTree cannot split identical rows, so over N
+    copies each query scanned a leaf of N.
     """
     cols = _columns(dst)
-    x = np.sort(cols[0])
-    if (x[1:] != x[:-1]).all():
-        return cols, cKDTree(dst, leafsize=_LEAFSIZE), None
     order = np.lexsort(cols[::-1])
     first = np.flatnonzero(np.append(True, np.diff(np.take(cols, order, axis=1), axis=1).any(axis=0)))
-    return cols, cKDTree(dst[order[first]], leafsize=_LEAFSIZE), (order, first, np.diff(first, append=order.size))
+    copies = np.append(first[1:], order.size) - first
+    return cols, cKDTree(dst[order[first]], leafsize=_LEAFSIZE), (order, first, copies)
 
 
 def _nearest(src, cols, tree, groups, n):
@@ -358,20 +357,18 @@ def _nearest(src, cols, tree, groups, n):
     n rows, times the slack, then _rank_pairs over the first min(copies, n)
     copies of each distinct row in reach, the only ones that can rank.
     """
+    order, first, copies = groups
     dist, hits = tree.query(src, k=n + 1)
-    idx, reach = hits[:, :n], np.full(src.shape[0], n - 1)
-    if groups is not None:
-        order, first, copies = groups
-        # missing hits (index tree.n) come after the one that completes n rows; clipped, they change nothing
-        reach = np.argmax(np.cumsum(np.take(copies, hits, mode="clip"), axis=1) >= n, axis=1)
-        idx = order[np.take(first, idx, mode="clip")]
-    rest = np.flatnonzero((dist[:, 1:] <= dist[:, :-1] * _RADIUS_SLACK).any(axis=1) | (reach < n - 1))
+    # missing hits (index tree.n) come after the one that completes n rows; clipped, they change nothing
+    c = np.take(copies, hits, mode="clip")
+    idx = order[np.take(first, hits[:, :n], mode="clip")]
+    rest = np.flatnonzero((dist[:, 1:] <= dist[:, :-1] * _RADIUS_SLACK).any(axis=1) | (c[:, :n - 1] > 1).any(axis=1))
     if rest.size:
-        rows, cand = _ball_pairs(tree, src[rest], dist[rest, reach[rest]] * _RADIUS_SLACK)
-        if groups is not None:
-            take = np.minimum(copies[cand], n)
-            cand = order[np.repeat(first[cand] - (np.cumsum(take) - take), take) + np.arange(take.sum())]
-            rows = np.repeat(rows, take)
+        reach = np.argmax(np.cumsum(c[rest], axis=1) >= n, axis=1)
+        rows, cand = _ball_pairs(tree, src[rest], dist[rest, reach] * _RADIUS_SLACK)
+        take = np.minimum(copies[cand], n)
+        cand = order[np.repeat(first[cand] - (np.cumsum(take) - take), take) + np.arange(take.sum())]
+        rows = np.repeat(rows, take)
         pair_d2 = _sum_squares(np.take(cols, cand, axis=1) - np.take(_columns(src[rest]), rows, axis=1))
         idx[rest] = _rank_pairs(rows, cand, pair_d2, n)
     return idx

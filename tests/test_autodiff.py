@@ -357,6 +357,10 @@ class TestEdgeConv:
         for table in (idx, expand_index(expand_index(idx)), knn_bruteforce(np.eye(3), 1)):
             with pytest.raises(ValueError, match="read-only"):
                 table.parent[1, 0] = 9
+            with pytest.raises(AttributeError):
+                table.parent = np.array([[9], [0]])
+            with pytest.raises(AttributeError):
+                table.ratio = 0
 
     @pytest.mark.parametrize("bad", [36, -1])
     def test_out_of_range_raw_table_names_index_and_rows(self, bad):
