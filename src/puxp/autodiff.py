@@ -7,11 +7,19 @@ backward rule on the innermost active Tape; replaying the rules in reverse
 execution order fills `.grad` on every requires_grad tensor the loss
 depends on.
 
+A rule is `backward(g)`: given its output's gradient it returns one
+gradient per input, or None for an input it skipped. `record_op` alone runs
+the rest: it tapes an op only when an input requires a gradient, calls the
+rule only once the output has one, and adds each returned gradient into its
+input, in input order, when that input requires one.
+
 All forward computation is plain numpy on contiguous float64 buffers, so a
 fixed input always produces a bitwise-identical output.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -144,18 +152,29 @@ class Tape:
             rule()
 
 
+def _taped(inputs):
+    """True when a tape is listening and some input requires a gradient."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def record_op(out, inputs, backward):
-    """Mark `out` differentiable and push its rule if a tape is listening."""
-    if _TAPES and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _TAPES[-1].record(backward)
+    """Mark `out` differentiable and tape its rule `backward(g)` if a tape listens."""
+    if not _taped(inputs):
+        return out
+    out.requires_grad = True
+
+    @functools.wraps(backward)  # the tape entry keeps the op's qualname
+    def rule():
+        if out.grad is None:
+            return
+        for t, g in zip(inputs, backward(out.grad), strict=True):
+            if g is not None and t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += g
+
+    _TAPES[-1].record(rule)
     return out
-
-
-def accumulate_grad(t, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +187,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not align")
     out = Tensor(a.data @ b.data)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            accumulate_grad(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate_grad(b, a.data.T @ g)
+    def backward(g):  # skips the product for an input that needs no gradient
+        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
 
     return record_op(out, (a, b), backward)
 
@@ -184,12 +197,8 @@ def relu(x):
     """Elementwise max(x, 0); gradient passes where x > 0."""
     out = Tensor(np.maximum(x.data, 0.0))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            accumulate_grad(x, g * (x.data > 0.0))
+    def backward(g):
+        return (g * (x.data > 0.0),)
 
     return record_op(out, (x,), backward)
 
@@ -200,14 +209,8 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data + b.data)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            accumulate_grad(a, g)
-        if b.requires_grad:
-            accumulate_grad(b, g)
+    def backward(g):
+        return g, g
 
     return record_op(out, (a, b), backward)
 
@@ -218,14 +221,8 @@ def add_bias(x, bias):
         raise ShapeError(f"add_bias: shapes {x.shape} and {bias.shape} do not align")
     out = Tensor(x.data + bias.data[None, :])
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            accumulate_grad(x, g)
-        if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=0))
+    def backward(g):
+        return g, g.sum(axis=0)
 
     return record_op(out, (x, bias), backward)
 
@@ -235,12 +232,8 @@ def scale(x, factor):
     factor = float(factor)
     out = Tensor(x.data * factor)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            accumulate_grad(x, g * factor)
+    def backward(g):
+        return (g * factor,)
 
     return record_op(out, (x,), backward)
 
@@ -249,12 +242,8 @@ def sum_all(x):
     """Full reduction to a one-element tensor."""
     out = Tensor(np.array([x.data.sum()]))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            accumulate_grad(x, np.full_like(x.data, g[0]))
+    def backward(g):
+        return (np.full_like(x.data, g[0]),)
 
     return record_op(out, (x,), backward)
 
@@ -266,14 +255,8 @@ def concat_last(a, b):
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
     split = a.shape[1]
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            accumulate_grad(a, g[:, :split])
-        if b.requires_grad:
-            accumulate_grad(b, g[:, split:])
+    def backward(g):
+        return g[:, :split], g[:, split:]
 
     return record_op(out, (a, b), backward)
 
@@ -325,7 +308,7 @@ def edge_conv(x, idx, w, b, activate):
     centre = w.data[:c] - w2
     heads = x.data[::r]  # row r*j, the point every child row lists for neighbour j
     proj = heads @ w2  # x_j . w2 depends on j alone: one product, then row gathers
-    taped = bool(_TAPES) and any(t.requires_grad for t in (x, w, b))
+    taped = _taped((x, w, b))
     out = np.empty((m, d))
     block = 512  # parent rows; a block's gathers stay in cache
     best_rows, edge_rows = np.empty((2, min(block, n), d))  # reused by every block
@@ -358,10 +341,7 @@ def edge_conv(x, idx, w, b, activate):
         np.maximum(out, 0.0, out=out)
     out = Tensor(out)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def backward(g):
         if activate:
             g = g * (out.data > 0.0)
         # s[j, e] sums g[i, e] over the outputs whose parent row's winning
@@ -374,15 +354,14 @@ def edge_conv(x, idx, w, b, activate):
         weights = g.reshape(n, r, d).sum(axis=1)
         s = np.bincount(slot.ravel(), weights=weights.ravel(), minlength=n * d).reshape(n, d)
         del slot, weights
+        gx = gw = None  # products skipped for an input that needs no gradient
         if x.requires_grad:
             gx = g @ centre.T
             gx[::r] += s @ w2.T
-            accumulate_grad(x, gx)
         if w.requires_grad:
             gw1 = x.data.T @ g
-            accumulate_grad(w, np.concatenate([gw1, heads.T @ s - gw1]))
-        if b.requires_grad:
-            accumulate_grad(b, g.sum(axis=0))
+            gw = np.concatenate([gw1, heads.T @ s - gw1])
+        return gx, gw, g.sum(axis=0)
 
     return record_op(out, (x, w, b), backward)
 
@@ -396,12 +375,8 @@ def reshape(x, shape):
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            accumulate_grad(x, g.reshape(x.shape))
+    def backward(g):
+        return (g.reshape(x.shape),)
 
     return record_op(out, (x,), backward)
 

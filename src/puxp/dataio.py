@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
+import os
 import pathlib
 import struct
 import warnings
@@ -253,33 +255,35 @@ def save_checkpoint(path, checkpoint):
             f.write(arr.tobytes())
 
 
-def _read_exact(f, n, path):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated checkpoint")
-    return data
-
-
 def load_checkpoint(path):
+    """Read a checkpoint; every length in the file is checked against its size before it is read."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint (magic {magic!r})")
-        (header_len,) = struct.unpack("<I", _read_exact(f, 4, path))
-        fields = read_fields(path, _read_exact(f, header_len, path))
-        (n_params,) = struct.unpack("<I", _read_exact(f, 4, path))
+        left = os.fstat(f.fileno()).st_size - len(magic)
+
+        def read(n):
+            nonlocal left
+            if n > left:
+                raise FormatError(f"{path}: truncated checkpoint")
+            left -= n
+            return f.read(n)
+
+        (header_len,) = struct.unpack("<I", read(4))
+        fields = read_fields(path, read(header_len))
+        (n_params,) = struct.unpack("<I", read(4))
         params = []
         for i in range(n_params):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path))
-            raw = _read_exact(f, name_len, path)
+            (name_len,) = struct.unpack("<H", read(2))
+            raw = read(name_len)
             try:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: parameter {i} has a name that is not UTF-8") from None
-            (rank,) = struct.unpack("<B", _read_exact(f, 1, path))
-            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path))
-            count = int(np.prod(shape)) if rank else 1
-            values = np.frombuffer(_read_exact(f, 4 * count, path), dtype="<f4").reshape(shape)
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+            values = np.frombuffer(read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
             params.append((name, values.copy()))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")

@@ -19,7 +19,8 @@ the fast pass can never change a result:
 - One kd-tree search serves self and cross queries: knn_accelerated (the
   k + 1 nearest rows of an M x 3 cloud, less the point itself) and
   nearest_neighbors (k = 1 across two sets). Its tree holds the distinct
-  rows, so N copies of one point cost O(N log N), not O(N^2). A row keeps
+  rows, so N copies of one point cost O(N log N), not O(N^2), and a self
+  search queries each distinct row once. A row keeps
   the tree's order where its n + 1 hits are each more than a relative 1e-9
   apart and copies do not fill the n rows early; every other row ranks the
   first min(copies, n) copies of each distinct row within a ball query, in
@@ -377,11 +378,16 @@ def _nearest(src, cols, tree, groups, n):
 def knn_accelerated(cloud, k):
     """Exact KNN through the kd-tree search; agrees with knn_bruteforce on every input.
 
-    Of the k + 1 nearest rows of a point, drop the point itself or, where
-    k + 1 copies of it with smaller indices come first, the last one.
+    A row's k + 1 nearest rows depend on its coordinates alone, so only the
+    distinct rows the tree holds are searched, and each copy takes its
+    group's list. Of a point's list, drop the point itself or, where k + 1
+    copies of it with smaller indices come first, the last one.
     """
     pts, k = _knn_input(cloud, k, 3)
-    hits = _nearest(pts, *_searched(pts), k + 1)
+    searched = _searched(pts)
+    _, tree, (order, _, copies) = searched
+    hits = np.empty((pts.shape[0], k + 1), dtype=np.intp)
+    hits[order] = np.repeat(_nearest(tree.data, *searched, k + 1), copies, axis=0)
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
     return IndexMatrix._built(hits[other].reshape(-1, k))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate_grad, record_op
+from .autodiff import Tensor, record_op
 from .geometry import as_rows
 from .metrics import chamfer_parts
 
@@ -29,14 +29,11 @@ def chamfer_loss(pred, gt):
     p = pred.shape[0]
     q = gt_pts.shape[0]
 
-    def backward():
-        g = out.grad
-        if g is None or not pred.requires_grad:
-            return
+    def backward(g):
         grad = 2.0 * (pred.data - gt_pts[nearest_gt]) / p
         pulled = 2.0 * (pred.data[nearest_pred] - gt_pts) / q
         for axis in range(3):
             grad[:, axis] += np.bincount(nearest_pred, weights=pulled[:, axis], minlength=p)
-        accumulate_grad(pred, g[0] * grad)
+        return (g[0] * grad,)
 
     return record_op(out, (pred,), backward)

@@ -15,6 +15,7 @@ from puxp.errors import IndexRangeError, ShapeError
 from puxp.geometry import IndexMatrix, expand_index, knn_bruteforce
 
 from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads, random_graph
+from taped_ops import taped_op_cases
 
 
 def grad_of(build_loss, x):
@@ -482,3 +483,35 @@ def test_every_op_has_a_caller_and_a_gradcheck_case():
     cased = {name.split("/", 1)[0] for name, _, _ in _op_cases(seed=0)}
     assert [op for op in ops if op not in called] == []
     assert [op for op in ops if op not in cased] == []
+
+
+def test_every_taped_op_has_a_contract_case():
+    assert sorted(taped_op_cases()) == sorted([*_public_ops(), "chamfer_loss"])
+
+
+@pytest.mark.parametrize("name", sorted(taped_op_cases()))
+def test_record_op_gates_and_accumulates_every_rule(name):
+    arrays, call = taped_op_cases()[name]
+
+    def run(frozen=None, on_loss_path=True):
+        inputs = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            out = call(*inputs)
+            loss = ad.sum_all(out if on_loss_path else Tensor(np.ones(2), requires_grad=True))
+            tape.backward(loss)
+        return out, [t.grad for t in inputs]
+
+    # taped, but off the loss path: its rule runs, adds nothing and raises nothing
+    out, grads = run(on_loss_path=False)
+    assert out.requires_grad and out.grad is None
+    assert grads == [None] * len(arrays)
+    _, full = run()
+    assert [g.shape for g in full] == [a.shape for a in arrays]
+    # an input that needs no gradient gets none; the others get theirs, unchanged
+    for frozen in range(len(arrays)):
+        out, grads = run(frozen)
+        assert out.requires_grad == (len(arrays) > 1)
+        assert grads[frozen] is None
+        for i, (g, want) in enumerate(zip(grads, full)):
+            if i != frozen:
+                assert np.array_equal(g, want), (name, frozen, i)

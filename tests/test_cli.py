@@ -1,4 +1,6 @@
 import re
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from puxp import checks, metrics, pipeline
 from puxp.cli import _compare_configs, main
-from puxp.dataio import Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
+from puxp.dataio import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
 
@@ -147,6 +149,27 @@ class TestUpsampleCommand:
         inp = tmp_path / "in.xyz"
         write_cloud(inp, 16)
         assert run(["upsample", "--model", bad, "--input", inp, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize(
+        "shape", [(2**31, 2**31), (2**32 - 1,), (2**32 - 1,) * 3], ids=["2^62-values", "17-gb", "wraps-int64"]
+    )
+    def test_parameter_longer_than_the_file_exits_2(self, tmp_path, capsys, shape):
+        # read as asked: OverflowError (exit 1, a traceback) or MemoryError; np.prod wrapped (2^32 - 1)^3
+        bad = tmp_path / "huge.puxp"
+        dims = struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 0, 1) + struct.pack("<H", 1) + b"w" + dims + bytes(16))
+        inp = tmp_path / "in.xyz"
+        write_cloud(inp, 16)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run(["upsample", "--model", bad, "--input", inp, "--out", tmp_path / "o"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: truncated checkpoint\n"
+        assert peak < 2**20, peak
 
 
 class TestEvalCommand:

@@ -698,10 +698,18 @@ class TestNearestNeighborsTies:
         assert np.array_equal(d2, (diff * diff).sum(axis=1))
 
     def test_self_knn_of_a_collapsed_cloud_is_fast(self):
+        # every copy ran the ball-query fallback: ~0.4 s and a ~114 MB peak
         pts = np.repeat(np.random.default_rng(5).normal(size=(1, 3)), 65536, axis=0)
-        start = time.perf_counter()
-        idx = knn_accelerated(pts, 16)
-        assert time.perf_counter() - start < 2.0
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            idx = knn_accelerated(pts, 16)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0, elapsed
+        assert peak < 32 * 2**20, peak
         for row in (0, 7, 65535):
             assert idx.entries[row].tolist() == [j for j in range(17) if j != row][:16]
 
