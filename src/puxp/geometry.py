@@ -19,11 +19,12 @@ the fast pass can never change a result:
 - One kd-tree search serves self and cross queries: knn_accelerated (the
   k + 1 nearest rows of an M x 3 cloud, less the point itself) and
   nearest_neighbors (k = 1 across two sets). Its tree holds the distinct
-  rows, so N copies of one point cost O(N log N), not O(N^2), and a self
-  search queries each distinct row once. A row keeps
-  the tree's order where its n + 1 hits are each more than a relative 1e-9
-  apart and copies do not fill the n rows early; every other row ranks the
-  first min(copies, n) copies of each distinct row within a ball query, in
+  rows, so N copies of one point cost O(N log N), not O(N^2). Every
+  search, self, cross or point-to-face, queries each distinct row once,
+  and each copy takes its group's result. A row keeps the tree's order
+  where its n + 1 hits are each more than a relative 1e-9 apart and copies
+  do not fill the n rows early; every other row ranks the first
+  min(copies, n) copies of each distinct row within a ball query, in
   memory that follows the distinct rows in reach, not the copies.
 - knn_features (M x C features) works in blocks of rows. One matmul per
   block gives Gram values -2 a.b + |b|^2 (squared distances less the row's
@@ -46,9 +47,11 @@ included, raises ShapeError naming the input; nothing is reshaped.
 
 PointCloud and TriangleMesh hold read-only copies of their arrays and keep
 what searches build from them, on first use and per _in_range exponent (0
-for every input in [1e-50, 1e50)): a cloud searched by nearest_neighbors its
-columns, tree and copy groups, a mesh the index of squared_distances_to_mesh.
-A raw array gets the same build afresh on every call.
+for every input in [1e-50, 1e50)): a cloud searched or queried by
+nearest_neighbors, or queried by squared_distances_to_mesh, its columns,
+tree and copy groups; a mesh the index of squared_distances_to_mesh. A raw
+array gets the same build afresh on every call, and a raw query array only
+its columns and copy groups.
 """
 
 from __future__ import annotations
@@ -331,19 +334,59 @@ def _ball_pairs(tree, points, radii):
     return np.repeat(np.arange(len(lists)), counts), cand
 
 
+def _copy_groups(cols):
+    """Copy groups of the rows whose (3, N) columns are cols: (order, first, copies).
+
+    order is the stable sort of the rows by (x, y, z), bit for bit
+    np.lexsort(cols[::-1]): one stable argsort of x, then a lexsort of only
+    the rows whose x repeats, keyed by their sorted x, then y, then z. Group g
+    of equal rows starts at order[first[g]] and holds copies[g] rows in index
+    order.
+    """
+    order = np.argsort(cols[0], kind="stable")
+    x = np.take(cols[0], order)
+    same = x[1:] == x[:-1]
+    tied = np.append(same, False)
+    tied[1:] |= same  # every row of a run of equal x, in sorted order
+    ties = order[tied]
+    order[tied] = ties[np.lexsort(np.take(cols, ties, axis=1)[::-1])]
+    first = np.flatnonzero(np.append(True, np.diff(np.take(cols, order, axis=1), axis=1).any(axis=0)))
+    return order, first, np.append(first[1:], order.size) - first
+
+
 def _searched(dst):
     """The searched side of _nearest for (D, 3) rows: (columns, kd-tree, copy groups).
 
-    A stable sort by (x, y, z) gives order, in which group g of equal rows
-    starts at first[g] and holds copies[g] rows in index order, and the tree
-    holds one row per group: cKDTree cannot split identical rows, so over N
-    copies each query scanned a leaf of N.
+    The tree holds one row per copy group: cKDTree cannot split identical
+    rows, so over N copies each query scanned a leaf of N.
     """
     cols = _columns(dst)
-    order = np.lexsort(cols[::-1])
-    first = np.flatnonzero(np.append(True, np.diff(np.take(cols, order, axis=1), axis=1).any(axis=0)))
-    copies = np.append(first[1:], order.size) - first
+    order, first, copies = _copy_groups(cols)
     return cols, cKDTree(dst[order[first]], leafsize=_LEAFSIZE), (order, first, copies)
+
+
+def _queried(src, rows, e):
+    """The distinct rows of the (S, 3) query rows of src at the _in_range exponent e:
+    (rows, their columns, the copy groups of src's rows).
+
+    A PointCloud keeps its columns and groups with its searched side, so a
+    cloud that is both query and target of a pair of searches is grouped once.
+    """
+    if isinstance(src, PointCloud):
+        cols, _, groups = _kept(src, e, lambda: _searched(rows))
+    else:
+        cols = _columns(rows)
+        groups = _copy_groups(cols)
+    distinct = groups[0][groups[1]]
+    return np.take(rows, distinct, axis=0), np.take(cols, distinct, axis=1), groups
+
+
+def _per_row(values, groups):
+    """One value per row from values[g] of each copy group g: every copy takes its group's value."""
+    order, _, copies = groups
+    out = np.empty((order.size, *values.shape[1:]), dtype=values.dtype)
+    out[order] = np.repeat(values, copies, axis=0)
+    return out
 
 
 def _nearest(src, cols, tree, groups, n):
@@ -385,9 +428,7 @@ def knn_accelerated(cloud, k):
     """
     pts, k = _knn_input(cloud, k, 3)
     searched = _searched(pts)
-    _, tree, (order, _, copies) = searched
-    hits = np.empty((pts.shape[0], k + 1), dtype=np.intp)
-    hits[order] = np.repeat(_nearest(tree.data, *searched, k + 1), copies, axis=0)
+    hits = _per_row(_nearest(searched[1].data, *searched, k + 1), searched[2])
     other = hits != np.arange(pts.shape[0])[:, None]
     other[other.all(axis=1), k] = False
     return IndexMatrix._built(hits[other].reshape(-1, k))
@@ -399,14 +440,16 @@ def nearest_neighbors(src, dst):
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index. A
-    PointCloud dst keeps what _searched builds for the next search.
+    PointCloud dst keeps what _searched builds for the next search. Each
+    distinct row of src is searched once, and its copies take its result.
     """
     rows, dst_rows = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
     (rows, dst_rows), e = _in_range([rows, dst_rows], ["query points", "searched points"])
     searched = _kept(dst, e, lambda: _searched(dst_rows))
+    rows, cols, groups = _queried(src, rows, e)
     idx = _nearest(rows, *searched, 1)[:, 0]
-    d2 = _sum_squares(np.take(searched[0], idx, axis=1) - _columns(rows))
-    return np.ldexp(d2, 2 * e), idx
+    d2 = _sum_squares(np.take(searched[0], idx, axis=1) - cols)
+    return _per_row(np.ldexp(d2, 2 * e), groups), _per_row(idx, groups)
 
 
 # Rows per Gram block of knn_features: its memory is a few blocks of M floats.
@@ -683,7 +726,8 @@ def squared_distances_to_mesh(points, mesh):
     to the node's two children, and the faces left at the last level get the
     exact distance. A node box holds its faces' boxes and rounded
     subtraction is monotone, so no face whose own box lies within u is
-    dropped on the way.
+    dropped on the way. Each distinct point walks once; its copies take its
+    distance.
     """
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
@@ -693,7 +737,7 @@ def squared_distances_to_mesh(points, mesh):
     if index is None:
         raise _zero_area(mesh.triangle(bad))
     faces, top, centroids, order, levels = index
-    cols = _columns(pts)
+    pts, cols, groups = _queried(points, pts, e)
     best = _squared_distances(cols, np.take(faces, centroids.query(pts, k=1)[1], axis=1))
     limit = (np.sqrt(best) * _RADIUS_SLACK + 1e-9 * max(float(np.abs(pts).max(initial=0.0)), top)) ** 2
     work = [(0, np.arange(pts.shape[0]), np.zeros(pts.shape[0], dtype=np.int64))]
@@ -716,4 +760,4 @@ def squared_distances_to_mesh(points, mesh):
         else:
             face = np.take(faces, order[node], axis=1)
             np.minimum.at(best, rows, _squared_distances(np.compress(keep, p, axis=1), face))
-    return np.ldexp(best, 2 * e)
+    return _per_row(np.ldexp(best, 2 * e), groups)

@@ -3,6 +3,11 @@
 Samplers draw uniformly (by area) on the analytic surface, so sampled points
 satisfy the surface equation to machine precision. Meshes approximate curved
 surfaces with fine triangulations; the box mesh is exact.
+
+Samplers and meshes are array code, with no loop over points, vertices or
+faces. Their draws are pinned by hash: the tests hold the sha256 of
+sample_pair and make_dataset outputs, so a change of one bit or of one RNG
+call fails them.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ _DEFAULTS = {
     "cylinder": {"radius": 0.7, "height": 2.0},
     "box_surface": {"half_extents": (0.8, 0.6, 1.0)},
 }
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # the two in-face axes of each box face axis
 
 
 @dataclasses.dataclass
@@ -52,14 +58,14 @@ def surface_sample(shape, n, rng):
         return p["radius"] * g / norms
     if kind == "torus":
         major, minor = p["major"], p["minor"]
-        theta = np.empty(0)
+        theta, ring = np.empty(0), np.empty(0)
         while theta.size < n:  # rejection keeps the area element uniform
             cand = rng.uniform(0.0, 2.0 * np.pi, size=2 * n)
-            accept = rng.uniform(0.0, 1.0, size=2 * n) < (major + minor * np.cos(cand)) / (major + minor)
-            theta = np.concatenate([theta, cand[accept]])
-        theta = theta[:n]
+            cand_ring = major + minor * np.cos(cand)
+            accept = rng.uniform(0.0, 1.0, size=2 * n) < cand_ring / (major + minor)
+            theta, ring = np.concatenate([theta, cand[accept]]), np.concatenate([ring, cand_ring[accept]])
+        theta, ring = theta[:n], ring[:n]
         phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        ring = major + minor * np.cos(theta)
         return np.column_stack([ring * np.cos(phi), ring * np.sin(phi), minor * np.sin(theta)])
     if kind == "cylinder":
         radius, height = p["radius"], p["height"]
@@ -71,14 +77,10 @@ def surface_sample(shape, n, rng):
     probs = np.repeat(areas, 2) / (2.0 * areas.sum())
     face = rng.choice(6, size=n, p=probs)
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    axis, sign = np.divmod(face, 2)  # face 2a + s lies at (-1)^s half[a] along axis a
+    cols = np.column_stack([axis, _OTHER_AXES[axis]])
     pts = np.empty((n, 3))
-    for f in range(6):
-        axis, sign = divmod(f, 2)
-        rows = face == f
-        other = [i for i in range(3) if i != axis]
-        pts[rows, axis] = half[axis] * (1.0 if sign == 0 else -1.0)
-        pts[rows, other[0]] = uv[rows, 0] * half[other[0]]
-        pts[rows, other[1]] = uv[rows, 1] * half[other[1]]
+    pts[np.arange(n)[:, None], cols] = np.column_stack([half[axis] * (1 - 2 * sign), uv * half[cols[:, 1:]]])
     return pts
 
 
@@ -125,17 +127,26 @@ def _icosphere(subdivisions):
 
 
 def _grid_faces(nu, nv, wrap_v):
-    """Triangulate a nu x nv vertex grid that wraps in u (and optionally v)."""
-    faces = []
-    v_limit = nv if wrap_v else nv - 1
-    for u in range(nu):
-        for v in range(v_limit):
-            a = u * nv + v
-            b = ((u + 1) % nu) * nv + v
-            a2 = u * nv + (v + 1) % nv
-            b2 = ((u + 1) % nu) * nv + (v + 1) % nv
-            faces += [(a, b, b2), (a, b2, a2)]
-    return np.array(faces, dtype=np.int64)
+    """Triangulate a nu x nv vertex grid that wraps in u (and optionally v).
+
+    Cell (u, v) gives the faces (a, b, b2) and (a, b2, a2), cells in row-major order.
+    """
+    u, v = np.arange(nu, dtype=np.int64)[:, None] * nv, np.arange(nv if wrap_v else nv - 1)
+    u2, v2 = (u + nv) % (nu * nv), (v + 1) % nv
+    a, b, a2, b2 = u + v, u2 + v, u + v2, u2 + v2
+    return np.stack([a, b, b2, a, b2, a2], axis=-1).reshape(-1, 3)
+
+
+def _revolved(nu, ring, z, closed):
+    """The mesh of the profile (ring[j], z[j]) turned to nu angles phi_i about the z axis.
+
+    Vertex i * len(z) + j is (ring[j] cos phi_i, ring[j] sin phi_i, z[j]); a
+    closed profile joins its last point to its first.
+    """
+    phi = 2.0 * np.pi * np.arange(nu) / nu
+    verts = np.empty((nu, z.size, 3))
+    verts[..., 0], verts[..., 1], verts[..., 2] = np.cos(phi)[:, None] * ring, np.sin(phi)[:, None] * ring, z
+    return TriangleMesh(verts.reshape(-1, 3), _grid_faces(nu, z.size, closed))
 
 
 def surface_mesh(shape):
@@ -146,30 +157,11 @@ def surface_mesh(shape):
         return TriangleMesh(p["radius"] * verts, faces)
     if kind == "torus":
         major, minor = p["major"], p["minor"]
-        nu, nv = 32, 16
-        phi = 2.0 * np.pi * np.arange(nu) / nu
-        theta = 2.0 * np.pi * np.arange(nv) / nv
-        verts = np.array(
-            [
-                [
-                    (major + minor * np.cos(tv)) * np.cos(pu),
-                    (major + minor * np.cos(tv)) * np.sin(pu),
-                    minor * np.sin(tv),
-                ]
-                for pu in phi
-                for tv in theta
-            ]
-        )
-        return TriangleMesh(verts, _grid_faces(nu, nv, wrap_v=True))
+        theta = 2.0 * np.pi * np.arange(16) / 16
+        return _revolved(32, major + minor * np.cos(theta), minor * np.sin(theta), closed=True)
     if kind == "cylinder":
         radius, height = p["radius"], p["height"]
-        nu, nv = 48, 2
-        phi = 2.0 * np.pi * np.arange(nu) / nu
-        z = np.array([-height / 2.0, height / 2.0])
-        verts = np.array(
-            [[radius * np.cos(pu), radius * np.sin(pu), zv] for pu in phi for zv in z]
-        )
-        return TriangleMesh(verts, _grid_faces(nu, nv, wrap_v=False))
+        return _revolved(48, np.full(2, radius), np.array([-height / 2.0, height / 2.0]), closed=False)
     hx, hy, hz = np.asarray(p["half_extents"], dtype=np.float64)
     corners = np.array(
         [[sx * hx, sy * hy, sz * hz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]

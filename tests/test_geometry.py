@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puxp import geometry
+from puxp import geometry, metrics
 from puxp.errors import DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
 from puxp.geometry import (
     IndexMatrix,
@@ -369,6 +369,38 @@ class TestKnnAcceleratedTies:
         for k in ks:
             assert knn_accelerated(pts, k).entries[4].tolist() == ring[:k]
         self.assert_matches_bruteforce(pts, ks)
+
+
+def grouping_case(variant):
+    """(N, 3) rows of one kind the copy grouping must sort exactly as np.lexsort does."""
+    rng = np.random.default_rng(12)
+    if variant == "random":
+        return rng.normal(size=(500, 3))
+    if variant == "grid":
+        return np.round(2.0 * rng.normal(size=(800, 3))) / 2.0  # x repeats everywhere, rows often
+    if variant == "box_surface":
+        return surface_sample(SyntheticShape("box_surface"), 600, rng)  # x = +-0.8 on two faces
+    if variant == "repeated":
+        return rng.normal(size=(40, 3))[rng.integers(0, 40, size=400)]
+    if variant == "signed_zeros":
+        zeros = np.where(rng.integers(0, 2, size=(300, 3)) == 1, -0.0, 0.0)
+        return np.where(rng.random((300, 3)) < 0.3, 1.0, zeros)
+    return np.repeat(rng.normal(size=(1, 3)), 300, axis=0)  # collapsed
+
+
+class TestCopyGroups:
+    @pytest.mark.parametrize("variant", ["random", "grid", "box_surface", "repeated", "signed_zeros", "collapsed"])
+    def test_groups_equal_a_full_lexsort_and_its_runs(self, variant):
+        pts = grouping_case(variant)
+        cols, tree, (order, first, copies) = geometry._searched(pts)
+        want = np.lexsort(pts.T[::-1])
+        srt = pts[want]
+        starts = np.flatnonzero(np.append(True, (srt[1:] != srt[:-1]).any(axis=1)))  # -0.0 == 0.0
+        assert np.array_equal(order, want)
+        assert np.array_equal(first, starts)
+        assert np.array_equal(copies, np.diff(np.append(starts, len(pts))))
+        assert np.array_equal(tree.data, pts[want[starts]])
+        assert np.array_equal(geometry._copy_groups(cols)[0], want)
 
 
 class TestKnnHugeCoordinates:
@@ -1084,3 +1116,70 @@ class TestPrunedMeshDistance:
         with pytest.raises(DegenerateTriangleError) as caught:
             squared_distances_to_mesh([[0.0, 0.0, 1.0]], mesh)
         assert str(caught.value) == f"triangle has (near-)zero area: {verts[[0, 1, 3]].tolist()}"
+
+
+def duplicated_queries(rng, distinct, copies):
+    """`distinct` random rows and the origin, each repeated `copies` times in shuffled order; half the
+    zero coordinates are -0.0, which is a copy of 0.0."""
+    rows = np.vstack([np.zeros((1, 3)), rng.normal(size=(distinct - 1, 3))])
+    pts = rows[rng.permutation(np.arange(distinct * copies) % distinct)]
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts
+
+
+class TestQueryCopyGroups:
+    """Cross searches query each distinct row once; every copy takes its group's result."""
+
+    @pytest.mark.parametrize("as_cloud", [False, True])
+    def test_equal_to_one_search_per_row(self, as_cloud):
+        rng = np.random.default_rng(21)
+        _, gt, mesh = sample_pair(SyntheticShape("torus"), 64, 4, 3)
+        grid = np.round(2.0 * rng.normal(size=(60, 3))) / 2.0  # rows that share x, some of them copies
+        src = np.vstack([duplicated_queries(rng, 12, 5), grid, gt.points[:20], gt.points[:20]])  # ties with gt rows
+        query = PointCloud(src) if as_cloud else src
+        d2, idx = nearest_neighbors(query, gt)
+        p2f = squared_distances_to_mesh(query, mesh)
+        for i, row in enumerate(src):
+            one_d2, one_idx = nearest_neighbors(row[None], gt.points)
+            assert (d2[i], idx[i]) == (one_d2[0], one_idx[0]), i
+            assert p2f[i] == squared_distances_to_mesh(row[None], mesh)[0], i
+        assert np.array_equal(p2f, per_face_batches(src, mesh))
+
+    def test_a_cloud_that_is_query_and_target_is_grouped_once(self, monkeypatch):
+        cloud, gt, mesh = sample_pair(SyntheticShape("sphere"), 64, 4, 4)
+        pred = PointCloud(np.repeat(cloud.points, 4, axis=0))
+        calls = []
+        grouped = geometry._copy_groups
+        monkeypatch.setattr(geometry, "_copy_groups", lambda cols: calls.append(cols.shape[1]) or grouped(cols))
+        report = metrics.report("r", pred, gt, mesh)
+        assert sorted(calls) == [256, 256]  # pred and gt, once each, for both directions and P2F
+        assert report == metrics.report("r", pred.points, gt.points, mesh)
+
+    @pytest.mark.parametrize("search", ["nearest", "report", "p2f"])
+    def test_copies_of_the_torus_centre_are_fast(self, search):
+        # one search per copy: nearest 8.0 s, report with the mesh 12.5 s, P2F 3.75 s
+        _, gt, mesh = sample_pair(SyntheticShape("torus"), 16384, 4, 1)
+        pred = np.zeros((65536, 3))  # nearly equidistant from the whole inner ring
+        run = {
+            "nearest": lambda: nearest_neighbors(pred, gt),
+            "report": lambda: metrics.report("centre", pred, gt, mesh),
+            "p2f": lambda: squared_distances_to_mesh(pred, mesh),
+        }[search]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = run()
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, elapsed
+        assert peak < 16 * 2**20, peak
+        (d2,), (idx,) = nearest_neighbors(pred[:1], gt)  # every copy takes the one row's result
+        (p2f,) = squared_distances_to_mesh(pred[:1], mesh)
+        if search == "nearest":
+            assert (got[0] == d2).all() and (got[1] == idx).all()
+        elif search == "p2f":
+            assert (got == p2f).all()
+        else:
+            assert got.p2f == pytest.approx(np.sqrt(p2f), rel=1e-12)

@@ -1,9 +1,16 @@
+import hashlib
+import importlib
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
+import shape_loops
 from puxp.errors import ConfigError
 from puxp.geometry import squared_distances_to_mesh
-from puxp.shapes import SHAPE_KINDS, SyntheticShape, _icosphere, sample_pair, surface_mesh, surface_sample
+from puxp.pipeline import make_dataset
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, _grid_faces, _icosphere, sample_pair, surface_mesh, surface_sample
 
 
 class TestSamplers:
@@ -93,3 +100,94 @@ class TestSamplePair:
         cloud, gt, _ = sample_pair(SyntheticShape("sphere"), 16, 2, seed=3)
         gt_set = {tuple(p) for p in gt.points}
         assert not any(tuple(p) in gt_set for p in cloud.points)
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of (cloud, gt, mesh vertices, mesh faces) of sample_pair(shape, n, 4, seed), recorded
+# from the loop builders these array builders replaced
+PAIR_SHA256 = {
+    ("sphere", 8, 1): "6d3e4a6fee84aceaec63352c0b7d5ee87161938ae4670430736abb2138ad4e47",
+    ("sphere", 8, 2026): "92163763837c17fd6a3cdb332701ffc66ad3dba3788199f9304bbc207575329f",
+    ("sphere", 256, 1): "5f754f4d535dde4173f1e6a0f4cc0cb69f09ae958b45397ef9505d97fb8e5262",
+    ("sphere", 256, 2026): "7f1d6f8691056914b5f3ddd78da2aafb07c7f51a4a532acb54b862363ae271fd",
+    ("sphere", 16384, 1): "3eeeae8985d080601baeeb0bbf2300accd6427faa5bde4cf0e42a183f0d7827b",
+    ("sphere", 16384, 2026): "28262f1d639a7c014a018abeba09add26709796a31587889e83457be27588c17",
+    ("torus", 8, 1): "e1c8f8d783ff6db2d77d83ff6005f81a03e61d1fa1abc5caf790ffa2e2acdd79",
+    ("torus", 8, 2026): "1e181719bddaeab69cbdd80585c56e69250134a396fe3ca7ebb03170da4cc4ac",
+    ("torus", 256, 1): "39c7c49ed83bc4133ffd8d5ff7abd3d32b50c38335a34e95e0fef3a6edf93cb0",
+    ("torus", 256, 2026): "742c24c3028e2d50ddec9676ea2cc7f1d4815cf8fbf913a7fcdfdc8dac3735ac",
+    ("torus", 16384, 1): "9a0e05a69366c6fb1a009afa997d72118b25ba54be8f7897f6f689c2726badd2",
+    ("torus", 16384, 2026): "04bfefc569de77c6db88eb885a4aaf5b3a7a16cac18c6c1a759a49e4deba81d5",
+    ("cylinder", 8, 1): "418c0f80988719c229f329f963de1f58a41717f4deca086811b3c2c049ef20f0",
+    ("cylinder", 8, 2026): "61d2f4b2a19632854924b75d88fab27c26d43fdd16cff929a01cddf213942a97",
+    ("cylinder", 256, 1): "ab6d846b52e9104b934c4b8af23d8fc79d2da979af9551987a97c5431949a3f5",
+    ("cylinder", 256, 2026): "f4fca2c3a9b3a5aa384a2bd854e77e9175ad8618b38141ea28579bafb36ada74",
+    ("cylinder", 16384, 1): "2e05a741fd301286346a2d5f91a326284793e14239cfb1730470dab7803cddeb",
+    ("cylinder", 16384, 2026): "c64c8c0f53c92b9f6000aa3b3f754f0c9ab8bbd7e5206c9cf2adabec42fb7be6",
+    ("box_surface", 8, 1): "622ef26df8b065e8f4e74229956fa27fccd511524cf79be148e34e2c1a2b2728",
+    ("box_surface", 8, 2026): "e1381e080d1eb4b6f86e17d3f0a794017c122030555060a67396dbf35d44e936",
+    ("box_surface", 256, 1): "99ce3f1e8e2462ddd380da636a57b6ae85d0318f01dd448b1b359597be3993f1",
+    ("box_surface", 256, 2026): "be436a0117a7cc6676edcaaa4b93be39b402637bc2af0702fd51e72d25bec655",
+    ("box_surface", 16384, 1): "2fc6fe463d2456c3b1091d24a60ebff891badef6a5b1e9d949d94c88630eb996",
+    ("box_surface", 16384, 2026): "97c2b007d7104724159e316fc9df23272bd1f5d22ef29c59c18eb9799f569cf5",
+}
+# the same four arrays of every patch of make_dataset(bench/workloads.py train_config(1))
+BENCH_DATASET_SHA256 = "6be7bd117ebff9af40a155b42450e1f77003a2a816daed871fdf92adb76089de"
+
+
+class TestPinnedDraws:
+    """Every draw is pinned by hash: a changed bit or RNG call in a sampler or mesh fails here."""
+
+    @pytest.mark.parametrize("kind, n, seed", sorted(PAIR_SHA256))
+    def test_sample_pair_bytes(self, kind, n, seed):
+        cloud, gt, mesh = sample_pair(SyntheticShape(kind), n, 4, seed)
+        assert _sha256(cloud.points, gt.points, mesh.vertices, mesh.faces) == PAIR_SHA256[kind, n, seed]
+
+    def test_bench_dataset_bytes(self):
+        bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+        sys.path.insert(0, bench)  # imported, never written
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(bench)
+        patches = make_dataset(workloads.train_config(1))
+        arrays = [a for p in patches for a in (p.cloud.points, p.gt.points, p.mesh.vertices, p.mesh.faces)]
+        assert _sha256(*arrays) == BENCH_DATASET_SHA256
+
+
+class TestBuildersEqualTheLoops:
+    """The array builders against shape_loops, at default and other parameters."""
+
+    @pytest.mark.parametrize("nu, nv, wrap_v", [(32, 16, True), (48, 2, False), (5, 7, True), (5, 7, False)])
+    def test_grid_faces(self, nu, nv, wrap_v):
+        got = _grid_faces(nu, nv, wrap_v)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, shape_loops.grid_faces(nu, nv, wrap_v))
+
+    @pytest.mark.parametrize("major, minor", [(1.0, 0.35), (2.5, 1.1), (0.3, 0.29), (1e3, 7e-3)])
+    def test_torus(self, major, minor):
+        mesh = surface_mesh(SyntheticShape("torus", {"major": major, "minor": minor}))
+        assert np.array_equal(mesh.vertices, shape_loops.torus_vertices(major, minor))
+        assert np.array_equal(mesh.faces, shape_loops.grid_faces(32, 16, wrap_v=True))
+
+    @pytest.mark.parametrize("radius, height", [(0.7, 2.0), (3.3, 0.1), (1e-3, 5e2)])
+    def test_cylinder(self, radius, height):
+        mesh = surface_mesh(SyntheticShape("cylinder", {"radius": radius, "height": height}))
+        assert np.array_equal(mesh.vertices, shape_loops.cylinder_vertices(radius, height))
+        assert np.array_equal(mesh.faces, shape_loops.grid_faces(48, 2, wrap_v=False))
+
+    @pytest.mark.parametrize("major, minor", [(1.0, 0.35), (2.5, 1.1), (0.3, 0.29)])
+    def test_torus_sampler(self, major, minor):
+        got = surface_sample(SyntheticShape("torus", {"major": major, "minor": minor}), 700, np.random.default_rng(4))
+        assert np.array_equal(got, shape_loops.torus_sample(major, minor, 700, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("half", [(0.8, 0.6, 1.0), (2.0, 0.1, 0.5), (1e-3, 4.0, 4.0)])
+    def test_box_sampler(self, half):
+        got = surface_sample(SyntheticShape("box_surface", {"half_extents": half}), 900, np.random.default_rng(5))
+        assert np.array_equal(got, shape_loops.box_sample(half, 900, np.random.default_rng(5)))
