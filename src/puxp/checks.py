@@ -225,7 +225,6 @@ def run_knn_checks(clouds=200, seed=2024):
     results += [
         _agreement("knn/feature-oracle-agreement", _feature_cases(feature_rng), "mismatching feature matrices"),
         _agreement("knn/duplicate-oracle-agreement", _duplicate_cases(duplicate_rng), "mismatching (cloud, k) pairs"),
-        _runtime("knn-suite-runtime", start),
     ]
     # outlier and grid shapes exercise pruning and tie-heavy rows
     cluster = np.vstack([rng.normal(scale=0.01, size=(40, 3)), [[100.0, 100.0, 100.0]]])
@@ -237,6 +236,7 @@ def run_knn_checks(clouds=200, seed=2024):
         _agreement("nearest/oracle-agreement", _nearest_cases(nearest_rng), "mismatching cloud pairs"),
         _agreement("nearest/collapsed-target", _collapsed_cases(collapsed_rng), "mismatching collapsed clouds"),
         _agreement("p2f/oracle-agreement", _mesh_cases(mesh_rng), "mismatching meshes"),
+        _runtime("knn-suite-runtime", start),  # last, so it spans every check above
     ]
 
 

@@ -168,8 +168,12 @@ class UpsamplingModel:
         """Predicted coordinates as a tensor (rows = ratio * cloud.count)."""
         if base_index is None:
             base_index = self.base_graph(cloud)
-        feats = self.backbone.forward(Tensor(cloud.points), base_index)
-        result = self.unit.expand(ExpansionContext(cloud, base_index, feats))
+        # No local holds the backbone features: the context is their only
+        # reference, so without a tape they are freed with it once the unit
+        # returns, and stay out of the regression's peak.
+        result = self.unit.expand(
+            ExpansionContext(cloud, base_index, self.backbone.forward(Tensor(cloud.points), base_index))
+        )
         index = expanded_graph(base_index, self.ratio, result.index)
         return self.regression.forward(result.features, index)
 

@@ -1,6 +1,8 @@
 import re
 import struct
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -413,12 +415,12 @@ class TestCheckCommands:
         "PASS knn/oracle-agreement 0 mismatching clouds out of 25 (N.NNs)",
         "PASS knn/feature-oracle-agreement 0 mismatching feature matrices out of 12",
         "PASS knn/duplicate-oracle-agreement 0 mismatching (cloud, k) pairs out of 40",
-        "PASS knn-suite-runtime N.NNs",
         "PASS knn/outlier-cluster",
         "PASS knn/grid-ties",
         "PASS nearest/oracle-agreement 0 mismatching cloud pairs out of 38",
         "PASS nearest/collapsed-target 0 mismatching collapsed clouds out of 6",
         "PASS p2f/oracle-agreement 0 mismatching meshes out of 20",
+        "PASS knn-suite-runtime N.NNs",
         "PASS index-expansion/laws 0 failing graphs out of 100",
         "PASS index-expansion/any-ratio-laws 0 failing graphs out of 100",
     ]
@@ -432,6 +434,22 @@ class TestCheckCommands:
     def test_knncheck_exits_zero(self, tmp_path, capsys):
         assert run(["knncheck", "--clouds", 25, "--replay-dir", tmp_path]) == 0
         assert result_lines(capsys.readouterr().out) == self.KNNCHECK_LINES
+
+    def test_knncheck_runtime_spans_the_mesh_checks(self, tmp_path, capsys, monkeypatch):
+        # A clock that jumps 100 s while the mesh cases run, the suite's last check.
+        skipped = [0.0]
+        real_cases = checks._mesh_cases
+
+        def slowed_mesh_cases(rng):
+            skipped[0] = 100.0
+            yield from real_cases(rng)
+
+        clock = types.SimpleNamespace(perf_counter=lambda: time.perf_counter() + skipped[0])
+        monkeypatch.setattr(checks, "time", clock)
+        monkeypatch.setattr(checks, "_mesh_cases", slowed_mesh_cases)
+        assert run(["knncheck", "--clouds", 1, "--replay-dir", tmp_path]) == 1
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if "knn-suite-runtime" in line]
+        assert re.fullmatch(r"FAIL knn-suite-runtime 1\d\d\.\d\ds", line), line
 
     @pytest.mark.parametrize("clouds", [-5, 0])
     def test_knncheck_needs_a_cloud(self, tmp_path, capsys, clouds):
