@@ -179,7 +179,8 @@ def run_op_gradient_checks(seed=7):
 
 
 def run_unit_gradient_checks(seed=11):
-    """Finite-difference check of d sum(output) / d features for all units."""
+    """Finite-difference check of d sum(output) / d features for all units,
+    at r = 2 and then at r = 6, whose rounds grow by 2 and then by 3."""
     from .units import ExpansionContext, ExpansionSpec, UNIT_KINDS, build_unit
 
     rng = np.random.default_rng(seed)
@@ -188,15 +189,16 @@ def run_unit_gradient_checks(seed=11):
     base = knn_bruteforce(cloud, k)
     feats = np.abs(rng.normal(size=(n, c))) + 0.1
     results = []
-    for kind in UNIT_KINDS:
-        spec = ExpansionSpec(kind=kind, ratio=2, channels=c, k=k)
-        unit = build_unit(ParameterStore(), spec, np.random.default_rng(seed + 1))
+    for ratio, suffix in ((2, ""), (6, "/r6")):
+        for kind in UNIT_KINDS:
+            spec = ExpansionSpec(kind=kind, ratio=ratio, channels=c, k=k)
+            unit = build_unit(ParameterStore(), spec, np.random.default_rng(seed + 1))
 
-        def loss(t, unit=unit):
-            out = unit.expand(ExpansionContext(cloud, base, t))
-            return ad.sum_all(out.features)
+            def loss(t, unit=unit):
+                out = unit.expand(ExpansionContext(cloud, base, t))
+                return ad.sum_all(out.features)
 
-        results.append(check_gradient(f"unit/{kind}", loss, feats))
+            results.append(check_gradient(f"unit/{kind}{suffix}", loss, feats))
     return results
 
 

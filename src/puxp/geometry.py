@@ -641,20 +641,15 @@ def _degenerate_faces(tris):
     """The one degeneracy rule: a mask of the (near-)zero-area faces of tris[F, 3, 3].
 
     A face is degenerate where |ab x ac|^2 <= 1e-28 |ab|^2 |ac|^2, or the span
-    is 0, with the dot products taken one face at a time. A vectorised screen
-    with a 10x margin (and any span that may have underflowed) picks the
-    faces that could be.
+    is 0. Each squared norm is an explicit left-to-right sum (_dot3), never a
+    BLAS dot, whose order and fused multiply-adds depend on the CPU kernel,
+    so a face at the boundary gets the same verdict on every machine.
     """
-    ab = tris[:, 1] - tris[:, 0]
-    ac = tris[:, 2] - tris[:, 0]
-    cross = np.cross(ab, ac)
-    cross2 = (cross * cross).sum(axis=1)
-    span = (ab * ab).sum(axis=1) * (ac * ac).sum(axis=1)
-    bad = (cross2 <= 1e-27 * span) | (span <= 1e-250)
-    for f in np.flatnonzero(bad):
-        span_f = float(ab[f] @ ab[f]) * float(ac[f] @ ac[f])
-        bad[f] = float(cross[f] @ cross[f]) <= 1e-28 * span_f or span_f == 0.0
-    return bad
+    ab = (tris[:, 1] - tris[:, 0]).T
+    ac = (tris[:, 2] - tris[:, 0]).T
+    cross = np.cross(ab, ac, axis=0)
+    span = _dot3(ab, ab) * _dot3(ac, ac)
+    return (_dot3(cross, cross) <= 1e-28 * span) | (span == 0.0)
 
 
 def _zero_area(tri):

@@ -33,7 +33,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import as_rows, nearest_neighbors, squared_distances_to_mesh
+from .geometry import PointCloud, as_rows, nearest_neighbors, squared_distances_to_mesh
 
 
 @dataclasses.dataclass
@@ -57,9 +57,18 @@ class MetricReport:
 
 
 def _summaries(pred, gt):
-    """CD, HD and both assignments from one nearest-neighbour search per direction."""
-    as_rows(pred, "predictions", 3)  # named here: the searches would name it "query points"
+    """CD, HD and both assignments from one nearest-neighbour search per direction.
+
+    A finite raw prediction array becomes a PointCloud, so the two searches
+    share one build of its columns, copy groups and tree; a non-finite one
+    stays raw and the search raises GradientError naming its row.
+    """
+    rows = as_rows(pred, "predictions", 3)  # named here: the searches would name it "query points"
     as_rows(gt, "ground truth", 3)
+    if not isinstance(pred, PointCloud) and np.isfinite(rows).all():
+        view = rows.view()  # read-only without a copy; the cloud lives only for these two searches
+        view.flags.writeable = False
+        pred = PointCloud(view, _fresh=True)
     fwd, nearest_gt = nearest_neighbors(pred, gt)
     bwd, nearest_pred = nearest_neighbors(gt, pred)
     hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))

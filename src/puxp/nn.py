@@ -7,6 +7,8 @@ output rows identically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -72,13 +74,12 @@ class EdgeConvLayer:
         return ad.edge_conv(x, idx, self.w.tensor, self.b.tensor, self.activate_output)
 
 
-def duplicate_with_code(x):
-    """Copy each row twice and append a +1/-1 latent code column.
+def duplicate_with_code(x, copies=2):
+    """Copy each row `copies` times and append a latent code column.
 
-    Output rows 2i and 2i+1 are x[i] with code +1 and -1 respectively, so the
-    two children of a point stay contiguous: the copy is [x, x] shuffled.
+    Output row f*i + s (f = copies) is x[i] with code linspace(1, -1, f)[s],
+    +1/-1 at f = 2, so a point's children stay contiguous: [x, ..., x] shuffled.
     """
-    doubled = ad.shuffle_expand(ad.concat_last(x, x), 2)
-    codes = np.tile([[1.0], [-1.0]], (x.shape[0], 1))
-    return ad.concat_last(doubled, Tensor(codes))
-
+    stacked = functools.reduce(ad.concat_last, [x] * copies)
+    codes = np.tile(np.linspace(1.0, -1.0, copies)[:, None], (x.shape[0], 1))
+    return ad.concat_last(ad.shuffle_expand(stacked, copies), Tensor(codes))

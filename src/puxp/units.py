@@ -42,8 +42,6 @@ class ExpansionSpec:
             raise ConfigError(f"unknown unit kind {self.kind!r}; choose from {UNIT_KINDS}")
         self.ratio = integer("ratio", self.ratio)
         self.channels = integer("channels", self.channels)
-        if rules.doubles and self.ratio & (self.ratio - 1):
-            raise ConfigError(f"ratio must be a power of 2 for unit {self.kind!r}, got {self.ratio}")
         if rules.reads_graph and self.k is None:
             raise ConfigError(f"unit {self.kind!r} needs a neighbor count k")
         self.k = integer("k", self.k) if rules.reads_graph else None
@@ -90,23 +88,32 @@ class ExpansionResult:
     index: IndexMatrix | None  # graph over the expanded rows, when the unit kept one
 
 
+def prime_factors(n):
+    """Prime factors of n in ascending order (12 -> [2, 2, 3]), by trial division up to sqrt(n)."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return [p, *prime_factors(n // p)]
+        p += 1
+    return [n] if n > 1 else []
+
+
 class _UnitBase:
     """Each unit class states its rules as class data; ExpansionSpec checks them.
 
-    reads_graph: reads the KNN graph, so needs k. doubles: grows in log2(r)
-    doubling rounds, so r is a power of 2. index_modes: the index modes
+    reads_graph: reads the KNN graph, so needs k. index_modes: the index modes
     read. regression_default: the regression mode used when none is given.
+    rounds: the prime factors of r, ascending; a progressive unit runs one round per factor f, growing rows by f.
     """
 
     kind = ""
     reads_graph = False
-    doubles = False
     index_modes = ("expand",)
     regression_default = "direct"
 
     def __init__(self, spec):
         self.spec = spec
-        self.rounds = spec.ratio.bit_length() - 1
+        self.rounds = prime_factors(spec.ratio)
 
 
 class BranchUnit(_UnitBase):
@@ -131,23 +138,22 @@ class BranchUnit(_UnitBase):
 
 
 class DuplicateUnit(_UnitBase):
-    """log2(r) rounds of copy-with-latent-code followed by a shared layer."""
+    """Per prime factor f of r: f copies with latent codes, then a shared layer."""
 
     kind = "duplicate"
-    doubles = True
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
         self.round_mlps = [
             SharedMLP(store, f"unit.round{i}", [c + 1, c], rng, activate_output=True)
-            for i in range(self.rounds)
+            for i in range(len(self.rounds))
         ]
 
     def expand(self, ctx):
         feats = ctx.features
-        for mlp in self.round_mlps:
-            feats = mlp(duplicate_with_code(feats))
+        for f, mlp in zip(self.rounds, self.round_mlps):
+            feats = mlp(duplicate_with_code(feats, f))
         return ExpansionResult(feats, None)
 
 
@@ -181,24 +187,23 @@ class MultilayerMlpUnit(_UnitBase):
 
 
 class ProgressiveMlpUnit(_UnitBase):
-    """An extraction layer, then [C -> 2C layer, shuffle] until r*N rows."""
+    """An extraction layer, then [C -> fC layer, shuffle by f] per prime factor f of r."""
 
     kind = "progressive_mlp"
-    doubles = True
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
         self.extract = SharedMLP(store, "unit.extract", [c, c], rng, activate_output=True)
         self.round_mlps = [
-            SharedMLP(store, f"unit.double{i}", [c, 2 * c], rng, activate_output=True)
-            for i in range(self.rounds)
+            SharedMLP(store, f"unit.double{i}", [c, f * c], rng, activate_output=True)
+            for i, f in enumerate(self.rounds)
         ]
 
     def expand(self, ctx):
         feats = self.extract(ctx.features)
-        for mlp in self.round_mlps:
-            feats = ad.shuffle_expand(mlp(feats), 2)
+        for f, mlp in zip(self.rounds, self.round_mlps):
+            feats = ad.shuffle_expand(mlp(feats), f)
         return ExpansionResult(feats, None)
 
 
@@ -219,31 +224,30 @@ class NodeShuffleUnit(_UnitBase):
 
 
 class ProEdgeShuffleUnit(_UnitBase):
-    """log2(r) rounds of [EdgeConv C -> 2C, shuffle, index update].
+    """One round of [EdgeConv C -> fC, shuffle, index update] per prime factor f of r.
 
-    Each round doubles the rows; the neighbor table follows either by the
-    index-expansion rule (default, the whole model then only ever uses the
-    KNN of the raw cloud) or by recomputing KNN in feature space.
+    Each round multiplies the rows by f; the neighbor table follows either
+    by the index-expansion rule (default, the whole model then only ever
+    uses the KNN of the raw cloud) or by recomputing KNN in feature space.
     """
 
     kind = "proedgeshuffle"
     reads_graph = True
-    doubles = True
     index_modes = INDEX_MODES
     regression_default = "edgeconv_before"  # its final local fusion pass
 
     def __init__(self, store, spec, rng):
         super().__init__(spec)
         c = spec.channels
-        self.convs = [EdgeConvLayer(store, f"unit.conv{i}", c, 2 * c, rng) for i in range(self.rounds)]
+        self.convs = [EdgeConvLayer(store, f"unit.conv{i}", c, f * c, rng) for i, f in enumerate(self.rounds)]
 
     def expand(self, ctx):
         feats = ctx.features
         idx = ctx.base_index
-        for conv in self.convs:
-            feats = ad.shuffle_expand(conv(feats, idx), 2)
+        for f, conv in zip(self.rounds, self.convs):
+            feats = ad.shuffle_expand(conv(feats, idx), f)
             if self.spec.index_mode == "expand":
-                idx = expand_index(idx)
+                idx = expand_index(idx, f)
             else:
                 idx = knn_features(feats.data, self.spec.k)
         return ExpansionResult(feats, idx)

@@ -8,6 +8,7 @@ the whole module runs in a few minutes on one core.
 import time
 
 import numpy as np
+import pytest
 
 from puxp.checks import (
     run_gradient_checks,
@@ -74,8 +75,12 @@ def test_criterion_03_index_expansion_laws():
     print("\nPASS criterion 3: index-expansion laws on 100 graphs")
 
 
-def test_criterion_04_permutation_equivariance():
-    n, c, k, r = 8, 4, 3, 2
+RATIOS = pytest.mark.parametrize("r", [2, 3, 6, 12])  # every unit grows at every integer ratio
+
+
+@RATIOS
+def test_criterion_04_permutation_equivariance(r):
+    n, c, k = 8, 4, 3
     worst = 0.0
     for kind in UNIT_KINDS:
         spec = ExpansionSpec(kind=kind, ratio=r, channels=c, k=k)
@@ -96,11 +101,12 @@ def test_criterion_04_permutation_equivariance():
             diff = np.max(np.abs(out_p.reshape(n, r, -1) - out.reshape(n, r, -1)[perm]))
             worst = max(worst, float(diff))
             assert diff <= 1e-9, f"{kind} trial {trial}: block deviation {diff:.3e}"
-    print(f"\nPASS criterion 4: block equivariance, 7 units x 50 pairs (worst {worst:.1e})")
+    print(f"\nPASS criterion 4: block equivariance at r={r}, 7 units x 50 pairs (worst {worst:.1e})")
 
 
-def test_criterion_05_isolation_dichotomy():
-    n, c, k, r = 16, 8, 4, 2
+@RATIOS
+def test_criterion_05_isolation_dichotomy(r):
+    n, c, k = 16, 8, 4
     rng = np.random.default_rng(33)
     cloud = PointCloud(rng.normal(size=(n, 3)))
     base = knn_bruteforce(cloud, k)
@@ -128,7 +134,7 @@ def test_criterion_05_isolation_dichotomy():
             assert not np.array_equal(out0[~others], out1[~others]), f"{kind}: dead unit"
             isolated.append(kind)
     assert set(coupled) == set(GRAPH_KINDS)
-    print(f"\nPASS criterion 5: isolation for {isolated}, coupling for {coupled}")
+    print(f"\nPASS criterion 5 at r={r}: isolation for {isolated}, coupling for {coupled}")
 
 
 def test_criterion_06_metric_goldens():

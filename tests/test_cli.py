@@ -13,6 +13,7 @@ from puxp.cli import _compare_configs, main
 from puxp.dataio import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
+from puxp.units import UNIT_KINDS
 
 from csv_reader import read_csv_rows
 
@@ -62,10 +63,13 @@ class TestTrainCommand:
         assert "resolved config:" in text
         assert "train.seed=1" in text
 
-    def test_ratio_must_be_power_of_two_message(self, tmp_path, capsys):
-        code = run(["train", "--unit", "proedgeshuffle", "--ratio", "3", "--out", tmp_path / "x"])
-        assert code == 2
-        assert "ratio must be a power of 2" in capsys.readouterr().err
+    def test_proedgeshuffle_trains_and_upsamples_at_ratio_3(self, tmp_path):
+        model, inp, out = tmp_path / "x.puxp", tmp_path / "in.xyz", tmp_path / "out.xyz"
+        flags = ["train", "--unit", "proedgeshuffle", "--ratio", "3", "--k", "6", "--channels", "8"]
+        assert run(flags + ["--steps", "2", "--points", "32", "--shapes", "sphere", "--out", model]) == 0
+        write_cloud(inp, 40)
+        assert run(["upsample", "--model", model, "--input", inp, "--out", out]) == 0
+        assert read_xyz(out).count == 3 * 40
 
     def test_same_flags_twice_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.puxp", tmp_path / "b.puxp"
@@ -362,6 +366,19 @@ class TestCompareCommand:
             ("branch", "expand", "edgeconv_before"),
         ]
 
+    def test_every_unit_compares_at_ratio_6(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(
+            "backbone.width=8\ntrain.steps=2\ntrain.k=6\ntrain.ratio=6\ntrain.seeds=1\n"
+            f"data.shapes=sphere\ndata.points=32\ncompare.units={','.join(UNIT_KINDS)}\nout={out}\n"
+        )
+        assert run(["compare", "--config", cfg]) == 0
+        rows = read_csv_rows(out)
+        assert [r["unit"] for r in rows] == list(UNIT_KINDS)
+        for r in rows:
+            assert all(np.isfinite(float(r[col])) for col in ("cd", "hd", "p2f")), r
+
     def test_repeated_seed_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch):
         trained = []
         monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
@@ -409,7 +426,9 @@ class TestCheckCommands:
         "op/edge_conv/k16/relu/x", "op/edge_conv/k16/relu/w", "op/edge_conv/k16/relu/b",
         "op/edge_conv/k16/linear/x", "op/edge_conv/k16/linear/w", "op/edge_conv/k16/linear/b", "op/sum_all",
         "unit/branch", "unit/duplicate", "unit/single_mlp", "unit/multilayer_mlp", "unit/progressive_mlp",
-        "unit/nodeshuffle", "unit/proedgeshuffle", "gradient-suite-runtime",
+        "unit/nodeshuffle", "unit/proedgeshuffle", "unit/branch/r6", "unit/duplicate/r6", "unit/single_mlp/r6",
+        "unit/multilayer_mlp/r6", "unit/progressive_mlp/r6", "unit/nodeshuffle/r6", "unit/proedgeshuffle/r6",
+        "gradient-suite-runtime",
     ]
     KNNCHECK_LINES = [
         "PASS knn/oracle-agreement 0 mismatching clouds out of 25 (N.NNs)",

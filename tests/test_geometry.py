@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -1013,6 +1017,64 @@ class TestPrunedMeshDistance:
                 squared_distances_to_mesh(pts, mesh)
         else:
             assert np.array_equal(np.sqrt(squared_distances_to_mesh(pts, mesh)), per_face_loop(pts, mesh))
+
+    @staticmethod
+    def boundary_slivers(n=2000, seed=0):
+        """n pairs of slivers one ulp of the apex apart, either side of the 1e-28 threshold.
+
+        The base runs along x from the origin, so the cross product and the
+        norms are exact products and the verdict turns on how three squares
+        are summed. The apex height is bisected by elementwise left-to-right
+        sums only, so the slivers are the same under every BLAS kernel.
+        """
+        def degenerate(tris):
+            def norm2(u):
+                return u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
+
+            ab, ac = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+            span = norm2(ab) * norm2(ac)
+            return (norm2(np.cross(ab, ac)) <= 1e-28 * span) | (span == 0.0)
+
+        rng = np.random.default_rng(seed)
+        base, run = rng.uniform(0.5, 2.0, size=(2, n))
+        depth = rng.uniform(0.1, 0.9, size=n) * 1e-14 * run
+
+        def slivers(height):
+            tris = np.zeros((n, 3, 3))
+            tris[:, 1, 0] = base
+            tris[:, 2] = np.stack([run, height, depth], axis=1)
+            return tris
+
+        lo, hi = np.zeros(n), 1e-13 * run
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            below = degenerate(slivers(mid))
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        tris = np.concatenate([slivers(lo), slivers(hi)])
+        return tris, degenerate(tris)
+
+    def test_degeneracy_verdicts_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # A BLAS dot may sum three squares in another order or with fused
+        # multiply-adds, which flips slivers within an ulp of the threshold.
+        tris, expected = self.boundary_slivers()
+        assert expected[:2000].all() and not expected[2000:].any()
+        assert np.array_equal(geometry._degenerate_faces(tris), expected)
+        np.save(tmp_path / "tris.npy", tris)
+        script = (
+            "import sys, numpy as np\n"
+            "from puxp import geometry\n"
+            "np.save(sys.argv[2], geometry._degenerate_faces(np.load(sys.argv[1])))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        for core in ("Haswell", "Sandybridge"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": src}
+            out = tmp_path / f"{core}.npy"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "tris.npy"), str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert np.array_equal(np.load(out), expected), core
 
     @pytest.mark.parametrize("shift", [300, -300])
     def test_power_of_two_scaled_torus_gives_the_scaled_unit_result(self, shift):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from puxp import geometry
 from puxp.autodiff import Tape, Tensor
 from puxp.checks import check_gradient, finite_difference_gradient
 from puxp.errors import ShapeError
@@ -102,3 +103,18 @@ def test_overflowing_loss_is_inf_with_no_warning():
 def test_point_sets_follow_the_geometry_rule(pred_shape, gt_shape, name):
     with pytest.raises(ShapeError, match=name):
         chamfer_loss(Tensor(np.zeros(pred_shape)), np.zeros(gt_shape))
+
+
+def test_raw_predictions_are_grouped_once_per_loss(monkeypatch):
+    # the pred -> gt query and the gt -> pred target share one build of the raw
+    # predictions; the kept target builds nothing after its first loss
+    rng = np.random.default_rng(6)
+    gt = PointCloud(rng.normal(size=(40, 3)))
+    chamfer_loss(Tensor(rng.normal(size=(20, 3))), gt)
+    calls = []
+    real = geometry._copy_groups
+    monkeypatch.setattr(geometry, "_copy_groups", lambda cols: calls.append(cols.shape) or real(cols))
+    pred = Tensor(rng.normal(size=(20, 3)))
+    chamfer_loss(pred, gt)
+    assert calls == [(3, 20)]
+    assert pred.data.flags.writeable  # the shared build made no read-only flag stick to the tensor

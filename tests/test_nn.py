@@ -257,3 +257,18 @@ class TestDuplicateWithCode:
         want = np.zeros((7, 3))
         np.add.at(want, np.repeat(np.arange(7), 2), (p.T @ v.T)[:, :3])
         assert np.array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("copies", [1, 3, 5])
+    def test_any_copy_count_matches_repeat_reference(self, copies):
+        # f children per row, contiguous, with codes linspace(1, -1, f); each
+        # child passes its upstream gradient back to its parent row
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        p, v = rng.normal(size=(1, 4 * copies)), rng.normal(size=(4, 1))
+        with Tape() as tape:
+            out = duplicate_with_code(x, copies)
+            tape.backward(ad.sum_all(ad.matmul(ad.matmul(Tensor(p), out), Tensor(v))))
+        codes = np.tile(np.linspace(1.0, -1.0, copies)[:, None], (4, 1))
+        assert np.array_equal(out.data, np.hstack([np.repeat(x.data, copies, axis=0), codes]))
+        want = (p.T @ v.T)[:, :3].reshape(4, copies, 3).sum(axis=1)
+        assert np.allclose(x.grad, want, rtol=0, atol=1e-12)

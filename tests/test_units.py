@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from puxp.units import (
     RegressionStage,
     build_unit,
     expanded_graph,
+    prime_factors,
 )
 
 
@@ -42,12 +45,6 @@ class TestExpansionSpec:
         with pytest.raises(ConfigError, match="unknown unit kind"):
             ExpansionSpec(kind="magic", ratio=2, channels=4)
 
-    def test_power_of_two_enforced(self):
-        with pytest.raises(ConfigError, match="ratio must be a power of 2"):
-            ExpansionSpec(kind="proedgeshuffle", ratio=3, channels=4, k=4)
-        with pytest.raises(ConfigError, match="ratio must be a power of 2"):
-            ExpansionSpec(kind="duplicate", ratio=6, channels=4)
-
     @pytest.mark.parametrize("index_mode", INDEX_MODES)
     def test_proedgeshuffle_expands_at_ratio_32(self, index_mode):
         # no ratio cap: five doubling rounds give 32 N rows and a valid graph over them
@@ -72,9 +69,19 @@ class TestExpansionSpec:
         pro = ExpansionSpec(kind="proedgeshuffle", ratio=2, channels=4, k=4)
         assert pro.regression_mode == "edgeconv_before"
 
-    def test_branch_allows_non_power_of_two(self):
-        spec = ExpansionSpec(kind="branch", ratio=3, channels=4)
-        assert spec.ratio == 3
+    def test_prime_factors_ascend_and_multiply_back(self):
+        assert [prime_factors(n) for n in (1, 2, 3, 4, 6, 12, 16, 30)] == [
+            [], [2], [3], [2, 2], [2, 3], [2, 2, 3], [2, 2, 2, 2], [2, 3, 5],
+        ]
+        for n in range(1, 200):
+            factors = prime_factors(n)
+            assert factors == sorted(factors) and int(np.prod(factors)) == n
+            assert all(prime_factors(f) == [f] for f in factors)
+
+    def test_prime_factors_of_a_large_prime_stop_at_its_square_root(self):
+        # 2^31 - 1 is prime: trial division up to sqrt(n) takes ~46,000 steps, not n
+        assert prime_factors(2**31 - 1) == [2**31 - 1]
+        assert prime_factors(2 * (2**31 - 1)) == [2, 2**31 - 1]
 
     def test_kind_order_is_pinned(self):
         # CLI choices, compare rows and the gradcheck names follow this order
@@ -84,34 +91,28 @@ class TestExpansionSpec:
         )
         assert GRAPH_KINDS == ("nodeshuffle", "proedgeshuffle")
 
-    # kind: (reads_graph, doubles, index_modes, regression_default)
+    # kind: (reads_graph, index_modes, regression_default)
     RULES = {
-        "branch": (False, False, ("expand",), "direct"),
-        "duplicate": (False, True, ("expand",), "direct"),
-        "single_mlp": (False, False, ("expand",), "direct"),
-        "multilayer_mlp": (False, False, ("expand",), "direct"),
-        "progressive_mlp": (False, True, ("expand",), "direct"),
-        "nodeshuffle": (True, False, ("expand",), "direct"),
-        "proedgeshuffle": (True, True, ("expand", "feature_knn"), "edgeconv_before"),
+        "branch": (False, ("expand",), "direct"),
+        "duplicate": (False, ("expand",), "direct"),
+        "single_mlp": (False, ("expand",), "direct"),
+        "multilayer_mlp": (False, ("expand",), "direct"),
+        "progressive_mlp": (False, ("expand",), "direct"),
+        "nodeshuffle": (True, ("expand",), "direct"),
+        "proedgeshuffle": (True, ("expand", "feature_knn"), "edgeconv_before"),
     }
 
     @pytest.mark.parametrize("kind", UNIT_KINDS)
     def test_spec_accepts_exactly_what_the_class_declares(self, kind):
         cls = _UNIT_CLASSES[kind]
-        rules = (cls.reads_graph, cls.doubles, cls.index_modes, cls.regression_default)
+        rules = (cls.reads_graph, cls.index_modes, cls.regression_default)
         assert rules == self.RULES[kind]
         for ratio in range(1, 33):
             for mode in INDEX_MODES:
-                if cls.doubles and ratio & (ratio - 1):
-                    refusal = f"ratio must be a power of 2 for unit '{kind}', got {ratio}"
-                elif mode not in cls.index_modes:
-                    refusal = f"index mode '{mode}' is read only by proedgeshuffle, not by '{kind}'"
-                else:
-                    refusal = None
-                if refusal is not None:
+                if mode not in cls.index_modes:
                     with pytest.raises(ConfigError) as err:
                         ExpansionSpec(kind, ratio, 4, k=3, index_mode=mode)
-                    assert str(err.value) == refusal
+                    assert str(err.value) == f"index mode '{mode}' is read only by proedgeshuffle, not by '{kind}'"
                     continue
                 spec = ExpansionSpec(kind, ratio, 4, k=3, index_mode=mode)
                 assert (spec.k, spec.index_mode) == (3 if cls.reads_graph else None, mode)
@@ -120,6 +121,31 @@ class TestExpansionSpec:
                     with pytest.raises(ConfigError) as err:
                         ExpansionSpec(kind, ratio, 4, index_mode=mode)
                     assert str(err.value) == f"unit '{kind}' needs a neighbor count k"
+
+
+class TestPowerOfTwoPin:
+    # One sha256 over the parameter names, initial parameter bytes and expand
+    # output of every unit (proedgeshuffle in both index modes) at r = 1..16,
+    # recorded before the units grew one round per prime factor of r. The
+    # outputs run through matmul, so the bytes belong to the BLAS kernel they
+    # were recorded under: OpenBLAS SkylakeX.
+    DIGEST = "d00d9ad74ec3f844090357a522d91a925d82c92a17f8a02b1e61fa079b7e6e58"
+
+    def test_units_at_powers_of_two_are_byte_identical(self):
+        digest = hashlib.sha256()
+        ctx, _ = make_context(n=6, c=4, k=3)
+        for kind in UNIT_KINDS:
+            for mode in _UNIT_CLASSES[kind].index_modes:
+                for ratio in (1, 2, 4, 8, 16):
+                    unit, store, _ = build(kind, ratio=ratio, index_mode=mode)
+                    for param in store:
+                        digest.update(param.name.encode())
+                        digest.update(np.ascontiguousarray(param.data).tobytes())
+                    out = unit.expand(ctx)
+                    digest.update(out.features.data.tobytes())
+                    if out.index is not None:
+                        digest.update(np.ascontiguousarray(out.index.entries).tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestUniversalShapeLaw:
@@ -131,11 +157,12 @@ class TestUniversalShapeLaw:
         out = unit.expand(ctx)
         assert out.features.shape == (ratio * 6, unit.spec.channels)
 
-    @pytest.mark.parametrize("kind", ["branch", "single_mlp", "multilayer_mlp"])
-    def test_ratio_3_supported_for_non_progressive(self, kind):
-        ctx, _ = make_context(n=5, c=4, k=2)
-        unit, _, _ = build(kind, ratio=3)
-        assert unit.expand(ctx).features.shape[0] == 15
+    @pytest.mark.parametrize("kind", UNIT_KINDS)
+    def test_every_kind_expands_at_every_ratio_up_to_32(self, kind):
+        ctx, _ = make_context(n=3, c=2, k=2)
+        for ratio in range(1, 33):
+            unit, _, _ = build(kind, ratio=ratio, channels=2, k=2)
+            assert unit.expand(ctx).features.shape == (3 * ratio, 2)
 
 
 class TestBranchUnit:
@@ -189,6 +216,13 @@ class TestDuplicateUnit:
         out = unit.expand(ctx).features.data
         assert np.array_equal(out[0::2], out[1::2])
 
+    def test_ratio_12_runs_rounds_of_2_2_3_with_one_shared_layer_each(self):
+        ctx, _ = make_context(n=3, c=4, k=2)
+        unit, store, _ = build("duplicate", ratio=12)
+        assert unit.rounds == [2, 2, 3]
+        assert [store[f"unit.round{i}.w0"].data.shape for i in range(3)] == [(5, 4)] * 3
+        assert unit.expand(ctx).features.shape == (36, 4)
+
 
 class TestMlpUnits:
     def test_single_stacked_identity_children_equal_parent(self):
@@ -216,6 +250,12 @@ class TestMlpUnits:
         unit, _, _ = build("progressive_mlp", ratio=4)
         assert len(unit.round_mlps) == 2
         assert unit.expand(ctx).features.shape == (12, 4)
+
+    def test_progressive_ratio_6_grows_by_2_then_by_3(self):
+        ctx, _ = make_context(n=3, c=4, k=2)
+        unit, store, _ = build("progressive_mlp", ratio=6)
+        assert [store[f"unit.double{i}.w0"].data.shape for i in range(2)] == [(4, 8), (4, 12)]
+        assert unit.expand(ctx).features.shape == (18, 4)
 
 
 class TestNodeShuffle:
@@ -273,6 +313,23 @@ class TestProEdgeShuffle:
         for ratio, rounds in [(2, 1), (4, 2), (8, 3), (16, 4)]:
             unit, _, _ = build("proedgeshuffle", ratio=ratio, k=2)
             assert len(unit.convs) == rounds
+
+    def test_ratio_12_rounds_follow_its_prime_factors(self):
+        # rounds grow x2, x2, x3; the graph follows by expand_index at each factor
+        ctx, _ = make_context(n=4, c=4, k=2)
+        unit, store, _ = build("proedgeshuffle", ratio=12, k=2)
+        assert [store[f"unit.conv{i}.h.w0"].data.shape for i in range(3)] == [(8, 8), (8, 8), (8, 12)]
+        out = unit.expand(ctx)
+        assert out.features.shape == (48, 4)
+        assert np.array_equal(out.index.entries, expanded_graph(ctx.base_index, 12).entries)
+
+    def test_feature_knn_mode_at_ratio_6_keeps_a_valid_graph(self):
+        ctx, _ = make_context(n=5, c=4, k=2)
+        unit, _, _ = build("proedgeshuffle", ratio=6, k=2, index_mode="feature_knn")
+        out = unit.expand(ctx)
+        assert out.features.shape == (30, 4)
+        assert (out.index.rows, out.index.k) == (30, 2)
+        IndexMatrix(out.index.entries)
 
 
 class TestRegressionStage:
@@ -388,16 +445,19 @@ class TestPermutationEquivariance:
 
 
 class TestUnitGradients:
-    @pytest.mark.parametrize("kind", UNIT_KINDS)
-    def test_fd_gradient_through_unit(self, kind):
+    @pytest.mark.parametrize("ratio", [2, 3, 6, 12])
+    @pytest.mark.parametrize(
+        "kind, mode", [(kind, "expand") for kind in UNIT_KINDS] + [("proedgeshuffle", "feature_knn")]
+    )
+    def test_fd_gradient_through_unit(self, kind, mode, ratio):
         ctx, _ = make_context(n=6, c=4, k=3, seed=3, nonneg=True)
-        unit, _, _ = build(kind, ratio=2, channels=4, k=3, seed=4)
+        unit, _, _ = build(kind, ratio=ratio, channels=4, k=3, seed=4, index_mode=mode)
 
         def loss(t):
             out = unit.expand(ExpansionContext(ctx.cloud, ctx.base_index, t))
             return ad.sum_all(out.features)
 
-        result = check_gradient(f"unit/{kind}", loss, np.array(ctx.features.data))
+        result = check_gradient(f"unit/{kind}/r{ratio}", loss, np.array(ctx.features.data))
         assert result.ok, result.detail
 
 
