@@ -11,7 +11,6 @@ work, so a run is reproducible from its log alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
@@ -20,9 +19,8 @@ import numpy as np
 
 from . import checks, dataio, metrics, pipeline
 from .errors import ConfigError, DivergenceError, GradientError, IndexRangeError
-from .pipeline import BackboneSpec, TrainConfig, parse_field, spec_from_fields, spec_to_fields
-from .shapes import SHAPE_KINDS
-from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec, _UNIT_CLASSES, _UnitBase
+from .pipeline import parse_field, spec_to_fields
+from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, run_index_mode
 
 
 def _print_config(pairs):
@@ -31,30 +29,18 @@ def _print_config(pairs):
         print(f"  {key}={pairs[key]}")
 
 
-def _unit_spec(args):
-    return ExpansionSpec(
-        kind=args.unit,
-        ratio=args.ratio,
-        channels=args.channels,
-        k=args.k,
-        index_mode=args.index_mode,
-        regression_mode=args.regression_mode,
-    )
+# The train flags that set a TrainConfig field, each stored under its codec key
+# and parsed by the codec; a flag left out keeps the spec dataclass default.
+TRAIN_FIELD_FLAGS = {
+    "--backbone": "backbone.kind", "--k": "train.k", "--channels": "backbone.width", "--depth": "backbone.depth",
+    "--steps": "train.steps", "--lr": "train.lr", "--batch-size": "train.batch_size", "--seed": "train.seed",
+    "--shapes": "data.shapes", "--points": "data.points", "--data-seed": "data.seed",
+}
 
 
 def cmd_train(args):
-    cfg = TrainConfig(
-        unit=_unit_spec(args),
-        backbone=BackboneSpec(args.backbone, args.depth, args.channels),
-        k=args.k,
-        steps=args.steps,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        shapes=tuple(args.shapes.split(",")),
-        points=args.points,
-        data_seed=args.data_seed,
-    )
+    fields = {key: getattr(args, key) for key in TRAIN_FIELD_FLAGS.values() if getattr(args, key) is not None}
+    cfg = pipeline.train_config(fields, args.unit, args.ratio, args.index_mode, args.regression_mode)
     loss_csv = args.loss_csv or args.out + ".loss.csv"
     _print_config({**spec_to_fields(cfg, "train"), "out": args.out, "loss_csv": loss_csv})
     result = pipeline.train(cfg)
@@ -109,8 +95,9 @@ def _compare_configs(pairs):
         raise ConfigError("compare config sets train.seed; list the seeds in train.seeds instead")
     own = {**COMPARE_KEYS, **{k: v for k, v in pairs.items() if k in COMPARE_KEYS}}
     ratio = parse_field(int, "train.ratio", own["train.ratio"])
-    # compare.* picks the units; the placeholder only carries the ratio
-    shared = spec_from_fields(TrainConfig, pairs, "train", unit=ExpansionSpec("branch", ratio, 1))
+    # every row shares these fields: resolve them once, so their errors and the
+    # key check come before any listed unit's (branch takes any ratio)
+    shared = pipeline.train_config(pairs, "branch", ratio)
     known = set(COMPARE_KEYS) | {
         key for key in spec_to_fields(shared, "train") if not key.startswith("unit.")
     }
@@ -127,28 +114,17 @@ def _compare_configs(pairs):
     def items(key):
         return [item.strip() for item in own[key].split(",") if item.strip()]
 
-    configs = []
-    seen = set()
+    rows = {}  # one config per distinct (unit, index mode, regression mode)
     for kind in items("compare.units"):
         for imode in items("compare.index_modes"):
             if imode not in INDEX_MODES:
                 raise ConfigError(f"unknown index mode {imode!r}; choose from {INDEX_MODES}")
-            # a unit that does not read this index mode trains once, under expand
-            effective_imode = imode if imode in _UNIT_CLASSES.get(kind, _UnitBase).index_modes else "expand"
             for rmode in items("compare.regression_modes"):
-                spec = ExpansionSpec(
-                    kind=kind,
-                    ratio=ratio,
-                    channels=shared.backbone.width,
-                    k=shared.k,
-                    index_mode=effective_imode,
-                    regression_mode=None if rmode == "default" else rmode,
+                cfg = pipeline.train_config(
+                    pairs, kind, ratio, run_index_mode(kind, imode), None if rmode == "default" else rmode
                 )
-                key = (kind, spec.index_mode, spec.regression_mode)
-                if key in seen:
-                    continue
-                seen.add(key)
-                configs.append(dataclasses.replace(shared, unit=spec))
+                rows.setdefault((kind, cfg.unit.index_mode, cfg.unit.regression_mode), cfg)
+    configs = list(rows.values())
     if not configs:
         raise ConfigError("compare config selects no unit")
     seeds = tuple(parse_field(int, "train.seeds", s) for s in own["train.seeds"].split(","))
@@ -227,18 +203,9 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an upsampler on synthetic patches")
     p.add_argument("--unit", choices=UNIT_KINDS, default="proedgeshuffle")
-    p.add_argument("--backbone", choices=pipeline.BACKBONE_KINDS, default="edgeconv_stack")
     p.add_argument("--ratio", type=int, default=4)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--channels", type=int, default=32)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--shapes", default=",".join(SHAPE_KINDS))
-    p.add_argument("--points", type=int, default=256)
-    p.add_argument("--data-seed", type=int, default=100)
+    for flag, key in TRAIN_FIELD_FLAGS.items():
+        p.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"), help=f"sets {key}")
     p.add_argument("--index-mode", choices=INDEX_MODES, default="expand")
     p.add_argument("--regression-mode", choices=REGRESSION_MODES, default=None)
     p.add_argument("--out", default="model.puxp")

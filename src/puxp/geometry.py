@@ -490,13 +490,13 @@ def knn_features(features, k):
     stable sort by G exceeds 2 e_i (a rounded gap above the float 2 e_i is
     an exact one above it, as rounding is monotone), D strictly increases
     along it: that is the (D, index) order. The other rows, with an exact
-    tie or a gap lost to cancellation, get D as knn_bruteforce computes it
-    (a_j - a_i squares to the bits of a_i - a_j), ranked by _rank_pairs.
-    Only a block where some row has more than k candidates takes the pair
-    path: D of all its pairs, _PAIR_BATCH at a time, then _rank_pairs. Rows
-    that tie everywhere, such as identical features, make every column a
-    candidate: that costs time, not memory, which is two block x M buffers
-    made once per call and one C x M copy of the rows: O(block M + M C).
+    tie or a gap lost to cancellation, take the pair path. So does every
+    row of a block where some row has more than k candidates. The pair path
+    computes D of a row's candidates as knn_bruteforce does, _PAIR_BATCH
+    pairs at a time, and ranks them by _rank_pairs. Rows that tie
+    everywhere, such as identical features, make every column a candidate:
+    that costs time, not memory, which is two block x M buffers made once
+    per call and one C x M copy of the rows: O(block M + M C).
     """
     x, k = _knn_input(features, k)
     m, c = x.shape
@@ -517,26 +517,23 @@ def knn_features(features, k):
         kth.partition(k - 1, axis=1)
         flat = np.flatnonzero(gram <= (kth[:, k - 1] + 2.0 * bound[block])[:, None])
         rows, cand = np.divmod(flat, m)
+        ranked = local  # the block rows of the pair path, which rows numbers 0 .. ranked.size - 1
         if rows.size == k * local.size:  # exactly k candidates in every row
             cand = cand.reshape(-1, k)
             near = np.take(gram, flat).reshape(-1, k)
             order = np.argsort(near, axis=1, kind="stable") + np.arange(0, flat.size, k)[:, None]
             out[block] = np.take(cand, order)
             gaps = np.diff(np.take(near, order), axis=1)
-            unsure = np.flatnonzero((gaps <= 2.0 * bound[block, None]).any(axis=1))
-            if unsure.size:
-                diff = np.take(x, cand[unsure], axis=0)
-                diff -= part[unsure, None, :]
-                diff *= diff
-                rows = np.repeat(np.arange(unsure.size), k)
-                out[start + unsure] = _rank_pairs(rows, cand[unsure].ravel(), diff.sum(axis=-1).ravel(), k)
-            continue
+            ranked = np.flatnonzero((gaps <= 2.0 * bound[block, None]).any(axis=1))
+            if not ranked.size:
+                continue
+            rows, cand = np.repeat(np.arange(ranked.size), k), cand[ranked].ravel()
         d2 = np.empty(rows.size)
         for at in range(0, rows.size, _PAIR_BATCH):
             pairs = slice(at, at + _PAIR_BATCH)
-            diff = x[rows[pairs] + start] - x[cand[pairs]]
+            diff = x[ranked[rows[pairs]] + start] - x[cand[pairs]]
             d2[pairs] = (diff * diff).sum(axis=-1)
-        out[block] = _rank_pairs(rows, cand, d2, k)
+        out[start + ranked] = _rank_pairs(rows, cand, d2, k)
     return IndexMatrix._built(out)
 
 

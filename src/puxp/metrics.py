@@ -56,19 +56,26 @@ class MetricReport:
                 raise ValueError(f"{field} must be finite and non-negative, got {value}")
 
 
-def _summaries(pred, gt):
-    """CD, HD and both assignments from one nearest-neighbour search per direction.
+def _shared(pred):
+    """The predictions for every search of one call, named "predictions" if malformed.
 
-    A finite raw prediction array becomes a PointCloud, so the two searches
-    share one build of its columns, copy groups and tree; a non-finite one
-    stays raw and the search raises GradientError naming its row.
+    A finite raw array becomes a read-only PointCloud over its rows, without
+    a copy, so the searches share one build of its columns, copy groups and
+    tree; a non-finite one stays raw and the search raises GradientError
+    naming its row.
     """
     rows = as_rows(pred, "predictions", 3)  # named here: the searches would name it "query points"
+    if isinstance(pred, PointCloud) or not np.isfinite(rows).all():
+        return pred
+    view = rows.view()  # the cloud lives only for this call; the caller's array stays writeable
+    view.flags.writeable = False
+    return PointCloud(view, _fresh=True)
+
+
+def _summaries(pred, gt):
+    """CD, HD and both assignments from one nearest-neighbour search per direction."""
+    pred = _shared(pred)
     as_rows(gt, "ground truth", 3)
-    if not isinstance(pred, PointCloud) and np.isfinite(rows).all():
-        view = rows.view()  # read-only without a copy; the cloud lives only for these two searches
-        view.flags.writeable = False
-        pred = PointCloud(view, _fresh=True)
     fwd, nearest_gt = nearest_neighbors(pred, gt)
     bwd, nearest_pred = nearest_neighbors(gt, pred)
     hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))
@@ -115,6 +122,7 @@ def point_to_face(pred, mesh):
 
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
+    pred = _shared(pred)  # one build of raw predictions for both searches and P2F
     pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
     cd, hd = _within_float64(lambda: _summaries(pred, gt)[:2])
     p2f = None if mesh is None else point_to_face(pred, mesh)

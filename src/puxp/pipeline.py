@@ -238,6 +238,16 @@ class TrainConfig:
         }
 
 
+def train_config(fields, kind, ratio, index_mode="expand", regression_mode=None):
+    """The one route from {key: text} fields (`puxp train` flags, compare rows)
+    and a unit's own choices to a TrainConfig. A key absent from fields keeps
+    its dataclass default. The unit is checked first; its channels and k then
+    follow the backbone width and the model k."""
+    unit = ExpansionSpec(kind, ratio, 1, 1, index_mode, regression_mode)
+    config = spec_from_fields(TrainConfig, fields, "train", unit=unit)
+    return dataclasses.replace(config, unit=dataclasses.replace(unit, channels=config.backbone.width, k=config.k))
+
+
 @dataclasses.dataclass
 class Patch:
     name: str

@@ -4,10 +4,12 @@ Samplers draw uniformly (by area) on the analytic surface, so sampled points
 satisfy the surface equation to machine precision. Meshes approximate curved
 surfaces with fine triangulations; the box mesh is exact.
 
-Samplers and meshes are array code, with no loop over points, vertices or
-faces. Their draws are pinned by hash: the tests hold the sha256 of
-sample_pair and make_dataset outputs, so a change of one bit or of one RNG
-call fails them.
+Samplers are array code, with no loop over points. So are the revolved and
+box meshes. The sphere mesh subdivides an icosahedron with a loop over its
+faces and a dict of edge midpoints, once per level: _icosphere caches each
+level. Draws are pinned by hash: the tests hold the sha256 of sample_pair
+and make_dataset outputs, so a change of one bit or of one RNG call fails
+them.
 """
 
 from __future__ import annotations

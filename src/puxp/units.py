@@ -269,6 +269,12 @@ UNIT_KINDS = tuple(_UNIT_CLASSES)
 GRAPH_KINDS = tuple(kind for kind, cls in _UNIT_CLASSES.items() if cls.reads_graph)
 
 
+def run_index_mode(kind, index_mode):
+    """The index mode a unit of this kind runs under when index_mode is asked
+    for: a unit that does not read the requested mode runs expand."""
+    return index_mode if index_mode in _UNIT_CLASSES.get(kind, _UnitBase).index_modes else "expand"
+
+
 def build_unit(store, spec, rng):
     return _UNIT_CLASSES[spec.kind](store, spec, rng)
 

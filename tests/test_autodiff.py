@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp import autodiff as ad
+from puxp import checks
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import _op_cases, check_gradient, finite_difference_gradient, run_op_gradient_checks
 from puxp.errors import IndexRangeError, ShapeError
@@ -442,6 +443,21 @@ def test_full_op_gradient_suite_passes():
     results = run_op_gradient_checks(seed=7)
     failing = [r for r in results if not r.ok]
     assert not failing, failing
+
+
+def test_a_rule_off_by_one_percent_fails_at_every_step(monkeypatch):
+    def doubled(x):  # the gradient of 2x is 2, and this rule says 2.02
+        return ad.record_op(Tensor(2.0 * x.data), (x,), lambda g: (2.02 * g,))
+
+    steps = []
+    fd = checks.finite_difference_gradient
+    monkeypatch.setattr(
+        checks, "finite_difference_gradient", lambda f, x, step, entries: steps.append(step) or fd(f, x, step, entries)
+    )
+    result = check_gradient("doubled", lambda t: ad.sum_all(doubled(t)), np.random.default_rng(0).normal(size=(3, 2)))
+    assert not result.ok
+    assert steps == list(checks.FD_STEPS)
+    assert result.detail.startswith("max abs gradient error 2.0")
 
 
 def _public_ops():

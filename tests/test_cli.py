@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from puxp import checks, metrics, pipeline
-from puxp.cli import _compare_configs, main
+from puxp.cli import TRAIN_FIELD_FLAGS, _compare_configs, build_parser, main
 from puxp.dataio import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
@@ -86,6 +87,54 @@ class TestTrainCommand:
         assert "index mode 'feature_knn' is read only by proedgeshuffle" in capsys.readouterr().err
         assert trained == []
         assert not out.exists()
+
+    # flag, its compare-file key, a value that differs from the default
+    FIELD_FLAGS = [
+        ("--backbone", "backbone.kind", "mlp_stack"), ("--depth", "backbone.depth", "3"),
+        ("--channels", "backbone.width", "8"), ("--k", "train.k", "6"), ("--steps", "train.steps", "7"),
+        ("--lr", "train.lr", "0.01"), ("--batch-size", "train.batch_size", "2"), ("--seed", "train.seeds", "5"),
+        ("--shapes", "data.shapes", "torus,sphere"), ("--points", "data.points", "40"),
+        ("--data-seed", "data.seed", "9"),
+    ]
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_flags_resolve_as_their_compare_keys(self, tmp_path, monkeypatch, given):
+        resolved = []
+        monkeypatch.setattr(pipeline, "train", lambda cfg: resolved.append(cfg) or 1 / 0)
+        fields = self.FIELD_FLAGS if given else []
+        unit = ["--unit", "proedgeshuffle", "--ratio", "3", "--index-mode", "feature_knn"]
+        unit += ["--regression-mode", "direct"]
+        with pytest.raises(ZeroDivisionError):
+            run(["train", *unit, *[a for flag, _, text in fields for a in (flag, text)], "--out", tmp_path / "m.puxp"])
+        pairs = {
+            "train.ratio": "3", "train.seeds": "1", "compare.units": "proedgeshuffle",
+            "compare.index_modes": "feature_knn", "compare.regression_modes": "direct",
+        }
+        (config,), (seed,), _ = _compare_configs({**pairs, **{key: text for _, key, text in fields}})
+        assert resolved == [dataclasses.replace(config, seed=seed)]
+
+    def test_field_flags_have_no_parser_default(self):
+        args = vars(build_parser().parse_args(["train"]))
+        assert [args[key] for key in TRAIN_FIELD_FLAGS.values()] == [None] * 11
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "2.5"], "train.steps: '2.5' is not an integer"),
+            (["--channels", "x"], "backbone.width: 'x' is not an integer"),
+            (["--lr", "fast"], "train.lr: 'fast' is not a number"),
+            (["--backbone", "foo"], "unknown backbone 'foo'; choose from ('mlp_stack', 'edgeconv_stack')"),
+        ],
+    )
+    def test_malformed_field_flag_exits_2_with_the_codec_message(self, tmp_path, capsys, flags, message):
+        assert run(["train", *flags, "--out", tmp_path / "m.puxp"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.puxp").exists()
+
+    def test_empty_shape_items_are_dropped(self, tmp_path, capsys):
+        flags = [a if a != "sphere" else "sphere,,torus," for a in TRAIN_FLAGS]
+        assert run(flags + ["--out", tmp_path / "m.puxp"]) == 0
+        assert "  data.shapes=sphere,torus" in capsys.readouterr().out.splitlines()
 
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

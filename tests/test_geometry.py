@@ -611,6 +611,24 @@ class TestKnnFeatures:
         assert idx.entries.shape == (m, 16)
         assert peak < limit_mb * 2**20, peak
 
+    def test_uncertain_rows_re_rank_in_batches_of_pairs(self):
+        # k = m - 1 gives every row exactly k candidates; half-step features tie in
+        # most rows, whose re-rank held one (rows, k, C) difference block: 73 MB here
+        m = 2048
+        feats = np.round(np.random.default_rng(0).normal(size=(m, 32)) * 2) / 2
+        tracemalloc.start()
+        try:
+            idx = knn_features(feats, m - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - m * (m - 1) * 8 < 48 * 2**20, peak
+        for row in (0, m // 2, m - 1):  # the oracle's (distance, index) order, one row at a time
+            diff = feats - feats[row]
+            d2 = (diff * diff).sum(axis=1)
+            d2[row] = np.inf
+            assert np.array_equal(idx.entries[row], np.lexsort((np.arange(m), d2))[: m - 1])
+
     def test_non_finite_row_is_named(self):
         feats = np.random.default_rng(4).normal(size=(10, 3))
         feats[7, 1] = np.nan
@@ -1216,6 +1234,17 @@ class TestQueryCopyGroups:
         report = metrics.report("r", pred, gt, mesh)
         assert sorted(calls) == [256, 256]  # pred and gt, once each, for both directions and P2F
         assert report == metrics.report("r", pred.points, gt.points, mesh)
+
+    def test_a_raw_prediction_is_grouped_once(self, monkeypatch):
+        cloud, gt, mesh = sample_pair(SyntheticShape("sphere"), 64, 4, 4)
+        pred = np.repeat(cloud.points, 4, axis=0)
+        expected = metrics.report("r", PointCloud(pred), gt, mesh)  # and gt keeps its groups
+        calls = []
+        grouped = geometry._copy_groups
+        monkeypatch.setattr(geometry, "_copy_groups", lambda cols: calls.append(cols.shape[1]) or grouped(cols))
+        assert metrics.report("r", pred, gt, mesh) == expected
+        assert calls == [256]  # the two searches and P2F share one build of the raw rows
+        assert pred.flags.writeable
 
     @pytest.mark.parametrize("search", ["nearest", "report", "p2f"])
     def test_copies_of_the_torus_centre_are_fast(self, search):

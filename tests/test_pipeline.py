@@ -179,6 +179,8 @@ class TestBoundedMemory:
         """sha256 of the x4 upsample of a 4,096-point torus, recorded before
         the forward stopped holding finished activations: freeing them early
         moves no output bit."""
+        # The output runs through matmul, so its bytes belong to the BLAS kernel they were
+        # recorded under, OpenBLAS SkylakeX: the pin holds under Haswell and fails under Sandybridge.
         model = model_from_checkpoint(load_checkpoint(self.CHECKPOINT))
         cloud, _, _ = sample_pair(SyntheticShape("torus"), 4096, 4, 3)
         out = model.upsample(cloud).points

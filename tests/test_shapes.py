@@ -110,7 +110,9 @@ def _sha256(*arrays):
 
 
 # sha256 of (cloud, gt, mesh vertices, mesh faces) of sample_pair(shape, n, 4, seed), recorded
-# from the loop builders these array builders replaced
+# from the loop builders these array builders replaced. The sphere meshes belong to the BLAS
+# kernel they were recorded under, OpenBLAS SkylakeX: _icosphere normalises each midpoint with
+# np.linalg.norm, a BLAS dot, so the six sphere cases fail under Haswell and Sandybridge.
 PAIR_SHA256 = {
     ("sphere", 8, 1): "6d3e4a6fee84aceaec63352c0b7d5ee87161938ae4670430736abb2138ad4e47",
     ("sphere", 8, 2026): "92163763837c17fd6a3cdb332701ffc66ad3dba3788199f9304bbc207575329f",
@@ -137,7 +139,8 @@ PAIR_SHA256 = {
     ("box_surface", 16384, 1): "2fc6fe463d2456c3b1091d24a60ebff891badef6a5b1e9d949d94c88630eb996",
     ("box_surface", 16384, 2026): "97c2b007d7104724159e316fc9df23272bd1f5d22ef29c59c18eb9799f569cf5",
 }
-# the same four arrays of every patch of make_dataset(bench/workloads.py train_config(1))
+# the same four arrays of every patch of make_dataset(bench/workloads.py train_config(1)); its
+# sphere mesh belongs to OpenBLAS SkylakeX, as the sphere cases of PAIR_SHA256 do
 BENCH_DATASET_SHA256 = "6be7bd117ebff9af40a155b42450e1f77003a2a816daed871fdf92adb76089de"
 
 

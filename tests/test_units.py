@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from puxp import autodiff as ad
+from puxp import checks
 from puxp.autodiff import ParameterStore, Tensor
 from puxp.checks import check_gradient, run_unit_gradient_checks
 from puxp.errors import ConfigError
@@ -20,6 +21,7 @@ from puxp.units import (
     build_unit,
     expanded_graph,
     prime_factors,
+    run_index_mode,
 )
 
 
@@ -101,6 +103,12 @@ class TestExpansionSpec:
         "nodeshuffle": (True, ("expand",), "direct"),
         "proedgeshuffle": (True, ("expand", "feature_knn"), "edgeconv_before"),
     }
+
+    @pytest.mark.parametrize("kind", [*UNIT_KINDS, "magic"])
+    def test_a_unit_runs_expand_unless_it_reads_the_mode_asked_for(self, kind):
+        modes = self.RULES.get(kind, (None, ("expand",)))[1]
+        for mode in INDEX_MODES:
+            assert run_index_mode(kind, mode) == (mode if mode in modes else "expand")
 
     @pytest.mark.parametrize("kind", UNIT_KINDS)
     def test_spec_accepts_exactly_what_the_class_declares(self, kind):
@@ -467,3 +475,16 @@ def test_unit_gradient_checks_at_seeds_near_a_kink(seed):
     # finite-difference step of 1e-4 straddled a ReLU or max kink.
     failing = [r for r in run_unit_gradient_checks(seed + 4) if not r.ok]
     assert not failing, failing
+
+
+def test_gradient_suite_passes_with_a_kink_within_the_first_step(monkeypatch):
+    # at seed 55 a ReLU or max kink lies within 1e-6 of an input entry of
+    # unit/nodeshuffle/r6: that entry agrees only at a smaller step
+    steps = []
+    fd = checks.finite_difference_gradient
+    monkeypatch.setattr(
+        checks, "finite_difference_gradient", lambda f, x, step, entries: steps.append(step) or fd(f, x, step, entries)
+    )
+    failing = [r for r in checks.run_gradient_checks(55) if not r.ok]
+    assert not failing, failing
+    assert checks.FD_STEPS[1] in steps
