@@ -111,15 +111,15 @@ def _compare_configs(pairs):
     if own["compare.units"] is None:
         raise ConfigError("compare config is missing 'compare.units'")
 
-    def items(key):
-        return [item.strip() for item in own[key].split(",") if item.strip()]
-
+    kinds, imodes, rmodes = (
+        parse_field(tuple, key, own[key]) for key in ("compare.units", "compare.index_modes", "compare.regression_modes")
+    )
     rows = {}  # one config per distinct (unit, index mode, regression mode)
-    for kind in items("compare.units"):
-        for imode in items("compare.index_modes"):
+    for kind in kinds:
+        for imode in imodes:
             if imode not in INDEX_MODES:
                 raise ConfigError(f"unknown index mode {imode!r}; choose from {INDEX_MODES}")
-            for rmode in items("compare.regression_modes"):
+            for rmode in rmodes:
                 cfg = pipeline.train_config(
                     pairs, kind, ratio, run_index_mode(kind, imode), None if rmode == "default" else rmode
                 )

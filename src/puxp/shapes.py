@@ -4,12 +4,12 @@ Samplers draw uniformly (by area) on the analytic surface, so sampled points
 satisfy the surface equation to machine precision. Meshes approximate curved
 surfaces with fine triangulations; the box mesh is exact.
 
-Samplers are array code, with no loop over points. So are the revolved and
-box meshes. The sphere mesh subdivides an icosahedron with a loop over its
-faces and a dict of edge midpoints, once per level: _icosphere caches each
-level. Draws are pinned by hash: the tests hold the sha256 of sample_pair
-and make_dataset outputs, so a change of one bit or of one RNG call fails
-them.
+Samplers are array code, with no loop over points, and so is every mesh:
+the sphere subdivides an icosahedron one whole level at a time, and
+_icosphere caches each level. No draw or mesh reaches BLAS, so each has the
+same bits under every BLAS kernel. Draws are pinned by hash: the tests hold
+the sha256 of sample_pair and make_dataset outputs, so a change of one bit
+or of one RNG call fails them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, integer
-from .geometry import PointCloud, TriangleMesh
+from .geometry import PointCloud, TriangleMesh, _dot3
 
 SHAPE_KINDS = ("sphere", "torus", "cylinder", "box_surface")
 
@@ -88,7 +88,10 @@ def surface_sample(shape, n, rng):
 
 @functools.lru_cache(maxsize=None)
 def _icosphere(subdivisions):
-    """Unit icosphere (vertices, faces), built once per level; both are read-only."""
+    """Unit icosphere (vertices, faces), built once per level; both are read-only.
+
+    Each level appends the unit midpoint of every edge, in order of first use
+    over the faces' edges ab, bc, ca, and splits each face into four."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -98,31 +101,24 @@ def _icosphere(subdivisions):
         ],
         dtype=np.float64,
     )
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [v for v in verts]
+    verts /= np.sqrt(_dot3(verts.T, verts.T))[:, None]  # explicit sums, no BLAS dot
+    faces = np.array(
+        [
+            (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+            (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+            (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+            (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+        ],
+        dtype=np.int64,
+    )
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                mid = verts[i] + verts[j]
-                verts.append(mid / np.linalg.norm(mid))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    verts, faces = np.array(verts), np.array(faces, dtype=np.int64)
+        edges = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1), axis=-1).reshape(-1, 2)
+        _, first, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1], return_index=True, return_inverse=True)
+        mid = verts[edges[np.sort(first)]].sum(axis=1)  # new vertices in order of first use
+        ab, bc, ca = (len(verts) + np.argsort(np.argsort(first))[inverse]).reshape(-1, 3).T
+        verts = np.concatenate([verts, mid / np.sqrt(_dot3(mid.T, mid.T))[:, None]])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     verts.flags.writeable = False
     faces.flags.writeable = False
     return verts, faces

@@ -1,7 +1,8 @@
 """The first lines of every test run name the BLAS kernel numpy runs on.
 
-The byte pins hold only under the OpenBLAS kernel they were recorded under,
-SkylakeX, so a pin that fails on another CPU is explained by the header.
+Two byte pins run through matmul, so they hold only under the OpenBLAS kernel
+they were recorded under, SkylakeX: test_upsample_output_bytes_are_pinned and
+TestPowerOfTwoPin. One of them failing on another CPU is explained by the header.
 """
 
 import ctypes

@@ -1,10 +1,11 @@
 """Synthetic surfaces built the long way: oracles for puxp.shapes.
 
 The mesh loops visit the grid in the order the mesh lists it (u outer, v
-inner) and compute every coordinate with scalar arithmetic. The samplers
-make the same RNG calls as puxp.shapes, the box one face at a time and the
-torus with each accepted angle's cos computed again. The array builders
-must give the same vertices, faces and points bit for bit.
+inner) and compute every coordinate with scalar arithmetic. The icosphere
+loop splits one face at a time and keeps a dict of edge midpoints. The
+samplers make the same RNG calls as puxp.shapes, the box one face at a time
+and the torus with each accepted angle's cos computed again. The array
+builders must give the same vertices, faces and points bit for bit.
 """
 
 import numpy as np
@@ -22,6 +23,44 @@ def grid_faces(nu, nv, wrap_v):
             b2 = ((u + 1) % nu) * nv + (v + 1) % nv
             faces += [(a, b, b2), (a, b2, a2)]
     return np.array(faces, dtype=np.int64)
+
+
+def icosphere(subdivisions):
+    """Unit icosphere (vertices, faces): each midpoint normalised by an explicit sum."""
+    t = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = np.array(
+        [
+            [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+            [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+            [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [v for v in verts]
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                mid = verts[i] + verts[j]
+                verts.append(mid / np.sqrt(mid[0] * mid[0] + mid[1] * mid[1] + mid[2] * mid[2]))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
 
 
 def torus_vertices(major, minor, nu=32, nv=16):

@@ -985,6 +985,28 @@ def per_face_batches(pts, mesh):
     return best
 
 
+def run_under_other_kernels(script, *args):
+    """{kernel: stdout} of `python -c script *args` with this checkout's puxp, under
+    OpenBLAS Haswell, and under Sandybridge with numpy's own SIMD capped at its baseline."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    beyond_baseline = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+    kernels = {
+        "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge", "NPY_DISABLE_CPU_FEATURES": beyond_baseline},
+    }
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = {}
+    for name, kernel in kernels.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": src, **kernel}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout
+    return out
+
+
 class TestPrunedMeshDistance:
     def test_random_meshes_match_per_face_loop(self):
         rng = np.random.default_rng(14)
@@ -1081,18 +1103,27 @@ class TestPrunedMeshDistance:
         script = (
             "import sys, numpy as np\n"
             "from puxp import geometry\n"
-            "np.save(sys.argv[2], geometry._degenerate_faces(np.load(sys.argv[1])))\n"
+            "print(np.packbits(geometry._degenerate_faces(np.load(sys.argv[1]))).tobytes().hex())\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        for core in ("Haswell", "Sandybridge"):
-            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": src}
-            out = tmp_path / f"{core}.npy"
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path / "tris.npy"), str(out)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert np.array_equal(np.load(out), expected), core
+        for kernel, out in run_under_other_kernels(script, tmp_path / "tris.npy").items():
+            assert out.strip() == np.packbits(expected).tobytes().hex(), kernel
+
+    def test_sample_pair_bytes_do_not_depend_on_the_blas_kernel(self, capsys):
+        # the draws and meshes of every shape, the P2F reference surfaces included
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair\n"
+            "for kind in SHAPE_KINDS:\n"
+            "    cloud, gt, mesh = sample_pair(SyntheticShape(kind), 256, 4, 1)\n"
+            "    arrays = (cloud.points, gt.points, mesh.vertices, mesh.faces)\n"
+            "    print(kind, hashlib.sha256(b''.join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest())\n"
+        )
+        exec(script, {})
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == len(SHAPE_KINDS)
+        for kernel, out in run_under_other_kernels(script).items():
+            assert out == expected, kernel
 
     @pytest.mark.parametrize("shift", [300, -300])
     def test_power_of_two_scaled_torus_gives_the_scaled_unit_result(self, shift):

@@ -110,16 +110,14 @@ def _sha256(*arrays):
 
 
 # sha256 of (cloud, gt, mesh vertices, mesh faces) of sample_pair(shape, n, 4, seed), recorded
-# from the loop builders these array builders replaced. The sphere meshes belong to the BLAS
-# kernel they were recorded under, OpenBLAS SkylakeX: _icosphere normalises each midpoint with
-# np.linalg.norm, a BLAS dot, so the six sphere cases fail under Haswell and Sandybridge.
+# from the loop builders these array builders replaced
 PAIR_SHA256 = {
-    ("sphere", 8, 1): "6d3e4a6fee84aceaec63352c0b7d5ee87161938ae4670430736abb2138ad4e47",
-    ("sphere", 8, 2026): "92163763837c17fd6a3cdb332701ffc66ad3dba3788199f9304bbc207575329f",
-    ("sphere", 256, 1): "5f754f4d535dde4173f1e6a0f4cc0cb69f09ae958b45397ef9505d97fb8e5262",
-    ("sphere", 256, 2026): "7f1d6f8691056914b5f3ddd78da2aafb07c7f51a4a532acb54b862363ae271fd",
-    ("sphere", 16384, 1): "3eeeae8985d080601baeeb0bbf2300accd6427faa5bde4cf0e42a183f0d7827b",
-    ("sphere", 16384, 2026): "28262f1d639a7c014a018abeba09add26709796a31587889e83457be27588c17",
+    ("sphere", 8, 1): "2f36aac44b5b9fa4fcdc3e249c08d7c1f2758ffa48f03cb43ad0408dbee8992f",
+    ("sphere", 8, 2026): "3b6d24cb91eb173ca39f86b3ee7a9c3189ec9e181fc36826ec4e2a2dbd2ae70f",
+    ("sphere", 256, 1): "db10a868a021c937decd4e30cdd2032b7cd09f950818cde4432714a6ef9b24c4",
+    ("sphere", 256, 2026): "6b51a77d2f5176000cbb28a1fa1564b15ad2d94eb89a22dc13f1e2624ec95b13",
+    ("sphere", 16384, 1): "3d83ea324802c4e8d017b298d9db41cccf26ca0a7587a6ab926a7f0e83dfdba4",
+    ("sphere", 16384, 2026): "9e5efa0f78f6090c3e5a0a136cce418ace2a705a16f741c79fea020098848d37",
     ("torus", 8, 1): "e1c8f8d783ff6db2d77d83ff6005f81a03e61d1fa1abc5caf790ffa2e2acdd79",
     ("torus", 8, 2026): "1e181719bddaeab69cbdd80585c56e69250134a396fe3ca7ebb03170da4cc4ac",
     ("torus", 256, 1): "39c7c49ed83bc4133ffd8d5ff7abd3d32b50c38335a34e95e0fef3a6edf93cb0",
@@ -139,9 +137,8 @@ PAIR_SHA256 = {
     ("box_surface", 16384, 1): "2fc6fe463d2456c3b1091d24a60ebff891badef6a5b1e9d949d94c88630eb996",
     ("box_surface", 16384, 2026): "97c2b007d7104724159e316fc9df23272bd1f5d22ef29c59c18eb9799f569cf5",
 }
-# the same four arrays of every patch of make_dataset(bench/workloads.py train_config(1)); its
-# sphere mesh belongs to OpenBLAS SkylakeX, as the sphere cases of PAIR_SHA256 do
-BENCH_DATASET_SHA256 = "6be7bd117ebff9af40a155b42450e1f77003a2a816daed871fdf92adb76089de"
+# the same four arrays of every patch of make_dataset(bench/workloads.py train_config(1))
+BENCH_DATASET_SHA256 = "a601b7294bd8ba956b1a97b53c40dad8976aa3c17eede59d3c69193e153a693a"
 
 
 class TestPinnedDraws:
@@ -172,6 +169,14 @@ class TestBuildersEqualTheLoops:
         got = _grid_faces(nu, nv, wrap_v)
         assert got.dtype == np.int64
         assert np.array_equal(got, shape_loops.grid_faces(nu, nv, wrap_v))
+
+    @pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 4])
+    def test_icosphere(self, subdivisions):
+        verts, faces = _icosphere(subdivisions)
+        loop_verts, loop_faces = shape_loops.icosphere(subdivisions)
+        assert faces.dtype == np.int64
+        assert np.array_equal(verts, loop_verts)
+        assert np.array_equal(faces, loop_faces)
 
     @pytest.mark.parametrize("major, minor", [(1.0, 0.35), (2.5, 1.1), (0.3, 0.29), (1e3, 7e-3)])
     def test_torus(self, major, minor):

@@ -136,7 +136,8 @@ class TestPowerOfTwoPin:
     # output of every unit (proedgeshuffle in both index modes) at r = 1..16,
     # recorded before the units grew one round per prime factor of r. The
     # outputs run through matmul, so the bytes belong to the BLAS kernel they
-    # were recorded under: OpenBLAS SkylakeX.
+    # were recorded under, OpenBLAS SkylakeX: the pin holds under Haswell and
+    # fails under Sandybridge.
     DIGEST = "d00d9ad74ec3f844090357a522d91a925d82c92a17f8a02b1e61fa079b7e6e58"
 
     def test_units_at_powers_of_two_are_byte_identical(self):
