@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import checks, dataio, metrics, pipeline
-from .errors import ConfigError, DivergenceError, GradientError, IndexRangeError
-from .pipeline import parse_field, spec_to_fields
+from .errors import ConfigError, DivergenceError, GradientError, IndexRangeError, integer
+from .pipeline import spec_from_fields, spec_to_fields
 from .units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, run_index_mode
 
 
@@ -78,84 +78,60 @@ def cmd_eval(args):
     return 0
 
 
-# The keys a compare file sets beyond the shared TrainConfig ones, with their
-# defaults; None marks a required key.
-COMPARE_KEYS = {
-    "compare.units": None,
-    "compare.index_modes": "expand",
-    "compare.regression_modes": "default",
-    "train.ratio": "4",
-    "train.seeds": "1,2,3",
-    "out": "comparison.csv",
-}
-
-
 def _compare_configs(pairs):
     if "train.seed" in pairs:
         raise ConfigError("compare config sets train.seed; list the seeds in train.seeds instead")
-    own = {**COMPARE_KEYS, **{k: v for k, v in pairs.items() if k in COMPARE_KEYS}}
-    ratio = parse_field(int, "train.ratio", own["train.ratio"])
+    spec = spec_from_fields(pipeline.CompareSpec, pairs, "compare")
     # every row shares these fields: resolve them once, so their errors and the
     # key check come before any listed unit's (branch takes any ratio)
-    shared = pipeline.train_config(pairs, "branch", ratio)
-    known = set(COMPARE_KEYS) | {
-        key for key in spec_to_fields(shared, "train") if not key.startswith("unit.")
+    shared = pipeline.train_config(pairs, "branch", spec.ratio)
+    known = {
+        *spec_to_fields(spec, "compare"),
+        *(key for key in spec_to_fields(shared, "train") if not key.startswith("unit.") and key != "train.seed"),
     }
-    known.discard("train.seed")
     unknown = sorted(set(pairs) - known)
     if unknown:
         raise ConfigError(
             f"unknown compare config key(s) {', '.join(unknown)}; "
             f"accepted keys: {', '.join(sorted(known))}"
         )
-    if own["compare.units"] is None:
+    if "compare.units" not in pairs:
         raise ConfigError("compare config is missing 'compare.units'")
 
-    kinds, imodes, rmodes = (
-        parse_field(tuple, key, own[key]) for key in ("compare.units", "compare.index_modes", "compare.regression_modes")
-    )
     rows = {}  # one config per distinct (unit, index mode, regression mode)
-    for kind in kinds:
-        for imode in imodes:
-            if imode not in INDEX_MODES:
-                raise ConfigError(f"unknown index mode {imode!r}; choose from {INDEX_MODES}")
-            for rmode in rmodes:
+    for kind in spec.units:
+        for imode in spec.index_modes:
+            for rmode in spec.regression_modes:
                 cfg = pipeline.train_config(
-                    pairs, kind, ratio, run_index_mode(kind, imode), None if rmode == "default" else rmode
+                    pairs, kind, spec.ratio, run_index_mode(kind, imode), None if rmode == "default" else rmode
                 )
                 rows.setdefault((kind, cfg.unit.index_mode, cfg.unit.regression_mode), cfg)
-    configs = list(rows.values())
-    if not configs:
+    if not rows:
         raise ConfigError("compare config selects no unit")
-    seeds = tuple(parse_field(int, "train.seeds", s) for s in own["train.seeds"].split(","))
-    for seed in seeds:
-        if seeds.count(seed) > 1:
-            raise ConfigError(f"train.seeds lists seed {seed} more than once")
-    return configs, seeds, own["out"]
+    return list(rows.values()), spec
 
 
 def cmd_compare(args):
-    pairs = dataio.read_fields(args.config)
-    configs, seeds, out = _compare_configs(pairs)
-    out = args.out or out
+    configs, spec = _compare_configs(dataio.read_fields(args.config))
+    spec.out = args.out or spec.out
     # a unit.* key that differs between rows is left out; compare.rows names each row's unit
     rows = [spec_to_fields(c, "train") for c in configs]
     resolved = {key: value for key, value in rows[0].items() if all(r[key] == value for r in rows)}
     del resolved["train.seed"]  # each unit trains once per seed in train.seeds
-    resolved.update({"out": out, "train.seeds": ",".join(map(str, seeds))})
+    resolved.update(spec_to_fields(spec, "compare"))
     resolved["compare.rows"] = ";".join(
         f"{c.unit.kind}/{c.unit.index_mode}/{c.unit.regression_mode}" for c in configs
     )
     _print_config(resolved)
-    table = pipeline.compare_units(configs, seeds=seeds)
-    dataio.write_comparison_csv(out, table)
+    table = pipeline.compare_units(configs, seeds=spec.seeds)
+    dataio.write_comparison_csv(spec.out, table)
     for row in table.rows:
         p2f_text = "n/a" if row.p2f is None else f"{row.p2f:.6g}"
         print(
             f"{row.unit:16s} index={row.index_mode:11s} regress={row.regression_mode:15s} "
             f"cd={row.cd:.6g} hd={row.hd:.6g} p2f={p2f_text}"
         )
-    print(f"wrote {out}")
+    print(f"wrote {spec.out}")
     return 0
 
 
@@ -179,18 +155,18 @@ def _run_check_suite(results, replay_dir):
 
 
 def cmd_gradcheck(args):
-    _print_config({"seed": args.seed, "replay_dir": args.replay_dir})
-    return _run_check_suite(checks.run_gradient_checks(args.seed), args.replay_dir)
+    seed = integer("seed", args.seed, 0)
+    _print_config({"seed": seed, "replay_dir": args.replay_dir})
+    return _run_check_suite(checks.run_gradient_checks(seed), args.replay_dir)
 
 
 def cmd_knncheck(args):
     if args.clouds < 1:
         raise ConfigError(f"--clouds must be at least 1, got {args.clouds}")
-    _print_config(
-        {"seed": args.seed, "clouds": args.clouds, "replay_dir": args.replay_dir}
-    )
-    results = checks.run_knn_checks(clouds=args.clouds, seed=args.seed)
-    results += checks.run_index_expansion_checks(seed=args.seed + 1)
+    seed = integer("seed", args.seed, 0)
+    _print_config({"seed": seed, "clouds": args.clouds, "replay_dir": args.replay_dir})
+    results = checks.run_knn_checks(clouds=args.clouds, seed=seed)
+    results += checks.run_index_expansion_checks(seed=seed + 1)
     return _run_check_suite(results, args.replay_dir)
 
 

@@ -324,10 +324,11 @@ def write_metric_csv(path, reports):
 
 def write_comparison_csv(path, table):
     """Comparison matrix CSV with the run budget and reference footnote."""
+    cfg = table.config
     budget = (
-        f"# budget: steps={table.steps} points={table.points} ratio={table.ratio} "
-        f"backbone={table.backbone.kind}/{table.backbone.depth}x{table.backbone.width} "
-        f"shapes={','.join(table.shapes)}"
+        f"# budget: steps={cfg.steps} points={cfg.points} ratio={cfg.unit.ratio} "
+        f"backbone={cfg.backbone.kind}/{cfg.backbone.depth}x{cfg.backbone.width} "
+        f"shapes={','.join(cfg.shapes)}"
     )
     rows = (
         (r.unit, r.index_mode, r.regression_mode, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.unit_params,

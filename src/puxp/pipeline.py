@@ -30,6 +30,7 @@ from .nn import EdgeConvLayer, SharedMLP
 from .optim import AdamState, adam_step
 from .shapes import SHAPE_KINDS, SyntheticShape, sample_pair
 from .units import (
+    INDEX_MODES,
     ExpansionContext,
     ExpansionSpec,
     RegressionStage,
@@ -78,8 +79,9 @@ def parse_field(hint, key, text):
         if text == "none":
             return None
         (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
-    if hint is tuple:
-        return tuple(item.strip() for item in text.split(",") if item.strip())
+    if hint is tuple or isinstance(hint, types.GenericAlias):  # tuple or tuple[int, ...]
+        items = tuple(item.strip() for item in text.split(",") if item.strip())
+        return items if hint is tuple else tuple(parse_field(int, key, item) for item in items)
     try:
         return hint(text)
     except ValueError:
@@ -246,6 +248,30 @@ def train_config(fields, kind, ratio, index_mode="expand", regression_mode=None)
     unit = ExpansionSpec(kind, ratio, 1, 1, index_mode, regression_mode)
     config = spec_from_fields(TrainConfig, fields, "train", unit=unit)
     return dataclasses.replace(config, unit=dataclasses.replace(unit, channels=config.backbone.width, k=config.k))
+
+
+@dataclasses.dataclass
+class CompareSpec:
+    """A compare file's own keys; every other key is a TrainConfig field shared by all rows.
+    A row is one (unit, index mode, regression mode); "default" is the unit's own mode."""
+
+    units: tuple = ()
+    index_modes: tuple = ("expand",)
+    regression_modes: tuple = ("default",)
+    ratio: int = dataclasses.field(default=4, metadata={"key": "train.ratio"})
+    seeds: tuple[int, ...] = dataclasses.field(default=(1, 2, 3), metadata={"key": "train.seeds"})
+    out: str = dataclasses.field(default="comparison.csv", metadata={"key": "out"})
+
+    def __post_init__(self):
+        for mode in self.index_modes:
+            if mode not in INDEX_MODES:
+                raise ConfigError(f"unknown index mode {mode!r}; choose from {INDEX_MODES}")
+        self.seeds = tuple(integer("train.seeds", seed, 0) for seed in self.seeds)
+        if not self.seeds:
+            raise ConfigError("train.seeds lists no seed")
+        for seed in self.seeds:
+            if self.seeds.count(seed) > 1:
+                raise ConfigError(f"train.seeds lists seed {seed} more than once")
 
 
 @dataclasses.dataclass
@@ -416,11 +442,7 @@ class ComparisonRow:
 @dataclasses.dataclass
 class ComparisonTable:
     rows: list
-    steps: int
-    points: int
-    ratio: int
-    backbone: BackboneSpec
-    shapes: tuple
+    config: TrainConfig  # the first row's; every row shares its budget
 
 
 def compare_units(configs, seeds=(1, 2, 3)):
@@ -463,11 +485,4 @@ def compare_units(configs, seeds=(1, 2, 3)):
                 seeds=len(seeds),
             )
         )
-    return ComparisonTable(
-        rows=rows,
-        steps=ref.steps,
-        points=ref.points,
-        ratio=ref.unit.ratio,
-        backbone=ref.backbone,
-        shapes=ref.shapes,
-    )
+    return ComparisonTable(rows, ref)

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import re
 import struct
 import time
@@ -11,12 +12,19 @@ import pytest
 
 from puxp import checks, metrics, pipeline
 from puxp.cli import TRAIN_FIELD_FLAGS, _compare_configs, build_parser, main
-from puxp.dataio import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_xyz
+from puxp.dataio import (
+    CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_comparison_csv,
+    write_xyz,
+)
+from puxp.errors import ConfigError
 from puxp.geometry import IndexMatrix, PointCloud
+from puxp.pipeline import BackboneSpec, TrainConfig, spec_to_fields
 from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
-from puxp.units import UNIT_KINDS
+from puxp.units import UNIT_KINDS, ExpansionSpec
 
 from csv_reader import read_csv_rows
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 TRAIN_FLAGS = [
     "train",
@@ -110,8 +118,8 @@ class TestTrainCommand:
             "train.ratio": "3", "train.seeds": "1", "compare.units": "proedgeshuffle",
             "compare.index_modes": "feature_knn", "compare.regression_modes": "direct",
         }
-        (config,), (seed,), _ = _compare_configs({**pairs, **{key: text for _, key, text in fields}})
-        assert resolved == [dataclasses.replace(config, seed=seed)]
+        (config,), spec = _compare_configs({**pairs, **{key: text for _, key, text in fields}})
+        assert resolved == [dataclasses.replace(config, seed=spec.seeds[0])]
 
     def test_field_flags_have_no_parser_default(self):
         args = vars(build_parser().parse_args(["train"]))
@@ -353,7 +361,7 @@ class TestCompareCommand:
         cfg.write_text(
             self.SMALL_COMPARE + f"train.beta1=0.5\ntrain.beta2=0.99\ntrain.eps=1e-06\nout={out}\n"
         )
-        configs, _, _ = _compare_configs(read_fields(cfg))
+        configs, _ = _compare_configs(read_fields(cfg))
         assert [(c.beta1, c.beta2, c.eps) for c in configs] == [(0.5, 0.99, 1e-6)] * 2
         assert run(["compare", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -370,7 +378,7 @@ class TestCompareCommand:
             self.SMALL_COMPARE.replace("branch,nodeshuffle", "branch,proedgeshuffle")
             + "compare.index_modes=expand,feature_knn\n"
         )
-        configs, _, _ = _compare_configs(read_fields(cfg))
+        configs, _ = _compare_configs(read_fields(cfg))
         assert [(c.unit.kind, c.unit.index_mode, c.unit.k) for c in configs] == [
             ("branch", "expand", None),
             ("proedgeshuffle", "expand", 6),
@@ -436,6 +444,89 @@ class TestCompareCommand:
         assert run(["compare", "--config", cfg]) == 2
         assert "train.seeds lists seed 1 more than once" in capsys.readouterr().err
         assert trained == []
+
+    @pytest.mark.parametrize("text", ["1,2,", " 1, 2"])
+    def test_seed_items_are_stripped_and_empty_ones_dropped(self, text):
+        _, spec = _compare_configs({"compare.units": "branch", "train.seeds": text})
+        assert spec.seeds == (1, 2)
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [("1,-1", "train.seeds must be an integer >= 0, got -1"), ("", "train.seeds lists no seed")],
+    )
+    def test_bad_seed_exits_2_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, seeds, message):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE.replace("train.seeds=1\n", f"train.seeds={seeds}\n"))
+        assert run(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
+
+    def test_printed_config_is_a_compare_file_for_the_same_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "compare_units", lambda configs, seeds: calls.append((configs, seeds)) or 1 / 0)
+        cfg = tmp_path / "c.cfg"
+        text = self.SMALL_COMPARE.replace("train.seeds=1", "train.seeds=5, 2").replace("nodeshuffle", "proedgeshuffle,")
+        cfg.write_text(
+            text + "train.ratio=3\ntrain.lr=0.01\ncompare.index_modes=expand,feature_knn\n"
+            "compare.regression_modes=default,direct\nout=replaced.csv\n"
+        )
+        out = tmp_path / "cmp.csv"
+        with pytest.raises(ZeroDivisionError):
+            run(["compare", "--config", cfg, "--out", out])
+        lines = capsys.readouterr().out.splitlines()
+        block = [line.strip() for line in lines[lines.index("resolved config:") + 1:]]
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(f"{line}\n" for line in block if not line.startswith(("unit.", "compare.rows="))))
+        configs, spec = _compare_configs(read_fields(replay))
+        assert calls == [(configs, (5, 2))]
+        assert spec.seeds == (5, 2) and spec.out == str(out)
+
+    def test_readme_lists_every_accepted_key_with_its_default(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Accepted keys and their defaults:\n\n")[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            keys_cell, default_cell = row.strip("|").split("|")
+            keys = re.findall(r"`([^`]*)`", keys_cell)
+            # a required key has no default: CompareSpec() holds it empty
+            defaults = [""] if default_cell.strip().startswith("required") else re.findall(r"`([^`]*)`", default_cell)
+            documented.update(zip(keys, defaults[: len(keys)], strict=True))
+        train = spec_to_fields(pipeline.train_config({}, "branch", 4), "train")
+        assert documented == {
+            **spec_to_fields(pipeline.CompareSpec(), "compare"),
+            **{key: value for key, value in train.items() if not key.startswith("unit.") and key != "train.seed"},
+        }
+        with pytest.raises(ConfigError) as exc:
+            _compare_configs({"compare.units": "branch", "compare.unit": "branch"})
+        assert str(exc.value).split("accepted keys: ")[1].split(", ") == sorted(documented)
+
+    def test_library_and_cli_write_the_same_csv(self, tmp_path):
+        # the library route of demos/06_unit_comparison.py at a tiny budget
+        C, K = 16, 8
+        configs = [
+            TrainConfig(
+                unit=ExpansionSpec(kind=kind, ratio=4, channels=C, k=K),
+                backbone=BackboneSpec("edgeconv_stack", depth=2, width=C),
+                k=K,
+                steps=2,
+                lr=0.001,
+                shapes=("sphere", "box_surface"),
+                points=32,
+            )
+            for kind in UNIT_KINDS
+        ]
+        write_comparison_csv(tmp_path / "library.csv", pipeline.compare_units(configs, seeds=(1,)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"backbone.width={C}\ntrain.k={K}\ntrain.steps=2\ntrain.seeds=1\ndata.shapes=sphere,box_surface\n"
+            f"data.points=32\ncompare.units={','.join(UNIT_KINDS)}\n"
+        )
+        assert run(["compare", "--config", cfg, "--out", tmp_path / "cli.csv"]) == 0
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+        budget = "# budget: steps=2 points=32 ratio=4 backbone=edgeconv_stack/2x16 shapes=sphere,box_surface"
+        assert budget in (tmp_path / "cli.csv").read_text().splitlines()
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -518,6 +609,11 @@ class TestCheckCommands:
         assert run(["knncheck", "--clouds", 1, "--replay-dir", tmp_path]) == 1
         (line,) = [line for line in capsys.readouterr().out.splitlines() if "knn-suite-runtime" in line]
         assert re.fullmatch(r"FAIL knn-suite-runtime 1\d\d\.\d\ds", line), line
+
+    @pytest.mark.parametrize("command, seed", [("gradcheck", -1), ("knncheck", -3)])
+    def test_negative_seed_exits_2_and_names_it(self, tmp_path, capsys, command, seed):
+        assert run([command, "--seed", seed, "--replay-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: seed must be an integer >= 0, got {seed}\n"
 
     @pytest.mark.parametrize("clouds", [-5, 0])
     def test_knncheck_needs_a_cloud(self, tmp_path, capsys, clouds):

@@ -15,7 +15,7 @@ import pytest
 from puxp import autodiff as ad
 from puxp.errors import ConfigError, ShapeError
 from puxp.geometry import IndexMatrix, TriangleMesh, expand_index, knn_accelerated, knn_bruteforce, knn_features
-from puxp.pipeline import BackboneSpec, TrainConfig, UpsamplingModel, spec_from_fields, spec_to_fields
+from puxp.pipeline import BackboneSpec, CompareSpec, TrainConfig, UpsamplingModel, spec_from_fields, spec_to_fields
 from puxp.shapes import SyntheticShape, sample_pair
 from puxp.units import ExpansionSpec
 
@@ -35,6 +35,7 @@ ENTRY_POINTS = {
     "TrainConfig.batch_size": ("batch_size", 1, lambda v: TrainConfig(BRANCH, batch_size=v).batch_size),
     "TrainConfig.seed": ("seed", 0, lambda v: TrainConfig(BRANCH, seed=v).seed),
     "TrainConfig.data_seed": ("data_seed", 0, lambda v: TrainConfig(BRANCH, data_seed=v).data_seed),
+    "CompareSpec.seeds": ("train.seeds", 0, lambda v: CompareSpec(seeds=(v,)).seeds[0]),
     "UpsamplingModel.k": (
         "k", 1, lambda v: UpsamplingModel(BRANCH, BackboneSpec(width=4), v, np.random.default_rng(0)).k
     ),
