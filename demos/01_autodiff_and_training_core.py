@@ -1,4 +1,5 @@
-"""Tour of the tensor core: tape gradients, gradient checking, and Adam.
+"""Tour of the tensor core: one dense layer on the tape, gradient checking, the
+expansion ops, and Adam.
 
 Run: python demos/01_autodiff_and_training_core.py
 """
@@ -12,25 +13,28 @@ from puxp.optim import AdamState, adam_step
 
 rng = np.random.default_rng(7)
 
-# --- forward + backward through a tiny graph ------------------------------
-a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+# --- forward + backward through one shared-MLP layer ----------------------
+# ad.dense is a whole layer in one taped op: relu(x . w + b), applied to
+# every row with the same weights.
+x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+b = Tensor(rng.normal(size=2), requires_grad=True)
 with Tape() as tape:
-    loss = ad.sum_all(ad.relu(ad.matmul(a, b)))
+    loss = ad.sum_all(ad.dense(x, w, b, activate=True))
     tape.backward(loss)
-print("loss:", loss.item())
-print("grad shapes:", a.grad.shape, b.grad.shape)
+print("loss:", loss.item(), "from", len(tape), "taped ops")
+print("grad shapes:", x.grad.shape, w.grad.shape, b.grad.shape)
 
 # the tape gradient matches central finite differences (the house oracle)
 fd = finite_difference_gradient(
-    lambda x: ad.sum_all(ad.relu(ad.matmul(Tensor(x), Tensor(b.data)))).item(), a.data
+    lambda a: ad.sum_all(ad.dense(Tensor(a), Tensor(w.data), Tensor(b.data), activate=True)).item(), x.data
 )
-print("max |tape - finite difference|:", np.max(np.abs(a.grad - fd)))
+print("max |tape - finite difference|:", np.max(np.abs(x.grad - fd)))
 
 # --- the expansion-specific ops -------------------------------------------
-x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+row = Tensor([[1.0, 2.0, 3.0, 4.0]])
 print("\nshuffle_expand turns channel groups into rows:")
-print(x.data, "->", ad.shuffle_expand(x, 2).data.tolist())
+print(row.data, "->", ad.shuffle_expand(row, 2).data.tolist())
 
 # EdgeConv is one op: out[i] = relu(max_k [x_i, x_j - x_i] . w + b). With the
 # centre and edge weights both 1 the edge feature is x_j, so each row picks
@@ -49,7 +53,8 @@ for _ in range(200):
     store.zero_grads()
     w = store["w"].tensor
     with Tape() as tape:
-        loss = ad.sum_all(ad.matmul(ad.reshape(w, (1, 1)), ad.reshape(w, (1, 1))))
+        w2 = ad.reshape(w, (1, 1))
+        loss = ad.sum_all(ad.dense(w2, w2, Tensor([0.0]), activate=False))  # w . w with a zero bias
         curve.append(loss.item())
         tape.backward(loss)
     adam_step(store, state, lr=0.05)

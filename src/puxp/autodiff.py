@@ -181,26 +181,24 @@ def record_op(out, inputs, backward):
 # ops
 
 
-def matmul(a, b):
-    """Matrix product of a[M,K] and b[K,P]."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not align")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):  # skips the product for an input that needs no gradient
-        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
-
-    return record_op(out, (a, b), backward)
-
-
-def relu(x):
-    """Elementwise max(x, 0); gradient passes where x > 0."""
-    out = Tensor(np.maximum(x.data, 0.0))
+def dense(x, w, b, activate):
+    """One shared-MLP layer, act(x[M,C] . w[C,D] + b[D]) with act ReLU if
+    `activate`: one product, then the bias and ReLU in place. Its one rule
+    masks g by out > 0 and skips a product for an input that needs no gradient."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"dense: shapes {x.shape}, {w.shape} and {b.shape} do not align")
+    out = x.data @ w.data
+    out += b.data
+    if activate:
+        np.maximum(out, 0.0, out=out)
+    out = Tensor(out)
 
     def backward(g):
-        return (g * (x.data > 0.0),)
+        if activate:
+            g = g * (out.data > 0.0)
+        return (g @ w.data.T if x.requires_grad else None, x.data.T @ g if w.requires_grad else None, g.sum(axis=0))
 
-    return record_op(out, (x,), backward)
+    return record_op(out, (x, w, b), backward)
 
 
 def add(a, b):
@@ -213,18 +211,6 @@ def add(a, b):
         return g, g
 
     return record_op(out, (a, b), backward)
-
-
-def add_bias(x, bias):
-    """Add a length-C bias vector to every row of x[M,C]."""
-    if x.ndim != 2 or bias.ndim != 1 or x.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_bias: shapes {x.shape} and {bias.shape} do not align")
-    out = Tensor(x.data + bias.data[None, :])
-
-    def backward(g):
-        return g, g.sum(axis=0)
-
-    return record_op(out, (x, bias), backward)
 
 
 def scale(x, factor):
@@ -276,15 +262,15 @@ def edge_conv(x, idx, w, b, activate):
     the forward makes one product proj = x[::r] . w2 per call and keeps it
     (n x D) beside the output. It then runs in blocks of parent rows, one
     neighbour column at a time: a row gather of proj into a reused block
-    buffer and a running max. It never holds an M x K x D tensor, and each
-    block's centre term x[i] . (w1 - w2) + b is written straight into the
-    output. Under a tape it keeps, per parent row, the first k attaining
-    each max; the gradient flows to that neighbour only. The winner is the
-    running max of the codes j * [edge_j > best] over the columns, with no
-    masked scatter: j only grows, so the max code is the last column where
-    best strictly rose, and as a later column equal to best does not rise,
-    that column is the first k attaining the final max (0 if none rose). As each
-    value of best has one winner, the backward needs no per-neighbour loop:
+    buffer and a running max. It never holds an M x K x D tensor. The centre
+    term x . (w1 - w2) + b is one product per call too, made into the output
+    before the block loop. Under a tape it keeps, per parent row, the first
+    k attaining each max; the gradient flows to that neighbour only. The
+    winner is the running max of the codes j * [edge_j > best] over the
+    columns, with no masked scatter: j only grows, so the max code is the
+    last column where best strictly rose, and as a later column equal to
+    best does not rise, that column is the first k attaining the final max
+    (0 if none rose). As each value of best has one winner, the backward needs no per-neighbour loop:
     the children's gradients are summed per parent row, one bincount
     scatters them onto the winning rows (s), then four matmuls give
     gx = g . (w1 - w2)^T (+ s . w2^T on rows r*j), gw1 = x^T g and
@@ -309,7 +295,8 @@ def edge_conv(x, idx, w, b, activate):
     heads = x.data[::r]  # row r*j, the point every child row lists for neighbour j
     proj = heads @ w2  # x_j . w2 depends on j alone: one product, then row gathers
     taped = _taped((x, w, b))
-    out = np.empty((m, d))
+    out = x.data @ centre
+    out += b.data
     block = 512  # parent rows; a block's gathers stay in cache
     best_rows, edge_rows = np.empty((2, min(block, n), d))  # reused by every block
     if taped:
@@ -332,10 +319,7 @@ def edge_conv(x, idx, w, b, activate):
                 np.multiply(rise, j, out=code)
                 np.maximum(won, code, out=won)
             np.maximum(best, edge, out=best)
-        children = slice(rows.start * r, rows.stop * r)
-        np.matmul(x.data[children], centre, out=out[children])
-        out[children] += b.data
-        shared = out[children].reshape(-1, r, d)  # a view: child s of parent row i
+        shared = out[start * r : rows.stop * r].reshape(-1, r, d)  # a view: child s of parent row i
         shared += best[:, None, :]
     if activate:
         np.maximum(out, 0.0, out=out)

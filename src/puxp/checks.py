@@ -110,35 +110,33 @@ def check_gradient(name, build_loss, x):
 def _op_cases(seed):
     rng = np.random.default_rng(seed)
 
-    def case_matmul():
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        yield "matmul/left", lambda t: ad.sum_all(ad.matmul(t, Tensor(b))), a
-        yield "matmul/right", lambda t: ad.sum_all(ad.matmul(Tensor(a), t)), b
+    def product(a, b):  # a . b as one bias-free linear layer
+        return ad.dense(a, b, Tensor(np.zeros(b.shape[1])), False)
 
-    def case_relu():
-        # keep inputs away from the kink so finite differences are clean
-        x = rng.normal(size=(4, 3))
-        x[np.abs(x) < 1e-2] = 0.5
-        w = rng.normal(size=(3, 3))
-        yield "relu", lambda t: ad.sum_all(ad.matmul(ad.relu(t), Tensor(w))), x
+    def case_dense():
+        args = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        v = Tensor(rng.normal(size=(2, 1)))  # uneven upstream gradient per channel
+        for activate, tag in ((True, "relu"), (False, "linear")):
+            for name in args:
+                def loss(t, name=name, activate=activate):
+                    xt, wt, bt = (t if n == name else Tensor(a) for n, a in args.items())
+                    return ad.sum_all(product(ad.dense(xt, wt, bt, activate), v))
+
+                yield f"dense/{tag}/{name}", loss, args[name]
 
     def case_elementwise():
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
-        w = rng.normal(size=(4, 1))
-        yield "add", lambda t: ad.sum_all(ad.matmul(ad.add(t, Tensor(b)), Tensor(w))), a
+        w = Tensor(rng.normal(size=(4, 1)))
+        yield "add", lambda t: ad.sum_all(product(ad.add(t, Tensor(b)), w)), a
         yield "scale", lambda t: ad.sum_all(ad.scale(t, -1.7)), a
-        bias = rng.normal(size=4)
-        yield "add_bias/x", lambda t: ad.sum_all(ad.add_bias(t, Tensor(bias))), a
-        yield "add_bias/bias", lambda t: ad.sum_all(ad.add_bias(Tensor(a), t)), bias
 
     def case_concat():
         a = rng.normal(size=(4, 2))
         b = rng.normal(size=(4, 3))
-        w = rng.normal(size=(5, 2))
-        yield "concat_last/left", lambda t: ad.sum_all(ad.matmul(ad.concat_last(t, Tensor(b)), Tensor(w))), a
-        yield "concat_last/right", lambda t: ad.sum_all(ad.matmul(ad.concat_last(Tensor(a), t), Tensor(w))), b
+        w = Tensor(rng.normal(size=(5, 2)))
+        yield "concat_last/left", lambda t: ad.sum_all(product(ad.concat_last(t, Tensor(b)), w)), a
+        yield "concat_last/right", lambda t: ad.sum_all(product(ad.concat_last(Tensor(a), t), w)), b
 
     def case_edge_conv():
         base = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
@@ -155,15 +153,15 @@ def _op_cases(seed):
                 for name in args:
                     def loss(t, name=name, activate=activate, idx=idx, args=args, v=v, p=p):
                         xt, wt, bt = (t if n == name else Tensor(a) for n, a in args.items())
-                        return ad.sum_all(ad.matmul(p, ad.matmul(ad.edge_conv(xt, idx, wt, bt, activate), v)))
+                        return ad.sum_all(product(p, product(ad.edge_conv(xt, idx, wt, bt, activate), v)))
 
                     yield f"edge_conv/{graph}{tag}/{name}", loss, args[name]
 
     def case_shapes():
         x = rng.normal(size=(3, 4))
-        w = rng.normal(size=(2, 3))
-        yield "reshape", lambda t: ad.sum_all(ad.matmul(ad.reshape(t, (6, 2)), Tensor(w))), x
-        yield "shuffle_expand", lambda t: ad.sum_all(ad.matmul(ad.shuffle_expand(t, 2), Tensor(w))), x
+        w = Tensor(rng.normal(size=(2, 3)))
+        yield "reshape", lambda t: ad.sum_all(product(ad.reshape(t, (6, 2)), w)), x
+        yield "shuffle_expand", lambda t: ad.sum_all(product(ad.shuffle_expand(t, 2), w)), x
 
     def case_chamfer():
         from .losses import chamfer_loss
@@ -176,8 +174,7 @@ def _op_cases(seed):
         yield "sum_all", ad.sum_all, rng.normal(size=(3, 4))
 
     for group in (
-        case_matmul,
-        case_relu,
+        case_dense,
         case_elementwise,
         case_concat,
         case_shapes,

@@ -1,11 +1,12 @@
 """Command-line interface: train, upsample, eval, compare, gradcheck, knncheck.
 
-Exit codes: 0 success, 1 property/check failure, 2 usage, configuration or
-input-file error (a malformed text input is named as `path:line`), 3
-numerical failure (divergence, non-finite values). A compare config is
-`key=value` lines read by `dataio.read_fields`. Every command prints its
-fully resolved configuration, defaults and seed included, before doing any
-work, so a run is reproducible from its log alone.
+Exit codes: 0 success, 1 property/check failure, 2 usage, configuration,
+input-file or output-path error (a malformed text input is named as
+`path:line`; an unwritable output before any work), 3 numerical failure
+(divergence, non-finite values). A compare config is `key=value` lines read
+by `dataio.read_fields`. Every command prints its fully resolved
+configuration, defaults and seed included, before doing any work, so a run
+is reproducible from its log alone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def cmd_train(args):
     fields = {key: getattr(args, key) for key in TRAIN_FIELD_FLAGS.values() if getattr(args, key) is not None}
     cfg = pipeline.train_config(fields, args.unit, args.ratio, args.index_mode, args.regression_mode)
     loss_csv = args.loss_csv or args.out + ".loss.csv"
+    dataio.check_writable(args.out, "--out")
+    dataio.check_writable(loss_csv, "--loss-csv")
     _print_config({**spec_to_fields(cfg, "train"), "out": args.out, "loss_csv": loss_csv})
     result = pipeline.train(cfg)
     dataio.save_checkpoint(args.out, pipeline.model_to_checkpoint(result.model))
@@ -52,6 +55,7 @@ def cmd_train(args):
 
 
 def cmd_upsample(args):
+    dataio.check_writable(args.out, "--out")
     _print_config({"model": args.model, "input": args.input, "out": args.out})
     model = pipeline.model_from_checkpoint(dataio.load_checkpoint(args.model))
     cloud = dataio.read_xyz(args.input)
@@ -62,6 +66,8 @@ def cmd_upsample(args):
 
 
 def cmd_eval(args):
+    if args.csv:
+        dataio.check_writable(args.csv, "--csv")
     _print_config(
         {"pred": args.pred, "gt": args.gt, "mesh": args.mesh or "", "csv": args.csv or ""}
     )
@@ -114,6 +120,7 @@ def _compare_configs(pairs):
 def cmd_compare(args):
     configs, spec = _compare_configs(dataio.read_fields(args.config))
     spec.out = args.out or spec.out
+    dataio.check_writable(spec.out, "out")
     # a unit.* key that differs between rows is left out; compare.rows names each row's unit
     rows = [spec_to_fields(c, "train") for c in configs]
     resolved = {key: value for key, value in rows[0].items() if all(r[key] == value for r in rows)}

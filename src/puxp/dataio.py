@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .geometry import PointCloud, TriangleMesh
 
 CHECKPOINT_MAGIC = b"PUXP1"
@@ -290,6 +290,23 @@ def load_checkpoint(path):
     return Checkpoint(fields, params)
 
 
+def check_writable(path, key):
+    """Raise ConfigError naming `key` and `path` unless a file can be written
+    there. It writes nothing, so a command checks its outputs before its work."""
+    directory = os.path.dirname(path) or "."
+    if not path:
+        reason = "the path is empty"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"directory {directory!r} does not exist"
+    elif not os.access(directory, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"{key}: cannot write {path!r}: {reason}")
+
+
 # ---------------------------------------------------------------------------
 # CSV reports
 
@@ -324,12 +341,7 @@ def write_metric_csv(path, reports):
 
 def write_comparison_csv(path, table):
     """Comparison matrix CSV with the run budget and reference footnote."""
-    cfg = table.config
-    budget = (
-        f"# budget: steps={cfg.steps} points={cfg.points} ratio={cfg.unit.ratio} "
-        f"backbone={cfg.backbone.kind}/{cfg.backbone.depth}x{cfg.backbone.width} "
-        f"shapes={','.join(cfg.shapes)}"
-    )
+    budget = "# budget: " + " ".join(f"{key}={value}" for key, value in table.config.budget_key().items())
     rows = (
         (r.unit, r.index_mode, r.regression_mode, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.unit_params,
          r.backbone_params, r.seeds)

@@ -25,8 +25,10 @@ def glorot_uniform(rng, fan_in, fan_out):
 class SharedMLP:
     """Per-point affine stack: x[M, C_in] -> [M, C_out], identical for every row.
 
-    ReLU follows every layer except the last; set activate_output=True when
-    the stack feeds further feature processing rather than coordinates.
+    Each layer is one `autodiff.dense` call, product, bias and ReLU in one
+    taped op. ReLU follows every layer except the last; set
+    activate_output=True when the stack feeds further feature processing
+    rather than coordinates.
     """
 
     def __init__(self, store, name, widths, rng, activate_output=False):
@@ -48,13 +50,9 @@ class SharedMLP:
     def __call__(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ShapeError(f"{self.name}: expected (M, {self.in_width}) input, got {x.shape}")
-        h = x
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = ad.add_bias(ad.matmul(h, w.tensor), b.tensor)
-            if i < last or self.activate_output:
-                h = ad.relu(h)
-        return h
+        for i, (w, b) in enumerate(self.layers, 1):
+            x = ad.dense(x, w.tensor, b.tensor, self.activate_output or i < len(self.layers))
+        return x
 
 
 class EdgeConvLayer:

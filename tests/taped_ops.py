@@ -21,10 +21,8 @@ def taped_op_cases(seed=0):
         return rng.normal(size=(4, c))
 
     return {
-        "matmul": ([rows(), rng.normal(size=(3, 2))], lambda a, b: ad.matmul(a, b)),
-        "relu": ([rows()], lambda x: ad.relu(x)),
+        "dense": ([rows(), rng.normal(size=(3, 2)), rng.normal(size=2)], lambda x, w, b: ad.dense(x, w, b, True)),
         "add": ([rows(), rows()], lambda a, b: ad.add(a, b)),
-        "add_bias": ([rows(), rng.normal(size=3)], lambda x, bias: ad.add_bias(x, bias)),
         "scale": ([rows()], lambda x: ad.scale(x, -1.5)),
         "sum_all": ([rows()], lambda x: ad.sum_all(x)),
         "concat_last": ([rows(), rows(2)], lambda a, b: ad.concat_last(a, b)),

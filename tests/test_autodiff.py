@@ -15,6 +15,7 @@ from puxp.checks import _op_cases, check_gradient, finite_difference_gradient, r
 from puxp.errors import IndexRangeError, ShapeError
 from puxp.geometry import IndexMatrix, expand_index, knn_bruteforce
 
+from dense_reference import composed_dense, product, three_rule_dense_grads
 from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads, random_graph
 from taped_ops import taped_op_cases
 
@@ -51,41 +52,73 @@ class TestTensor:
         assert t.data.flags["C_CONTIGUOUS"]
 
 
-class TestMatmul:
+def weighted_sum(out, g):
+    """sum(g * out) as a 1 x 1 product, so the gradient reaching out is g exactly."""
+    return product(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1)))
+
+
+class TestDense:
     def test_identity(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor([[5.0, 6.0], [7.0, 8.0]]))
+        out = product(Tensor(np.eye(2)), Tensor([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.data, [[5.0, 6.0], [7.0, 8.0]])
 
-    def test_hand_product(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert np.array_equal(out.data, [[11.0]])
+    @pytest.mark.parametrize("activate, want", [(True, [[0.0, 3.0]]), (False, [[-9.0, 3.0]])])
+    def test_hand_layer(self, activate, want):
+        # [1, 2] . [[3, 1], [4, 1]] = [11, 3], plus the bias [-20, 0]
+        out = ad.dense(Tensor([[1.0, 2.0]]), Tensor([[3.0, 1.0], [4.0, 1.0]]), Tensor([-20.0, 0.0]), activate)
+        assert np.array_equal(out.data, want)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_size",
+        [((2, 3), (2, 3), 3), ((2, 3), (3, 4), 3), ((3,), (3, 4), 4), ((2, 3), (3, 4), 1)],
+    )
+    def test_shape_mismatch_names_every_shape(self, x_shape, w_shape, b_size):
+        with pytest.raises(ShapeError, match=rf"^dense: shapes \({x_shape[0]},.*\({w_shape[0]}, {w_shape[1]}\)"):
+            ad.dense(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_size)), True)
 
     def test_gradient_matches_finite_differences_seed7(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 4))
         b = Tensor(rng.normal(size=(4, 2)))
-        result = check_gradient("matmul", lambda t: ad.sum_all(ad.matmul(t, b)), a)
+        result = check_gradient("dense", lambda t: ad.sum_all(product(t, b)), a)
         assert result.ok, result.detail
 
+    def relu(self, x):
+        return ad.dense(x, Tensor(np.eye(x.shape[1])), Tensor(np.zeros(x.shape[1])), True)
 
-class TestRelu:
-    def test_forward(self):
-        out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+    def test_relu_forward(self):
+        out = self.relu(Tensor([[-1.0, 0.0, 2.0]]))
+        assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
-    def test_all_negative_is_all_zero(self):
-        out = ad.relu(Tensor([[-3.0, -0.5], [-1.0, -2.0]]))
+    def test_relu_all_negative_is_all_zero(self):
+        out = self.relu(Tensor([[-3.0, -0.5], [-1.0, -2.0]]))
         assert np.all(out.data == 0.0)
 
-    def test_gradient_matches_finite_differences(self):
-        x = np.array([-1.0, 2.0])
-        analytic = grad_of(lambda t: ad.sum_all(ad.relu(t)), x)
-        estimate = finite_difference_gradient(lambda a: ad.sum_all(ad.relu(Tensor(a))).item(), x)
+    def test_relu_gradient_matches_finite_differences(self):
+        x = np.array([[-1.0, 2.0]])
+        analytic = grad_of(lambda t: ad.sum_all(self.relu(t)), x)
+        estimate = finite_difference_gradient(lambda a: ad.sum_all(self.relu(Tensor(a))).item(), x)
+        assert np.array_equal(analytic, [[0.0, 1.0]])
         assert np.allclose(analytic, estimate, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("frozen", [None, 0, 1, 2])
+    @pytest.mark.parametrize("activate", [True, False])
+    def test_matches_three_rule_reference_bit_for_bit(self, activate, frozen):
+        rng = np.random.default_rng(50 + (frozen or 0))
+        x, w, b = rng.normal(size=(40, 5)), rng.normal(size=(5, 7)), rng.normal(size=7)
+        x[3], b[2] = 0.0, 0.0  # pre-activations of exactly zero: ReLU passes no gradient there
+        g = rng.normal(size=(40, 7)) * rng.uniform(0.1, 10.0, size=7)  # uneven per channel, half negative
+        inputs = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate((x, w, b))]
+        with Tape() as tape:
+            out = ad.dense(*inputs, activate)
+            tape.backward(weighted_sum(out, g))
+        assert out.data.tobytes() == composed_dense(x, w, b, activate).tobytes()
+        assert out.data.tobytes() == ad.dense(Tensor(x), Tensor(w), Tensor(b), activate).data.tobytes()
+        for i, (t, want) in enumerate(zip(inputs, three_rule_dense_grads(x, w, b, activate, g))):
+            if i == frozen:
+                assert t.grad is None
+            else:
+                assert t.grad.tobytes() == want.tobytes(), i
 
 
 class TestConcatLast:
@@ -144,8 +177,7 @@ class TestEdgeConv:
         w.requires_grad = b.requires_grad = True
         with Tape() as tape:
             out = ad.edge_conv(xt, idx, w, b, activate)
-            # sum(g * out) as a 1 x 1 product, so the gradient reaching out is g exactly
-            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+            tape.backward(weighted_sum(out, g))
         reference = per_neighbour_edge_conv_grads(xt, idx, w, b, activate, g)
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -165,7 +197,7 @@ class TestEdgeConv:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = ad.edge_conv(xt, idx, w, b, activate)
-            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+            tape.backward(weighted_sum(out, g))
         entries = idx.entries
         assert out.data.tobytes() == ad.edge_conv(Tensor(x), entries, w, b, activate).data.tobytes()
         reference = per_neighbour_edge_conv_grads(xt, entries, w, b, activate, g)
@@ -187,7 +219,7 @@ class TestEdgeConv:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = ad.edge_conv(xt, idx, w, b, activate)
-            tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+            tape.backward(weighted_sum(out, g))
         assert out.data.tobytes() == ad.edge_conv(Tensor(x), idx, w, b, activate).data.tobytes()
         reference = per_neighbour_edge_conv_grads(xt, idx.entries, w, b, activate, g)
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
@@ -263,7 +295,7 @@ class TestEdgeConv:
             b = Tensor(b0.data, requires_grad=True)
             with Tape() as tape:
                 out = ad.edge_conv(xt, table, w, b, True)
-                tape.backward(ad.matmul(ad.reshape(out, (1, g.size)), Tensor(g.reshape(-1, 1))))
+                tape.backward(weighted_sum(out, g))
             results[name] = [a.tobytes() for a in (out.data, xt.grad, w.grad, b.grad)]
         first = results.pop("IndexMatrix int64")
         for name, got in results.items():
@@ -395,7 +427,7 @@ class TestShuffleExpand:
 class TestTape:
     def test_no_tape_means_no_grad_tracking(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        out = ad.relu(x)
+        out = ad.dense(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), True)
         assert not out.requires_grad
 
     def test_grad_accumulates_across_uses(self):
@@ -407,15 +439,15 @@ class TestTape:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
-            out = ad.relu(x)
+            out = ad.dense(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), True)
             with pytest.raises(ShapeError):
                 tape.backward(out)
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
-        one = ad.matmul(Tensor(a), Tensor(b)).data
-        two = ad.matmul(Tensor(a), Tensor(b)).data
+        one = product(Tensor(a), Tensor(b)).data
+        two = product(Tensor(a), Tensor(b)).data
         assert np.array_equal(one, two)
 
 
@@ -492,7 +524,7 @@ def _called_ops(tree, bare):
 
 def test_every_op_has_a_caller_and_a_gradcheck_case():
     ops = _public_ops()
-    assert {"matmul", "edge_conv", "reshape", "sum_all"} <= set(ops)
+    assert {"dense", "edge_conv", "reshape", "sum_all"} <= set(ops)
     called = set()
     for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
         called |= _called_ops(ast.parse(path.read_text(encoding="utf-8")), bare=path.name == "autodiff.py")

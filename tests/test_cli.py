@@ -96,6 +96,18 @@ class TestTrainCommand:
         assert trained == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--loss-csv"])
+    def test_unwritable_output_exits_2_before_training(self, tmp_path, capsys, monkeypatch, flag):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        missing = tmp_path / "missing"
+        outputs = {"--out": tmp_path / "m.puxp", "--loss-csv": tmp_path / "l.csv", flag: missing / "x"}
+        assert run(TRAIN_FLAGS + [a for pair in outputs.items() for a in pair]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: cannot write {str(missing / 'x')!r}: directory {str(missing)!r} does not exist\n"
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
+
     # flag, its compare-file key, a value that differs from the default
     FIELD_FLAGS = [
         ("--backbone", "backbone.kind", "mlp_stack"), ("--depth", "backbone.depth", "3"),
@@ -177,6 +189,12 @@ class TestUpsampleCommand:
         cloud = read_xyz(out)
         assert cloud.count == 160
 
+    def test_unwritable_out_exits_2_before_reading_anything(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.xyz"
+        assert run(["upsample", "--model", tmp_path / "no.puxp", "--input", tmp_path / "no.xyz", "--out", out]) == 2
+        want = f"error: --out: cannot write {str(out)!r}: directory {str(out.parent)!r} does not exist\n"
+        assert capsys.readouterr().err == want
+
     def test_empty_input_exits_2(self, tmp_path, checkpoint):
         inp = tmp_path / "in.xyz"
         inp.write_text("# nothing here\n")
@@ -236,6 +254,10 @@ class TestUpsampleCommand:
 
 
 class TestEvalCommand:
+    def test_unwritable_csv_exits_2_before_reading_anything(self, tmp_path, capsys):
+        assert run(["eval", "--pred", tmp_path / "p.xyz", "--gt", tmp_path / "g.xyz", "--csv", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: --csv: cannot write {str(tmp_path)!r}: it is a directory\n"
+
     def test_identical_clouds_give_zero(self, tmp_path, capsys):
         a = tmp_path / "a.xyz"
         write_cloud(a, 24)
@@ -525,8 +547,46 @@ class TestCompareCommand:
         )
         assert run(["compare", "--config", cfg, "--out", tmp_path / "cli.csv"]) == 0
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
-        budget = "# budget: steps=2 points=32 ratio=4 backbone=edgeconv_stack/2x16 shapes=sphere,box_surface"
+        budget = (
+            "# budget: unit.ratio=4 backbone.kind=edgeconv_stack backbone.depth=2 backbone.width=16 train.k=8 "
+            "train.steps=2 train.lr=0.001 train.beta1=0.9 train.beta2=0.999 train.eps=1e-08 train.batch_size=1 "
+            "data.shapes=sphere,box_surface data.points=32 data.seed=100"
+        )
         assert budget in (tmp_path / "cli.csv").read_text().splitlines()
+
+    def test_budget_line_tells_learning_rates_apart(self, tmp_path):
+        lines = []
+        for lr in ("0.001", "0.01"):
+            cfg, out = tmp_path / "c.cfg", tmp_path / f"{lr}.csv"
+            cfg.write_text(self.SMALL_COMPARE.replace("branch,nodeshuffle", "nodeshuffle") + f"train.lr={lr}\n")
+            assert run(["compare", "--config", cfg, "--out", out]) == 0
+            (budget,) = [line for line in out.read_text().splitlines() if line.startswith("# budget: ")]
+            lines.append(budget)
+        assert "train.lr=0.001 " in lines[0]
+        assert lines[0].replace("train.lr=0.001 ", "train.lr=0.01 ") == lines[1]
+
+    @pytest.mark.parametrize(
+        "config_out, flag_out, reason",
+        [
+            ("{tmp}/missing/cmp.csv", None, "directory '{tmp}/missing' does not exist"),
+            ("", None, "the path is empty"),
+            (None, "{tmp}/missing/cmp.csv", "directory '{tmp}/missing' does not exist"),
+            (None, "{tmp}", "it is a directory"),
+        ],
+        ids=["config-missing-directory", "config-empty", "flag-missing-directory", "flag-directory"],
+    )
+    def test_unwritable_out_exits_2_before_any_cell_trains(
+        self, tmp_path, capsys, monkeypatch, config_out, flag_out, reason
+    ):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE + ("" if config_out is None else f"out={config_out.format(tmp=tmp_path)}\n"))
+        flags = [] if flag_out is None else ["--out", flag_out.format(tmp=tmp_path)]
+        assert run(["compare", "--config", cfg, *flags]) == 2
+        path = (config_out if flag_out is None else flag_out).format(tmp=tmp_path)
+        assert capsys.readouterr().err == f"error: out: cannot write {path!r}: {reason.format(tmp=tmp_path)}\n"
+        assert trained == []
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -557,8 +617,8 @@ def result_lines(out):
 
 class TestCheckCommands:
     GRADCHECK_NAMES = [
-        "op/matmul/left", "op/matmul/right", "op/relu", "op/add", "op/scale", "op/add_bias/x",
-        "op/add_bias/bias", "op/concat_last/left", "op/concat_last/right", "op/reshape", "op/shuffle_expand",
+        "op/dense/relu/x", "op/dense/relu/w", "op/dense/relu/b", "op/dense/linear/x", "op/dense/linear/w",
+        "op/dense/linear/b", "op/add", "op/scale", "op/concat_last/left", "op/concat_last/right", "op/reshape", "op/shuffle_expand",
         "op/chamfer_loss", "op/edge_conv/relu/x", "op/edge_conv/relu/w", "op/edge_conv/relu/b",
         "op/edge_conv/linear/x", "op/edge_conv/linear/w", "op/edge_conv/linear/b",
         "op/edge_conv/expanded/relu/x", "op/edge_conv/expanded/relu/w", "op/edge_conv/expanded/relu/b",

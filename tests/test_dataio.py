@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from puxp.dataio import (
     CHECKPOINT_MAGIC,
     Checkpoint,
+    check_writable,
     load_checkpoint,
     read_fields,
     read_off,
@@ -19,7 +20,7 @@ from puxp.dataio import (
     write_metric_csv,
     write_xyz,
 )
-from puxp.errors import FormatError
+from puxp.errors import ConfigError, FormatError
 from puxp.geometry import PointCloud
 from puxp.metrics import MetricReport
 
@@ -426,6 +427,26 @@ class TestCheckpoint:
         assert [name for name, _ in back.params] == [name for name, _ in ckpt.params]
         for (_, want), (_, got) in zip(ckpt.params, back.params):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestCheckWritable:
+    def test_writable_paths_pass_and_nothing_is_written(self, tmp_path):
+        (tmp_path / "old.csv").write_text("kept\n")
+        check_writable(str(tmp_path / "new.csv"), "out")
+        check_writable(str(tmp_path / "old.csv"), "out")
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_permission_denied_names_key_and_path(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "r.csv"
+        if existing:
+            path.write_text("")
+        denied = str(path) if existing else str(tmp_path)
+        monkeypatch.setattr("os.access", lambda p, mode: str(p) != denied)
+        with pytest.raises(ConfigError) as exc:
+            check_writable(str(path), "--csv")
+        assert str(exc.value) == f"--csv: cannot write {str(path)!r}: permission denied"
 
 
 class TestCsv:

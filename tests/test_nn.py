@@ -10,6 +10,7 @@ from puxp.errors import ShapeError
 from puxp.geometry import IndexMatrix, expand_index
 from puxp.nn import EdgeConvLayer, SharedMLP, duplicate_with_code, glorot_uniform
 
+from dense_reference import product
 from edgeconv_reference import random_graph
 
 
@@ -251,7 +252,7 @@ class TestDuplicateWithCode:
         p, v = rng.normal(size=(1, 14)), rng.normal(size=(4, 1))
         with Tape() as tape:
             out = duplicate_with_code(x)
-            tape.backward(ad.sum_all(ad.matmul(ad.matmul(Tensor(p), out), Tensor(v))))
+            tape.backward(ad.sum_all(product(product(Tensor(p), out), Tensor(v))))
         codes = np.tile([[1.0], [-1.0]], (7, 1))
         assert np.array_equal(out.data, np.hstack([np.repeat(x.data, 2, axis=0), codes]))
         want = np.zeros((7, 3))
@@ -267,7 +268,7 @@ class TestDuplicateWithCode:
         p, v = rng.normal(size=(1, 4 * copies)), rng.normal(size=(4, 1))
         with Tape() as tape:
             out = duplicate_with_code(x, copies)
-            tape.backward(ad.sum_all(ad.matmul(ad.matmul(Tensor(p), out), Tensor(v))))
+            tape.backward(ad.sum_all(product(product(Tensor(p), out), Tensor(v))))
         codes = np.tile(np.linspace(1.0, -1.0, copies)[:, None], (4, 1))
         assert np.array_equal(out.data, np.hstack([np.repeat(x.data, copies, axis=0), codes]))
         want = (p.T @ v.T)[:, :3].reshape(4, copies, 3).sum(axis=1)

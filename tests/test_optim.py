@@ -6,6 +6,8 @@ from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.errors import GradientError, ShapeError
 from puxp.optim import AdamState, adam_step
 
+from dense_reference import product
+
 
 def make_store(value):
     store = ParameterStore()
@@ -47,7 +49,8 @@ def test_quadratic_bowl_loss_strictly_decreases():
         store.zero_grads()
         w = store["w"].tensor
         with Tape() as tape:
-            loss = ad.sum_all(ad.matmul(ad.reshape(w, (1, 1)), ad.reshape(w, (1, 1))))
+            w2 = ad.reshape(w, (1, 1))
+            loss = ad.sum_all(product(w2, w2))
             losses.append(loss.item())
             tape.backward(loss)
         adam_step(store, state, lr=0.01)
