@@ -20,6 +20,7 @@ fixed input always produces a bitwise-identical output.
 from __future__ import annotations
 
 import functools
+import typing
 
 import numpy as np
 
@@ -59,46 +60,54 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
-    """Named trainable tensor; the name keys optimizer state and checkpoints."""
+class Parameter(typing.NamedTuple):
+    """A named trainable tensor: the name keys checkpoints and error messages."""
 
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name, value):
-        self.name = str(name)
-        self.tensor = value if isinstance(value, Tensor) else Tensor(value)
-        self.tensor.requires_grad = True
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+    name: str
+    tensor: Tensor
+    data = property(lambda self: self.tensor.data)
+    grad = property(lambda self: self.tensor.grad)
 
 
 class ParameterStore:
-    """Insertion-ordered collection of uniquely named parameters."""
+    """Uniquely named parameters laid end to end, in insertion order, in one
+    float64 `values` and one `grads` buffer; a parameter's `tensor.data` and
+    `tensor.grad` are reshaped views of its slice offsets[i]:offsets[i + 1].
+    The first read of `values`, `grads` or `offsets` lays them out in one pass,
+    copying in the values and any gradients already taped; `add` drops the
+    layout, so the next read remakes it with every value and gradient kept.
+    The tape adds into the grad views: write into `grad`, never reassign it."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._layout = None  # (values, grads, offsets) once laid out
 
     def add(self, name, value):
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        param = Parameter(name, value)
-        self._params[name] = param
+        param = self._params[name] = Parameter(str(name), Tensor(value, requires_grad=True))
+        self._layout = None
         return param
+
+    def _laid_out(self):
+        if self._layout is None:
+            tensors = [p.tensor for p in self._params.values()]
+            offsets = np.cumsum([0] + [t.data.size for t in tensors])
+            values, grads = np.empty(offsets[-1]), np.zeros(offsets[-1])
+            for t, lo, hi in zip(tensors, offsets, offsets[1:]):
+                values[lo:hi] = t.data.reshape(-1)
+                if t.grad is not None:
+                    grads[lo:hi] = t.grad.reshape(-1)
+                t.data, t.grad = values[lo:hi].reshape(t.shape), grads[lo:hi].reshape(t.shape)
+            self._layout = values, grads, offsets
+        return self._layout
+
+    values = property(lambda self: self._laid_out()[0])
+    grads = property(lambda self: self._laid_out()[1])
+    offsets = property(lambda self: self._laid_out()[2])
 
     def __iter__(self):
         return iter(self._params.values())
-
-    def __len__(self):
-        return len(self._params)
 
     def __getitem__(self, name):
         return self._params[name]
@@ -107,11 +116,10 @@ class ParameterStore:
         return list(self._params)
 
     def zero_grads(self):
-        for p in self._params.values():
-            p.tensor.grad = None
+        self.grads.fill(0.0)
 
     def value_count(self):
-        return sum(p.data.size for p in self._params.values())
+        return self.values.size
 
 
 _TAPES: list["Tape"] = []

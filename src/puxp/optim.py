@@ -1,4 +1,6 @@
-"""Adam with bias correction over a ParameterStore."""
+"""Adam with bias correction over a ParameterStore: flat moments laid out like
+its `values` and `grads`, so a step is one vectorised update. The tape adds into
+the grad views, so write into `p.grad[...]`; a reassigned `tensor.grad` is refused."""
 
 from __future__ import annotations
 
@@ -8,44 +10,33 @@ from .errors import GradientError, ShapeError
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Flat first/second moments, the step counter and the names they were made for."""
 
     def __init__(self, store):
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in store}
-        self.v = {p.name: np.zeros_like(p.data) for p in store}
+        self.names = store.names()
+        self.m, self.v = np.zeros((2, store.values.size))
 
 
 def adam_step(store, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Apply one Adam update in place; missing gradients count as zero.
-
-    The step aborts (no parameter touched) if any gradient is non-finite,
-    naming the offending parameter.
-    """
-    grads = {}
+    """Apply one Adam update in place. It touches no parameter if the state was made
+    for another layout, or if a parameter no longer aliases the buffers or has a
+    non-finite gradient; the last two name the parameter."""
+    values, grads, offsets = store.values, store.grads, store.offsets
+    if state.names != store.names() or state.m.shape != values.shape:
+        raise ShapeError(f"optimizer state for {len(state.names)} parameters does not match the store")
     for p in store:
-        g = p.tensor.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter {p.name} shape {p.data.shape}")
-        if p.name not in state.m or state.m[p.name].shape != p.data.shape:
-            raise ShapeError(f"optimizer state does not match parameter {p.name!r}")
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient for parameter {p.name!r}")
-        grads[p.name] = g
+        if p.data.base is not values or getattr(p.grad, "base", None) is not grads:
+            raise ShapeError(f"parameter {p.name!r} no longer aliases the store: write into grad, never reassign it")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        bad = state.names[np.searchsorted(offsets, np.argmin(finite), side="right") - 1]
+        raise GradientError(f"non-finite gradient for parameter {bad!r}")
 
     state.t += 1
-    t = state.t
-    for p in store:
-        g = grads[p.name]
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grads
+    state.v *= beta2
+    state.v += (1.0 - beta2) * grads * grads
+    values -= lr * (state.m / (1.0 - beta1**state.t)) / (np.sqrt(state.v / (1.0 - beta2**state.t)) + eps)
     return state

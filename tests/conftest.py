@@ -1,9 +1,10 @@
 """The first lines of every test run name the BLAS kernel numpy runs on.
 
-Two byte pins run through matmul, so they hold only under the OpenBLAS kernel
+Two byte pins run through matmul, so their bytes belong to the OpenBLAS kernel
 they were recorded under, SkylakeX: test_upsample_output_bytes_are_pinned and
-TestPowerOfTwoPin. One of them failing on another CPU is explained by the header.
-"""
+TestPowerOfTwoPin. Each makes its digest in a child process under that kernel
+(blas_kernels.run_under_recorded_kernel), so both hold whatever kernel runs the
+suite, on a CPU with the AVX-512 that SkylakeX needs."""
 
 import ctypes
 import glob

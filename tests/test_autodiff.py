@@ -17,6 +17,7 @@ from puxp.geometry import IndexMatrix, expand_index, knn_bruteforce
 
 from dense_reference import composed_dense, product, three_rule_dense_grads
 from edgeconv_reference import composed_edge_conv, per_neighbour_edge_conv_grads, random_graph
+from store_layout import assert_laid_out
 from taped_ops import taped_op_cases
 
 
@@ -469,6 +470,49 @@ class TestParameterStore:
         store.add("w", np.zeros((3, 4)))
         store.add("b", np.zeros(4))
         assert store.value_count() == 16
+
+    def test_layout_is_insertion_order_and_copies_values(self):
+        store = ParameterStore()
+        store.add("w", np.arange(6.0).reshape(2, 3))
+        store.add("b", np.array([7.0, 8.0]))
+        assert_laid_out(store)
+        assert np.array_equal(store.values, [0, 1, 2, 3, 4, 5, 7, 8])
+        assert np.array_equal(store.offsets, [0, 6, 8])
+        store.values[6] = -1.0  # a write through the buffer is a write to the parameter
+        assert store["b"].data[0] == -1.0
+
+    def test_layout_copies_gradients_taped_before_it(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([[2.0], [3.0]]))
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.dense(Tensor([[1.0, 5.0]]), w.tensor, Tensor([0.0]), False)))
+        taped = w.grad.copy()
+        assert_laid_out(store)
+        assert np.array_equal(w.grad, taped) and np.array_equal(store.grads, [1.0, 5.0])
+
+    def test_tape_accumulates_into_the_grad_views(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([[2.0], [3.0]]))
+        store.zero_grads()
+        for _ in range(2):
+            with Tape() as tape:
+                tape.backward(ad.sum_all(ad.dense(Tensor([[1.0, 5.0]]), w.tensor, Tensor([0.0]), False)))
+        assert_laid_out(store)
+        assert np.array_equal(store.grads, [2.0, 10.0])
+        store.zero_grads()
+        assert not store.grads.any() and not w.grad.any()
+
+    def test_add_after_layout_keeps_values_and_grads(self):
+        store = ParameterStore()
+        store.add("w", np.array([1.0, 2.0]))
+        store.zero_grads()  # lays the buffers out
+        store["w"].grad[...] = [3.0, 4.0]
+        before = store.values
+        store.add("b", np.array([5.0]))
+        assert_laid_out(store)
+        assert store.values is not before
+        assert np.array_equal(store.values, [1.0, 2.0, 5.0])
+        assert np.array_equal(store.grads, [3.0, 4.0, 0.0])
 
 
 def test_full_op_gradient_suite_passes():

@@ -1,7 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -26,6 +22,8 @@ from puxp.geometry import (
     squared_distances_to_triangle,
 )
 from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
+
+from blas_kernels import run_under_other_kernels
 
 
 def rotation_matrix(axis, angle):
@@ -983,28 +981,6 @@ def per_face_batches(pts, mesh):
     for f in range(mesh.face_count):
         np.minimum(best, squared_distances_to_triangle(pts, mesh.triangle(f)), out=best)
     return best
-
-
-def run_under_other_kernels(script, *args):
-    """{kernel: stdout} of `python -c script *args` with this checkout's puxp, under
-    OpenBLAS Haswell, and under Sandybridge with numpy's own SIMD capped at its baseline."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    beyond_baseline = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
-    kernels = {
-        "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
-        "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge", "NPY_DISABLE_CPU_FEATURES": beyond_baseline},
-    }
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    out = {}
-    for name, kernel in kernels.items():
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, args)],
-            env={**os.environ, "PYTHONPATH": src, **kernel}, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out[name] = proc.stdout
-    return out
 
 
 class TestPrunedMeshDistance:

@@ -30,7 +30,9 @@ from puxp.geometry import PointCloud
 from puxp.shapes import SyntheticShape, sample_pair, surface_sample
 from puxp.units import REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
+from blas_kernels import run_under_recorded_kernel
 from edgeconv_reference import composed_edge_conv
+from store_layout import assert_laid_out
 
 SMALL = dict(k=6, points=32, shapes=("sphere",), data_seed=100)
 
@@ -175,17 +177,23 @@ class TestBoundedMemory:
         per_row = (large - small) / (4 * 4096 - 4 * 1024)
         assert per_row <= 620, (large, small, per_row)
 
+    @classmethod
+    def upsample_digest(cls):
+        model = model_from_checkpoint(load_checkpoint(cls.CHECKPOINT))
+        cloud, _, _ = sample_pair(SyntheticShape("torus"), 4096, 4, 3)
+        out = model.upsample(cloud).points
+        assert out.shape == (16384, 3) and out.dtype == np.float64
+        return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
     def test_upsample_output_bytes_are_pinned(self):
         """sha256 of the x4 upsample of a 4,096-point torus, recorded before
         the forward stopped holding finished activations: freeing them early
         moves no output bit."""
         # The output runs through matmul, so its bytes belong to the BLAS kernel they were
-        # recorded under, OpenBLAS SkylakeX: the pin holds under Haswell and fails under Sandybridge.
-        model = model_from_checkpoint(load_checkpoint(self.CHECKPOINT))
-        cloud, _, _ = sample_pair(SyntheticShape("torus"), 4096, 4, 3)
-        out = model.upsample(cloud).points
-        assert out.shape == (16384, 3) and out.dtype == np.float64
-        digest = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        # recorded under, OpenBLAS SkylakeX: the digest is made in a child process under that
+        # kernel, so the pin holds whatever kernel runs the suite.
+        script = "from test_pipeline import TestBoundedMemory\nprint(TestBoundedMemory.upsample_digest())"
+        digest = run_under_recorded_kernel(script).strip()
         assert digest == "668f434f5b5ecad44a3386f2c2168117b041485aca84dbf66651a3b4850c830b"
 
 
@@ -247,6 +255,34 @@ class TestTrain:
         cfg = small_config(kind="nodeshuffle", steps=60, lr=0.01)
         result = train(cfg, make_dataset(cfg))
         assert result.losses[-1] < 0.3 * result.losses[0]
+
+
+class TestFlatParameters:
+    """Every parameter of a model is a view of the store's flat buffers, in stage order."""
+
+    CHECKPOINT = TestBoundedMemory.CHECKPOINT
+
+    def test_built_model_lays_out_without_moving_its_output(self):
+        cfg = small_config(kind="branch")
+        cloud = make_dataset(cfg)[0].cloud
+        model = build_model(cfg)
+        before = model.upsample(cloud).points
+        assert_laid_out(model.store)
+        stages = [p.name.split(".", 1)[0] for p in model.store]
+        assert stages == sorted(stages, key=["backbone", "unit", "regress"].index)
+        assert model.upsample(cloud).points.tobytes() == before.tobytes()
+
+    def test_checkpoint_model_lays_out_the_stored_values(self):
+        ckpt = load_checkpoint(self.CHECKPOINT)
+        model = model_from_checkpoint(ckpt)
+        assert_laid_out(model.store)
+        stored = np.concatenate([values.reshape(-1) for _, values in ckpt.params])
+        assert np.array_equal(model.store.values, stored.astype(np.float64))
+
+    def test_train_step_leaves_every_view_on_the_buffers(self):
+        model = train(small_config(steps=1)).model
+        assert_laid_out(model.store)
+        assert model.store.grads.any()
 
 
 class TestEvaluate:

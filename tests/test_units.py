@@ -24,6 +24,8 @@ from puxp.units import (
     run_index_mode,
 )
 
+from blas_kernels import run_under_recorded_kernel
+
 
 def make_context(n=6, c=4, k=3, seed=0, nonneg=False):
     rng = np.random.default_rng(seed)
@@ -136,11 +138,12 @@ class TestPowerOfTwoPin:
     # output of every unit (proedgeshuffle in both index modes) at r = 1..16,
     # recorded before the units grew one round per prime factor of r. The
     # outputs run through matmul, so the bytes belong to the BLAS kernel they
-    # were recorded under, OpenBLAS SkylakeX: the pin holds under Haswell and
-    # fails under Sandybridge.
+    # were recorded under, OpenBLAS SkylakeX: the digest is made in a child
+    # process under that kernel, so the pin holds whatever kernel runs the suite.
     DIGEST = "d00d9ad74ec3f844090357a522d91a925d82c92a17f8a02b1e61fa079b7e6e58"
 
-    def test_units_at_powers_of_two_are_byte_identical(self):
+    @staticmethod
+    def digest():
         digest = hashlib.sha256()
         ctx, _ = make_context(n=6, c=4, k=3)
         for kind in UNIT_KINDS:
@@ -154,7 +157,11 @@ class TestPowerOfTwoPin:
                     digest.update(out.features.data.tobytes())
                     if out.index is not None:
                         digest.update(np.ascontiguousarray(out.index.entries).tobytes())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_units_at_powers_of_two_are_byte_identical(self):
+        script = "from test_units import TestPowerOfTwoPin\nprint(TestPowerOfTwoPin.digest())"
+        assert run_under_recorded_kernel(script).strip() == self.DIGEST
 
 
 class TestUniversalShapeLaw:
