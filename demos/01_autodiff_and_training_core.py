@@ -9,6 +9,7 @@ import numpy as np
 from puxp import autodiff as ad
 from puxp.autodiff import ParameterStore, Tape, Tensor
 from puxp.checks import finite_difference_gradient
+from puxp.geometry import IndexMatrix
 from puxp.optim import AdamState, adam_step
 
 rng = np.random.default_rng(7)
@@ -40,9 +41,9 @@ print(row.data, "->", ad.shuffle_expand(row, 2).data.tolist())
 # centre and edge weights both 1 the edge feature is x_j, so each row picks
 # the largest value among its neighbours.
 pts = Tensor([[0.0], [1.0], [3.0]])
-nbrs = np.array([[1, 2], [0, 2], [0, 1]])
+nbrs = IndexMatrix([[1, 2], [0, 2], [0, 1]])
 out = ad.edge_conv(pts, nbrs, Tensor([[1.0], [1.0]]), Tensor([0.0]), activate=True)
-print("edge_conv of", pts.data.ravel().tolist(), "over neighbours", nbrs.tolist(), "->", out.data.ravel().tolist())
+print("edge_conv of", pts.data.ravel().tolist(), "over neighbours", nbrs.entries.tolist(), "->", out.data.ravel().tolist())
 
 # --- Adam on a quadratic bowl ----------------------------------------------
 store = ParameterStore()

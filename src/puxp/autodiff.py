@@ -24,8 +24,8 @@ import typing
 
 import numpy as np
 
-from .errors import IndexRangeError, ShapeError, integer
-from .geometry import IndexMatrix, integer_table
+from .errors import ShapeError, integer
+from .geometry import IndexMatrix
 
 
 class Tensor:
@@ -263,7 +263,8 @@ def edge_conv(x, idx, w, b, activate):
     = x_i . (w1 - w2) + x_j . w2, and ReLU is monotone, so out[i] =
     act(x[i] . (w1 - w2) + b + max_k x[j_k] . w2).
 
-    idx is an IndexMatrix or a raw integer table (ratio 1). An expanded
+    idx is an IndexMatrix, checked once when made and read-only, so no
+    forward checks its entries; any other table raises ShapeError. An expanded
     table of ratio r lists r * parent[i] on each child row r*i + s, so the r
     children of a point share one neighbour max: best[i] = max_k x[r p_k] .
     w2 over the parent row p = parent[i]. As x_j . w2 depends on j alone,
@@ -284,17 +285,15 @@ def edge_conv(x, idx, w, b, activate):
     gx = g . (w1 - w2)^T (+ s . w2^T on rows r*j), gw1 = x^T g and
     gw2 = x[::r]^T s - gw1.
     """
-    trusted = isinstance(idx, IndexMatrix)  # checked once and read-only: no range check per forward
-    parent, r = (idx.parent, idx.ratio) if trusted else (integer_table(idx, "edge_conv: index"), 1)
+    if not isinstance(idx, IndexMatrix):
+        raise ShapeError(f"edge_conv: index must be an IndexMatrix, got {type(idx).__name__}")
+    parent, r = idx.parent, idx.ratio
     if x.ndim != 2:
         raise ShapeError(f"edge_conv: need a rank-2 source, got shape {x.shape}")
     m, c = x.shape
-    if parent.ndim != 2 or parent.shape[0] * r != m or parent.shape[1] < 1:
+    if idx.rows != m:
         raise ShapeError(f"edge_conv: index of shape {parent.shape} at ratio {r} for {m} rows")
     n = parent.shape[0]
-    if not trusted and parent.size and (parent.min() < 0 or parent.max() >= n):
-        bad = int(parent.min() if parent.min() < 0 else parent.max())
-        raise IndexRangeError(f"edge_conv: index {bad} out of range for {m} rows")
     if w.ndim != 2 or w.shape[0] != 2 * c or b.shape != (w.shape[1],):
         raise ShapeError(f"edge_conv: weights {w.shape} and bias {b.shape} for {c} input channels")
     k, d = parent.shape[1], w.shape[1]
@@ -317,7 +316,7 @@ def edge_conv(x, idx, w, b, activate):
         best, edge = best_rows[:size], edge_rows[:size]
         if taped:
             won, rise, code = winner[rows], rise_rows[:size], code_rows[:size]
-        # The entries are range-checked above, so "clip" never clips; unlike
+        # An IndexMatrix's entries are in range, so "clip" never clips; unlike
         # the default "raise", it gathers into the block buffer with no copy.
         np.take(proj, parent[rows, 0], axis=0, out=best, mode="clip")
         for j in range(1, k):

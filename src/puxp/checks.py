@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tape, Tensor
 from .geometry import (
+    IndexMatrix,
     PointCloud,
     TriangleMesh,
     expand_index,
@@ -139,11 +140,11 @@ def _op_cases(seed):
         yield "concat_last/right", lambda t: ad.sum_all(product(ad.concat_last(Tensor(a), t), w)), b
 
     def case_edge_conv():
-        base = np.array([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
+        base = IndexMatrix([[1, 2, 3], [0, 3, 5], [4, 0, 1], [2, 1, 5], [0, 1, 3], [4, 2, 0]])
         # the graph itself, then doubled twice: the 4 children of a point
         # share one neighbour max, and their gradients meet on its winner;
         # then 16 neighbours per row, so winners run up to k = 15
-        ring = (np.arange(20)[:, None] + np.arange(1, 17)) % 20
+        ring = IndexMatrix((np.arange(20)[:, None] + np.arange(1, 17)) % 20)
         graphs = (("", base, 6), ("expanded/", expand_index(expand_index(base)), 24), ("k16/", ring, 20))
         for graph, idx, m in graphs:
             args = {"x": rng.normal(size=(m, 3)), "w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
@@ -283,6 +284,20 @@ def _duplicate_cases(rng):
             yield _knn_agrees(pts, k), {"points": pts, "k": k, "trial": trial}
 
 
+def _dense_agreement(src, dst, shift=0):
+    """(ok, src, dst), with src and dst scaled by 2^shift: ok when nearest_neighbors
+    of the scaled sets, in both directions, gives the argmins of the dense src x dst
+    matrix of the unscaled sets and its mins times 2^2shift, bit for bit."""
+    diff = src[:, None, :] - dst[None, :, :]
+    dense = (diff * diff).sum(axis=-1)
+    src, dst = np.ldexp(src, shift), np.ldexp(dst, shift)
+    with np.errstate(over="ignore"):  # squared distances of 2^1200
+        got = [*nearest_neighbors(src, dst), *nearest_neighbors(dst, src)]
+        want = [np.ldexp(dense.min(axis=1), 2 * shift), dense.argmin(axis=1)]
+        want += [np.ldexp(dense.min(axis=0), 2 * shift), dense.argmin(axis=0)]
+    return all(map(np.array_equal, got, want)), src, dst
+
+
 def _nearest_cases(rng):
     """nearest_neighbors (cross-set, k = 1) must give the dense src x dst
     matrix's `min` and `argmin`, bit for bit, in both directions. The sets
@@ -297,19 +312,7 @@ def _nearest_cases(rng):
         elif variant == "grid-0.5":
             src, dst = np.round(src * 2.0) / 2.0, np.round(dst * 2.0) / 2.0  # exact distance ties
         shift = int(variant[2:]) if variant.startswith("2^") else 0
-        diff = src[:, None, :] - dst[None, :, :]
-        dense = (diff * diff).sum(axis=-1)
-        src, dst = np.ldexp(src, shift), np.ldexp(dst, shift)
-        with np.errstate(over="ignore"):  # squared distances of 2^1200
-            d2, idx = nearest_neighbors(src, dst)
-            back_d2, back_idx = nearest_neighbors(dst, src)
-            fwd, bwd = np.ldexp(dense.min(axis=1), 2 * shift), np.ldexp(dense.min(axis=0), 2 * shift)
-        ok = (
-            np.array_equal(d2, fwd)
-            and np.array_equal(idx, dense.argmin(axis=1))
-            and np.array_equal(back_d2, bwd)
-            and np.array_equal(back_idx, dense.argmin(axis=0))
-        )
+        ok, src, dst = _dense_agreement(src, dst, shift)
         yield ok, {"src": src, "dst": dst, "variant": variant}
 
 
@@ -324,16 +327,7 @@ def _collapsed_cases(rng):
         copies = int(rng.integers(100, 201))
         dst = rows[rng.permutation(np.arange(len(rows) * copies) % len(rows))]
         src = rng.normal(size=(int(rng.integers(1, 300)), 3))
-        diff = src[:, None, :] - dst[None, :, :]
-        dense = (diff * diff).sum(axis=-1)
-        (d2, idx), (back_d2, back_idx) = nearest_neighbors(src, dst), nearest_neighbors(dst, src)
-        ok = (
-            np.array_equal(d2, dense.min(axis=1))
-            and np.array_equal(idx, dense.argmin(axis=1))
-            and np.array_equal(back_d2, dense.min(axis=0))
-            and np.array_equal(back_idx, dense.argmin(axis=0))
-            and all(_knn_agrees(dst, k) for k in (16, min(copies + 8, len(dst) - 1)))
-        )
+        ok = _dense_agreement(src, dst)[0] and all(_knn_agrees(dst, k) for k in (16, min(copies + 8, len(dst) - 1)))
         yield ok, {"src": src, "dst": dst, "trial": trial}
 
 

@@ -46,12 +46,12 @@ kernel is 3-D. Anything else, an empty set or an (N, 2) or (N, 6) array
 included, raises ShapeError naming the input; nothing is reshaped.
 
 PointCloud and TriangleMesh hold read-only copies of their arrays and keep
-what searches build from them, on first use and per _in_range exponent (0
-for every input in [1e-50, 1e50)): a cloud searched or queried by
-nearest_neighbors, or queried by squared_distances_to_mesh, its columns,
-tree and copy groups; a mesh the index of squared_distances_to_mesh. A raw
-array gets the same build afresh on every call, and a raw query array only
-its columns and copy groups.
+what searches build from them, on first use: a cloud its knn_accelerated
+table per k and, per _in_range exponent (0 for every input in [1e-50,
+1e50)), the columns, tree and copy groups of nearest_neighbors and
+squared_distances_to_mesh; a mesh the index of squared_distances_to_mesh.
+A raw array gets the same build afresh on every call, and a raw query array
+only its columns and copy groups.
 """
 
 from __future__ import annotations
@@ -76,12 +76,13 @@ _PAIR_BATCH = 1 << 15
 _LEAFSIZE = 16  # points per leaf of every kd-tree; 32 made near-collapsed searches 15% faster, trained ones 5% slower
 
 
-def _kept(owner, e, build):
-    """build(), kept in owner's memo under the _in_range exponent e; a raw array keeps nothing."""
+def _kept(owner, key, build):
+    """build(), kept in owner's memo under key: an _in_range exponent, or ("knn", k)
+    for a KNN table. A raw array keeps nothing."""
     memo = getattr(owner, "_memo", None)
     if memo is None:
         return build()
-    return memo[e] if e in memo else memo.setdefault(e, build())
+    return memo[key] if key in memo else memo.setdefault(key, build())
 
 
 class PointCloud:
@@ -172,7 +173,7 @@ class IndexMatrix:
 
     def __init__(self, entries):
         idx = np.array(integer_table(entries, "index matrix"))  # private: no caller can change it later
-        if idx.ndim != 2 or idx.shape[1] < 1:
+        if idx.ndim != 2 or 0 in idx.shape:
             raise ShapeError(f"index matrix must have shape (M, K), got {idx.shape}")
         m = idx.shape[0]
         if idx.min() < 0 or idx.max() >= m:
@@ -425,13 +426,20 @@ def knn_accelerated(cloud, k):
     distinct rows the tree holds are searched, and each copy takes its
     group's list. Of a point's list, drop the point itself or, where k + 1
     copies of it with smaller indices come first, the last one.
+
+    A PointCloud keeps the table, one per k, and not the search's tree.
     """
-    pts, k = _knn_input(cloud, k, 3)
-    searched = _searched(pts)
-    hits = _per_row(_nearest(searched[1].data, *searched, k + 1), searched[2])
-    other = hits != np.arange(pts.shape[0])[:, None]
-    other[other.all(axis=1), k] = False
-    return IndexMatrix._built(hits[other].reshape(-1, k))
+    k = integer("k", k)  # before the lookup, where k=True would find the k = 1 table
+
+    def search():
+        pts, _ = _knn_input(cloud, k, 3)
+        searched = _searched(pts)
+        hits = _per_row(_nearest(searched[1].data, *searched, k + 1), searched[2])
+        other = hits != np.arange(pts.shape[0])[:, None]
+        other[other.all(axis=1), k] = False
+        return IndexMatrix._built(hits[other].reshape(-1, k))
+
+    return _kept(cloud, ("knn", k), search)
 
 
 def nearest_neighbors(src, dst):

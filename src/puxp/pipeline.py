@@ -3,8 +3,8 @@
 A model is backbone (N x 3 -> N x C) + expansion unit (N x C -> r*N x C) +
 regression stage (r*N x C -> r*N x 3), all sharing one parameter store. The
 KNN graph of the raw input is computed once per cloud and reused everywhere,
-except when a unit explicitly recomputes feature-space KNN; a Patch keeps it
-for every model that trains on it or is scored on it.
+except when a unit explicitly recomputes feature-space KNN; the cloud keeps it
+(geometry.knn_accelerated) for every model that trains on it or is scored on it.
 
 Training minimizes the squared chamfer distance with Adam. Everything is
 driven by explicit seeds: a (config, seed) pair fully determines parameter
@@ -179,8 +179,8 @@ class UpsamplingModel:
         index = expanded_graph(base_index, self.ratio, result.index)
         return self.regression.forward(result.features, index)
 
-    def upsample(self, cloud, base_index=None):
-        coords = self.forward_tensor(cloud, base_index)
+    def upsample(self, cloud):
+        coords = self.forward_tensor(cloud)
         finite = np.isfinite(coords.data).all(axis=1)
         if not finite.all():
             row = int(np.nonzero(~finite)[0][0])
@@ -280,13 +280,6 @@ class Patch:
     cloud: PointCloud
     gt: PointCloud
     mesh: "object"
-    graphs: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)  # per k
-
-    def base_graph(self, model):
-        """model.base_graph of the cloud, built once per k for every model that trains or scores it."""
-        if model.k not in self.graphs:
-            self.graphs[model.k] = model.base_graph(self.cloud)
-        return self.graphs[model.k]
 
 
 def make_dataset(config):
@@ -319,7 +312,8 @@ def train(config, dataset=None):
         raise ConfigError("empty training dataset")
     model = build_model(config)
     state = AdamState(model.store)
-    prepared = [(patch, patch.base_graph(model)) for patch in dataset]
+    for patch in dataset:  # each cloud keeps its graph; one too small for k fails before step 0
+        model.base_graph(patch.cloud)
     losses = []
     cursor = 0
     for step in range(config.steps):
@@ -327,11 +321,11 @@ def train(config, dataset=None):
         with Tape() as tape:
             total = None
             for _ in range(config.batch_size):
-                patch, idx = prepared[cursor % len(prepared)]
+                patch = dataset[cursor % len(dataset)]
                 cursor += 1
                 stage = "features"  # non-finite features meet a feature-space KNN
                 try:
-                    pred = model.forward_tensor(patch.cloud, idx)
+                    pred = model.forward_tensor(patch.cloud)
                     stage = "predictions"  # non-finite predictions meet the loss's search
                     loss = chamfer_loss(pred, patch.gt)
                 except GradientError as exc:
@@ -361,7 +355,7 @@ def evaluate(model, dataset):
                 f"patch {patch.name!r}: {patch.cloud.count} x ratio {model.ratio} "
                 f"!= {patch.gt.count} ground-truth points"
             )
-        pred = model.upsample(patch.cloud, patch.base_graph(model))
+        pred = model.upsample(patch.cloud)
         reports.append(metrics.report(patch.name, pred, patch.gt, patch.mesh))
     cd, hd, p2f = _mean_metrics(reports)
     pred_count, gt_count = sum(r.pred_count for r in reports), sum(r.gt_count for r in reports)
@@ -445,7 +439,7 @@ class ComparisonTable:
     config: TrainConfig  # the first row's; every row shares its budget
 
 
-def compare_units(configs, seeds=(1, 2, 3)):
+def compare_units(configs, seeds):
     """Train every config over the shared dataset and seed set, then average.
 
     Configs must agree on everything except the unit (budget fairness);

@@ -249,7 +249,7 @@ class ProEdgeShuffleUnit(_UnitBase):
             if self.spec.index_mode == "expand":
                 idx = expand_index(idx, f)
             else:
-                idx = knn_features(feats.data, self.spec.k)
+                idx = knn_features(feats.data, idx.k)  # the k of the graph it was handed
         return ExpansionResult(feats, idx)
 
 

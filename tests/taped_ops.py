@@ -10,11 +10,12 @@ import numpy as np
 
 from puxp import autodiff as ad
 from puxp import losses
+from puxp.geometry import IndexMatrix
 
 
 def taped_op_cases(seed=0):
     rng = np.random.default_rng(seed)
-    idx = np.array([[1, 2], [0, 2], [3, 1], [2, 0]])  # 4 points, 2 neighbours each
+    idx = IndexMatrix([[1, 2], [0, 2], [3, 1], [2, 0]])  # 4 points, 2 neighbours each
     gt = rng.normal(size=(5, 3))
 
     def rows(c=3):

@@ -159,7 +159,7 @@ class TestEdgeConv:
         rng = np.random.default_rng(m)
         x = rng.normal(size=(m, 4))
         x[1::3] = x[0::3][: len(x[1::3])]  # duplicated rows: exact ties in the max
-        idx = rng.integers(0, m, size=(m, 5))
+        idx = random_graph(rng, m, 5)
         w, b = self.weights(rng, 4, 6)
         got = ad.edge_conv(Tensor(x), idx, w, b, activate).data
         want = composed_edge_conv(Tensor(x), idx, w, b, activate).data
@@ -171,7 +171,7 @@ class TestEdgeConv:
         rng = np.random.default_rng(m + 1)
         x = rng.normal(size=(m, 4))
         x[1::3] = x[0::3][: len(x[1::3])]  # duplicated rows: exact ties in the max
-        idx = rng.integers(0, m, size=(m, 5))
+        idx = random_graph(rng, m, 5)
         w, b = self.weights(rng, 4, 6)
         g = rng.normal(size=(m, 6)) * rng.uniform(0.1, 10.0, size=6)  # uneven per channel
         xt = Tensor(x, requires_grad=True)
@@ -199,7 +199,7 @@ class TestEdgeConv:
         with Tape() as tape:
             out = ad.edge_conv(xt, idx, w, b, activate)
             tape.backward(weighted_sum(out, g))
-        entries = idx.entries
+        entries = IndexMatrix(idx.entries)  # the same table at ratio 1, every row stored
         assert out.data.tobytes() == ad.edge_conv(Tensor(x), entries, w, b, activate).data.tobytes()
         reference = per_neighbour_edge_conv_grads(xt, entries, w, b, activate, g)
         for got, want in zip((xt.grad, w.grad, b.grad), reference):
@@ -277,31 +277,6 @@ class TestEdgeConv:
         assert np.array_equal(~np.isfinite(out).all(axis=1), expected)
         assert np.isnan(out[expected]).all()
 
-    def test_index_dtype_and_layout_give_the_same_bytes(self):
-        rng = np.random.default_rng(44)
-        m, k = 600, 5  # crosses a 512-row block
-        idx = random_graph(rng, m, k)
-        x = rng.normal(size=(m, 4))
-        x[1::3] = x[0::3][: len(x[1::3])]  # exact ties in the max
-        wide = np.zeros((m, 2 * k), dtype=np.int64)
-        wide[:, 1::2] = idx.entries
-        tables = {"IndexMatrix int64": idx, "int32": idx.entries.astype(np.int32), "column slice": wide[:, 1::2]}
-        assert not tables["column slice"].flags.c_contiguous
-        w0, b0 = self.weights(rng, 4, 6)
-        g = rng.normal(size=(m, 6))
-        results = {}
-        for name, table in tables.items():
-            xt = Tensor(x, requires_grad=True)
-            w = Tensor(w0.data, requires_grad=True)
-            b = Tensor(b0.data, requires_grad=True)
-            with Tape() as tape:
-                out = ad.edge_conv(xt, table, w, b, True)
-                tape.backward(weighted_sum(out, g))
-            results[name] = [a.tobytes() for a in (out.data, xt.grad, w.grad, b.grad)]
-        first = results.pop("IndexMatrix int64")
-        for name, got in results.items():
-            assert got == first, name
-
     def test_ratio_table_tie_gradient_goes_to_first_neighbour(self):
         # out[i] = -x[i] + max_k x[2 p_k]; parent row 0 lists points 1 and 2,
         # whose rows 2 and 4 tie at 2; rows 0 and 1 are parent row 0's children
@@ -325,7 +300,7 @@ class TestEdgeConv:
         w = Tensor(rng.normal(size=(2 * c, d)), requires_grad=True)
         b = Tensor(rng.normal(size=d), requires_grad=True)
         with Tape() as tape:
-            loss = ad.sum_all(ad.edge_conv(x, rng.integers(0, m, size=(m, k)), w, b, True))
+            loss = ad.sum_all(ad.edge_conv(x, random_graph(rng, m, k), w, b, True))
         tracemalloc.start()
         try:
             tape.backward(loss)
@@ -338,40 +313,42 @@ class TestEdgeConv:
         assert self.backward_peak(32) <= 1.25 * self.backward_peak(4)
 
     def test_tie_gradient_goes_to_first_neighbour(self):
-        # out[i] = -x[i] + max_k x[j_k]; row 0's neighbours 1 and 2 tie at 2
+        # out[i] = -x[i] + max_k x[j_k]; row 0's neighbours 1 and 2 tie at 2,
+        # and rows 1 and 2 each have one neighbour at 2, which wins
         x = Tensor([[0.0], [2.0], [2.0]], requires_grad=True)
         w = Tensor([[0.0], [1.0]], requires_grad=True)
-        idx = np.array([[1, 2], [0, 0], [0, 0]])
+        idx = IndexMatrix([[1, 2], [0, 2], [0, 1]])
         with Tape() as tape:
             out = ad.edge_conv(x, idx, w, Tensor([0.0]), activate=False)
             tape.backward(ad.sum_all(out))
-        assert np.array_equal(out.data, [[2.0], [-2.0], [-2.0]])
-        assert np.array_equal(x.grad, [[1.0], [0.0], [-1.0]])  # row 1 won, not row 2
-        # d/dw1 = sum x_i = 4; d/dw2 = -sum x_i + winners (2 + 0 + 0) = -2
-        assert np.array_equal(w.grad, [[4.0], [-2.0]])
+        assert np.array_equal(out.data, [[2.0], [0.0], [0.0]])
+        # row 1 won row 0's tie, not row 2: rows 1 and 2 win once more each
+        assert np.array_equal(x.grad, [[-1.0], [1.0], [0.0]])
+        # d/dw1 = sum x_i = 4; d/dw2 = -sum x_i + winners (2 + 2 + 2) = 2
+        assert np.array_equal(w.grad, [[4.0], [2.0]])
 
     def test_relu_blocks_gradient_of_negative_outputs(self):
         x = Tensor([[1.0], [-1.0]], requires_grad=True)
         w = Tensor([[1.0], [0.0]])  # out[i] = relu(x[i])
         with Tape() as tape:
-            tape.backward(ad.sum_all(ad.edge_conv(x, np.array([[1], [0]]), w, Tensor([0.0]), True)))
+            tape.backward(ad.sum_all(ad.edge_conv(x, IndexMatrix([[1], [0]]), w, Tensor([0.0]), True)))
         assert np.array_equal(x.grad, [[1.0], [0.0]])
 
     def test_untaped_output_needs_no_grad(self):
         rng = np.random.default_rng(0)
         w, b = self.weights(rng, 2, 3)
         w.requires_grad = True
-        out = ad.edge_conv(Tensor(rng.normal(size=(4, 2))), np.array([[1], [2], [3], [0]]), w, b, True)
+        out = ad.edge_conv(Tensor(rng.normal(size=(4, 2))), IndexMatrix([[1], [2], [3], [0]]), w, b, True)
         assert not out.requires_grad
 
     @pytest.mark.parametrize(
         "x_shape, idx, w_shape, b_size",
         [
-            ((3, 2), np.zeros((3, 0), dtype=np.int64), (4, 5), 5),  # K = 0
-            ((3, 2), np.zeros((2, 1), dtype=np.int64), (4, 5), 5),  # rows differ
-            ((3, 2), np.zeros((3, 1), dtype=np.int64), (2, 5), 5),  # w not 2C rows
-            ((3, 2), np.zeros((3, 1), dtype=np.int64), (4, 5), 4),  # bias width
-            ((3, 2), np.zeros((3, 1)), (4, 5), 5),  # float index
+            ((3, 2), np.zeros((3, 0), dtype=np.int64), (4, 5), 5),  # K = 0, not an IndexMatrix
+            ((3, 2), IndexMatrix([[1], [0]]), (4, 5), 5),  # rows differ
+            ((3, 2), IndexMatrix([[1], [2], [0]]), (2, 5), 5),  # w not 2C rows
+            ((3, 2), IndexMatrix([[1], [2], [0]]), (4, 5), 4),  # bias width
+            ((3, 2), np.zeros((3, 1)), (4, 5), 5),  # float index, not an IndexMatrix
         ],
     )
     def test_rejects_bad_shapes(self, x_shape, idx, w_shape, b_size):
@@ -379,9 +356,9 @@ class TestEdgeConv:
             ad.edge_conv(Tensor(np.zeros(x_shape)), idx, Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_size)), True)
 
     def test_out_of_range_names_value(self):
+        # the IndexMatrix check is the one range check before edge_conv
         with pytest.raises(IndexRangeError, match="9"):
-            ad.edge_conv(Tensor(np.zeros((2, 1))), np.array([[1], [9]]), Tensor(np.zeros((2, 1))),
-                         Tensor(np.zeros(1)), True)
+            IndexMatrix(np.array([[1], [9]]))
 
     def test_index_matrix_tables_cannot_change_after_their_check(self):
         # edge_conv trusts an IndexMatrix, so no table may be broken after it is validated
@@ -401,8 +378,8 @@ class TestEdgeConv:
     def test_out_of_range_raw_table_names_index_and_rows(self, bad):
         table = np.array([[1], [0], [3], [2], [5], [4], [7], [6]])
         table[5, 0] = bad
-        with pytest.raises(IndexRangeError, match=f"^edge_conv: index {bad} out of range for 8 rows$"):
-            ad.edge_conv(Tensor(np.zeros((8, 1))), table, Tensor(np.zeros((2, 1))), Tensor(np.zeros(1)), True)
+        with pytest.raises(IndexRangeError, match=f"^neighbor index {bad} out of range for 8 rows$"):
+            IndexMatrix(table)
 
 
 class TestShuffleExpand:

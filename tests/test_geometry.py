@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puxp import geometry, metrics
-from puxp.errors import DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
+from puxp.errors import ConfigError, DegenerateTriangleError, GradientError, IndexRangeError, ShapeError
 from puxp.geometry import (
     IndexMatrix,
     PointCloud,
@@ -234,6 +234,28 @@ class TestKnnAccelerated:
     def test_rejects_rows_that_are_not_3d(self):
         with pytest.raises(ShapeError):
             knn_accelerated(np.random.default_rng(2).normal(size=(20, 4)), 3)
+
+    def test_a_cloud_keeps_one_read_only_table_per_k(self):
+        cloud = PointCloud(np.random.default_rng(3).normal(size=(30, 3)))
+        table = knn_accelerated(cloud, 4)
+        assert knn_accelerated(cloud, 4) is table and knn_accelerated(cloud, np.int64(4)) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.parent[0, 0] = 1
+        other = knn_accelerated(cloud, 5)
+        assert other is not table and other.k == 5 and knn_accelerated(cloud, 5) is other
+        assert list(cloud._memo) == [("knn", 4), ("knn", 5)]  # the tables only, no tree
+        assert np.array_equal(table.entries, knn_bruteforce(cloud, 4).entries)
+
+    def test_a_raw_array_is_searched_afresh(self):
+        pts = np.random.default_rng(4).normal(size=(30, 3))
+        first, second = knn_accelerated(pts, 4), knn_accelerated(pts, 4)
+        assert first is not second and np.array_equal(first.entries, second.entries)
+
+    def test_k_true_is_refused_and_never_reads_the_k_1_table(self):
+        cloud = PointCloud(np.random.default_rng(5).normal(size=(30, 3)))
+        knn_accelerated(cloud, 1)
+        with pytest.raises(ConfigError, match="^k must be"):
+            knn_accelerated(cloud, True)
 
 
 def ulp_lattice(seed, ulps, offset=0.0):

@@ -129,14 +129,19 @@ class TestIntegerTables:
         with pytest.raises(ShapeError, match=r"^mesh faces must be an integer matrix, got dtype float64$"):
             TriangleMesh(np.eye(3), [[0.2, 1.9, 2.1]])
 
-    def test_edge_conv_refuses_a_float_raw_table(self):
+    @pytest.mark.parametrize("table", [np.array([[1.0], [0.0]]), np.array([[1], [0]]), [[1], [0]]])
+    def test_edge_conv_refuses_a_table_that_is_not_an_index_matrix(self, table):
         w, b = ad.Tensor(np.zeros((2, 1))), ad.Tensor(np.zeros(1))
-        with pytest.raises(ShapeError, match=r"^edge_conv: index must be an integer matrix, got dtype float64$"):
-            ad.edge_conv(ad.Tensor(np.zeros((2, 1))), np.array([[1.0], [0.0]]), w, b, True)
+        name = type(table).__name__
+        with pytest.raises(ShapeError, match=f"^edge_conv: index must be an IndexMatrix, got {name}$"):
+            ad.edge_conv(ad.Tensor(np.zeros((2, 1))), table, w, b, True)
 
     def test_empty_tables_keep_their_shape_errors(self):
         with pytest.raises(ShapeError, match=r"must have shape \(M, K\), got \(0,\)"):
             IndexMatrix([])
+        for shape in ((0, 2), (2, 0)):
+            with pytest.raises(ShapeError, match=rf"^index matrix must have shape \(M, K\), got \({shape[0]}, {shape[1]}\)$"):
+                IndexMatrix(np.zeros(shape, dtype=np.int64))
         with pytest.raises(ShapeError, match=r"must have shape \(F, 3\), got \(0,\)"):
             TriangleMesh(np.eye(3), [])
         assert TriangleMesh(np.eye(3), np.zeros((0, 3))).face_count == 0

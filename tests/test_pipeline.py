@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from puxp import autodiff as ad
+from puxp import geometry, pipeline
 from puxp.autodiff import Tape, Tensor
 from puxp.dataio import Checkpoint, load_checkpoint
 from puxp.errors import ConfigError, DivergenceError, FormatError, GradientError
@@ -26,7 +27,7 @@ from puxp.pipeline import (
     spec_to_fields,
     train,
 )
-from puxp.geometry import PointCloud
+from puxp.geometry import PointCloud, knn_bruteforce
 from puxp.shapes import SyntheticShape, sample_pair, surface_sample
 from puxp.units import REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
@@ -35,6 +36,13 @@ from edgeconv_reference import composed_edge_conv
 from store_layout import assert_laid_out
 
 SMALL = dict(k=6, points=32, shapes=("sphere",), data_seed=100)
+
+
+def count_knn_searches(monkeypatch):
+    """The list that gets one entry per KNN search from now on: every search checks its input once."""
+    searches, checked = [], geometry._knn_input
+    monkeypatch.setattr(geometry, "_knn_input", lambda *args: searches.append(args[1]) or checked(*args))
+    return searches
 
 
 def small_config(kind="proedgeshuffle", steps=5, **kw):
@@ -322,18 +330,33 @@ class TestEvaluate:
         assert rows[1].p2f is None and rows[-1].p2f is None
         assert rows[-1].cd == float(np.mean([rows[0].cd, rows[1].cd]))
 
-    def test_patches_keep_one_base_graph_per_k_and_repeat_their_rows(self):
+    def test_a_second_pass_searches_no_graph_and_repeats_its_rows(self, monkeypatch):
         cfg = small_config(shapes=("sphere", "cylinder"))
         ds = make_dataset(cfg)
         model = build_model(cfg)
+        searches = count_knn_searches(monkeypatch)
         first = evaluate(model, ds)
-        graph = ds[0].graphs[cfg.k]
-        assert list(ds[0].graphs) == [cfg.k] and ds[0].base_graph(model) is graph
-        assert evaluate(model, ds) == first == evaluate(model, make_dataset(cfg))
-        assert ds[0].graphs[cfg.k] is graph
+        assert len(searches) == 2  # one graph per patch, kept by its cloud
+        assert evaluate(model, ds) == first and len(searches) == 2
+        assert evaluate(model, make_dataset(cfg)) == first  # fresh clouds search their own
         cloud = ds[0].cloud
-        assert np.array_equal(model.upsample(cloud, graph).points, model.upsample(cloud).points)
-        assert not dataclasses.replace(ds[0], cloud=ds[1].cloud).graphs  # a changed patch builds its own
+        assert np.array_equal(model.upsample(cloud).points, model.forward_tensor(cloud, knn_bruteforce(cloud, cfg.k)).data)
+
+    def test_compare_searches_each_patch_graph_once_over_its_seeds(self, monkeypatch):
+        cfg = small_config(steps=2, shapes=("sphere", "cylinder"))
+        searches = count_knn_searches(monkeypatch)
+        compare_units([cfg], seeds=(1, 2))
+        assert len(searches) == 2
+
+    def test_a_patch_too_small_for_k_fails_before_step_0(self, monkeypatch):
+        cfg = small_config(steps=1)
+        ds = make_dataset(cfg)
+        tiny = dataclasses.replace(ds[0], cloud=PointCloud(ds[0].cloud.points[: cfg.k]))
+        steps = []
+        monkeypatch.setattr(pipeline, "adam_step", lambda *args, **kw: steps.append(1))
+        with pytest.raises(ConfigError, match=f"has {cfg.k} points but k={cfg.k} needs more"):
+            train(cfg, [*ds, tiny])  # step 0 reads only the first patch
+        assert not steps
 
     def test_ratio_mismatch_rejected(self):
         cfg = small_config()
