@@ -129,7 +129,9 @@ class TestIntegerTables:
         with pytest.raises(ShapeError, match=r"^mesh faces must be an integer matrix, got dtype float64$"):
             TriangleMesh(np.eye(3), [[0.2, 1.9, 2.1]])
 
-    @pytest.mark.parametrize("table", [np.array([[1.0], [0.0]]), np.array([[1], [0]]), [[1], [0]]])
+    @pytest.mark.parametrize(
+        "table", [np.array([[1.0], [0.0]]), np.array([[1], [0]]), [[1], [0]]], ids=["float", "int", "list"]
+    )
     def test_edge_conv_refuses_a_table_that_is_not_an_index_matrix(self, table):
         w, b = ad.Tensor(np.zeros((2, 1))), ad.Tensor(np.zeros(1))
         name = type(table).__name__
@@ -140,7 +142,7 @@ class TestIntegerTables:
         with pytest.raises(ShapeError, match=r"must have shape \(M, K\), got \(0,\)"):
             IndexMatrix([])
         for shape in ((0, 2), (2, 0)):
-            with pytest.raises(ShapeError, match=rf"^index matrix must have shape \(M, K\), got \({shape[0]}, {shape[1]}\)$"):
+            with pytest.raises(ShapeError, match=re.escape(f"index matrix must have shape (M, K), got {shape}")):
                 IndexMatrix(np.zeros(shape, dtype=np.int64))
         with pytest.raises(ShapeError, match=r"must have shape \(F, 3\), got \(0,\)"):
             TriangleMesh(np.eye(3), [])

@@ -340,7 +340,8 @@ class TestEvaluate:
         assert evaluate(model, ds) == first and len(searches) == 2
         assert evaluate(model, make_dataset(cfg)) == first  # fresh clouds search their own
         cloud = ds[0].cloud
-        assert np.array_equal(model.upsample(cloud).points, model.forward_tensor(cloud, knn_bruteforce(cloud, cfg.k)).data)
+        given = model.forward_tensor(cloud, knn_bruteforce(cloud, cfg.k))
+        assert np.array_equal(model.upsample(cloud).points, given.data)
 
     def test_compare_searches_each_patch_graph_once_over_its_seeds(self, monkeypatch):
         cfg = small_config(steps=2, shapes=("sphere", "cylinder"))
