@@ -39,6 +39,12 @@ TRAIN_FIELD_FLAGS = {
 }
 
 
+def _metric_text(row, spec):
+    """name=value in format `spec` per metric column of a report or comparison row; n/a where it is None."""
+    values = {name: getattr(row, name) for name in metrics.METRICS}
+    return " ".join(f"{name}={'n/a' if value is None else format(value, spec)}" for name, value in values.items())
+
+
 def cmd_train(args):
     fields = {key: getattr(args, key) for key in TRAIN_FIELD_FLAGS.values() if getattr(args, key) is not None}
     cfg = pipeline.train_config(fields, args.unit, args.ratio, args.index_mode, args.regression_mode)
@@ -76,8 +82,7 @@ def cmd_eval(args):
     mesh = dataio.read_off(args.mesh) if args.mesh else None
     label = os.path.splitext(os.path.basename(args.pred))[0]
     row = metrics.report(label, pred, gt, mesh)
-    p2f_text = "n/a" if row.p2f is None else f"{row.p2f:.9g}"
-    print(f"cd={row.cd:.9g} hd={row.hd:.9g} p2f={p2f_text}")
+    print(_metric_text(row, ".9g"))
     if args.csv:
         dataio.write_metric_csv(args.csv, [row])
         print(f"wrote {args.csv}")
@@ -133,11 +138,8 @@ def cmd_compare(args):
     table = pipeline.compare_units(configs, seeds=spec.seeds)
     dataio.write_comparison_csv(spec.out, table)
     for row in table.rows:
-        p2f_text = "n/a" if row.p2f is None else f"{row.p2f:.6g}"
-        print(
-            f"{row.unit:16s} index={row.index_mode:11s} regress={row.regression_mode:15s} "
-            f"cd={row.cd:.6g} hd={row.hd:.6g} p2f={p2f_text}"
-        )
+        modes = f"index={row.index_mode:11s} regress={row.regression_mode:15s}"
+        print(f"{row.unit:16s} {modes} {_metric_text(row, '.6g')}")
     print(f"wrote {spec.out}")
     return 0
 

@@ -1,8 +1,10 @@
 """File formats: XYZ clouds, OFF meshes, key=value files, PUXP1 checkpoints, CSV reports.
 
-Text inputs share one line rule (`_Lines`); readers reject malformed input
-naming `path:line` instead of guessing. Writers are deterministic: the same
-data always produces the same bytes, which is what the reproducibility checks diff.
+Text inputs share one line rule (`_Lines`), and XYZ files and OFF vertex rows
+one row reader (`_xyz_rows`); readers reject malformed input naming `path:line`
+instead of guessing. Writers are deterministic: the same data always produces
+the same bytes, which is what the reproducibility checks diff. A report CSV's
+columns are the fields of its row dataclass (`_write_table`).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import pathlib
@@ -20,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .geometry import PointCloud, TriangleMesh
+from .metrics import MetricReport
 
 CHECKPOINT_MAGIC = b"PUXP1"
 
@@ -77,38 +81,23 @@ def read_fields(path, data=None):
 # XYZ point clouds
 
 
-def _xyz_rows(texts):
-    """Lines of three finite numbers each as (N, 3) float64 rows, by one vectorised
-    parse, or None where any line is not one. NumPy's parser reads ASCII numbers
-    only: `1_0`, or digits of other scripts, are not numbers here."""
-    try:
-        points = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2) if texts else None
-    except ValueError:
-        return None
-    return points if points is not None and points.shape[1] == 3 and np.isfinite(points).all() else None
-
-
-def _number(token):
-    """One float in the grammar of _xyz_rows; ValueError otherwise."""
-    return float(np.loadtxt([token], dtype=np.float64, comments=None, ndmin=1)[0])
-
-
-def _integer(token):
-    """One integer in the same ASCII grammar: decimal digits after an optional sign."""
-    if not (token.isascii() and token.lstrip("+-").isdigit()):
-        raise ValueError(token)
-    return int(token)
-
-
-def read_xyz(path):
-    """One point per line, three whitespace-separated floats, read by one
-    vectorised parse; only a file it rejects has its lines walked to name
-    the first bad one."""
-    lines = _Lines(path)
-    points = _xyz_rows(lines.texts)
-    if points is not None:
-        return PointCloud(points, _fresh=True)
-    for i, text in enumerate(lines.texts):
+def _xyz_rows(lines, lo, hi):
+    """texts[lo:hi] (lo < hi) as float64 rows of three finite numbers, by one
+    vectorised parse; only where it fails are the lines walked to name the
+    first bad one, or the end of a truncated file. NumPy's parser reads ASCII
+    numbers only: `1_0`, or digits of other scripts, are not numbers here."""
+    if hi <= len(lines.texts):
+        try:
+            points = np.loadtxt(itertools.islice(lines.texts, lo, hi), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            points = None
+        if points is not None and points.shape[1] == 3 and np.isfinite(points).all():
+            return points
+    rows = []
+    for i in range(lo, hi):
+        if i == len(lines.texts):
+            raise lines.error(i, "truncated file while reading coordinate")
+        text = lines.texts[i]
         count = len(text.split())
         if count != 3:
             raise lines.error(i, f"expected 3 coordinates, got {count}")
@@ -118,7 +107,16 @@ def read_xyz(path):
             raise lines.error(i, f"not a number: {text!r}") from None
         if not np.isfinite(xyz).all():
             raise lines.error(i, "non-finite coordinate")
-    raise lines.error(len(lines.texts), "no points")
+        rows.append(xyz)
+    return np.array(rows)
+
+
+def read_xyz(path):
+    """One point per line, three whitespace-separated floats (_xyz_rows)."""
+    lines = _Lines(path)
+    if not lines.texts:
+        raise lines.error(0, "no points")
+    return PointCloud(_xyz_rows(lines, 0, len(lines.texts)), _fresh=True)
 
 
 def write_xyz(path, cloud):
@@ -136,8 +134,8 @@ def read_off(path):
     """OFF mesh reader: polygons fan-triangulated, zero-area faces dropped.
 
     Rows: `OFF`, with the vertex, face and edge counts on its line (also
-    glued, as in `OFF3 1 0`) or the next; 3 coordinates per vertex; per face
-    its arity, its indices and optional colour values, which are skipped."""
+    glued, as in `OFF3 1 0`) or the next; per vertex an XYZ row (_xyz_rows); per
+    face its arity, its indices and optional colour values, which are skipped."""
     lines = _Lines(path)
     rows = lines.texts
 
@@ -146,11 +144,12 @@ def read_off(path):
             raise lines.error(i, f"truncated file while reading {what}")
         return rows[i].split()
 
-    def parse(i, token, what, cast):
-        try:
-            return cast(token)
-        except ValueError:
-            raise lines.error(i, f"bad {what}: {token!r}") from None
+    def integer(i, token, what):
+        """ASCII decimal digits after an optional sign, the grammar of _xyz_rows."""
+        digits = token[1:] if token[:1] in ("+", "-") else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise lines.error(i, f"bad {what}: {token!r}")
+        return int(token)
 
     if not rows:
         raise lines.error(0, "empty file")
@@ -160,7 +159,7 @@ def read_off(path):
     at, counts = 0, rows[0][3:].split()
     if not counts:
         at, counts = 1, split(1, "vertex count")
-    values = [parse(at, t, what, _integer) for t, what in zip(counts, ("vertex count", "face count", "edge count"))]
+    values = [integer(at, t, what) for t, what in zip(counts, ("vertex count", "face count", "edge count"))]
     if len(counts) != 3:
         raise lines.error(at, f"expected 3 counts, got {len(counts)}")
     n_verts, n_faces, _ = values
@@ -169,23 +168,14 @@ def read_off(path):
     if n_faces < 0:
         raise lines.error(at, f"negative face count {n_faces}")
     first = at + 1 + n_verts  # the row of face 0
-    verts = _xyz_rows(rows[at + 1 : first])
-    if verts is None or len(verts) < n_verts:  # walk the rows to name the first bad one
-        verts = []
-        for i in range(at + 1, first):
-            xyz = [parse(i, token, "coordinate", _number) for token in split(i, "coordinate")]
-            if len(xyz) != 3:
-                raise lines.error(i, f"expected 3 coordinates, got {len(xyz)}")
-            if not np.isfinite(xyz).all():
-                raise lines.error(i, "non-finite coordinate")
-            verts.append(xyz)
+    verts = _xyz_rows(lines, at + 1, first)
     faces = []
     for fi, i in enumerate(range(first, first + n_faces)):
         arity, *listed = split(i, "face arity")
-        arity = parse(i, arity, "face arity", _integer)
+        arity = integer(i, arity, "face arity")
         if arity < 3:
             raise lines.error(i, f"face {fi} has {arity} vertices")
-        ids = [parse(i, token, "face index", _integer) for token in listed[:arity]]
+        ids = [integer(i, token, "face index") for token in listed[:arity]]
         if len(ids) < arity:
             raise lines.error(i, f"face {fi} has {arity} vertices but lists {len(ids)}")
         for vid in ids:
@@ -195,7 +185,7 @@ def read_off(path):
     end = first + n_faces
     if end < len(rows):
         raise lines.error(end, f"unexpected token {rows[end].split()[0]!r} after the last face")
-    mesh, dropped = TriangleMesh.filtered(np.array(verts), np.array(faces, dtype=np.int64).reshape(-1, 3))
+    mesh, dropped = TriangleMesh.filtered(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} zero-area faces")
     return mesh
@@ -318,8 +308,10 @@ METRIC_CONVENTIONS = (
 )
 
 
-def _fmt(value):
-    return "" if value is None else f"{value:.17g}"
+def _cell(value):
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, (float, np.floating)) else value
 
 
 def _write_csv(path, lines, rows, footer=()):
@@ -330,26 +322,28 @@ def _write_csv(path, lines, rows, footer=()):
         f.writelines(line + "\n" for line in footer)
 
 
+def _write_table(path, comments, row_type, rows, footer=()):
+    """A CSV with one column per field of the dataclass `row_type`: a float as "%.17g", None as empty."""
+    names = [field.name for field in dataclasses.fields(row_type)]
+    cells = ([_cell(getattr(row, name)) for name in names] for row in rows)
+    _write_csv(path, [*comments, ",".join(names)], cells, footer)
+
+
 def write_loss_csv(path, losses):
     _write_csv(path, ["# columns: step,chamfer_loss"], ((i, f"{value:.17g}") for i, value in enumerate(losses)))
 
 
 def write_metric_csv(path, reports):
-    rows = ((r.label, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.pred_count, r.gt_count) for r in reports)
-    _write_csv(path, [*METRIC_CONVENTIONS, "label,cd,hd,p2f,pred_count,gt_count"], rows)
+    _write_table(path, METRIC_CONVENTIONS, MetricReport, reports)
 
 
 def write_comparison_csv(path, table):
     """Comparison matrix CSV with the run budget and reference footnote."""
+    from .pipeline import ComparisonRow
+
     budget = "# budget: " + " ".join(f"{key}={value}" for key, value in table.config.budget_key().items())
-    rows = (
-        (r.unit, r.index_mode, r.regression_mode, _fmt(r.cd), _fmt(r.hd), _fmt(r.p2f), r.unit_params,
-         r.backbone_params, r.seeds)
-        for r in table.rows
-    )
     reference = (
         "# reference, full-scale PU1K benchmark (not reproduced at this scale): "
         "pu-gcn nodeshuffle cd=0.657e-3 vs proedgeshuffle cd=0.597e-3"
     )
-    header = "unit,index_mode,regression_mode,cd,hd,p2f,unit_params,backbone_params,seeds"
-    _write_csv(path, [*METRIC_CONVENTIONS, budget, header], rows, [reference])
+    _write_table(path, [*METRIC_CONVENTIONS, budget], ComparisonRow, table.rows, [reference])

@@ -560,12 +560,13 @@ def expand_index(idx, factor=2):
     r * parent[i]; those entries are in range (r j <= r (N - 1) < r N),
     distinct (j -> r j is injective) and never the row itself (r j = r i + s
     needs j = i, as s < r, and the parent never lists i). As IndexMatrix's
-    own checks are skipped, the factor passes the integer rule here: one
-    that is not an integer >= 1 raises ConfigError.
+    own checks are skipped, the factor passes the integer rule here (else
+    ConfigError), and idx must be an IndexMatrix (else ShapeError naming
+    its type).
     """
     factor = integer("expansion factor", factor)
     if not isinstance(idx, IndexMatrix):
-        idx = IndexMatrix(idx)
+        raise ShapeError(f"expand_index: index must be an IndexMatrix, got {type(idx).__name__}")
     return IndexMatrix._built(idx.parent, factor * idx.ratio)
 
 

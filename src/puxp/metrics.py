@@ -1,4 +1,4 @@
-"""Chamfer, Hausdorff, and point-to-face distances.
+"""Chamfer, Hausdorff, and point-to-face distances: a MetricReport's columns (METRICS).
 
 Conventions (stored values are raw; table formatting may scale by 1e3):
   - chamfer: squared distances, sum of the two directed means.
@@ -36,6 +36,9 @@ import numpy as np
 from .geometry import PointCloud, as_rows, nearest_neighbors, squared_distances_to_mesh
 
 
+METRICS = ("cd", "hd", "p2f")  # in table order; every mean, CSV and printed line of a report reads them here
+
+
 @dataclasses.dataclass
 class MetricReport:
     """One evaluation row: metric values plus the cloud sizes they came from."""
@@ -48,12 +51,20 @@ class MetricReport:
     gt_count: int
 
     def __post_init__(self):
-        for field in ("cd", "hd", "p2f"):
+        for field in METRICS:
             value = getattr(self, field)
-            if value is None:
-                continue
-            if not np.isfinite(value) or value < 0:
+            if value is not None and (not np.isfinite(value) or value < 0):
                 raise ValueError(f"{field} must be finite and non-negative, got {value}")
+
+    @classmethod
+    def mean(cls, label, rows):
+        """Row `label` over `rows`: each metric's mean (None if any row's is None), the sizes summed."""
+        values = {}
+        for field in METRICS:
+            column = [getattr(r, field) for r in rows]
+            values[field] = None if any(v is None for v in column) else float(np.mean(column))
+        pred_count, gt_count = sum(r.pred_count for r in rows), sum(r.gt_count for r in rows)
+        return cls(label, **values, pred_count=pred_count, gt_count=gt_count)
 
 
 def _shared(pred):

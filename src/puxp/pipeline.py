@@ -345,7 +345,7 @@ def train(config, dataset=None):
 
 
 def evaluate(model, dataset):
-    """Per-patch CD/HD/P2F rows plus one aggregate row labeled 'mean'."""
+    """Per-patch report rows plus their MetricReport.mean, labeled 'mean'."""
     if not dataset:
         raise ConfigError("empty evaluation dataset")
     reports = []
@@ -357,17 +357,8 @@ def evaluate(model, dataset):
             )
         pred = model.upsample(patch.cloud)
         reports.append(metrics.report(patch.name, pred, patch.gt, patch.mesh))
-    cd, hd, p2f = _mean_metrics(reports)
-    pred_count, gt_count = sum(r.pred_count for r in reports), sum(r.gt_count for r in reports)
-    reports.append(metrics.MetricReport("mean", cd, hd, p2f, pred_count, gt_count))
+    reports.append(metrics.MetricReport.mean("mean", reports))
     return reports
-
-
-def _mean_metrics(rows):
-    """Mean cd, hd and p2f over report rows; p2f is None if any row's p2f is None."""
-    cd, hd = float(np.mean([r.cd for r in rows])), float(np.mean([r.hd for r in rows]))
-    p2f = [r.p2f for r in rows]
-    return cd, hd, None if any(v is None for v in p2f) else float(np.mean(p2f))
 
 
 def model_to_checkpoint(model):
@@ -422,6 +413,8 @@ def model_from_checkpoint(ckpt):
 
 @dataclasses.dataclass
 class ComparisonRow:
+    """One comparison CSV row, its fields the columns in order; metrics are means over the seeds."""
+
     unit: str
     index_mode: str
     regression_mode: str
@@ -465,15 +458,13 @@ def compare_units(configs, seeds):
             run = train(dataclasses.replace(cfg, seed=seed), dataset)
             aggs.append(evaluate(run.model, dataset)[-1])
             counts = run.model.parameter_counts()
-        cd, hd, p2f = _mean_metrics(aggs)
+        mean = metrics.MetricReport.mean(cfg.unit.kind, aggs)
         rows.append(
             ComparisonRow(
                 unit=cfg.unit.kind,
                 index_mode=cfg.unit.index_mode,
                 regression_mode=cfg.unit.regression_mode,
-                cd=cd,
-                hd=hd,
-                p2f=p2f,
+                **{field: getattr(mean, field) for field in metrics.METRICS},
                 unit_params=counts["unit"],
                 backbone_params=counts["backbone"],
                 seeds=len(seeds),

@@ -19,7 +19,7 @@ from puxp.dataio import (
 from puxp.errors import ConfigError
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.pipeline import BackboneSpec, TrainConfig, spec_to_fields
-from puxp.shapes import SyntheticShape, surface_mesh, surface_sample
+from puxp.shapes import SHAPE_KINDS, SyntheticShape, surface_mesh, surface_sample
 from puxp.units import UNIT_KINDS, ExpansionSpec
 
 from csv_reader import read_csv_rows
@@ -223,6 +223,26 @@ class TestUpsampleCommand:
         assert run(["upsample", "--model", bad, "--input", inp, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: checkpoint spec block is invalid: {key}: '2.5' is not an integer\n"
+
+    @pytest.mark.parametrize("fault", ["missing-field", "wrong-shape"])
+    def test_checkpoint_that_disagrees_with_its_spec_exits_2(self, tmp_path, checkpoint, capsys, fault):
+        ckpt = load_checkpoint(checkpoint)
+        fields, params = dict(ckpt.fields), list(ckpt.params)
+        if fault == "missing-field":
+            del fields["model.k"]
+            want = "checkpoint is missing spec field 'model.k'"
+        else:
+            name, values = params[0]
+            params[0] = (name, values[..., None])
+            want = f"parameter {name!r} has shape {values[..., None].shape}, expected {values.shape}"
+        bad = tmp_path / "bad.puxp"
+        save_checkpoint(bad, Checkpoint(fields, params))
+        inp = tmp_path / "in.xyz"
+        write_cloud(inp, 16)
+        capsys.readouterr()
+        assert run(["upsample", "--model", bad, "--input", inp, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_foreign_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.puxp"
@@ -481,6 +501,28 @@ class TestCompareCommand:
         monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(self.SMALL_COMPARE.replace("train.seeds=1\n", f"train.seeds={seeds}\n"))
+        assert run(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
+
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [
+            ("compare.units=branch,nodeshuffle\n", "", "compare config is missing 'compare.units'"),
+            ("compare.units=branch,nodeshuffle\n", "compare.units=\n", "compare config selects no unit"),
+            ("data.shapes=sphere\n", "data.shapes=cube\n", f"unknown shape 'cube'; choose from {SHAPE_KINDS}"),
+            ("data.shapes=sphere\n", "data.shapes=\n", "need at least one shape"),
+            ("train.seeds=1\n", "train.seeds=1\ntrain.beta1=1\n", "invalid optimizer settings"),
+        ],
+        ids=["no-units-key", "empty-units", "unknown-shape", "no-shape", "beta1-of-1"],
+    )
+    def test_bad_compare_file_exits_2_before_any_cell_trains(
+        self, tmp_path, capsys, monkeypatch, line, replacement, message
+    ):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE.replace(line, replacement))
         assert run(["compare", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trained == []

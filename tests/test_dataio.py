@@ -198,15 +198,15 @@ class TestOff:
     def test_malformed_coordinate_names_its_line(self, tmp_path):
         p = tmp_path / "m.off"
         p.write_text("OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(FormatError, match=r"m\.off:4: bad coordinate: 'x'"):
+        with pytest.raises(FormatError, match=r"m\.off:4: not a number: '1 x 0'"):
             read_off(p)
 
     @pytest.mark.parametrize(
         "body, where",
         [
             # Python's float() and int() read these as 10 and 1; read_xyz refuses them
-            ("OFF\n3 1 0\n1_0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "3: bad coordinate: '1_0'"),
-            ("OFF\n3 1 0\n0 0 0\n\u0661 0 0\n0 1 0\n3 0 1 2\n", "4: bad coordinate: '\u0661'"),
+            ("OFF\n3 1 0\n1_0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "3: not a number: '1_0 0 0'"),
+            ("OFF\n3 1 0\n0 0 0\n\u0661 0 0\n0 1 0\n3 0 1 2\n", "4: not a number: '\u0661 0 0'"),
             ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u0662\n", "6: bad face index: '\u0662'"),
             ("OFF\n3 1_0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "2: bad face count: '1_0'"),
             ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\u0663 0 1 2\n", "6: bad face arity: '\u0663'"),

@@ -795,6 +795,14 @@ class TestExpandIndex:
         with pytest.raises(ValueError, match="expansion factor must be an integer >= 1"):
             expand_index(IndexMatrix([[1], [0]]), factor)
 
+    @pytest.mark.parametrize(
+        "table", [np.array([[1.0], [0.0]]), np.array([[1], [0]]), [[1], [0]]], ids=["float", "int", "list"]
+    )
+    def test_refuses_a_table_that_is_not_an_index_matrix(self, table):
+        name = type(table).__name__
+        with pytest.raises(ShapeError, match=f"^expand_index: index must be an IndexMatrix, got {name}$"):
+            expand_index(table)
+
     def test_numpy_integer_factor(self):
         out = expand_index(IndexMatrix([[1], [0]]), np.int64(3))
         assert out.ratio == 3 and type(out.ratio) is int

@@ -28,6 +28,7 @@ from puxp.pipeline import (
     train,
 )
 from puxp.geometry import PointCloud, knn_bruteforce
+from puxp.losses import chamfer_loss
 from puxp.shapes import SyntheticShape, sample_pair, surface_sample
 from puxp.units import REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
@@ -265,6 +266,32 @@ class TestTrain:
         assert result.losses[-1] < 0.3 * result.losses[0]
 
 
+class TestBatches:
+    """batch_size 2 over four patches: a step's loss is the mean of two patches'
+    losses, and the steps take the patches in dataset order."""
+
+    SHAPES = ("sphere", "torus", "cylinder", "box_surface")
+
+    def patch_losses(self, cfg, dataset):
+        """Each patch's own loss under the initial model of cfg."""
+        model = build_model(cfg)
+        return [chamfer_loss(model.forward_tensor(p.cloud), p.gt).item() for p in dataset]
+
+    def test_each_step_averages_the_next_two_patches(self):
+        # step 0 runs the initial model at any lr; at lr 0 every later step does too,
+        # so each loss names its two patches
+        cfg = small_config(steps=3, batch_size=2, shapes=self.SHAPES, lr=0.0)
+        dataset = make_dataset(cfg)
+        l0, l1, l2, l3 = self.patch_losses(cfg, dataset)
+        assert train(cfg, dataset).losses == [(l0 + l1) * 0.5, (l2 + l3) * 0.5, (l0 + l1) * 0.5]
+
+    def test_batched_runs_repeat(self):
+        cfg = small_config(steps=3, batch_size=2, shapes=self.SHAPES)
+        a, b = train(cfg, make_dataset(cfg)), train(cfg, make_dataset(cfg))
+        assert a.losses == b.losses
+        assert a.model.store.values.tobytes() == b.model.store.values.tobytes()
+
+
 class TestFlatParameters:
     """Every parameter of a model is a view of the store's flat buffers, in stage order."""
 
@@ -396,6 +423,22 @@ class TestCheckpointRoundTrip:
         a = result.model.upsample(ds[0].cloud).points
         b = loaded.upsample(ds[0].cloud).points
         assert np.allclose(a, b, atol=1e-5)
+
+    @pytest.mark.parametrize("key", ["unit.kind", "unit.ratio", "unit.channels", "backbone.kind", "model.k"])
+    def test_a_missing_spec_field_is_a_format_error(self, key):
+        ckpt = model_to_checkpoint(build_model(small_config()))
+        del ckpt.fields[key]
+        with pytest.raises(FormatError, match=f"^checkpoint is missing spec field '{key}'$"):
+            model_from_checkpoint(ckpt)
+
+    def test_a_parameter_of_the_wrong_shape_is_a_format_error(self):
+        ckpt = model_to_checkpoint(build_model(small_config()))
+        name, values = ckpt.params[-1]
+        ckpt.params[-1] = (name, values[..., None])
+        want = f"parameter {name!r} has shape {values[..., None].shape}, expected {values.shape}"
+        with pytest.raises(FormatError) as caught:
+            model_from_checkpoint(ckpt)
+        assert str(caught.value) == want
 
 
 class TestSpecCodec:
