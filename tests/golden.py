@@ -16,7 +16,23 @@ k = 16, C = 32, an edgeconv_stack 2 x 32 backbone, 256-point patches, model seed
   OFF and without it, and the metric CSV of the run without (an empty p2f);
 - compare/*: the stdout and CSV of `puxp compare` on a small matrix: branch,
   proedgeshuffle and duplicate at r = 4 with 2 steps, 32 points, k = 6, width 8
-  and seeds 1 and 2.
+  and seeds 1 and 2;
+- units/power-of-two: the parameter names, initial parameter bytes and expand
+  outputs of every unit (proedgeshuffle in both index modes) at r = 1, 2, 4, 8
+  and 16 on one 6-point context, recorded before the units grew one round per
+  prime factor of r;
+- upsample/torus-4k: the points the checkpoint gives for the 4,096-point torus
+  of seed 3, recorded before the forward stopped holding finished activations;
+- gradcheck/stdout and knncheck/stdout: what `puxp gradcheck` and
+  `puxp knncheck --clouds 25` print, each `<digits>.<digits>s` timing masked.
+The kernel-free outputs run through no BLAS call:
+- sample_pair/<kind>/<n>/<seed>: cloud, ground truth, mesh vertices and faces of
+  sample_pair(kind, n, 4, seed) for every shape, n = 8, 256 and 16,384 and seeds
+  1 and 2026, recorded from the loop builders the array builders replaced;
+- dataset/bench: the same four arrays of every patch of the benchmark dataset
+  (data seed 1,000,001);
+- degeneracy/boundary-slivers: the packed geometry._degenerate_faces verdicts on
+  boundary_slivers(), 4,000 slivers within an ulp of the 1e-28 threshold.
 The commands run in a temporary working directory with relative paths, so the
 paths they print do not depend on where the manifest is made.
 
@@ -36,6 +52,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -50,6 +67,8 @@ CHECKPOINT = TESTS.parent / "bench" / "data" / "proedgeshuffle-r4.puxp"
 DATA_SEEDS = (1_000_001, 1_000_002)
 TRAIN_STEPS = 9
 TORUS_POINTS = 16384
+PAIR_POINTS = (8, 256, 16384)
+PAIR_SEEDS = (1, 2026)
 COMPARE_FILE = """\
 compare.units=branch,proedgeshuffle,duplicate
 train.ratio=4
@@ -76,8 +95,12 @@ def _config(data_seed, index_mode="expand"):
     )
 
 
-def _sha256(data):
-    return hashlib.sha256(data).hexdigest()
+def _sha256(*chunks):
+    """sha256 of the chunks in turn: bytes as they are, arrays as their C-order bytes."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk if isinstance(chunk, bytes) else np.ascontiguousarray(chunk).tobytes())
+    return digest.hexdigest()
 
 
 def _write_off(path, mesh):
@@ -95,6 +118,82 @@ def _puxp_stdout(*argv):
     with contextlib.redirect_stdout(printed):
         assert cli.main(list(argv)) == 0, argv
     return printed.getvalue()
+
+
+def boundary_slivers(n=2000, seed=0):
+    """n pairs of slivers one ulp of the apex apart, either side of the 1e-28
+    threshold, and the degeneracy verdict of each by left-to-right sums.
+
+    The base runs along x from the origin, so the cross product and the
+    norms are exact products and the verdict turns on how three squares
+    are summed. The apex height is bisected by elementwise left-to-right
+    sums only, so the slivers are the same under every BLAS kernel.
+    """
+    def degenerate(tris):
+        def norm2(u):
+            return u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
+
+        ab, ac = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+        span = norm2(ab) * norm2(ac)
+        return (norm2(np.cross(ab, ac)) <= 1e-28 * span) | (span == 0.0)
+
+    rng = np.random.default_rng(seed)
+    base, run = rng.uniform(0.5, 2.0, size=(2, n))
+    depth = rng.uniform(0.1, 0.9, size=n) * 1e-14 * run
+
+    def slivers(height):
+        tris = np.zeros((n, 3, 3))
+        tris[:, 1, 0] = base
+        tris[:, 2] = np.stack([run, height, depth], axis=1)
+        return tris
+
+    lo, hi = np.zeros(n), 1e-13 * run
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = degenerate(slivers(mid))
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    tris = np.concatenate([slivers(lo), slivers(hi)])
+    return tris, degenerate(tris)
+
+
+def kernel_free_digests():
+    """{output: sha256} of the outputs that run through no BLAS call, made in this process."""
+    from puxp import geometry, pipeline, shapes
+
+    out = {}
+    for kind in shapes.SHAPE_KINDS:
+        for n in PAIR_POINTS:
+            for seed in PAIR_SEEDS:
+                cloud, gt, mesh = shapes.sample_pair(shapes.SyntheticShape(kind), n, 4, seed)
+                out[f"sample_pair/{kind}/{n}/{seed}"] = _sha256(cloud.points, gt.points, mesh.vertices, mesh.faces)
+    patches = pipeline.make_dataset(_config(DATA_SEEDS[0]))
+    out["dataset/bench"] = _sha256(*[a for p in patches for a in (p.cloud.points, p.gt.points, p.mesh.vertices, p.mesh.faces)])
+    tris, _ = boundary_slivers()
+    out["degeneracy/boundary-slivers"] = _sha256(np.packbits(geometry._degenerate_faces(tris)))
+    return out
+
+
+def _power_of_two_chunks():
+    """The parameter names, initial parameter bytes and expand output of every unit
+    (proedgeshuffle in both index modes) at r = 1, 2, 4, 8 and 16."""
+    from puxp import autodiff, geometry, units
+
+    rng = np.random.default_rng(0)
+    cloud = geometry.PointCloud(rng.normal(size=(6, 3)))
+    ctx = units.ExpansionContext(cloud, geometry.knn_bruteforce(cloud, 3), autodiff.Tensor(rng.normal(size=(6, 4))))
+    for kind in units.UNIT_KINDS:
+        for mode in units._UNIT_CLASSES[kind].index_modes:
+            for ratio in (1, 2, 4, 8, 16):
+                store = autodiff.ParameterStore()
+                spec = units.ExpansionSpec(kind, ratio=ratio, channels=4, k=3, index_mode=mode)
+                unit = units.build_unit(store, spec, np.random.default_rng(1))
+                for param in store:
+                    yield param.name.encode()
+                    yield param.data
+                out = unit.expand(ctx)
+                yield out.features.data
+                if out.index is not None:
+                    yield out.index.entries
 
 
 def digests():
@@ -134,9 +233,15 @@ def digests():
             printed = _puxp_stdout("compare", "--config", "compare.txt", "--out", "comparison.csv")
             out["compare/stdout"] = _sha256(printed.encode())
             out["compare/csv"] = _sha256(pathlib.Path("comparison.csv").read_bytes())
+            out["units/power-of-two"] = _sha256(*_power_of_two_chunks())
+            cloud, _, _ = shapes.sample_pair(shapes.SyntheticShape("torus"), 4096, 4, 3)
+            out["upsample/torus-4k"] = _sha256(model.upsample(cloud).points)
+            for command in (["gradcheck"], ["knncheck", "--clouds", "25"]):
+                printed = re.sub(r"\d+\.\d+s", "?s", _puxp_stdout(*command))
+                out[f"{command[0]}/stdout"] = _sha256(printed.encode())
         finally:
             os.chdir(home)
-    return out
+    return {**out, **kernel_free_digests()}
 
 
 def manifest():
