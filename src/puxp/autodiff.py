@@ -34,9 +34,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
+        arr = np.ascontiguousarray(data, dtype=np.float64)  # a scalar comes back with shape (1,)
         if arr.ndim > 2:
             raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
         self.data = arr

@@ -47,6 +47,18 @@ class TestTensor:
         assert t.shape == (1,)
         assert t.item() == 3.0
 
+    def test_item_needs_one_element(self):
+        with pytest.raises(ShapeError, match=r"^item\(\) needs a one-element tensor, got shape \(2,\)$"):
+            Tensor([1.0, 2.0]).item()
+
+    def test_add_rejects_unequal_shapes(self):
+        with pytest.raises(ShapeError, match=r"^add: shapes \(2,\) and \(3,\) differ$"):
+            ad.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+
+    def test_reshape_rejects_another_element_count(self):
+        with pytest.raises(ShapeError, match=r"^reshape: cannot view \(2, 4\) as \(3, 3\)$"):
+            ad.reshape(Tensor(np.zeros((2, 4))), (3, 3))
+
     def test_data_is_float64_and_contiguous(self):
         t = Tensor(np.arange(6, dtype=np.int32).reshape(2, 3))
         assert t.data.dtype == np.float64
@@ -349,6 +361,7 @@ class TestEdgeConv:
             ((3, 2), IndexMatrix([[1], [2], [0]]), (2, 5), 5),  # w not 2C rows
             ((3, 2), IndexMatrix([[1], [2], [0]]), (4, 5), 4),  # bias width
             ((3, 2), np.zeros((3, 1)), (4, 5), 5),  # float index, not an IndexMatrix
+            ((3,), IndexMatrix([[1], [2], [0]]), (4, 5), 5),  # rank-1 source
         ],
     )
     def test_rejects_bad_shapes(self, x_shape, idx, w_shape, b_size):
@@ -401,6 +414,10 @@ class TestShuffleExpand:
         with pytest.raises(ShapeError):
             ad.shuffle_expand(Tensor(np.zeros((2, 5))), 2)
 
+    def test_rejects_rank_1(self):
+        with pytest.raises(ShapeError, match=r"^shuffle_expand: need a rank-2 tensor, got shape \(4,\)$"):
+            ad.shuffle_expand(Tensor(np.zeros(4)), 2)
+
 
 class TestTape:
     def test_no_tape_means_no_grad_tracking(self):
@@ -420,6 +437,13 @@ class TestTape:
             out = ad.dense(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), True)
             with pytest.raises(ShapeError):
                 tape.backward(out)
+
+    def test_tapes_exited_out_of_order_raise(self):
+        with Tape() as outer:
+            Tape().__enter__()
+            with pytest.raises(RuntimeError, match="^gradient tapes exited out of order$"):
+                outer.__exit__(None, None, None)  # pops the inner tape
+        assert ad._TAPES == []
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(9)

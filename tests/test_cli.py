@@ -20,7 +20,7 @@ from puxp.errors import ConfigError
 from puxp.geometry import IndexMatrix, PointCloud
 from puxp.pipeline import BackboneSpec, TrainConfig, spec_to_fields
 from puxp.shapes import SHAPE_KINDS, SyntheticShape, surface_mesh, surface_sample
-from puxp.units import UNIT_KINDS, ExpansionSpec
+from puxp.units import INDEX_MODES, REGRESSION_MODES, UNIT_KINDS, ExpansionSpec
 
 from csv_reader import read_csv_rows
 
@@ -513,19 +513,34 @@ class TestCompareCommand:
             ("data.shapes=sphere\n", "data.shapes=cube\n", f"unknown shape 'cube'; choose from {SHAPE_KINDS}"),
             ("data.shapes=sphere\n", "data.shapes=\n", "need at least one shape"),
             ("train.seeds=1\n", "train.seeds=1\ntrain.beta1=1\n", "invalid optimizer settings"),
+            (
+                "train.seeds=1\n",
+                "train.seeds=1\ncompare.index_modes=bogus\n",
+                f"unknown index mode 'bogus'; choose from {INDEX_MODES}",
+            ),
+            (
+                "train.seeds=1\n",
+                "train.seeds=1\ncompare.regression_modes=bogus\n",
+                f"unknown regression mode 'bogus'; choose from {REGRESSION_MODES}",
+            ),
         ],
-        ids=["no-units-key", "empty-units", "unknown-shape", "no-shape", "beta1-of-1"],
+        ids=[
+            "no-units-key", "empty-units", "unknown-shape", "no-shape", "beta1-of-1",
+            "bogus-index-mode", "bogus-regression-mode",
+        ],
     )
     def test_bad_compare_file_exits_2_before_any_cell_trains(
         self, tmp_path, capsys, monkeypatch, line, replacement, message
     ):
         trained = []
         monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(self.SMALL_COMPARE.replace(line, replacement))
         assert run(["compare", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trained == []
+        assert list(tmp_path.iterdir()) == [cfg]  # no CSV
 
     def test_printed_config_is_a_compare_file_for_the_same_run(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -49,6 +49,10 @@ class TestContainers:
         with pytest.raises(ShapeError):
             PointCloud(np.zeros((0, 3)))
 
+    def test_mesh_rejects_planar_vertices(self):
+        with pytest.raises(ShapeError, match=r"^mesh vertices must have shape \(V, 3\), got \(3, 2\)$"):
+            TriangleMesh(np.zeros((3, 2)), [[0, 1, 2]])
+
     def test_mesh_rejects_out_of_range_face(self):
         with pytest.raises(IndexRangeError):
             TriangleMesh(np.zeros((3, 3)), [[0, 1, 5]])

@@ -46,6 +46,10 @@ class TestSharedMLP:
         expected = np.array([np.maximum(row @ w0 + b0, 0.0) @ w1 + b1 for row in x])
         assert np.allclose(mlp(Tensor(x)).data, expected, atol=1e-12)
 
+    def test_needs_input_and_output_widths(self):
+        with pytest.raises(ValueError, match=r"^m: need at least input and output widths, got \[3\]$"):
+            make_mlp([3])
+
     def test_width_mismatch(self):
         _, mlp = make_mlp([3, 2])
         with pytest.raises(ShapeError):

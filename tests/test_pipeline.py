@@ -186,6 +186,10 @@ class TestBoundedMemory:
 
 
 class TestTrain:
+    def test_empty_dataset_refused(self):
+        with pytest.raises(ConfigError, match="^empty training dataset$"):
+            train(small_config(), [])
+
     def test_loss_curve_length_matches_steps(self):
         cfg = small_config(steps=4)
         result = train(cfg, make_dataset(cfg))
@@ -364,6 +368,10 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match=f"has {cfg.k} points but k={cfg.k} needs more"):
             train(cfg, [*ds, tiny])  # step 0 reads only the first patch
         assert not steps
+
+    def test_empty_dataset_refused(self):
+        with pytest.raises(ConfigError, match="^empty evaluation dataset$"):
+            evaluate(build_model(small_config()), [])
 
     def test_ratio_mismatch_rejected(self):
         cfg = small_config()
@@ -589,6 +597,15 @@ class TestCompareUnits:
         means = [evaluate(run.model, dataset)[-1] for run in runs]
         for field in ("cd", "hd", "p2f"):
             assert getattr(row, field) == float(np.mean([getattr(m, field) for m in means]))
+
+    @pytest.mark.parametrize(
+        "configs, seeds, message",
+        [(0, (1,), "no configurations to compare"), (1, (), "need at least one seed")],
+        ids=["no-configs", "no-seeds"],
+    )
+    def test_empty_matrix_refused(self, configs, seeds, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            compare_units([small_config(kind="branch", steps=2)] * configs, seeds=seeds)
 
     def test_mismatched_budgets_refused(self):
         a = small_config(kind="branch", steps=2)

@@ -5,7 +5,7 @@ from puxp import autodiff as ad
 from puxp import checks
 from puxp.autodiff import ParameterStore, Tensor
 from puxp.checks import check_gradient, run_unit_gradient_checks
-from puxp.errors import ConfigError
+from puxp.errors import ConfigError, ShapeError
 from puxp.geometry import IndexMatrix, PointCloud, expand_index, knn_bruteforce
 from puxp.pipeline import BackboneSpec, UpsamplingModel
 from puxp.units import (
@@ -54,6 +54,11 @@ class TestExpansionSpec:
         assert out.features.shape == (32 * 6, 4)
         assert (out.index.rows, out.index.k) == (32 * 6, 3)
         IndexMatrix(out.index.entries)  # passes every public check
+
+    def test_unknown_index_mode(self):
+        with pytest.raises(ConfigError) as err:
+            ExpansionSpec(kind="proedgeshuffle", ratio=2, channels=4, k=3, index_mode="bogus")
+        assert str(err.value) == f"unknown index mode 'bogus'; choose from {INDEX_MODES}"
 
     def test_graph_kinds_need_k(self):
         with pytest.raises(ConfigError, match="neighbor count"):
@@ -237,6 +242,19 @@ class TestMlpUnits:
         unit, store, _ = build("progressive_mlp", ratio=6)
         assert [store[f"unit.double{i}.w0"].data.shape for i in range(2)] == [(4, 8), (4, 12)]
         assert unit.expand(ctx).features.shape == (18, 4)
+
+
+class TestExpansionContext:
+    def test_cloud_rows_must_match_the_features(self):
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(5, 3)))
+        with pytest.raises(ShapeError, match="^cloud has 5 points but features have 4 rows$"):
+            ExpansionContext(cloud, knn_bruteforce(cloud, 2), Tensor(np.zeros((4, 4))))
+
+    def test_graph_rows_must_match_the_features(self):
+        rng = np.random.default_rng(0)
+        cloud, other = PointCloud(rng.normal(size=(4, 3))), PointCloud(rng.normal(size=(5, 3)))
+        with pytest.raises(ShapeError, match="^index matrix has 5 rows but features have 4$"):
+            ExpansionContext(cloud, knn_bruteforce(other, 2), Tensor(np.zeros((4, 4))))
 
 
 class TestNodeShuffle:
