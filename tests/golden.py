@@ -181,7 +181,8 @@ def kernel_free_digests():
                 cloud, gt, mesh = shapes.sample_pair(shapes.SyntheticShape(kind), n, 4, seed)
                 out[f"sample_pair/{kind}/{n}/{seed}"] = _sha256(cloud.points, gt.points, mesh.vertices, mesh.faces)
     patches = pipeline.make_dataset(_config(DATA_SEEDS[0]))
-    out["dataset/bench"] = _sha256(*[a for p in patches for a in (p.cloud.points, p.gt.points, p.mesh.vertices, p.mesh.faces)])
+    arrays = [a for p in patches for a in (p.cloud.points, p.gt.points, p.mesh.vertices, p.mesh.faces)]
+    out["dataset/bench"] = _sha256(*arrays)
     tris, _ = boundary_slivers()
     out["degeneracy/boundary-slivers"] = _sha256(np.packbits(geometry._degenerate_faces(tris)))
     return out
@@ -221,7 +222,7 @@ def digests():
         try:
             for mode in units.INDEX_MODES:
                 run = pipeline.train(_config(DATA_SEEDS[0], mode))
-                out[f"train/{mode}"] = _sha256(np.array(run.losses).tobytes() + run.model.store.values.tobytes())
+                out[f"train/{mode}"] = _sha256(np.array(run.losses), run.model.store.values)
                 dataio.write_loss_csv("loss.csv", run.losses)
                 out[f"loss_csv/{mode}"] = _sha256(pathlib.Path("loss.csv").read_bytes())
             model = pipeline.model_from_checkpoint(dataio.load_checkpoint(CHECKPOINT))
