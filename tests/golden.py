@@ -4,6 +4,7 @@ Every output is made on the benchmark configuration: proedgeshuffle at r = 4,
 k = 16, C = 32, an edgeconv_stack 2 x 32 backbone, 256-point patches, model seed 1.
 - train/<index mode>: the losses of a 9-step pipeline.train on the patches of data
   seed 1,000,001 and the parameter values it ends with, in both index modes;
+- train/batch-2: the same for the expand run at batch size 2;
 - evaluate/<data seed>: the rows pipeline.evaluate gives for the checked-in
   checkpoint (bench/data/proedgeshuffle-r4.puxp) on the patches of data seeds
   1,000,001 and 1,000,002;
@@ -225,6 +226,8 @@ def digests():
                 out[f"train/{mode}"] = _sha256(np.array(run.losses), run.model.store.values)
                 dataio.write_loss_csv("loss.csv", run.losses)
                 out[f"loss_csv/{mode}"] = _sha256(pathlib.Path("loss.csv").read_bytes())
+            run = pipeline.train(dataclasses.replace(_config(DATA_SEEDS[0]), batch_size=2))
+            out["train/batch-2"] = _sha256(np.array(run.losses), run.model.store.values)
             model = pipeline.model_from_checkpoint(dataio.load_checkpoint(CHECKPOINT))
             for seed in DATA_SEEDS:
                 rows = pipeline.evaluate(model, pipeline.make_dataset(_config(seed)))
