@@ -207,29 +207,6 @@ def dense(x, w, b, activate):
     return record_op(out, (x, w, b), backward)
 
 
-def add(a, b):
-    """Elementwise sum of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-
-    def backward(g):
-        return g, g
-
-    return record_op(out, (a, b), backward)
-
-
-def scale(x, factor):
-    """Multiply by a python scalar."""
-    factor = float(factor)
-    out = Tensor(x.data * factor)
-
-    def backward(g):
-        return (g * factor,)
-
-    return record_op(out, (x,), backward)
-
-
 def sum_all(x):
     """Full reduction to a one-element tensor."""
     out = Tensor(np.array([x.data.sum()]))

@@ -125,13 +125,6 @@ def _op_cases(seed):
 
                 yield f"dense/{tag}/{name}", loss, args[name]
 
-    def case_elementwise():
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        w = Tensor(rng.normal(size=(4, 1)))
-        yield "add", lambda t: ad.sum_all(product(ad.add(t, Tensor(b)), w)), a
-        yield "scale", lambda t: ad.sum_all(ad.scale(t, -1.7)), a
-
     def case_concat():
         a = rng.normal(size=(4, 2))
         b = rng.normal(size=(4, 3))
@@ -176,7 +169,6 @@ def _op_cases(seed):
 
     for group in (
         case_dense,
-        case_elementwise,
         case_concat,
         case_shapes,
         case_chamfer,

@@ -170,11 +170,10 @@ def cmd_gradcheck(args):
 
 
 def cmd_knncheck(args):
-    if args.clouds < 1:
-        raise ConfigError(f"--clouds must be at least 1, got {args.clouds}")
+    clouds = integer("--clouds", args.clouds)
     seed = integer("seed", args.seed, 0)
-    _print_config({"seed": seed, "clouds": args.clouds, "replay_dir": args.replay_dir})
-    results = checks.run_knn_checks(clouds=args.clouds, seed=seed)
+    _print_config({"seed": seed, "clouds": clouds, "replay_dir": args.replay_dir})
+    results = checks.run_knn_checks(clouds=clouds, seed=seed)
     results += checks.run_index_expansion_checks(seed=seed + 1)
     return _run_check_suite(results, args.replay_dir)
 

@@ -20,7 +20,6 @@ import typing
 
 import numpy as np
 
-from . import autodiff as ad
 from . import metrics
 from .autodiff import ParameterStore, Tape, Tensor
 from .errors import ConfigError, DivergenceError, GradientError, ShapeError, integer, real
@@ -305,7 +304,14 @@ class TrainResult:
 
 
 def train(config, dataset=None):
-    """Minimize chamfer(predicted, gt) with Adam; per-step losses recorded."""
+    """Minimize chamfer(predicted, gt) with Adam; per-step losses recorded.
+
+    A step of batch size B takes the next B patches in dataset order, each on
+    its own tape: forward, loss, a finite check, then backward, which adds the
+    patch's gradients into the store's flat `grads`. So one patch's tape is
+    live at a time. The buffer is then scaled by 1/B in place, and the step's
+    loss is the patch losses summed in order, times 1/B: the batch mean.
+    """
     if dataset is None:
         dataset = make_dataset(config)
     if not dataset:
@@ -318,11 +324,11 @@ def train(config, dataset=None):
     cursor = 0
     for step in range(config.steps):
         model.store.zero_grads()
-        with Tape() as tape:
-            total = None
-            for _ in range(config.batch_size):
-                patch = dataset[cursor % len(dataset)]
-                cursor += 1
+        total = 0.0
+        for _ in range(config.batch_size):
+            patch = dataset[cursor % len(dataset)]
+            cursor += 1
+            with Tape() as tape:
                 stage = "features"  # non-finite features meet a feature-space KNN
                 try:
                     pred = model.forward_tensor(patch.cloud)
@@ -330,17 +336,16 @@ def train(config, dataset=None):
                     loss = chamfer_loss(pred, patch.gt)
                 except GradientError as exc:
                     raise DivergenceError(step, f"non-finite {stage} at step {step}: {exc}") from exc
-                total = loss if total is None else ad.add(total, loss)
-            if config.batch_size > 1:
-                total = ad.scale(total, 1.0 / config.batch_size)
-            value = total.item()
-            if not np.isfinite(value):
+            value = loss.item()
+            if not np.isfinite(value):  # before its backward, which would overflow
                 raise DivergenceError(step)
-            tape.backward(total)
+            tape.backward(loss)
+            total += value
+        model.store.grads[...] *= 1.0 / config.batch_size  # `grads` has no setter: scale in place
         adam_step(
             model.store, state, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps
         )
-        losses.append(value)
+        losses.append(total * (1.0 / config.batch_size))
     return TrainResult(model, losses, config)
 
 

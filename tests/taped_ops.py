@@ -23,8 +23,6 @@ def taped_op_cases(seed=0):
 
     return {
         "dense": ([rows(), rng.normal(size=(3, 2)), rng.normal(size=2)], lambda x, w, b: ad.dense(x, w, b, True)),
-        "add": ([rows(), rows()], lambda a, b: ad.add(a, b)),
-        "scale": ([rows()], lambda x: ad.scale(x, -1.5)),
         "sum_all": ([rows()], lambda x: ad.sum_all(x)),
         "concat_last": ([rows(), rows(2)], lambda a, b: ad.concat_last(a, b)),
         "edge_conv": (

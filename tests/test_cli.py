@@ -675,7 +675,7 @@ def result_lines(out):
 class TestCheckCommands:
     GRADCHECK_NAMES = [
         "op/dense/relu/x", "op/dense/relu/w", "op/dense/relu/b", "op/dense/linear/x", "op/dense/linear/w",
-        "op/dense/linear/b", "op/add", "op/scale", "op/concat_last/left", "op/concat_last/right", "op/reshape", "op/shuffle_expand",
+        "op/dense/linear/b", "op/concat_last/left", "op/concat_last/right", "op/reshape", "op/shuffle_expand",
         "op/chamfer_loss", "op/edge_conv/relu/x", "op/edge_conv/relu/w", "op/edge_conv/relu/b",
         "op/edge_conv/linear/x", "op/edge_conv/linear/w", "op/edge_conv/linear/b",
         "op/edge_conv/expanded/relu/x", "op/edge_conv/expanded/relu/w", "op/edge_conv/expanded/relu/b",
@@ -735,7 +735,7 @@ class TestCheckCommands:
     @pytest.mark.parametrize("clouds", [-5, 0])
     def test_knncheck_needs_a_cloud(self, tmp_path, capsys, clouds):
         assert run(["knncheck", "--clouds", clouds, "--replay-dir", tmp_path]) == 2
-        assert f"error: --clouds must be at least 1, got {clouds}" in capsys.readouterr().err
+        assert f"error: --clouds must be an integer >= 1, got {clouds}" in capsys.readouterr().err
 
     def test_knncheck_failure_exits_1_and_saves_the_first_failing_cloud(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -250,8 +250,9 @@ class TestTrain:
 
 
 class TestBatches:
-    """batch_size 2 over four patches: a step's loss is the mean of two patches'
-    losses, and the steps take the patches in dataset order."""
+    """batch_size B over four patches: a step's loss and gradient are the means of
+    B patches' own, the steps take the patches in dataset order, and a step holds
+    one patch's tape at a time."""
 
     SHAPES = ("sphere", "torus", "cylinder", "box_surface")
 
@@ -273,6 +274,33 @@ class TestBatches:
         a, b = train(cfg, make_dataset(cfg)), train(cfg, make_dataset(cfg))
         assert a.losses == b.losses
         assert a.model.store.values.tobytes() == b.model.store.values.tobytes()
+
+    def step_grads(self, dataset, batch_size):
+        """The flat gradient of one step over the first batch_size patches."""
+        cfg = small_config(steps=1, batch_size=batch_size, shapes=self.SHAPES, lr=0.0)
+        return train(cfg, dataset[:batch_size]).model.store.grads
+
+    def test_step_gradient_is_the_mean_of_the_patch_gradients(self):
+        dataset = make_dataset(small_config(shapes=self.SHAPES))
+        g0, g1, g2 = (self.step_grads([patch], 1) for patch in dataset[:3])
+        assert self.step_grads(dataset, 2).tobytes() == (0.5 * (g0 + g1)).tobytes()
+        assert np.allclose(self.step_grads(dataset, 3), (g0 + g1 + g2) / 3, rtol=1e-12, atol=0)
+
+    def peak_bytes(self, batch_size):
+        cfg = small_config(steps=2, batch_size=batch_size, shapes=self.SHAPES)
+        dataset = make_dataset(cfg)
+        train(dataclasses.replace(cfg, steps=1), dataset)  # warm-up: every patch's graph and lazy import
+        tracemalloc.start()
+        try:
+            train(cfg, dataset)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_batch_holds_one_patch_tape(self):
+        # one tape per patch, its gradients summed in the store: the peak does not grow with B
+        one, four = self.peak_bytes(1), self.peak_bytes(4)
+        assert four <= 1.2 * one, (one, four)
 
 
 class TestFlatParameters:
