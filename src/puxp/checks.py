@@ -31,6 +31,8 @@ from .geometry import (
     squared_distances_to_mesh,
     squared_distances_to_triangle,
 )
+from .losses import chamfer_loss
+from .units import ExpansionContext, ExpansionSpec, UNIT_KINDS, build_unit
 
 GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-7
@@ -158,8 +160,6 @@ def _op_cases(seed):
         yield "shuffle_expand", lambda t: ad.sum_all(product(ad.shuffle_expand(t, 2), w)), x
 
     def case_chamfer():
-        from .losses import chamfer_loss
-
         pred = rng.normal(size=(4, 3))
         gt = rng.normal(size=(7, 3))
         yield "chamfer_loss", lambda t: chamfer_loss(t, gt), pred
@@ -185,8 +185,6 @@ def run_op_gradient_checks(seed=7):
 def run_unit_gradient_checks(seed=11):
     """Finite-difference check of d sum(output) / d features for all units,
     at r = 2 and then at r = 6, whose rounds grow by 2 and then by 3."""
-    from .units import ExpansionContext, ExpansionSpec, UNIT_KINDS, build_unit
-
     rng = np.random.default_rng(seed)
     n, c, k = 6, 4, 3
     cloud = PointCloud(rng.normal(size=(n, 3)))

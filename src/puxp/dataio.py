@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .geometry import PointCloud, TriangleMesh
+from .geometry import TriangleMesh, as_cloud
 from .metrics import MetricReport
 
 CHECKPOINT_MAGIC = b"PUXP1"
@@ -116,7 +116,7 @@ def read_xyz(path):
     lines = _Lines(path)
     if not lines.texts:
         raise lines.error(0, "no points")
-    return PointCloud(_xyz_rows(lines, 0, len(lines.texts)), _fresh=True)
+    return as_cloud(_xyz_rows(lines, 0, len(lines.texts)), "XYZ points")  # a view of the new rows, not a copy
 
 
 def write_xyz(path, cloud):

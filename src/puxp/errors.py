@@ -9,15 +9,16 @@ class ShapeError(ValueError):
 
 
 class IndexRangeError(IndexError):
-    """A gather index points outside the tensor it gathers from."""
+    """A neighbour-table entry or a mesh face index points outside its rows or vertices."""
 
 
 class GradientError(ArithmeticError):
     """A non-finite gradient, network output, or input to a distance kernel.
 
-    Every KNN, nearest-neighbour and point-to-mesh search raises it for a
-    non-finite row, naming the row; `puxp` exits 3 on it, and training
-    reports it as a DivergenceError at the step.
+    The one finiteness rule of point sets (geometry.as_cloud, the PointCloud
+    and TriangleMesh constructors, and the oracles' inputs) raises it
+    naming the first non-finite row and the set's role; `puxp` exits 3 on it,
+    and training reports it as a DivergenceError at the step.
     """
 
 

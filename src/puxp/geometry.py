@@ -35,23 +35,28 @@ the fast pass can never change a result:
   O(block M + M C) however many rows tie, against O(M^2 C) for the dense
   kernel.
 
-Every distance kernel and the degeneracy rule of triangles share one scale
-and finiteness rule, _in_range: a non-finite row raises GradientError naming
-it, and inputs whose largest |x| lies outside [1e-50, 1e50) are scaled
-together by a power of two, so no square or product overflows or underflows.
-
 Every point set comes in through one shape rule, as_rows: a PointCloud or an
 array becomes float64 rows (N, C) with N >= 1, and C == 3 wherever the
 kernel is 3-D. Anything else, an empty set or an (N, 2) or (N, 6) array
 included, raises ShapeError naming the input; nothing is reshaped.
 
-PointCloud and TriangleMesh hold read-only copies of their arrays and keep
-what searches build from them, on first use: a cloud its knn_accelerated
-table per k and, per _in_range exponent (0 for every input in [1e-50,
-1e50)), the columns, tree and copy groups of nearest_neighbors and
-squared_distances_to_mesh; a mesh the index of squared_distances_to_mesh.
-A raw array gets the same build afresh on every call, and a raw query array
-only its columns and copy groups.
+The 3-D searches (knn_accelerated, nearest_neighbors and
+squared_distances_to_mesh) and their callers read point sets through one
+boundary, as_cloud: a PointCloud passes through, and an array becomes a
+read-only view PointCloud, not a copy, after as_rows and the one finiteness
+rule, _finite: GradientError naming the first non-finite row. PointCloud and
+TriangleMesh construction apply the same rule. The oracles (knn_bruteforce,
+knn_features, squared_distances_to_triangle) read arrays through as_rows
+alone, apart from the code they check, and meet _finite in _in_range, the
+one scale rule of every distance kernel and of the triangle degeneracy rule:
+inputs whose largest |x| lies outside [1e-50, 1e50) are scaled together by
+a power of two, so no square or product overflows or underflows.
+
+A PointCloud or TriangleMesh keeps what searches build from it, on first
+use: a cloud its knn_accelerated table per k and, per _in_range exponent (0
+for every input in [1e-50, 1e50)), the columns, tree and copy groups of
+nearest_neighbors and squared_distances_to_mesh; a mesh the index of
+squared_distances_to_mesh. The view cloud of an array lives for one call.
 """
 
 from __future__ import annotations
@@ -77,11 +82,9 @@ _LEAFSIZE = 16  # points per leaf of every kd-tree; 32 made near-collapsed searc
 
 
 def _kept(owner, key, build):
-    """build(), kept in owner's memo under key: an _in_range exponent, or ("knn", k)
-    for a KNN table. A raw array keeps nothing."""
-    memo = getattr(owner, "_memo", None)
-    if memo is None:
-        return build()
+    """build(), kept in the memo of a PointCloud or TriangleMesh under key: an
+    _in_range exponent, or ("knn", k) for a KNN table."""
+    memo = owner._memo
     return memo[key] if key in memo else memo.setdefault(key, build())
 
 
@@ -90,14 +93,9 @@ class PointCloud:
 
     __slots__ = ("_points", "_memo")
 
-    def __init__(self, points, *, _fresh=False):
-        # _fresh: points is a new float64 array that no one else holds, made read-only in place;
-        # copying the clouds that read_xyz and sample_pair make raised the upsample peak memory
-        pts = as_rows(points, "point cloud", 3)
-        pts = pts if _fresh else np.array(pts, order="C")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud contains non-finite coordinates")
-        pts.flags.writeable = False
+    def __init__(self, points):
+        pts = _finite(np.array(as_rows(points, "point cloud", 3), order="C"), "point cloud")
+        pts.flags.writeable = False  # a private copy: no caller can change it later
         self._points, self._memo = pts, {}
 
     points = property(lambda self: self._points)
@@ -125,6 +123,7 @@ class TriangleMesh:
             raise ShapeError(f"mesh vertices must have shape (V, 3), got {verts.shape}")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise ShapeError(f"mesh faces must have shape (F, 3), got {tris.shape}")
+        _finite(verts, "mesh vertices")
         if tris.size and (tris.min() < 0 or tris.max() >= verts.shape[0]):
             bad = int(tris.min()) if tris.min() < 0 else int(tris.max())
             raise IndexRangeError(f"face index {bad} out of range for {verts.shape[0]} vertices")
@@ -238,6 +237,30 @@ def as_rows(obj, what, width=None):
     return rows
 
 
+def _finite(rows, what):
+    """The one finiteness rule: rows, or GradientError naming the first non-finite one of `what`."""
+    if not np.isfinite(rows).all():  # the per-row test is ~25x slower: run it only to name the row
+        raise GradientError(f"row {int(np.argmin(np.isfinite(rows).all(axis=1)))} of the {what} is not finite")
+    return rows
+
+
+def as_cloud(obj, what):
+    """The one point-set boundary of the 3-D searches: obj as a PointCloud.
+
+    A PointCloud passes through. An array goes through as_rows (ShapeError)
+    and _finite (GradientError), both naming `what`, and becomes a PointCloud
+    over a read-only view of its float64 rows: a float64 array is not
+    copied, and the caller's array stays writeable.
+    """
+    if isinstance(obj, PointCloud):
+        return obj
+    view = _finite(as_rows(obj, what, 3), what).view()
+    view.flags.writeable = False
+    cloud = object.__new__(PointCloud)
+    cloud._points, cloud._memo = view, {}
+    return cloud
+
+
 def _columns(rows):
     """The x, y and z columns of (N, 3) rows as one (3, N) array.
 
@@ -275,22 +298,20 @@ def _in_range(arrays, names):
     and only values ~1e150 times below the largest then have squares that
     underflow.
     NaN and inf fail the range test too; only then are the rows looked at, and
-    the first non-finite one raises GradientError naming it and its array.
+    _finite names the first non-finite one and its array (only an oracle's can hold one).
     """
     top = np.max([np.abs(a).max(initial=0.0) for a in arrays])
     if 1.0 / _SCALE_LIMIT <= top < _SCALE_LIMIT or top == 0.0:
         return arrays, 0
     for a, name in zip(arrays, names):
-        finite = np.isfinite(a).all(axis=1)
-        if not finite.all():
-            raise GradientError(f"row {int(np.argmin(finite))} of the {name} is not finite")
+        _finite(a, name)
     e = int(np.frexp(top)[1])
     return [np.ldexp(a, -e) for a in arrays], e
 
 
-def _knn_input(data, k, width=None):
+def _knn_input(data, k):
     """(M, C) float64 rows and k for a KNN search, checked and scaled by _in_range."""
-    x = as_rows(data, "KNN input", width)
+    x = as_rows(data, "KNN input")
     m = x.shape[0]
     k = integer("k", k)
     if k >= m:
@@ -367,17 +388,13 @@ def _searched(dst):
 
 
 def _queried(src, rows, e):
-    """The distinct rows of the (S, 3) query rows of src at the _in_range exponent e:
-    (rows, their columns, the copy groups of src's rows).
+    """The distinct rows of the (S, 3) query rows of the PointCloud src at the
+    _in_range exponent e: (rows, their columns, the copy groups of src's rows).
 
-    A PointCloud keeps its columns and groups with its searched side, so a
-    cloud that is both query and target of a pair of searches is grouped once.
+    src keeps its columns and groups with its searched side, so a cloud that
+    is both query and target of a pair of searches is grouped once.
     """
-    if isinstance(src, PointCloud):
-        cols, _, groups = _kept(src, e, lambda: _searched(rows))
-    else:
-        cols = _columns(rows)
-        groups = _copy_groups(cols)
+    cols, _, groups = _kept(src, e, lambda: _searched(rows))
     distinct = groups[0][groups[1]]
     return np.take(rows, distinct, axis=0), np.take(cols, distinct, axis=1), groups
 
@@ -427,12 +444,14 @@ def knn_accelerated(cloud, k):
     group's list. Of a point's list, drop the point itself or, where k + 1
     copies of it with smaller indices come first, the last one.
 
-    A PointCloud keeps the table, one per k, and not the search's tree.
+    The cloud (as_cloud, "KNN input") keeps the table, one per k, and not
+    the search's tree.
     """
     k = integer("k", k)  # before the lookup, where k=True would find the k = 1 table
+    cloud = as_cloud(cloud, "KNN input")
 
     def search():
-        pts, _ = _knn_input(cloud, k, 3)
+        pts, _ = _knn_input(cloud, k)
         searched = _searched(pts)
         hits = _per_row(_nearest(searched[1].data, *searched, k + 1), searched[2])
         other = hits != np.arange(pts.shape[0])[:, None]
@@ -447,12 +466,13 @@ def nearest_neighbors(src, dst):
 
     Bit for bit what the dense src x dst squared-distance matrix gives with
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
-    summed over the three coordinates, and ties go to the smaller index. A
-    PointCloud dst keeps what _searched builds for the next search. Each
-    distinct row of src is searched once, and its copies take its result.
+    summed over the three coordinates, and ties go to the smaller index. Both
+    sets pass as_cloud ("query points", "searched points"), and each keeps
+    what _searched builds for the next search. Each distinct row of src is
+    searched once, and its copies take its result.
     """
-    rows, dst_rows = as_rows(src, "query points", 3), as_rows(dst, "searched points", 3)
-    (rows, dst_rows), e = _in_range([rows, dst_rows], ["query points", "searched points"])
+    src, dst = as_cloud(src, "query points"), as_cloud(dst, "searched points")
+    (rows, dst_rows), e = _in_range([src.points, dst.points], ["query points", "searched points"])
     searched = _kept(dst, e, lambda: _searched(dst_rows))
     rows, cols, groups = _queried(src, rows, e)
     idx = _nearest(rows, *searched, 1)[:, 0]
@@ -728,12 +748,12 @@ def squared_distances_to_mesh(points, mesh):
     exact distance. A node box holds its faces' boxes and rounded
     subtraction is monotone, so no face whose own box lies within u is
     dropped on the way. Each distinct point walks once; its copies take its
-    distance.
+    distance. The points pass as_cloud ("query points").
     """
     if mesh.face_count < 1:
         raise ValueError("mesh has no faces")
-    pts = as_rows(points, "query points", 3)
-    (pts, verts), e = _in_range([pts, mesh.vertices], ["query points", "mesh vertices"])
+    points = as_cloud(points, "query points")
+    (pts, verts), e = _in_range([points.points, mesh.vertices], ["query points", "mesh vertices"])
     bad, index = _kept(mesh, e, lambda: _mesh_index(verts, mesh.faces))
     if index is None:
         raise _zero_area(mesh.triangle(bad))

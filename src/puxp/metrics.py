@@ -11,20 +11,19 @@ search per direction, which `report` shares between CD and HD. Values and
 assignments equal a dense P x Q `min`/`argmin` bit for bit, in O(P + Q)
 memory. Point-to-face (geometry.squared_distances_to_mesh) walks a box
 hierarchy over the faces to the few that could hold a point's minimum, and
-equals a loop over every face. PointClouds and meshes are passed through to
-geometry, not copied, so a ground-truth cloud keeps its kd-tree and a mesh
-its index from one call to the next.
-Both scale inputs outside [1e-50, 1e50) by a power of two first and reject a
-non-finite point (GradientError, naming its row). Values return at the input
-scale. Where a squared distance overflows float64, `chamfer`, `hausdorff`,
-`point_to_face` and `report` raise ValueError with no warning; `chamfer_parts`,
-the loss's path, returns inf, also with no warning, which training reports
-as a divergence.
+equals a loop over every face. Both scale inputs outside [1e-50, 1e50) by a
+power of two first; values return at the input scale. Where a squared
+distance overflows float64, `chamfer`, `hausdorff`, `point_to_face` and
+`report` raise ValueError with no warning; `chamfer_parts`, the loss's path,
+returns inf, also with no warning, which training reports as a divergence.
 
-Inputs follow geometry's one point-set rule, geometry.as_rows: predictions
-and ground truth are PointClouds or arrays of float64 rows (N, 3) with
-N >= 1, and any other shape raises ShapeError naming the input before a
-search starts.
+Every entry point takes its point sets through geometry's one boundary,
+geometry.as_cloud, as "predictions" and "ground truth": a PointCloud or an
+array of float64 rows (N, 3) with N >= 1 (else ShapeError) and finite
+(else GradientError naming the row), before a search starts. A PointCloud
+passes through, so a ground-truth cloud keeps its kd-tree and a mesh its
+index from one call to the next; an array becomes a view cloud for the
+call, so the searches of one call build each set once.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import PointCloud, as_rows, nearest_neighbors, squared_distances_to_mesh
+from .geometry import as_cloud, nearest_neighbors, squared_distances_to_mesh
 
 
 METRICS = ("cd", "hd", "p2f")  # in table order; every mean, CSV and printed line of a report reads them here
@@ -67,26 +66,14 @@ class MetricReport:
         return cls(label, **values, pred_count=pred_count, gt_count=gt_count)
 
 
-def _shared(pred):
-    """The predictions for every search of one call, named "predictions" if malformed.
-
-    A finite raw array becomes a read-only PointCloud over its rows, without
-    a copy, so the searches share one build of its columns, copy groups and
-    tree; a non-finite one stays raw and the search raises GradientError
-    naming its row.
-    """
-    rows = as_rows(pred, "predictions", 3)  # named here: the searches would name it "query points"
-    if isinstance(pred, PointCloud) or not np.isfinite(rows).all():
-        return pred
-    view = rows.view()  # the cloud lives only for this call; the caller's array stays writeable
-    view.flags.writeable = False
-    return PointCloud(view, _fresh=True)
+def _clouds(pred, gt):
+    """pred and gt through the one boundary, named as the metrics name them."""
+    return as_cloud(pred, "predictions"), as_cloud(gt, "ground truth")
 
 
 def _summaries(pred, gt):
     """CD, HD and both assignments from one nearest-neighbour search per direction."""
-    pred = _shared(pred)
-    as_rows(gt, "ground truth", 3)
+    pred, gt = _clouds(pred, gt)
     fwd, nearest_gt = nearest_neighbors(pred, gt)
     bwd, nearest_pred = nearest_neighbors(gt, pred)
     hd = float(np.sqrt(max(float(fwd.max()), float(bwd.max()))))
@@ -128,20 +115,13 @@ def hausdorff(pred, gt):
 
 def point_to_face(pred, mesh):
     """Mean distance from each predicted point to the nearest mesh face."""
+    pred = as_cloud(pred, "predictions")
     return _within_float64(lambda: float(np.sqrt(squared_distances_to_mesh(pred, mesh)).mean()))
 
 
 def report(label, pred, gt, mesh=None):
     """CD, HD and (given a mesh) P2F from one nearest-neighbour search per direction."""
-    pred = _shared(pred)  # one build of raw predictions for both searches and P2F
-    pred_pts, gt_pts = as_rows(pred, "predictions", 3), as_rows(gt, "ground truth", 3)
+    pred, gt = _clouds(pred, gt)  # one build of each for both searches and P2F
     cd, hd = _within_float64(lambda: _summaries(pred, gt)[:2])
     p2f = None if mesh is None else point_to_face(pred, mesh)
-    return MetricReport(
-        label=label,
-        cd=cd,
-        hd=hd,
-        p2f=p2f,
-        pred_count=pred_pts.shape[0],
-        gt_count=gt_pts.shape[0],
-    )
+    return MetricReport(label=label, cd=cd, hd=hd, p2f=p2f, pred_count=pred.count, gt_count=gt.count)

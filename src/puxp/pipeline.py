@@ -22,8 +22,9 @@ import numpy as np
 
 from . import metrics
 from .autodiff import ParameterStore, Tape, Tensor
-from .errors import ConfigError, DivergenceError, GradientError, ShapeError, integer, real
-from .geometry import PointCloud, knn_accelerated
+from .dataio import Checkpoint
+from .errors import ConfigError, DivergenceError, FormatError, GradientError, ShapeError, integer, real
+from .geometry import PointCloud, as_cloud, knn_accelerated
 from .losses import chamfer_loss
 from .nn import EdgeConvLayer, SharedMLP
 from .optim import AdamState, adam_step
@@ -179,12 +180,8 @@ class UpsamplingModel:
         return self.regression.forward(result.features, index)
 
     def upsample(self, cloud):
-        coords = self.forward_tensor(cloud)
-        finite = np.isfinite(coords.data).all(axis=1)
-        if not finite.all():
-            row = int(np.nonzero(~finite)[0][0])
-            raise GradientError(f"non-finite coordinates at output row {row}")
-        return PointCloud(coords.data)
+        """The predicted cloud: a view of the forward's rows, which no one else holds."""
+        return as_cloud(self.forward_tensor(cloud).data, "upsampled points")
 
     def parameter_counts(self):
         """Value counts per stage, keyed by parameter name prefix."""
@@ -211,8 +208,9 @@ class TrainConfig:
     data_seed: int = dataclasses.field(default=100, metadata={"key": "data.seed"})
 
     def __post_init__(self):
+        least = {"points": 8, "seed": 0, "data_seed": 0}  # sample_pair draws at least 8 points
         for name in ("k", "steps", "points", "batch_size", "seed", "data_seed"):
-            setattr(self, name, integer(name, getattr(self, name), 0 if name.endswith("seed") else 1))
+            setattr(self, name, integer(name, getattr(self, name), least.get(name, 1)))
         # floats as floats, so budget keys compare lr=1 and lr=1.0 as equal
         for name in ("lr", "beta1", "beta2", "eps"):
             setattr(self, name, real(name, getattr(self, name)))
@@ -221,8 +219,10 @@ class TrainConfig:
             raise ConfigError(f"upsampling ratio must be at least 2, got {self.unit.ratio}")
         if self.k >= self.points:
             raise ConfigError(f"need 1 <= k < points, got k={self.k}, points={self.points}")
-        if self.lr < 0 or not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1) or self.eps <= 0:
-            raise ConfigError("invalid optimizer settings")
+        for name, ok, rule in (("lr", self.lr >= 0, ">= 0"), ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"), ("eps", self.eps > 0, "> 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not self.shapes:
             raise ConfigError("need at least one shape")
         for s in self.shapes:
@@ -368,8 +368,6 @@ def evaluate(model, dataset):
 
 def model_to_checkpoint(model):
     """Checkpoint payload: spec fields plus float32 parameters in store order."""
-    from .dataio import Checkpoint
-
     fields = {
         **spec_to_fields(model.unit_spec, "unit"),
         **spec_to_fields(model.backbone_spec, "backbone"),
@@ -381,8 +379,6 @@ def model_to_checkpoint(model):
 
 def model_from_checkpoint(ckpt):
     """Rebuild a model from a checkpoint, validating spec/parameter agreement."""
-    from .errors import FormatError
-
     required = ("unit.kind", "unit.ratio", "unit.channels", "backbone.kind", "model.k")
     for key in required:
         if key not in ckpt.fields:

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, integer
-from .geometry import PointCloud, TriangleMesh, _dot3
+from .geometry import TriangleMesh, _dot3, as_cloud
 
 SHAPE_KINDS = ("sphere", "torus", "cylinder", "box_surface")
 
@@ -188,7 +188,7 @@ def sample_pair(shape, n, ratio, seed):
     n = integer("n", n, least=8)
     ratio = integer("ratio", ratio)
     rng = np.random.default_rng(seed)
-    gt = PointCloud(surface_sample(shape, ratio * n, rng), _fresh=True)
+    gt = as_cloud(surface_sample(shape, ratio * n, rng), "ground truth")  # views, not copies
     pool = surface_sample(shape, 2 * n, rng)
     pick = rng.choice(2 * n, size=n, replace=False)
-    return PointCloud(pool[pick], _fresh=True), gt, surface_mesh(shape)
+    return as_cloud(pool[pick], "input cloud"), gt, surface_mesh(shape)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from puxp import checks, metrics, pipeline
+from puxp.autodiff import Tensor
 from puxp.cli import TRAIN_FIELD_FLAGS, _compare_configs, build_parser, main
 from puxp.dataio import (
     CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, read_fields, read_xyz, save_checkpoint, write_comparison_csv,
@@ -151,6 +152,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m.puxp").exists()
 
+    def test_too_few_points_exit_2_naming_points_before_anything_is_printed(self, tmp_path, capsys, monkeypatch):
+        # was: the resolved config, then sample_pair's "n must be an integer >= 8, got 5"
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        assert run(["train", "--points", "5", "--k", "2", "--out", tmp_path / "m.puxp"]) == 2
+        assert capsys.readouterr() == ("", "error: points must be an integer >= 8, got 5\n")
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_shape_items_are_dropped(self, tmp_path, capsys):
         flags = [a if a != "sphere" else "sphere,,torus," for a in TRAIN_FLAGS]
         assert run(flags + ["--out", tmp_path / "m.puxp"]) == 0
@@ -188,6 +198,19 @@ class TestUpsampleCommand:
         assert run(["upsample", "--model", checkpoint, "--input", inp, "--out", out]) == 0
         cloud = read_xyz(out)
         assert cloud.count == 160
+
+    def test_non_finite_output_exits_3_naming_the_row(self, tmp_path, checkpoint, capsys, monkeypatch):
+        def forward(model, cloud, base_index=None):
+            coords = np.zeros((model.ratio * cloud.count, 3))
+            coords[2, 1] = np.nan
+            return Tensor(coords)
+
+        inp, out = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        write_cloud(inp, 40)
+        monkeypatch.setattr(pipeline.UpsamplingModel, "forward_tensor", forward)
+        assert run(["upsample", "--model", checkpoint, "--input", inp, "--out", out]) == 3
+        assert capsys.readouterr().err == "numerical failure: row 2 of the upsampled points is not finite\n"
+        assert not out.exists()
 
     def test_unwritable_out_exits_2_before_reading_anything(self, tmp_path, capsys):
         out = tmp_path / "missing" / "o.xyz"
@@ -512,7 +535,7 @@ class TestCompareCommand:
             ("compare.units=branch,nodeshuffle\n", "compare.units=\n", "compare config selects no unit"),
             ("data.shapes=sphere\n", "data.shapes=cube\n", f"unknown shape 'cube'; choose from {SHAPE_KINDS}"),
             ("data.shapes=sphere\n", "data.shapes=\n", "need at least one shape"),
-            ("train.seeds=1\n", "train.seeds=1\ntrain.beta1=1\n", "invalid optimizer settings"),
+            ("train.seeds=1\n", "train.seeds=1\ntrain.beta1=1\n", "beta1 must be in [0, 1), got 1.0"),
             (
                 "train.seeds=1\n",
                 "train.seeds=1\ncompare.index_modes=bogus\n",
@@ -541,6 +564,16 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trained == []
         assert list(tmp_path.iterdir()) == [cfg]  # no CSV
+
+    def test_too_few_points_exit_2_naming_points_before_anything_is_printed(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: trained.append(a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.SMALL_COMPARE.replace("data.points=32", "data.points=5") + f"out={tmp_path / 'c.csv'}\n")
+        assert run(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", "error: points must be an integer >= 8, got 5\n")
+        assert trained == []
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_printed_config_is_a_compare_file_for_the_same_run(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -42,7 +42,7 @@ def rotation_matrix(axis, angle):
 
 class TestContainers:
     def test_cloud_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GradientError, match="^row 0 of the point cloud is not finite$"):
             PointCloud([[0.0, 0.0, np.inf]])
 
     def test_cloud_rejects_empty(self):
@@ -149,6 +149,66 @@ class TestPointSetRule:
             geometry.as_rows(pts[:, :2], "cloud", 3)
         with pytest.raises(ShapeError, match=r"\(N, C\) array, got shape \(12,\)"):
             geometry.as_rows(pts.ravel(), "features")
+
+
+class TestPointSetBoundary:
+    """The 3-D searches read point sets through geometry.as_cloud, and PointCloud and
+    TriangleMesh construction apply its finiteness rule."""
+
+    def test_constructors_name_the_first_non_finite_row(self):
+        pts = np.zeros((6, 3))
+        pts[2, 1], pts[4, 0] = np.nan, np.inf
+        with pytest.raises(GradientError, match="^row 2 of the point cloud is not finite$"):
+            PointCloud(pts)
+        faces = [[0, 1, 3], [3, 4, 5]]
+        for build in (TriangleMesh, TriangleMesh.filtered):  # refused when built, not at the first P2F
+            with pytest.raises(GradientError, match="^row 2 of the mesh vertices is not finite$"):
+                build(pts, faces)
+
+    def test_a_cloud_passes_through_and_an_array_becomes_a_read_only_view(self):
+        pts = np.random.default_rng(0).normal(size=(5, 3))
+        cloud = PointCloud(pts)
+        assert geometry.as_cloud(cloud, "points") is cloud
+        view = geometry.as_cloud(pts, "points")
+        assert np.shares_memory(view.points, pts) and np.array_equal(view.points, pts)
+        assert not view.points.flags.writeable and pts.flags.writeable
+        assert view.count == 5 and not view._memo
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_an_array_is_refused_by_its_role(self, bad):
+        pts = np.zeros((4, 3))
+        pts[3, 2] = bad
+        with pytest.raises(GradientError, match="^row 3 of the upsampled points is not finite$"):
+            geometry.as_cloud(pts, "upsampled points")
+        with pytest.raises(ShapeError, match=r"^ground truth must be a non-empty \(N, 3\) array"):
+            geometry.as_cloud(pts[:, :2], "ground truth")
+
+    def test_a_raw_array_is_searched_in_place_and_stays_writeable(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        src, dst = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
+        mesh = surface_mesh(SyntheticShape("box_surface"))
+        made, boundary = [], geometry.as_cloud
+
+        def spy(obj, what):
+            made.append((obj, boundary(obj, what)))
+            return made[-1][1]
+
+        monkeypatch.setattr(geometry, "as_cloud", spy)
+        knn_accelerated(src, 4)
+        nearest_neighbors(src, dst)
+        squared_distances_to_mesh(dst, mesh)
+        assert [obj is src for obj, _ in made] == [True, True, False, False]
+        for obj, cloud in made:
+            assert np.shares_memory(cloud.points, obj)  # a view, not a copy
+        assert src.flags.writeable and dst.flags.writeable
+
+    @pytest.mark.parametrize("role", ["query points", "searched points"])
+    def test_nearest_neighbors_names_a_non_finite_set_by_its_role(self, role):
+        good, bad = np.zeros((3, 3)), np.zeros((3, 3))
+        bad[1, 0] = np.nan
+        src, dst = (bad, good) if role == "query points" else (good, bad)
+        with pytest.raises(GradientError, match=f"^row 1 of the {role} is not finite$"):
+            nearest_neighbors(src, dst)
 
 
 class TestKnnBruteforce:
@@ -1225,6 +1285,17 @@ class TestQueryCopyGroups:
         assert metrics.report("r", pred, gt, mesh) == expected
         assert calls == [256]  # the two searches and P2F share one build of the raw rows
         assert pred.flags.writeable
+
+    def test_a_raw_ground_truth_is_grouped_once(self, monkeypatch):
+        cloud, gt, mesh = sample_pair(SyntheticShape("sphere"), 64, 4, 4)
+        pred, gt = np.repeat(cloud.points, 4, axis=0), gt.points.copy()
+        expected = metrics.report("r", PointCloud(pred), PointCloud(gt), mesh)
+        calls = []
+        grouped = geometry._copy_groups
+        monkeypatch.setattr(geometry, "_copy_groups", lambda cols: calls.append(cols.shape[1]) or grouped(cols))
+        assert metrics.report("r", pred, gt, mesh) == expected
+        assert calls == [256, 256]  # gt, then pred: each once for both searches (gt was grouped twice) and P2F
+        assert pred.flags.writeable and gt.flags.writeable
 
     @pytest.mark.parametrize("search", ["nearest", "report", "p2f"])
     def test_copies_of_the_torus_centre_are_fast(self, search):

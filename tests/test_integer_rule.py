@@ -31,7 +31,7 @@ ENTRY_POINTS = {
     "BackboneSpec.width": ("width", 1, lambda v: BackboneSpec(width=v).width),
     "TrainConfig.k": ("k", 1, lambda v: TrainConfig(BRANCH, k=v).k),
     "TrainConfig.steps": ("steps", 1, lambda v: TrainConfig(BRANCH, steps=v).steps),
-    "TrainConfig.points": ("points", 1, lambda v: TrainConfig(BRANCH, k=1, points=v).points),
+    "TrainConfig.points": ("points", 8, lambda v: TrainConfig(BRANCH, k=1, points=v).points),
     "TrainConfig.batch_size": ("batch_size", 1, lambda v: TrainConfig(BRANCH, batch_size=v).batch_size),
     "TrainConfig.seed": ("seed", 0, lambda v: TrainConfig(BRANCH, seed=v).seed),
     "TrainConfig.data_seed": ("data_seed", 0, lambda v: TrainConfig(BRANCH, data_seed=v).data_seed),
@@ -108,6 +108,17 @@ def test_real_field_refuses_non_reals_and_non_finite_values(field, bad):
 def test_real_field_stores_any_finite_real_as_a_float(field, value):
     got = getattr(TrainConfig(BRANCH, **{field: value}), field)
     assert type(got) is float and got == 0.25
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [("lr", -0.5, ">= 0"), ("beta1", 1.0, "in [0, 1)"), ("beta2", -0.25, "in [0, 1)"), ("eps", 0.0, "> 0")],
+)
+def test_optimizer_setting_out_of_range_is_named_with_its_value(field, value, rule):
+    # all four were "invalid optimizer settings"
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{field} must be {rule}, got {value}')}$"):
+        TrainConfig(BRANCH, **{field: value})
+    TrainConfig(BRANCH, lr=0, beta1=0, beta2=0.999, eps=1e-300)  # the edges that pass
 
 
 def test_real_field_text_still_parses_before_the_rule():

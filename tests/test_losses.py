@@ -6,7 +6,7 @@ import pytest
 from puxp import geometry
 from puxp.autodiff import Tape, Tensor
 from puxp.checks import check_gradient, finite_difference_gradient
-from puxp.errors import ShapeError
+from puxp.errors import GradientError, ShapeError
 from puxp.geometry import PointCloud
 from puxp.losses import chamfer_loss
 from puxp.metrics import chamfer
@@ -103,6 +103,14 @@ def test_overflowing_loss_is_inf_with_no_warning():
 def test_point_sets_follow_the_geometry_rule(pred_shape, gt_shape, name):
     with pytest.raises(ShapeError, match=name):
         chamfer_loss(Tensor(np.zeros(pred_shape)), np.zeros(gt_shape))
+
+
+@pytest.mark.parametrize("side", ["predictions", "ground truth"])
+def test_a_non_finite_set_is_named_by_its_role(side):
+    pred, gt = np.zeros((4, 3)), np.ones((5, 3))
+    (pred if side == "predictions" else gt)[2, 0] = np.nan
+    with pytest.raises(GradientError, match=f"^row 2 of the {side} is not finite$"):
+        chamfer_loss(Tensor(pred), gt)
 
 
 def test_raw_predictions_are_grouped_once_per_loss(monkeypatch):

@@ -146,8 +146,8 @@ class TestKdTreeMatchesDenseOracle:
     @pytest.mark.parametrize(
         "a, b, message",
         [
-            ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], [[0.0, 1.0, 0.0]], "row 1 of the query points"),
-            ([[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]], "row 0 of the searched points"),
+            ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], [[0.0, 1.0, 0.0]], "row 1 of the predictions is not finite"),
+            ([[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]], "row 0 of the ground truth is not finite"),
         ],
         ids=["nan", "inf"],
     )
@@ -155,6 +155,24 @@ class TestKdTreeMatchesDenseOracle:
         for metric in (chamfer_parts, hausdorff):
             with pytest.raises(GradientError, match=message):
                 metric(np.array(a), np.array(b))
+
+    @pytest.mark.parametrize("side", ["predictions", "ground truth"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_entry_point_names_a_non_finite_set_by_its_role(self, side, bad):
+        # they were "query points" or "searched points", by the search direction that met them first
+        rng = np.random.default_rng(12)
+        pred, gt = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
+        (pred if side == "predictions" else gt)[4, 1] = bad
+        mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        calls = [
+            lambda: report("r", pred, gt), lambda: report("r", pred, gt, mesh), lambda: chamfer(pred, gt),
+            lambda: hausdorff(pred, gt), lambda: chamfer_parts(pred, gt),
+        ]
+        if side == "predictions":
+            calls.append(lambda: point_to_face(pred, mesh))
+        for call in calls:
+            with pytest.raises(GradientError, match=f"^row 4 of the {side} is not finite$"):
+                call()
 
 
 class TestHausdorff:
