@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""Dense float64 or float32 tensors with a reverse-mode gradient tape.
 
 Rank is capped at 2 (M x C point features; no op builds anything larger)
 and there is no implicit broadcasting: every op states an exact shape
@@ -13,8 +13,11 @@ the rest: it tapes an op only when an input requires a gradient, calls the
 rule only once the output has one, and adds each returned gradient into its
 input, in input order, when that input requires one.
 
-All forward computation is plain numpy on contiguous float64 buffers, so a
-fixed input always produces a bitwise-identical output.
+All forward computation is plain numpy on contiguous buffers, so a fixed
+input always produces a bitwise-identical output. An op computes in its
+operands' dtype: a model built or trained here holds float64 values and
+computes in float64; a model loaded from a checkpoint holds the float32
+values the file stores, and its features are float32.
 """
 
 from __future__ import annotations
@@ -28,13 +31,23 @@ from .errors import ShapeError, integer
 from .geometry import IndexMatrix
 
 
+def _floats(data):
+    """data as a contiguous float32 or float64 array, as it holds; any other dtype becomes float64."""
+    arr = np.asarray(data)
+    dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
+    return np.ascontiguousarray(arr, dtype=dtype)  # a scalar comes back with shape (1,)
+
+
 class Tensor:
-    """A dense float64 array (rank 1 or 2) that can participate in a Tape."""
+    """A dense float64 or float32 array (rank 1 or 2) that can participate in a Tape.
+
+    Data of any other dtype (integers, float16, Python floats) becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.ascontiguousarray(data, dtype=np.float64)  # a scalar comes back with shape (1,)
+        arr = _floats(data)
         if arr.ndim > 2:
             raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
         self.data = arr
@@ -69,12 +82,15 @@ class Parameter(typing.NamedTuple):
 
 class ParameterStore:
     """Uniquely named parameters laid end to end, in insertion order, in one
-    float64 `values` and one `grads` buffer; a parameter's `tensor.data` and
+    `values` and one `grads` buffer; a parameter's `tensor.data` and
     `tensor.grad` are reshaped views of its slice offsets[i]:offsets[i + 1].
     The first read of `values`, `grads` or `offsets` lays them out in one pass,
     copying in the values and any gradients already taped; `add` drops the
     layout, so the next read remakes it with every value and gradient kept.
-    The tape adds into the grad views: write into `grad`, never reassign it."""
+    The tape adds into the grad views: write into `grad`, never reassign it.
+
+    The buffers' dtype, `dtype`, is the one the values hold: float64 for
+    values drawn here, float32 after `load` of a checkpoint's float32 values."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
@@ -87,11 +103,24 @@ class ParameterStore:
         self._layout = None
         return param
 
+    def load(self, arrays):
+        """Set every parameter to a copy of arrays[name], an array of its shape,
+        in its dtype, and drop the layout: the next read lays the store out
+        in that dtype, so float32 arrays make a float32 store."""
+        for p in self._params.values():
+            p.tensor.data, p.tensor.grad = _floats(arrays[p.name]).copy(), None
+        self._layout = None
+
+    @property
+    def dtype(self):
+        """The dtype of the values held, read without laying them out."""
+        return np.result_type(*(p.tensor.data for p in self._params.values())) if self._params else np.float64
+
     def _laid_out(self):
         if self._layout is None:
             tensors = [p.tensor for p in self._params.values()]
             offsets = np.cumsum([0] + [t.data.size for t in tensors])
-            values, grads = np.empty(offsets[-1]), np.zeros(offsets[-1])
+            values, grads = np.empty(offsets[-1], self.dtype), np.zeros(offsets[-1], self.dtype)
             for t, lo, hi in zip(tensors, offsets, offsets[1:]):
                 values[lo:hi] = t.data.reshape(-1)
                 if t.grad is not None:
@@ -186,14 +215,24 @@ def record_op(out, inputs, backward):
 # ---------------------------------------------------------------------------
 # ops
 
+_WIDEN_ROWS = 4096  # rows of x a dense widens at a time: 1 MiB of float64 at C = 32
 
-def dense(x, w, b, activate):
+
+def dense(x, w, b, activate, dtype=None):
     """One shared-MLP layer, act(x[M,C] . w[C,D] + b[D]) with act ReLU if
     `activate`: one product, then the bias and ReLU in place. Its one rule
-    masks g by out > 0 and skips a product for an input that needs no gradient."""
+    masks g by out > 0 and skips a product for an input that needs no gradient.
+
+    It computes in `dtype`, by default the dtype of x and w together. Rows of
+    a narrower x are widened _WIDEN_ROWS at a time, so no wide copy of the
+    whole of x is made."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"dense: shapes {x.shape}, {w.shape} and {b.shape} do not align")
-    out = x.data @ w.data
+    out = np.empty((x.shape[0], w.shape[1]), dtype or np.result_type(x.data, w.data))
+    weights = w.data.astype(out.dtype, copy=False)
+    step = _WIDEN_ROWS if x.data.dtype != out.dtype else max(x.shape[0], 1)
+    for start in range(0, x.shape[0], step):
+        np.matmul(x.data[start : start + step], weights, out=out[start : start + step])
     out += b.data
     if activate:
         np.maximum(out, 0.0, out=out)
@@ -280,7 +319,7 @@ def edge_conv(x, idx, w, b, activate):
     out = x.data @ centre
     out += b.data
     block = 512  # parent rows; a block's gathers stay in cache
-    best_rows, edge_rows = np.empty((2, min(block, n), d))  # reused by every block
+    best_rows, edge_rows = np.empty((2, min(block, n), d), dtype=proj.dtype)  # reused by every block
     if taped:
         winner = np.zeros((n, d), dtype=np.intp)
         rise_rows = np.empty((min(block, n), d), dtype=bool)

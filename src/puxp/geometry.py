@@ -54,13 +54,16 @@ a power of two, so no square or product overflows or underflows.
 
 A PointCloud or TriangleMesh keeps what searches build from it, on first
 use: a cloud its knn_accelerated table per k and, per _in_range exponent (0
-for every input in [1e-50, 1e50)), the columns, tree and copy groups of
-nearest_neighbors and squared_distances_to_mesh; a mesh the index of
-squared_distances_to_mesh. The view cloud of an array lives for one call.
+for every input in [1e-50, 1e50)), the columns and copy groups of
+nearest_neighbors and squared_distances_to_mesh, and a tree built at the
+first search of the cloud, so a set that is only queried builds none; a
+mesh the index of squared_distances_to_mesh. The view cloud of an array
+lives for one call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -376,27 +379,35 @@ def _copy_groups(cols):
     return order, first, np.append(first[1:], order.size) - first
 
 
-def _searched(dst):
-    """The searched side of _nearest for (D, 3) rows: (columns, kd-tree, copy groups).
+class _Searched:
+    """What _nearest reads of (D, 3) rows: their columns `cols`, their copy
+    groups `groups` and, built at its first read, the kd-tree `tree`.
 
     The tree holds one row per copy group: cKDTree cannot split identical
-    rows, so over N copies each query scanned a leaf of N.
+    rows, so over N copies each query scanned a leaf of N. A set that is
+    only queried reads its columns and groups alone, and builds no tree.
     """
-    cols = _columns(dst)
-    order, first, copies = _copy_groups(cols)
-    return cols, cKDTree(dst[order[first]], leafsize=_LEAFSIZE), (order, first, copies)
+
+    def __init__(self, rows):
+        self.cols = _columns(rows)
+        self.groups = _copy_groups(self.cols)
+
+    @functools.cached_property
+    def tree(self):
+        order, first, _ = self.groups
+        return cKDTree(np.take(self.cols, order[first], axis=1).T, leafsize=_LEAFSIZE)
 
 
 def _queried(src, rows, e):
     """The distinct rows of the (S, 3) query rows of the PointCloud src at the
     _in_range exponent e: (rows, their columns, the copy groups of src's rows).
 
-    src keeps its columns and groups with its searched side, so a cloud that
-    is both query and target of a pair of searches is grouped once.
+    src keeps its columns and groups as its _Searched, so a cloud that is
+    both query and target of a pair of searches is grouped once.
     """
-    cols, _, groups = _kept(src, e, lambda: _searched(rows))
-    distinct = groups[0][groups[1]]
-    return np.take(rows, distinct, axis=0), np.take(cols, distinct, axis=1), groups
+    searched = _kept(src, e, lambda: _Searched(rows))
+    distinct = searched.groups[0][searched.groups[1]]
+    return np.take(rows, distinct, axis=0), np.take(searched.cols, distinct, axis=1), searched.groups
 
 
 def _per_row(values, groups):
@@ -407,10 +418,10 @@ def _per_row(values, groups):
     return out
 
 
-def _nearest(src, cols, tree, groups, n):
+def _nearest(src, searched, n):
     """The indices of the n nearest rows of dst for each row of src, ranked: S x n.
 
-    src is (S, 3) and (cols, tree, groups) is _searched(dst), dst (D, 3) with
+    src is (S, 3) and searched is the _Searched of dst, dst (D, 3) with
     n <= D. The tree gives each row its n + 1 nearest distinct rows
     (infinitely far where missing). Where each is farther than the one before
     by more than the slack and the first n - 1 have one copy each, the first
@@ -419,7 +430,7 @@ def _nearest(src, cols, tree, groups, n):
     n rows, times the slack, then _rank_pairs over the first min(copies, n)
     copies of each distinct row in reach, the only ones that can rank.
     """
-    order, first, copies = groups
+    cols, tree, (order, first, copies) = searched.cols, searched.tree, searched.groups
     dist, hits = tree.query(src, k=n + 1)
     # missing hits (index tree.n) come after the one that completes n rows; clipped, they change nothing
     c = np.take(copies, hits, mode="clip")
@@ -452,8 +463,8 @@ def knn_accelerated(cloud, k):
 
     def search():
         pts, _ = _knn_input(cloud, k)
-        searched = _searched(pts)
-        hits = _per_row(_nearest(searched[1].data, *searched, k + 1), searched[2])
+        searched = _Searched(pts)
+        hits = _per_row(_nearest(searched.tree.data, searched, k + 1), searched.groups)
         other = hits != np.arange(pts.shape[0])[:, None]
         other[other.all(axis=1), k] = False
         return IndexMatrix._built(hits[other].reshape(-1, k))
@@ -468,15 +479,15 @@ def nearest_neighbors(src, dst):
     `min` and `argmin` along dst: squared distances are `(diff * diff)`
     summed over the three coordinates, and ties go to the smaller index. Both
     sets pass as_cloud ("query points", "searched points"), and each keeps
-    what _searched builds for the next search. Each distinct row of src is
+    its _Searched for the next search. Each distinct row of src is
     searched once, and its copies take its result.
     """
     src, dst = as_cloud(src, "query points"), as_cloud(dst, "searched points")
     (rows, dst_rows), e = _in_range([src.points, dst.points], ["query points", "searched points"])
-    searched = _kept(dst, e, lambda: _searched(dst_rows))
+    searched = _kept(dst, e, lambda: _Searched(dst_rows))
     rows, cols, groups = _queried(src, rows, e)
-    idx = _nearest(rows, *searched, 1)[:, 0]
-    d2 = _sum_squares(np.take(searched[0], idx, axis=1) - cols)
+    idx = _nearest(rows, searched, 1)[:, 0]
+    d2 = _sum_squares(np.take(searched.cols, idx, axis=1) - cols)
     return _per_row(np.ldexp(d2, 2 * e), groups), _per_row(idx, groups)
 
 

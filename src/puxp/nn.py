@@ -28,15 +28,17 @@ class SharedMLP:
     Each layer is one `autodiff.dense` call, product, bias and ReLU in one
     taped op. ReLU follows every layer except the last; set
     activate_output=True when the stack feeds further feature processing
-    rather than coordinates.
+    rather than coordinates. Every layer computes in `dtype`, by default the
+    dtype of x and the weights (see `autodiff.dense`).
     """
 
-    def __init__(self, store, name, widths, rng, activate_output=False):
+    def __init__(self, store, name, widths, rng, activate_output=False, dtype=None):
         if len(widths) < 2:
             raise ValueError(f"{name}: need at least input and output widths, got {widths}")
         self.name = name
         self.widths = list(widths)
         self.activate_output = activate_output
+        self.dtype = dtype
         self.layers = []
         for i, (c_in, c_out) in enumerate(zip(self.widths[:-1], self.widths[1:])):
             w = store.add(f"{name}.w{i}", glorot_uniform(rng, c_in, c_out))
@@ -51,7 +53,7 @@ class SharedMLP:
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ShapeError(f"{self.name}: expected (M, {self.in_width}) input, got {x.shape}")
         for i, (w, b) in enumerate(self.layers, 1):
-            x = ad.dense(x, w.tensor, b.tensor, self.activate_output or i < len(self.layers))
+            x = ad.dense(x, w.tensor, b.tensor, self.activate_output or i < len(self.layers), self.dtype)
         return x
 
 
@@ -77,7 +79,8 @@ def duplicate_with_code(x, copies=2):
 
     Output row f*i + s (f = copies) is x[i] with code linspace(1, -1, f)[s],
     +1/-1 at f = 2, so a point's children stay contiguous: [x, ..., x] shuffled.
+    The codes take x's dtype.
     """
     stacked = functools.reduce(ad.concat_last, [x] * copies)
-    codes = np.tile(np.linspace(1.0, -1.0, copies)[:, None], (x.shape[0], 1))
+    codes = np.tile(np.linspace(1.0, -1.0, copies, dtype=x.data.dtype)[:, None], (x.shape[0], 1))
     return ad.concat_last(ad.shuffle_expand(stacked, copies), Tensor(codes))

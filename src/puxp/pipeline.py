@@ -167,15 +167,19 @@ class UpsamplingModel:
         return knn_accelerated(cloud, self.k)
 
     def forward_tensor(self, cloud, base_index=None):
-        """Predicted coordinates as a tensor (rows = ratio * cloud.count)."""
+        """Predicted float64 coordinates as a tensor (rows = ratio * cloud.count).
+
+        The coordinates enter in the store's dtype, so every feature is
+        computed in the dtype of the values the model holds; the regression
+        stage returns float64 whatever that dtype is.
+        """
         if base_index is None:
             base_index = self.base_graph(cloud)
         # No local holds the backbone features: the context is their only
         # reference, so without a tape they are freed with it once the unit
         # returns, and stay out of the regression's peak.
-        result = self.unit.expand(
-            ExpansionContext(cloud, base_index, self.backbone.forward(Tensor(cloud.points), base_index))
-        )
+        coords = Tensor(cloud.points.astype(self.store.dtype, copy=False))
+        result = self.unit.expand(ExpansionContext(cloud, base_index, self.backbone.forward(coords, base_index)))
         index = expanded_graph(base_index, self.ratio, result.index)
         return self.regression.forward(result.features, index)
 
@@ -378,7 +382,11 @@ def model_to_checkpoint(model):
 
 
 def model_from_checkpoint(ckpt):
-    """Rebuild a model from a checkpoint, validating spec/parameter agreement."""
+    """Rebuild a model from a checkpoint, validating spec/parameter agreement.
+
+    The store holds the stored float32 values unwidened, so the model's
+    features are float32 (its coordinates still leave it as float64).
+    """
     required = ("unit.kind", "unit.ratio", "unit.channels", "backbone.kind", "model.k")
     for key in required:
         if key not in ckpt.fields:
@@ -408,7 +416,7 @@ def model_from_checkpoint(ckpt):
             raise FormatError(
                 f"parameter {p.name!r} has shape {tuple(values.shape)}, expected {tuple(p.data.shape)}"
             )
-        p.tensor.data[:] = values.astype(np.float64)
+    model.store.load(stored)
     return model
 
 

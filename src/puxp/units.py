@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, integer
@@ -292,11 +294,14 @@ def expanded_graph(base_index, ratio, provided=None):
 
 
 class RegressionStage:
-    """Turns r*N x C features into r*N coordinates.
+    """Turns r*N x C features into r*N float64 coordinates.
 
     direct: shared head only, never touches a neighbor table.
     edgeconv_before: one EdgeConv C -> C on the expanded graph, then the head.
     edgeconv_after: head first, then EdgeConv 3 -> 3 on the coordinates.
+    The head, and the EdgeConv after it, compute in float64 whatever the
+    features' dtype: coordinates rounded to float32 would be written with
+    decimal ties at the 9th significant digit.
     """
 
     def __init__(self, store, spec, rng):
@@ -306,15 +311,13 @@ class RegressionStage:
         self.post = None
         if self.mode == "edgeconv_before":
             self.pre = EdgeConvLayer(store, "regress.pre", c, c, rng)
-        self.head = SharedMLP(store, "regress.head", [c, 3], rng, activate_output=False)
+        self.head = SharedMLP(store, "regress.head", [c, 3], rng, activate_output=False, dtype=np.float64)
         if self.mode == "edgeconv_after":
             self.post = EdgeConvLayer(store, "regress.post", 3, 3, rng, activate_output=False)
 
     def forward(self, features, index):
-        if self.mode == "direct":
-            return self.head(features)
-        if self.mode == "edgeconv_before":
-            return self.head(self.pre(features, index))
+        if self.pre is not None:
+            features = self.pre(features, index)
         coords = self.head(features)
-        return self.post(coords, index)
+        return coords if self.post is None else self.post(coords, index)
 

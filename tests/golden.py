@@ -46,6 +46,9 @@ digests under each of OTHER_KERNELS, which must give the same bytes.
 
     python tests/golden.py           print the manifest this checkout makes
     python tests/golden.py --write   write it to tests/golden.json
+    python tests/golden.py --diff    list each key whose digest differs from
+                                     tests/golden.json as `key: old -> new`
+                                     (`-` where a side lacks the key); exits 0
 """
 
 import contextlib
@@ -290,12 +293,26 @@ def kernel_free_digests_under(kernel):
     return json.loads(made)
 
 
+def diff(recorded, made):
+    """`key: old -> new` for each key whose digest differs, in the order made, then recorded."""
+    return [
+        f"{key}: {recorded.get(key, '-')} -> {made.get(key, '-')}"
+        for key in {**made, **recorded}
+        if recorded.get(key) != made.get(key)
+    ]
+
+
 def main(argv):
-    text = json.dumps(manifest(), indent=2) + "\n"
+    if argv not in ([], ["--write"], ["--diff"]):
+        sys.exit("usage: python tests/golden.py [--write | --diff]")
+    made = manifest()
+    if argv == ["--diff"]:
+        for line in diff(json.loads(MANIFEST.read_text())["digests"], made["digests"]):
+            print(line)
+        return
+    text = json.dumps(made, indent=2) + "\n"
     if argv == ["--write"]:
         MANIFEST.write_text(text)
-    elif argv:
-        sys.exit("usage: python tests/golden.py [--write]")
     else:
         print(text, end="")
 

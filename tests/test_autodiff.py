@@ -60,6 +60,14 @@ class TestTensor:
         assert t.data.dtype == np.float64
         assert t.data.flags["C_CONTIGUOUS"]
 
+    @pytest.mark.parametrize("dtype, kept", [(np.float32, np.float32), (np.float64, np.float64),
+                                             (np.int32, np.float64), (np.float16, np.float64)])
+    def test_keeps_float32_and_float64_and_widens_any_other_dtype(self, dtype, kept):
+        data = np.arange(6, dtype=dtype).reshape(3, 2)
+        t = Tensor(data.T)  # not contiguous
+        assert t.data.dtype == kept and t.data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(t.data, data.T)
+
 
 def weighted_sum(out, g):
     """sum(g * out) as a 1 x 1 product, so the gradient reaching out is g exactly."""
@@ -128,6 +136,49 @@ class TestDense:
                 assert t.grad is None
             else:
                 assert t.grad.tobytes() == want.tobytes(), i
+
+
+class TestFloat32Ops:
+    """Each op computes in its operands' dtype; dense can be asked for a wider one."""
+
+    @pytest.mark.parametrize("activate", [True, False])
+    def test_dense_of_float32_operands_is_float32(self, activate):
+        rng = np.random.default_rng(60)
+        x, w, b = rng.normal(size=(30, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)
+        out = ad.dense(*(Tensor(a.astype(np.float32)) for a in (x, w, b)), activate)
+        assert out.data.dtype == np.float32
+        assert np.allclose(out.data, ad.dense(Tensor(x), Tensor(w), Tensor(b), activate).data, rtol=1e-5, atol=1e-5)
+
+    def test_dense_widens_float32_rows_a_block_at_a_time(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(3 * ad._WIDEN_ROWS + 5, 32)).astype(np.float32)
+        w, b = rng.normal(size=(32, 3)).astype(np.float32), rng.normal(size=3).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = ad.dense(Tensor(x), Tensor(w), Tensor(b), False, np.float64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == np.float64
+        assert peak < x.nbytes, peak  # a float64 copy of all of x is twice that
+        want = x.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
+        assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
+
+    def test_edge_conv_of_float32_operands_is_float32(self):
+        rng = np.random.default_rng(62)
+        x, idx = rng.normal(size=(600, 3)), knn_bruteforce(rng.normal(size=(600, 3)), 5)  # more rows than a block
+        w, b = rng.normal(size=(6, 4)), rng.normal(size=4)
+        narrow = ad.edge_conv(Tensor(x.astype(np.float32)), idx, Tensor(w.astype(np.float32)),
+                              Tensor(b.astype(np.float32)), True)
+        assert narrow.data.dtype == np.float32
+        wide = ad.edge_conv(Tensor(x), idx, Tensor(w), Tensor(b), True).data
+        assert np.allclose(narrow.data, wide, rtol=1e-5, atol=1e-5)
+
+    def test_concat_and_reshape_keep_float32(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32))
+        assert ad.concat_last(a, a).data.dtype == np.float32
+        assert ad.reshape(a, (3, 2)).data.dtype == np.float32
+        assert ad.shuffle_expand(a, 3).data.dtype == np.float32
 
 
 class TestConcatLast:
@@ -498,6 +549,26 @@ class TestParameterStore:
         assert np.array_equal(store.grads, [2.0, 10.0])
         store.zero_grads()
         assert not store.grads.any() and not w.grad.any()
+
+    def test_a_store_of_drawn_values_is_float64(self):
+        store = ParameterStore()
+        store.add("w", np.arange(3.0))
+        assert store.dtype == np.float64 and store.grads.dtype == np.float64
+
+    def test_load_lays_float32_values_out_in_float32_as_copies(self):
+        store = ParameterStore()
+        store.add("w", np.zeros((2, 3)))
+        store.add("b", np.zeros(2))
+        store.zero_grads()
+        loaded = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([7.0, 8.0], dtype=np.float32)}
+        store.load(loaded)
+        assert_laid_out(store)
+        assert store.dtype == np.float32 and store.grads.dtype == np.float32 and not store.grads.any()
+        assert np.array_equal(store.values, [0, 1, 2, 3, 4, 5, 7, 8])
+        loaded["b"][0] = -1.0  # the store holds its own copy
+        assert store["b"].data[0] == 7.0
+        store.load({name: values.astype(np.float64) for name, values in loaded.items()})
+        assert store.dtype == np.float64 and np.array_equal(store.values, [0, 1, 2, 3, 4, 5, -1, 8])
 
     def test_add_after_layout_keeps_values_and_grads(self):
         store = ParameterStore()

@@ -480,7 +480,8 @@ class TestCopyGroups:
     @pytest.mark.parametrize("variant", ["random", "grid", "box_surface", "repeated", "signed_zeros", "collapsed"])
     def test_groups_equal_a_full_lexsort_and_its_runs(self, variant):
         pts = grouping_case(variant)
-        cols, tree, (order, first, copies) = geometry._searched(pts)
+        searched = geometry._Searched(pts)
+        cols, tree, (order, first, copies) = searched.cols, searched.tree, searched.groups
         want = np.lexsort(pts.T[::-1])
         srt = pts[want]
         starts = np.flatnonzero(np.append(True, (srt[1:] != srt[:-1]).any(axis=1)))  # -0.0 == 0.0
@@ -1296,6 +1297,23 @@ class TestQueryCopyGroups:
         assert metrics.report("r", pred, gt, mesh) == expected
         assert calls == [256, 256]  # gt, then pred: each once for both searches (gt was grouped twice) and P2F
         assert pred.flags.writeable and gt.flags.writeable
+
+    def test_a_set_that_is_only_queried_builds_no_tree(self, monkeypatch):
+        cloud, gt, _ = sample_pair(SyntheticShape("sphere"), 64, 4, 4)
+        pred = np.repeat(cloud.points, 4, axis=0)  # 64 distinct rows
+        built = []
+        tree = geometry.cKDTree
+        monkeypatch.setattr(geometry, "cKDTree", lambda data, **kw: built.append(len(data)) or tree(data, **kw))
+        mesh = surface_mesh(SyntheticShape("sphere"))
+        metrics.point_to_face(pred, mesh)
+        assert built == [mesh.face_count]  # the mesh's centroids alone (a tree over pred was built and dropped)
+        built.clear()
+        squared_distances_to_mesh(pred, mesh)
+        nearest_neighbors(pred, gt)
+        assert built == [256]  # gt's, at its first search; the mesh keeps its index
+        built.clear()
+        metrics.report("r", pred, gt.points, surface_mesh(SyntheticShape("sphere")))
+        assert built == [256, 64, mesh.face_count]  # gt, pred (distinct rows), then the mesh: one tree per side
 
     @pytest.mark.parametrize("search", ["nearest", "report", "p2f"])
     def test_copies_of_the_torus_centre_are_fast(self, search):

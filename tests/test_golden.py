@@ -37,3 +37,15 @@ def test_kernel_free_outputs_do_not_depend_on_the_blas_kernel(made, kernel):
     # a BLAS dot may sum in another order or with fused multiply-adds
     under = golden.kernel_free_digests_under(kernel)
     assert under == {key: made["digests"][key] for key in under}
+
+
+def test_diff_lists_each_moved_digest_as_old_to_new():
+    recorded = {"kept": "1", "moved": "2", "dropped": "3"}
+    made = {"kept": "1", "moved": "4", "added": "5"}
+    assert golden.diff(recorded, made) == ["moved: 2 -> 4", "added: - -> 5", "dropped: 3 -> -"]
+
+
+@pytest.mark.parametrize("argv", [["--bogus"], ["--diff", "--write"]])
+def test_an_unknown_mode_exits_with_the_usage_before_any_digest(argv):
+    with pytest.raises(SystemExit, match=r"^usage: python tests/golden.py \[--write \| --diff\]$"):
+        golden.main(argv)

@@ -241,6 +241,15 @@ class TestDuplicateWithCode:
         assert np.array_equal(out[0::2, :-1], out[1::2, :-1])
         assert np.all(out[0::2, -1] != out[1::2, -1])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_codes_follow_the_dtype_of_x(self, dtype, copies):
+        x = np.random.default_rng(6).normal(size=(4, 3))
+        out = duplicate_with_code(Tensor(x.astype(dtype)), copies).data
+        assert out.dtype == dtype
+        assert np.array_equal(out[:, -1], np.tile(np.linspace(1.0, -1.0, copies).astype(dtype), 4))
+        assert np.array_equal(out[::copies, :-1], x.astype(dtype))
+
     def test_gradient_accumulates_over_both_children(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         with Tape() as tape:

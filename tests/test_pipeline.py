@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import struct
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from puxp import autodiff as ad
 from puxp import geometry, pipeline
 from puxp.autodiff import Tape, Tensor
-from puxp.dataio import Checkpoint, load_checkpoint
+from puxp.dataio import Checkpoint, load_checkpoint, read_xyz, save_checkpoint, write_xyz
 from puxp.errors import ConfigError, DivergenceError, FormatError, GradientError
 from puxp.pipeline import (
     Backbone,
@@ -173,14 +174,16 @@ class TestBoundedMemory:
         small = self.peak_bytes(model, 1024)
         large = self.peak_bytes(model, 4096)  # 16,384 output rows
         assert large < 64 * 2**20, large
-        # Per output row at r=4, C=32, k=16 in float64, the peak is one live
-        # EdgeConv and nothing finished beside it. The regression EdgeConv
-        # holds its input (C values, 256 B), its output (C, 256 B), its
-        # projection (C per input point, 256 / r = 64 B) and the base graph
-        # (k entries per input point, 128 / r = 32 B): 608 B. The unit's last
-        # EdgeConv ties: 128 + 256 + 128 B, the context's backbone features
-        # (64 B) and the graph. Features held by the caller to the end add
-        # 64 B (671 B); an M x K x C EdgeConv intermediate adds several KiB.
+        # Per output row at r=4, C=32, k=16, the loaded model's features are
+        # float32 and the peak measures 315 B (608 B when they were float64):
+        # one live EdgeConv and nothing finished beside it. The regression
+        # EdgeConv holds its input (C values, 128 B), its output (C, 128 B),
+        # its projection (C per input point, 128 / r = 32 B) and the base
+        # graph (k entries per input point, 128 / r = 32 B): 320 B. The head
+        # after it holds the same input and output and 24 B of float64
+        # coordinates, and widens a fixed block of rows at a time. A float64
+        # copy of the features before the head would add 256 B; an
+        # M x K x C EdgeConv intermediate adds several KiB.
         per_row = (large - small) / (4 * 4096 - 4 * 1024)
         assert per_row <= 620, (large, small, per_row)
 
@@ -426,7 +429,7 @@ class TestCheckpointRoundTrip:
             assert pa.name == pb.name
             assert np.array_equal(pa.data.astype(np.float32), pb.data.astype(np.float32))
 
-    def test_loaded_model_upsamples_identically_at_f32(self, tmp_path):
+    def test_loaded_model_upsamples_within_1e_5_of_the_trained_model(self, tmp_path):
         from puxp.dataio import load_checkpoint, save_checkpoint
 
         cfg = small_config(steps=2)
@@ -438,6 +441,15 @@ class TestCheckpointRoundTrip:
         a = result.model.upsample(ds[0].cloud).points
         b = loaded.upsample(ds[0].cloud).points
         assert np.allclose(a, b, atol=1e-5)
+
+    def test_the_bench_checkpoint_saves_back_byte_for_byte(self, tmp_path):
+        # but for its one empty field, a feature left off, which a load drops
+        path = tmp_path / "again.puxp"
+        save_checkpoint(path, model_to_checkpoint(model_from_checkpoint(load_checkpoint(TestBoundedMemory.CHECKPOINT))))
+        original = TestBoundedMemory.CHECKPOINT.read_bytes()
+        (length,) = struct.unpack("<I", original[5:9])
+        header = original[9 : 9 + length].replace(b"unit.edge_hidden=\n", b"")
+        assert path.read_bytes() == original[:5] + struct.pack("<I", len(header)) + header + original[9 + length :]
 
     @pytest.mark.parametrize("key", ["unit.kind", "unit.ratio", "unit.channels", "backbone.kind", "model.k"])
     def test_a_missing_spec_field_is_a_format_error(self, key):
@@ -454,6 +466,55 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError) as caught:
             model_from_checkpoint(ckpt)
         assert str(caught.value) == want
+
+
+class TestLoadedModelComputesInFloat32:
+    """A loaded model keeps its checkpoint's float32 values: its features are
+    float32, and its coordinates leave it as float64."""
+
+    @pytest.mark.parametrize("backbone_kind", ["mlp_stack", "edgeconv_stack"])
+    @pytest.mark.parametrize("regression_mode", REGRESSION_MODES)
+    @pytest.mark.parametrize("kind", UNIT_KINDS)
+    def test_features_are_float32_and_coordinates_float64(self, tmp_path, kind, regression_mode, backbone_kind):
+        cfg = small_config(kind, backbone=BackboneSpec(backbone_kind, 2, 8))
+        cfg = dataclasses.replace(cfg, unit=dataclasses.replace(cfg.unit, regression_mode=regression_mode))
+        save_checkpoint(tmp_path / "model.puxp", model_to_checkpoint(build_model(cfg)))
+        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "model.puxp"))
+        wide = model_from_checkpoint(load_checkpoint(tmp_path / "model.puxp"))
+        wide.store.load({p.name: p.data.astype(np.float64) for p in wide.store})  # the same values in float64
+        assert (loaded.store.dtype, wide.store.dtype) == (np.float32, np.float64)
+
+        seen = []
+        expand = loaded.unit.expand
+        loaded.unit.expand = lambda ctx: seen.append((ctx.features, result := expand(ctx))) or result
+        ds = make_dataset(cfg)
+        first, again = loaded.upsample(ds[0].cloud).points, loaded.upsample(ds[0].cloud).points
+        features, result = seen[0]
+        assert features.data.dtype == result.features.data.dtype == np.float32
+        assert first.dtype == np.float64
+        assert not np.array_equal(first.astype(np.float32).astype(np.float64), first)
+        assert first.tobytes() == again.tobytes()
+
+        for narrow, exact in zip(evaluate(loaded, ds), evaluate(wide, ds)):
+            for field in ("cd", "hd", "p2f"):
+                assert getattr(narrow, field) == pytest.approx(getattr(exact, field), rel=1e-5), field
+
+
+class TestWrittenCoordinates:
+    def test_the_16k_torus_reads_back_to_9_significant_digits(self, tmp_path):
+        # float32 coordinates can sit on a decimal tie at the 9th digit
+        # (-0.1591796875 is written -0.159179688); float64 ones do not
+        cloud, _, _ = sample_pair(SyntheticShape("torus"), 16384, 4, 1)
+        np.savetxt(tmp_path / "torus-16k.xyz", cloud.points, fmt="%.9g")
+        model = model_from_checkpoint(load_checkpoint(TestBoundedMemory.CHECKPOINT))
+        dense = model.upsample(read_xyz(tmp_path / "torus-16k.xyz"))
+        write_xyz(tmp_path / "torus-64k.xyz", dense)
+        out, back = dense.points, np.loadtxt(tmp_path / "torus-64k.xyz", ndmin=2)
+        # the bound of the upsample-16k check in bench/workloads.py: half a unit in the 9th digit
+        magnitude = np.floor(np.log10(np.where(out == 0.0, 1.0, np.abs(out))))
+        allowed = 0.5 * 10.0 ** (magnitude - 8) * (1.0 + 1e-9)
+        assert back.shape == out.shape
+        assert not np.any(np.abs(back - out) > allowed), np.flatnonzero((np.abs(back - out) > allowed).any(axis=1))
 
 
 class TestSpecCodec:
